@@ -4,12 +4,17 @@ The field law is linear decay over BFS distance on free cells:
 an emitter of amplitude A contributes max(0, A - d) at distance d, attraction
 positive, repulsion negative, superposition additive.  Unreachable cells get
 no contribution.
+
+Walls never move, so each `GridMap` owns its static geometry: a sorted
+adjacency table and a per-source table of wall-only BFS distances.  Both are
+filled on first use and live on the instance, so they die with the grid.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import EmitterOnBlockedCell
 
@@ -42,20 +47,42 @@ class GridMap:
         candidates = [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
         return sorted(c for c in candidates if self.is_free(c))
 
+    @cached_property
+    def adjacency(self) -> dict[Cell, tuple[Cell, ...]]:
+        """Sorted free 4-neighbors of every free cell, built on first use."""
+        return {cell: tuple(self.neighbors4(cell)) for cell in self.free_cells()}
+
+    @cached_property
+    def _distance_rows(self) -> dict[Cell, dict[Cell, int]]:
+        return {}
+
+    def distances(self, source: Cell) -> dict[Cell, int]:
+        """Wall-only BFS distances from `source`, computed once per source.
+
+        The row is shared by every caller on this grid: read it, never
+        mutate it.
+        """
+        row = self._distance_rows.get(source)
+        if row is None:
+            row = self._distance_rows[source] = bfs_distances(self, source)
+        return row
+
 
 def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset()) -> dict[Cell, int]:
     """BFS distance map over free cells, treating `obstacles` as extra walls.
     The start cell itself is never treated as an obstacle."""
     if not grid.is_free(start):
         return {}
+    adjacency = grid.adjacency
     dist = {start: 0}
     queue = deque([start])
     while queue:
         cell = queue.popleft()
-        for nxt in grid.neighbors4(cell):
+        step = dist[cell] + 1
+        for nxt in adjacency[cell]:
             if nxt in dist or nxt in obstacles:
                 continue
-            dist[nxt] = dist[cell] + 1
+            dist[nxt] = step
             queue.append(nxt)
     return dist
 
@@ -70,11 +97,12 @@ def bfs_path(grid: GridMap, start: Cell, goal: Cell, obstacles=frozenset()):
         return None
     if start == goal:
         return [start]
+    adjacency = grid.adjacency
     parent = {start: None}
     queue = deque([start])
     while queue:
         cell = queue.popleft()
-        for nxt in grid.neighbors4(cell):
+        for nxt in adjacency[cell]:
             if nxt in parent or nxt in obstacles:
                 continue
             parent[nxt] = cell
@@ -87,19 +115,20 @@ def bfs_path(grid: GridMap, start: Cell, goal: Cell, obstacles=frozenset()):
     return None
 
 
-def compute_fields(grid: GridMap, attractors, repulsors) -> dict[Cell, float]:
-    """Net potential per free cell.
+def compute_fields(grid: GridMap, attractors, repulsors, cells=None) -> dict[Cell, float]:
+    """Net potential per free cell, or only at `cells` when given.
 
     attractors / repulsors: iterables of (cell, amplitude).  Raises
     EmitterOnBlockedCell for any emitter outside the free cell set.
     """
-    field = {cell: 0.0 for cell in grid.free_cells()}
+    field = {cell: 0.0 for cell in (grid.free_cells() if cells is None else cells)}
     for sign, emitters in ((1.0, attractors), (-1.0, repulsors)):
         for cell, amplitude in emitters:
             if not grid.is_free(cell):
                 raise EmitterOnBlockedCell(f"emitter at {cell} is blocked or out of bounds")
-            for reached, d in bfs_distances(grid, cell).items():
-                contribution = amplitude - d
-                if contribution > 0:
-                    field[reached] += sign * contribution
+            dist = grid.distances(cell)
+            for target in field:
+                d = dist.get(target)
+                if d is not None and amplitude - d > 0:
+                    field[target] += sign * (amplitude - d)
     return field

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..engine import (
     BehaviorRule,
     DetectorRule,
@@ -51,7 +49,7 @@ from ..state import (
     SystemState,
     body_key,
 )
-from .grid import GridMap, bfs_distances, bfs_path
+from .grid import GridMap, bfs_distances, bfs_path, compute_fields
 
 FLOOR = "floor"
 TASKS = "tasks"
@@ -91,20 +89,6 @@ class FmsParams:
 
 # --- field sensing -----------------------------------------------------------
 
-def _potential(grid: GridMap, cells, attract_cells, attract_amp, repulse_cells, repulse_amp):
-    values = {c: 0.0 for c in cells}
-    for source, amplitude, sign in (
-        [(c, attract_amp, 1.0) for c in attract_cells]
-        + [(c, repulse_amp, -1.0) for c in repulse_cells]
-    ):
-        dist = bfs_distances(grid, source)
-        for c in cells:
-            d = dist.get(c)
-            if d is not None and amplitude - d > 0:
-                values[c] += sign * (amplitude - d)
-    return values
-
-
 def desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=None):
     """The cell an AGV's gradient rule wants next (may equal its own cell).
 
@@ -123,9 +107,12 @@ def desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=N
         for other, b in agv_bodies.items()
         if other != agent_id and b.get("repulsion_on")
     )
-    candidates = grid.neighbors4(cell)
-    values = _potential(
-        grid, candidates + [cell], attract, params.attract, repulse, params.repulse
+    candidates = grid.adjacency[cell]
+    values = compute_fields(
+        grid,
+        [(c, params.attract) for c in attract],
+        [(c, params.repulse) for c in repulse],
+        cells=candidates + (cell,),
     )
     here = values[cell]
     best = max((values[c] for c in candidates), default=here)
@@ -272,13 +259,13 @@ class SolverBehavior(BehaviorRule):
                 continue
             others_paths = set().union(*(ideal[o] for o in members if o != m)) if len(members) > 1 else set()
             obstacles = frozenset(occupied - {body.get("cell")})
-            for target in self.grid.free_cells():
+            # A parking path of d steps has d + 1 cells; the own cell is
+            # occupied, so every target left here is at least one step away.
+            dist = bfs_distances(self.grid, body.get("cell"), obstacles)
+            for target, d in dist.items():
                 if target in occupied or target in others_paths:
                     continue
-                path = bfs_path(self.grid, body.get("cell"), target, obstacles)
-                if path is None or len(path) < 2:
-                    continue
-                key = (len(path), m, target)
+                key = (d + 1, m, target)
                 if best is None or key < best[0]:
                     best = (key, m, target)
         if best is None:
@@ -308,7 +295,7 @@ class SolverBehavior(BehaviorRule):
             cells = [agvs[m].get("cell") for m in members if m in agvs]
             dispersed = True
             for i, a in enumerate(cells):
-                dist = bfs_distances(self.grid, a)
+                dist = self.grid.distances(a)
                 for b in cells[i + 1:]:
                     if dist.get(b, self.params.clearance) < self.params.clearance:
                         dispersed = False
@@ -376,6 +363,26 @@ class SolverBehavior(BehaviorRule):
 
 # --- detector ----------------------------------------------------------------
 
+def wait_cycles(waits: dict) -> set:
+    """Every agent on a cycle of the wait-for map `waits` (agent -> blocker).
+
+    Each agent waits on at most one blocker, so following an agent's chain
+    either ends, joins a chain already walked, or closes a cycle.
+    """
+    in_cycle: set = set()
+    walked: set = set()
+    for start in waits:
+        chain: list = []
+        agent = start
+        while agent in waits and agent not in walked and agent not in chain:
+            chain.append(agent)
+            agent = waits[agent]
+        if agent in chain:
+            in_cycle.update(chain[chain.index(agent):])
+        walked.update(chain)
+    return in_cycle
+
+
 def make_deadlock_detector(grid: GridMap, params: FmsParams) -> DetectorRule:
     """Wait-for-cycle and no-progress detector over the floor snapshot.
 
@@ -401,20 +408,15 @@ def make_deadlock_detector(grid: GridMap, params: FmsParams) -> DetectorRule:
                 continue
             candidates[aid] = desired_move(grid, params, aid, body, agvs, emitting)
 
-        wait = nx.DiGraph()
-        wait.add_nodes_from(candidates)
+        waits = {}
         for aid, to in candidates.items():
             if to == agvs[aid].get("cell"):
                 continue
             blocker = occupant.get(to)
             if blocker is not None and blocker != aid:
-                wait.add_edge(aid, blocker)
+                waits[aid] = blocker
 
-        in_cycle = set()
-        for component in nx.strongly_connected_components(wait):
-            if len(component) > 1:
-                in_cycle |= component
-        in_cycle &= set(candidates)
+        in_cycle = wait_cycles(waits)
 
         stalled = set()
         for aid in candidates:
@@ -428,18 +430,17 @@ def make_deadlock_detector(grid: GridMap, params: FmsParams) -> DetectorRule:
 
         # Group flagged AGVs: wait-for adjacency or field-range proximity.
         radius = max(2, params.repulse)
-        link = nx.Graph()
-        link.add_nodes_from(flagged)
+        links = [{a} for a in flagged]
         for i, a in enumerate(flagged):
-            dist = bfs_distances(grid, agvs[a].get("cell"))
+            dist = grid.distances(agvs[a].get("cell"))
             for b in flagged[i + 1:]:
                 near = dist.get(agvs[b].get("cell"), radius + 1) <= radius
-                waiting = wait.has_edge(a, b) or wait.has_edge(b, a)
+                waiting = waits.get(a) == b or waits.get(b) == a
                 if near or waiting:
-                    link.add_edge(a, b)
+                    links.append({a, b})
 
         out = []
-        for group in sorted(nx.connected_components(link), key=lambda g: sorted(g)):
+        for group in merge_trapped_groups(links):
             out.append(
                 ctx.make(
                     K_DEADLOCK,
@@ -606,7 +607,7 @@ def make_tasks_reaction(grid: GridMap):
             if not available:
                 break
             task = tasks[tid]
-            dist = bfs_distances(grid, tuple(task["source_cell"]))
+            dist = grid.distances(tuple(task["source_cell"]))
             reachable = {a: dist.get(c) for a, c in available.items() if dist.get(c) is not None}
             if not reachable:
                 continue
