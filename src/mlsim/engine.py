@@ -29,12 +29,7 @@ from .errors import (
     ModelValidationError,
     ReactionFault,
 )
-from .hierarchy import (
-    ConstraintKindDecl,
-    EmergenceKindDecl,
-    HierarchicalCoupling,
-    apply_constraints,
-)
+from .hierarchy import ConstraintKindDecl, EmergenceKindDecl, apply_constraints
 from .levels import LevelId, ValidatedLevelGraph
 from .state import (
     CONSTRAINT,
@@ -42,8 +37,6 @@ from .state import (
     ORDINARY,
     REACTION_PRODUCER_PREFIX,
     AgentRecord,
-    Body,
-    EnvironmentRecord,
     Influence,
     LevelState,
     Percept,
@@ -110,7 +103,7 @@ class DetectorRule:
 class ReactionResult:
     sigma: dict
     persisted: tuple = ()
-    spawn: tuple = ()  # AgentRecord with bodies only at the reacting level
+    spawn: tuple = ()  # new AgentRecords; the reaction writes their bodies into sigma
     remove: tuple = ()  # agent ids whose bodies live only at the reacting level
     events: tuple = ()  # (name, payload-dict) pairs for observers/trace
 
@@ -267,7 +260,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     new_internal: dict[str, Any] = {}
     trace = []
 
-    def run_producer(desc, rule_levels, emit):
+    def run_producer(desc, rule_levels):
         view_levels = set()
         target_levels = set()
         for level in rule_levels:
@@ -286,7 +279,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         rule = model.behavior_for(record)
         if rule is None:
             continue
-        percept, targets = run_producer(agent_id, levels, None)
+        percept, targets = run_producer(agent_id, levels)
         ctx = StepContext(state.time, agent_id, derived_rng(seed, agent_id, state.time))
         perception = rule.perceive(percept, record)
         internal = rule.memorize(perception, record.internal_state, ctx)
@@ -299,7 +292,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     for env in model.environments:
         if env.natural is None:
             continue
-        percept, targets = run_producer(env.id, env.member_levels, None)
+        percept, targets = run_producer(env.id, env.member_levels)
         ctx = StepContext(state.time, env.id, derived_rng(seed, env.id, state.time))
         out = list(env.natural(percept, ctx))
         for inf in out:
@@ -308,7 +301,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
 
     for name in sorted(model.detectors):
         detector = model.detectors[name]
-        percept, targets = run_producer(name, {detector.level}, None)
+        percept, targets = run_producer(name, {detector.level})
         ctx = StepContext(state.time, name, derived_rng(seed, name, state.time))
         out = list(detector.rule(percept, ctx))
         for inf in out:
@@ -408,54 +401,25 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 raise ReactionFault(
                     f"reaction of level {level!r} spawned duplicate agent {record.id!r}"
                 )
-            foreign = set(record.bodies) - {level}
-            if foreign:
-                raise ReactionFault(
-                    f"reaction of level {level!r} spawned agent {record.id!r} "
-                    f"with bodies at {sorted(foreign)}"
-                )
             agents[record.id] = record
-            if level in record.bodies:
-                sigmas[level][body_key(record.id)] = record.bodies[level]
             events.append((level, "spawn", {"agent": record.id, "kind": record.kind}))
         for agent_id in result.remove:
-            record = agents.get(agent_id)
-            if record is None:
+            if agent_id not in agents:
                 raise ReactionFault(
                     f"reaction of level {level!r} removed unknown agent {agent_id!r}"
                 )
-            foreign = set(record.bodies) - {level}
+            key = body_key(agent_id)
+            foreign = sorted(other for other in sigmas if other != level and key in sigmas[other])
             if foreign:
                 raise ReactionFault(
                     f"reaction of level {level!r} removed agent {agent_id!r} "
-                    f"with bodies at {sorted(foreign)}"
+                    f"with bodies at {foreign}"
                 )
             del agents[agent_id]
-            sigmas[level].pop(body_key(agent_id), None)
+            sigmas[level].pop(key, None)
             events.append((level, "dissolve", {"agent": agent_id}))
         for name, payload in result.events:
             events.append((level, name, payload))
-
-    # Sync body registry: the level property map is authoritative.
-    for level, sigma in sigmas.items():
-        registered = {
-            key[len("body:"):]: value
-            for key, value in sigma.items()
-            if key.startswith("body:")
-        }
-        for agent_id, body in registered.items():
-            record = agents.get(agent_id)
-            if record is None:
-                continue
-            if record.bodies.get(level) != body:
-                bodies = dict(record.bodies)
-                bodies[level] = body
-                agents[agent_id] = replace(record, bodies=bodies)
-        for agent_id, record in list(agents.items()):
-            if level in record.bodies and agent_id not in registered:
-                bodies = dict(record.bodies)
-                del bodies[level]
-                agents[agent_id] = replace(record, bodies=bodies)
 
     per_level = {
         level: LevelState(level, sigmas[level], frozenset(routed[level]))

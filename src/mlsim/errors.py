@@ -25,10 +25,6 @@ class UnknownAgent(MlsimError):
     pass
 
 
-class DuplicateBody(MlsimError):
-    pass
-
-
 # --- engine contracts ---
 
 class IllegalInfluenceTarget(MlsimError):
@@ -55,10 +51,6 @@ class SafetyViolation(MlsimError):
 # --- hierarchy / model validation ---
 
 class ModelValidationError(MlsimError):
-    pass
-
-
-class UnknownCoupling(MlsimError):
     pass
 
 

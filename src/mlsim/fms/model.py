@@ -47,6 +47,7 @@ from ..state import (
     EnvironmentRecord,
     LevelState,
     SystemState,
+    bodies_of,
     body_key,
 )
 from .grid import GridMap, bfs_distances, bfs_path, compute_fields
@@ -232,7 +233,7 @@ class SolverBehavior(BehaviorRule):
     def perceive(self, percept, me):
         return {
             "me": me.id,
-            "trapped": tuple(me.bodies[CONTROL].get("trapped", ())),
+            "trapped": tuple(percept[CONTROL].bodies()[me.id].get("trapped", ())),
             "agvs": _floor_agvs(percept[FLOOR]),
         }
 
@@ -490,15 +491,7 @@ def resolve_moves(current: dict, desired: dict) -> dict:
 
 def make_floor_reaction(grid: GridMap, params: FmsParams):
     def floor_reaction(level, sigma, influences, ctx):
-        agvs = {
-            aid: b
-            for aid, b in (
-                (key[len("body:"):], value)
-                for key, value in sigma.items()
-                if key.startswith("body:")
-            )
-            if b.get("type") == "agv"
-        }
+        agvs = {aid: b for aid, b in bodies_of(sigma).items() if b.get("type") == "agv"}
         persisted = []
         events = []
 
@@ -643,9 +636,7 @@ def make_tasks_reaction(grid: GridMap):
                 )
 
         shop_bodies = {
-            key[len("body:"):]: value
-            for key, value in sigma.items()
-            if key.startswith("body:") and value.get("type") == "shop"
+            sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "shop"
         }
         order_of = lambda tid: tasks[tid]["order"]  # noqa: E731
         for sid, body in shop_bodies.items():
@@ -676,9 +667,7 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
         spawn = []
         remove = []
         solver_bodies = {
-            key[len("body:"):]: value
-            for key, value in sigma.items()
-            if key.startswith("body:") and value.get("type") == "solver"
+            sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "solver"
         }
 
         removed = set()
@@ -729,22 +718,11 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
                 sigma["solver_seq"] = seq + 1
                 sid = f"solver{seq}"
                 sigma["deadlocks_detected"] = sigma.get("deadlocks_detected", 0) + 1
-                record = AgentRecord(
-                    id=sid,
-                    kind="solver",
-                    internal_state=None,
-                    bodies={
-                        CONTROL: Body(
-                            CONTROL,
-                            {
-                                "type": "solver",
-                                "trapped": tuple(sorted(group)),
-                                "since": ctx.tick,
-                            },
-                        )
-                    },
+                sigma[body_key(sid)] = Body(
+                    CONTROL,
+                    {"type": "solver", "trapped": tuple(sorted(group)), "since": ctx.tick},
                 )
-                spawn.append(record)
+                spawn.append(AgentRecord(id=sid, kind="solver"))
                 events.append(
                     ("deadlock-detected", {"solver": sid, "trapped": sorted(group)})
                 )
@@ -856,7 +834,7 @@ def build_initial_state(grid: GridMap, agvs: dict, shops: dict, tasks) -> System
             },
         )
         floor_props[body_key(aid)] = body
-        agents[aid] = AgentRecord(id=aid, kind="agv", bodies={FLOOR: body})
+        agents[aid] = AgentRecord(id=aid, kind="agv")
 
     for sid in sorted(shops):
         cell = tuple(shops[sid])
@@ -873,9 +851,7 @@ def build_initial_state(grid: GridMap, agvs: dict, shops: dict, tasks) -> System
         )
         floor_props[body_key(sid)] = floor_body
         tasks_props[body_key(sid)] = task_body
-        agents[sid] = AgentRecord(
-            id=sid, kind="shop", bodies={FLOOR: floor_body, TASKS: task_body}
-        )
+        agents[sid] = AgentRecord(id=sid, kind="shop")
 
     return SystemState(
         time=0,

@@ -10,22 +10,10 @@ whitelisting enforces the definition structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import UnknownCoupling
 from .levels import LevelId
-from .state import (
-    CONSTRAINT,
-    EMERGENCE,
-    ORDINARY,
-    AgentRecord,
-    Body,
-    Influence,
-    SystemState,
-    add_agent,
-    register_body,
-    remove_agent,
-)
+from .state import CONSTRAINT, ORDINARY, Influence
 
 
 @dataclass(frozen=True)
@@ -101,35 +89,6 @@ def apply_constraints(influences) -> tuple[frozenset, tuple]:
     return kept, tuple(log)
 
 
-def check_emergence_legality(model, coupling: HierarchicalCoupling, inf: Influence):
-    """Structural legality of one emergence influence.  Returns a tuple of
-    violation strings; empty means ok."""
-    violations = []
-    if inf.klass != EMERGENCE:
-        violations.append(f"influence {inf.id} is not emergence-class")
-        return tuple(violations)
-    if inf.target_level != coupling.macro:
-        violations.append(
-            f"emergence {inf.kind!r} targets {inf.target_level!r}, "
-            f"not the macro level {coupling.macro!r}"
-        )
-    if inf.kind not in model.producible_kinds.get(coupling.macro, ()):
-        violations.append(f"kind {inf.kind!r} is not producible at {coupling.macro!r}")
-    if inf.kind in model.producible_kinds.get(coupling.micro, ()):
-        violations.append(
-            f"kind {inf.kind!r} is also producible at the micro level {coupling.micro!r}"
-        )
-    decl = next((d for d in model.emergences if d.kind == inf.kind), None)
-    if decl is None:
-        violations.append(f"kind {inf.kind!r} has no emergence declaration")
-    elif inf.producer != decl.detector:
-        violations.append(
-            f"emergence {inf.kind!r} produced by {inf.producer!r}, "
-            f"only detector {decl.detector!r} may produce it"
-        )
-    return tuple(violations)
-
-
 def merge_trapped_groups(groups) -> list[frozenset]:
     """Connected components of the overlap relation over agent-id sets.
 
@@ -146,24 +105,3 @@ def merge_trapped_groups(groups) -> list[frozenset]:
         components.append(group)
     return sorted((frozenset(c) for c in components), key=lambda c: sorted(c))
 
-
-def spawn_macro_agent(
-    state: SystemState,
-    coupling: HierarchicalCoupling,
-    emergence: Influence,
-    agent_id: str,
-    agent_kind: str = "macro",
-    internal_state=None,
-) -> SystemState:
-    """Create a macro-level agent whose body references the emergence payload."""
-    if coupling.macro not in state.per_level:
-        raise UnknownCoupling(f"macro level {coupling.macro!r} absent from state")
-    trapped = emergence.payload_get("trapped", ())
-    record = AgentRecord(id=agent_id, kind=agent_kind, internal_state=internal_state)
-    state = add_agent(state, record)
-    body = Body(coupling.macro, {"trapped": tuple(trapped), "since": state.time})
-    return register_body(state, agent_id, coupling.macro, body)
-
-
-def dissolve_macro_agent(state: SystemState, agent_id: str) -> SystemState:
-    return remove_agent(state, agent_id)

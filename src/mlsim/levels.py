@@ -128,20 +128,3 @@ def validate(spec: LevelGraphSpec) -> ValidatedLevelGraph:
         _out_perception=out_p,
     )
 
-
-# Free-function aliases matching the operation names used elsewhere.
-
-def out_influence_neighborhood(g: ValidatedLevelGraph, level: LevelId):
-    return g.out_influence(level)
-
-
-def in_influence_neighborhood(g: ValidatedLevelGraph, level: LevelId):
-    return g.in_influence(level)
-
-
-def out_perception_neighborhood(g: ValidatedLevelGraph, level: LevelId):
-    return g.out_perception(level)
-
-
-def in_perception_neighborhood(g: ValidatedLevelGraph, level: LevelId):
-    return g.in_perception(level)

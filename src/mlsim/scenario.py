@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptyLevelSet, ScenarioError, UnknownLevelEndpoint
 from .fms.grid import GridMap
@@ -116,8 +117,9 @@ class ScenarioSpec:
             jitter=bool(p["jitter"]),
         )
 
-    @property
+    @cached_property
     def grid(self) -> GridMap:
+        """One grid per spec, so its distance table is shared by every reader."""
         g = self.data["grid"]
         return GridMap(
             width=g["width"],
@@ -167,8 +169,46 @@ def _level_kinds(kinds: dict) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_cell(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value))
+
+
+# Field parameters: the least value each integer parameter may take.
+INT_PARAM_MINIMUM = {"attract": 0, "repulse": 0, "window": 1, "clearance": 1}
+
+
+def _value_issues(data: dict) -> list[Issue]:
+    """Type and range checks on the numbers the model computes with."""
+    issues = []
+    params, grid, run = data.get("params", {}), data.get("grid", {}), data.get("run", {})
+    for name, least in INT_PARAM_MINIMUM.items():
+        value = params.get(name)
+        if not _is_int(value) or value < least:
+            issues.append(Issue("value", f"params.{name} must be an integer >= {least}, got {value!r}"))
+    if not isinstance(params.get("jitter"), bool):
+        issues.append(Issue("value", f"params.jitter must be a boolean, got {params.get('jitter')!r}"))
+    for path, value in (
+        ("grid.width", grid.get("width")),
+        ("grid.height", grid.get("height")),
+        ("run.seed", run.get("seed")),
+    ):
+        if not _is_int(value):
+            issues.append(Issue("value", f"{path} must be an integer, got {value!r}"))
+    cells = [("blocked cell", cell) for cell in grid.get("blocked", [])]
+    cells += [(f"shop {s.get('id')!r}", s.get("cell")) for s in data.get("shops", [])]
+    cells += [(f"AGV {a.get('id')!r}", a.get("cell")) for a in data.get("agvs", [])]
+    for owner, cell in cells:
+        if not _is_cell(cell):
+            issues.append(Issue("value", f"{owner}: a cell must be a pair of integers, got {cell!r}"))
+    return issues
+
+
 def validate_scenario(data: dict) -> list[Issue]:
-    issues: list[Issue] = []
+    issues: list[Issue] = _value_issues(data)
     levels = list(data.get("levels", []))
 
     try:
@@ -278,11 +318,13 @@ def validate_scenario(data: dict) -> list[Issue]:
     # Grid-world checks.
     grid_data = data.get("grid", {})
     width, height = grid_data.get("width", 0), grid_data.get("height", 0)
-    if width < 1 or height < 1:
+    grid = None
+    if not (_is_int(width) and _is_int(height)):
+        pass  # a value issue, reported above
+    elif width < 1 or height < 1:
         issues.append(Issue("placement", f"grid must be at least 1x1, got {width}x{height}"))
-        grid = None
     else:
-        blocked = frozenset(tuple(c) for c in grid_data.get("blocked", []))
+        blocked = frozenset(tuple(c) for c in grid_data.get("blocked", []) if _is_cell(c))
         grid = GridMap(width, height, blocked)
         for cell in sorted(blocked):
             if not grid.in_bounds(cell):
@@ -291,19 +333,24 @@ def validate_scenario(data: dict) -> list[Issue]:
     ids_seen = set()
     shop_ids = set()
     for shop in data.get("shops", []):
-        sid, cell = shop.get("id"), tuple(shop.get("cell", ()))
+        sid, cell = shop.get("id"), shop.get("cell")
         if sid in ids_seen:
             issues.append(Issue("reference", f"duplicate id {sid!r}"))
         ids_seen.add(sid)
         shop_ids.add(sid)
-        if grid is not None and not grid.is_free(cell):
-            issues.append(Issue("placement", f"shop {sid!r} on blocked or out-of-bounds cell {cell}"))
+        if grid is not None and _is_cell(cell) and not grid.is_free(tuple(cell)):
+            issues.append(
+                Issue("placement", f"shop {sid!r} on blocked or out-of-bounds cell {tuple(cell)}")
+            )
     agv_cells = set()
     for agv in data.get("agvs", []):
-        aid, cell = agv.get("id"), tuple(agv.get("cell", ()))
+        aid, cell = agv.get("id"), agv.get("cell")
         if aid in ids_seen:
             issues.append(Issue("reference", f"duplicate id {aid!r}"))
         ids_seen.add(aid)
+        if not _is_cell(cell):
+            continue
+        cell = tuple(cell)
         if grid is not None and not grid.is_free(cell):
             issues.append(Issue("placement", f"AGV {aid!r} on blocked or out-of-bounds cell {cell}"))
         if cell in agv_cells:
@@ -324,7 +371,7 @@ def validate_scenario(data: dict) -> list[Issue]:
             issues.append(Issue("reference", f"task {tid!r} has identical source and destination"))
 
     run = data.get("run", {})
-    if not isinstance(run.get("ticks"), int) or run.get("ticks", 0) < 1:
+    if not _is_int(run.get("ticks")) or run["ticks"] < 1:
         issues.append(Issue("reference", f"run.ticks must be a positive integer, got {run.get('ticks')!r}"))
     if run.get("termination") not in TERMINATION_PREDICATES:
         issues.append(

@@ -1,16 +1,19 @@
 """Dynamic-state algebra: influences, level states, agents, bodies.
 
-All operations here are functional: they return new states and never mutate
-their inputs.  A SystemState is a snapshot; the engine owns the only mutation
-path (building the next snapshot from the current one).
+A SystemState is an immutable snapshot; the engine owns the only mutation
+path (building the next snapshot from the current one).  An agent's body in
+a level is an entry of that level's property map, stored under
+``body_key(agent_id)``; the map is the only place a body lives, so only that
+level's reaction can change it.  ``bodies_of`` is the one reader of that key
+format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .errors import DuplicateBody, IllegalPerception, UnknownAgent, UnknownLevel
+from .errors import IllegalPerception, UnknownAgent
 from .levels import LevelId
 
 ORDINARY = "ordinary"
@@ -27,6 +30,15 @@ BODY_KEY_PREFIX = "body:"
 
 def body_key(agent_id: AgentId) -> str:
     return BODY_KEY_PREFIX + agent_id
+
+
+def bodies_of(properties: Mapping[str, Any]) -> dict[AgentId, Body]:
+    """The bodies held in one level property map, by agent id."""
+    return {
+        key[len(BODY_KEY_PREFIX):]: value
+        for key, value in properties.items()
+        if key.startswith(BODY_KEY_PREFIX)
+    }
 
 
 def _freeze_payload(payload: Mapping[str, Any]) -> tuple:
@@ -48,10 +60,6 @@ class Influence:
     producer: str
     payload: tuple = ()
     klass: str = ORDINARY
-
-    @property
-    def payload_dict(self) -> dict:
-        return dict(self.payload)
 
     def payload_get(self, key: str, default=None):
         for k, v in self.payload:
@@ -96,11 +104,7 @@ class LevelState:
     influences: frozenset = frozenset()
 
     def bodies(self) -> dict[AgentId, Body]:
-        return {
-            key[len(BODY_KEY_PREFIX):]: value
-            for key, value in self.properties.items()
-            if key.startswith(BODY_KEY_PREFIX)
-        }
+        return bodies_of(self.properties)
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,6 @@ class AgentRecord:
     id: AgentId
     kind: str = ""
     internal_state: Any = None
-    bodies: dict = field(default_factory=dict)  # LevelId -> Body
 
 
 @dataclass(frozen=True)
@@ -160,17 +163,13 @@ class Percept:
 # --- operations ---
 
 def member_levels(state: SystemState, agent_id: AgentId) -> frozenset:
-    """Levels where the agent has a body that is registered in the level state."""
-    try:
-        record = state.agents[agent_id]
-    except KeyError:
-        raise UnknownAgent(agent_id) from None
-    members = set()
-    for level, body in record.bodies.items():
-        level_state = state.per_level.get(level)
-        if level_state is not None and level_state.properties.get(body_key(agent_id)) == body:
-            members.add(level)
-    return frozenset(members)
+    """Levels whose property map holds a body of the agent."""
+    if agent_id not in state.agents:
+        raise UnknownAgent(agent_id)
+    key = body_key(agent_id)
+    return frozenset(
+        level for level, level_state in state.per_level.items() if key in level_state.properties
+    )
 
 
 def merge_influences(sets: Iterable[Iterable[Influence]]) -> frozenset:
@@ -180,73 +179,3 @@ def merge_influences(sets: Iterable[Iterable[Influence]]) -> frozenset:
         for inf in group:
             merged.setdefault(inf.id, inf)
     return frozenset(merged.values())
-
-
-def partition_by_level(influences: Iterable[Influence]) -> dict[LevelId, frozenset]:
-    buckets: dict[LevelId, set] = {}
-    for inf in influences:
-        buckets.setdefault(inf.target_level, set()).add(inf)
-    return {level: frozenset(group) for level, group in buckets.items()}
-
-
-def _replace_level(state: SystemState, level: LevelId, level_state: LevelState) -> SystemState:
-    per_level = dict(state.per_level)
-    per_level[level] = level_state
-    return replace(state, per_level=per_level)
-
-
-def add_agent(state: SystemState, record: AgentRecord) -> SystemState:
-    agents = dict(state.agents)
-    agents[record.id] = record
-    return replace(state, agents=agents)
-
-
-def remove_agent(state: SystemState, agent_id: AgentId) -> SystemState:
-    if agent_id not in state.agents:
-        raise UnknownAgent(agent_id)
-    record = state.agents[agent_id]
-    new_state = state
-    for level in list(record.bodies):
-        new_state = remove_body(new_state, agent_id, level)
-    agents = dict(new_state.agents)
-    del agents[agent_id]
-    return replace(new_state, agents=agents)
-
-
-def register_body(state: SystemState, agent_id: AgentId, level: LevelId, body: Body) -> SystemState:
-    if level not in state.per_level:
-        raise UnknownLevel(level)
-    if agent_id not in state.agents:
-        raise UnknownAgent(agent_id)
-    record = state.agents[agent_id]
-    if level in record.bodies:
-        raise DuplicateBody(f"agent {agent_id!r} already has a body in {level!r}")
-
-    bodies = dict(record.bodies)
-    bodies[level] = body
-    agents = dict(state.agents)
-    agents[agent_id] = replace(record, bodies=bodies)
-
-    level_state = state.per_level[level]
-    properties = dict(level_state.properties)
-    properties[body_key(agent_id)] = body
-    new_level = replace(level_state, properties=properties)
-    return replace(_replace_level(state, level, new_level), agents=agents)
-
-
-def remove_body(state: SystemState, agent_id: AgentId, level: LevelId) -> SystemState:
-    if level not in state.per_level:
-        raise UnknownLevel(level)
-    if agent_id not in state.agents:
-        raise UnknownAgent(agent_id)
-    record = state.agents[agent_id]
-    bodies = dict(record.bodies)
-    bodies.pop(level, None)
-    agents = dict(state.agents)
-    agents[agent_id] = replace(record, bodies=bodies)
-
-    level_state = state.per_level[level]
-    properties = dict(level_state.properties)
-    properties.pop(body_key(agent_id), None)
-    new_level = replace(level_state, properties=properties)
-    return replace(_replace_level(state, level, new_level), agents=agents)

@@ -31,9 +31,8 @@ from mlsim.state import (
     CONSTRAINT,
     LevelState,
     SystemState,
-    add_agent,
+    body_key,
     influence,
-    register_body,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,10 +203,10 @@ def random_micro_model(rng, order):
         reactions={"l": accumulate_reaction},
         producible_kinds={"l": frozenset({"mark"})},
     )
-    state = SystemState(per_level={"l": LevelState("l")})
-    for aid in ids:
-        state = add_agent(state, AgentRecord(id=aid))
-        state = register_body(state, aid, "l", Body("l"))
+    state = SystemState(
+        per_level={"l": LevelState("l", {body_key(aid): Body("l") for aid in ids})},
+        agents={aid: AgentRecord(id=aid) for aid in ids},
+    )
     return model, state
 
 
@@ -267,14 +266,17 @@ def test_criterion_4_level_locality():
         edges = set(rng.sample(pairs, rng.randint(0, len(pairs))))
         graph = validate(LevelGraphSpec.make(levels, edges, edges))
         behaviors = {}
-        state = SystemState(per_level={l: LevelState(l) for l in levels})
+        properties = {l: {} for l in levels}
         for i in range(rng.randint(1, 6)):
             home = rng.choice(levels)
             target = rng.choice(sorted(graph.out_influence(home)))
             aid = f"a{i}"
             behaviors[aid] = TargetedEmitter(target)
-            state = add_agent(state, AgentRecord(id=aid))
-            state = register_body(state, aid, home, Body(home))
+            properties[home][body_key(aid)] = Body(home)
+        state = SystemState(
+            per_level={l: LevelState(l, properties[l]) for l in levels},
+            agents={aid: AgentRecord(id=aid) for aid in behaviors},
+        )
         base = Model(
             graph=graph,
             behaviors=behaviors,

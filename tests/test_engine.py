@@ -31,9 +31,8 @@ from mlsim.state import (
     EnvironmentRecord,
     LevelState,
     SystemState,
-    add_agent,
+    body_key,
     influence,
-    register_body,
 )
 
 
@@ -62,11 +61,13 @@ class IncBehavior(BehaviorRule):
 
 
 def make_state(levels=("l",), agents=()):
-    state = SystemState(per_level={l: LevelState(l) for l in levels})
+    properties = {l: {} for l in levels}
     for aid, level in agents:
-        state = add_agent(state, AgentRecord(id=aid))
-        state = register_body(state, aid, level, Body(level))
-    return state
+        properties[level][body_key(aid)] = Body(level)
+    return SystemState(
+        per_level={l: LevelState(l, properties[l]) for l in levels},
+        agents={aid: AgentRecord(id=aid) for aid, _ in agents},
+    )
 
 
 def make_model(graph=None, behaviors=None, reactions=None, kinds=None, **kwargs):
@@ -190,6 +191,45 @@ def test_reaction_fault_on_bad_return():
     model = make_model(reactions={"l": lambda level, sigma, infs, ctx: None})
     with pytest.raises(ReactionFault):
         step(model, make_state())
+
+
+def test_duplicate_spawn_rejected():
+    def respawn(level, sigma, influences, ctx):
+        return ReactionResult(sigma, spawn=(AgentRecord("a1"),))
+
+    model = make_model(reactions={"l": respawn})
+    with pytest.raises(ReactionFault, match="duplicate agent 'a1'"):
+        step(model, make_state(agents=[("a1", "l")]))
+
+
+def test_removing_unknown_agent_rejected():
+    def remove_ghost(level, sigma, influences, ctx):
+        return ReactionResult(sigma, remove=("ghost",))
+
+    with pytest.raises(ReactionFault, match="unknown agent 'ghost'"):
+        step(make_model(reactions={"l": remove_ghost}), make_state())
+
+
+def test_removing_agent_with_body_at_another_level_rejected():
+    graph = make_graph(("a", "b"))
+
+    def remove_at_a(level, sigma, influences, ctx):
+        return ReactionResult(sigma, remove=("x",) if level == "a" else ())
+
+    model = make_model(graph=graph, reactions={"a": remove_at_a, "b": identity_reaction})
+    state = make_state(("a", "b"), [("x", "a"), ("x", "b")])
+    with pytest.raises(ReactionFault, match=r"with bodies at \['b'\]"):
+        step(model, state)
+
+    def drop_from_b(level, sigma, influences, ctx):
+        sigma.pop(body_key("x"), None)
+        return ReactionResult(sigma)
+
+    # Once the other level's own reaction drops the body, the removal is legal.
+    model.reactions["b"] = drop_from_b
+    nxt, _ = step(model, state)
+    assert "x" not in nxt.agents
+    assert all(l.bodies() == {} for l in nxt.per_level.values())
 
 
 def test_persisted_influences_survive_into_next_gamma():

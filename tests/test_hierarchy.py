@@ -1,4 +1,5 @@
-"""Emergence/constraint layer: inhibition filtering, legality, macro life-cycle."""
+"""Emergence/constraint layer: inhibition filtering, and the engine's emergence
+legality and macro-agent life-cycle."""
 
 import random
 
@@ -6,26 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsim.engine import Model
-from mlsim.errors import UnknownCoupling
+from mlsim.engine import (
+    BehaviorRule,
+    DetectorRule,
+    Model,
+    ReactionResult,
+    identity_reaction,
+    produce_influences,
+    step,
+    validate_model,
+)
+from mlsim.errors import IllegalInfluenceTarget
 from mlsim.hierarchy import (
-    ConstraintKindDecl,
     EmergenceKindDecl,
     HierarchicalCoupling,
     InfluenceSelector,
     apply_constraints,
-    check_emergence_legality,
-    dissolve_macro_agent,
     merge_trapped_groups,
-    spawn_macro_agent,
 )
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     CONSTRAINT,
     EMERGENCE,
-    Influence,
+    AgentRecord,
+    Body,
     LevelState,
     SystemState,
+    body_key,
     influence,
     member_levels,
 )
@@ -122,51 +130,81 @@ def test_inhibition_equivalence(data):
     assert hash_reaction(with_i) == hash_reaction(without_i)
 
 
-# --- emergence legality ------------------------------------------------------
+# --- emergence legality on the engine path -----------------------------------
 
-def make_model():
+def make_model(target="macro", detector_name="det", behaviors=None):
+    """micro <-> macro coupling plus a `side` level that micro cannot influence.
+    Detector `det` at micro emits one deadlock emergence into `target`."""
     graph = validate(
         LevelGraphSpec.make(
-            ["micro", "macro"],
+            ["micro", "macro", "side"],
             influence_edges=[("micro", "macro"), ("macro", "micro")],
             perception_edges=[("micro", "macro"), ("macro", "micro")],
         )
     )
+
+    def rule(percept, ctx):
+        return [ctx.make("deadlock", target, klass=EMERGENCE, trapped=("a1", "a2"))]
+
     return Model(
         graph=graph,
-        producible_kinds={"micro": frozenset({"move"}), "macro": frozenset({"deadlock"})},
+        behaviors=behaviors or {},
+        detectors={detector_name: DetectorRule(detector_name, "micro", rule)},
+        reactions={l: identity_reaction for l in graph.levels},
+        producible_kinds={
+            "micro": frozenset({"move"}),
+            "macro": frozenset({"deadlock"}),
+            "side": frozenset({"deadlock"}),
+        },
         couplings=(HierarchicalCoupling("micro", "macro"),),
         emergences=(EmergenceKindDecl("deadlock", "macro", detector="det"),),
         constraints=(),
     )
 
 
+def three_levels(**agents):
+    """Snapshot over micro/macro/side with one body per agent at its level."""
+    properties = {l: {} for l in ("micro", "macro", "side")}
+    for aid, level in agents.items():
+        properties[level][body_key(aid)] = Body(level)
+    return SystemState(
+        per_level={l: LevelState(l, p) for l, p in properties.items()},
+        agents={aid: AgentRecord(aid) for aid in agents},
+    )
+
+
 def test_detector_emergence_is_legal():
     model = make_model()
-    e = influence("deadlock", "macro", "det", uid="e1", klass=EMERGENCE, trapped=("a1", "a2"))
-    assert check_emergence_legality(model, model.couplings[0], e) == ()
+    assert validate_model(model) == []
+    produced = produce_influences(model, three_levels())
+    (e,) = produced.per_level["macro"]
+    assert (e.producer, e.klass, e.payload_get("trapped")) == ("det", EMERGENCE, ("a1", "a2"))
 
 
 def test_wrong_producer_is_violation():
-    model = make_model()
-    e = influence("deadlock", "macro", "macro-agent", uid="e1", klass=EMERGENCE)
-    violations = check_emergence_legality(model, model.couplings[0], e)
-    assert any("only detector" in v for v in violations)
+    class Impostor(BehaviorRule):
+        def decide(self, internal_state, ctx):
+            return [ctx.make("deadlock", "macro", klass=EMERGENCE)]
+
+    model = make_model(detector_name="other")
+    with pytest.raises(IllegalInfluenceTarget, match="only detector"):
+        produce_influences(model, three_levels())
+    model = make_model(behaviors={"m1": Impostor()})
+    with pytest.raises(IllegalInfluenceTarget, match="only detector"):
+        produce_influences(model, three_levels(m1="micro"))
 
 
 def test_emergence_kind_in_micro_is_violation():
     model = make_model()
     model.producible_kinds["micro"] = frozenset({"move", "deadlock"})
-    e = influence("deadlock", "macro", "det", uid="e1", klass=EMERGENCE)
-    violations = check_emergence_legality(model, model.couplings[0], e)
-    assert any("micro level" in v for v in violations)
+    problems = validate_model(model)
+    assert any("must not be producible at micro level" in p for p in problems)
 
 
 def test_wrong_target_level_is_violation():
-    model = make_model()
-    e = influence("deadlock", "micro", "det", uid="e1", klass=EMERGENCE)
-    violations = check_emergence_legality(model, model.couplings[0], e)
-    assert any("macro level" in v for v in violations)
+    model = make_model(target="side")
+    with pytest.raises(IllegalInfluenceTarget, match="allowed targets"):
+        produce_influences(model, three_levels())
 
 
 # --- trapped-group merging ---------------------------------------------------
@@ -205,29 +243,31 @@ def test_merge_matches_connected_components_oracle():
             assert sum(1 for g in merged if a in g) <= 1
 
 
-# --- macro agent life-cycle --------------------------------------------------
+# --- macro agent life-cycle on the engine path --------------------------------
 
 def test_spawn_and_dissolve_macro_agent():
-    state = SystemState(
-        time=5,
-        per_level={"micro": LevelState("micro"), "macro": LevelState("macro")},
-        agents={},
-    )
-    coupling = HierarchicalCoupling("micro", "macro")
-    e = influence("deadlock", "macro", "det", uid="e1", klass=EMERGENCE, trapped=("a1", "a2"))
-    state = spawn_macro_agent(state, coupling, e, agent_id="solver0")
-    assert member_levels(state, "solver0") == {"macro"}
-    body = state.per_level["macro"].bodies()["solver0"]
-    assert body.get("trapped") == ("a1", "a2")
+    def macro_reaction(level, sigma, influences, ctx):
+        if ctx.tick == 0:
+            sigma[body_key("solver0")] = Body(level, {"trapped": ("a1", "a2"), "since": ctx.tick})
+            return ReactionResult(sigma, spawn=(AgentRecord("solver0", "solver"),))
+        if ctx.tick == 2:
+            return ReactionResult(sigma, remove=("solver0",))
+        return ReactionResult(sigma)
 
-    state = dissolve_macro_agent(state, "solver0")
+    model = make_model()
+    model.detectors = {}
+    model.reactions["macro"] = macro_reaction
+    state = three_levels()
+
+    state, info = step(model, state)
+    assert ("macro", "spawn", {"agent": "solver0", "kind": "solver"}) in info.events
+    assert member_levels(state, "solver0") == {"macro"}
+    assert state.per_level["macro"].bodies()["solver0"].get("trapped") == ("a1", "a2")
+
+    state, _ = step(model, state)
+    assert member_levels(state, "solver0") == {"macro"}
+
+    state, info = step(model, state)
+    assert ("macro", "dissolve", {"agent": "solver0"}) in info.events
     assert "solver0" not in state.agents
     assert state.per_level["macro"].bodies() == {}
-
-
-def test_spawn_requires_macro_level_in_state():
-    state = SystemState(per_level={"micro": LevelState("micro")})
-    coupling = HierarchicalCoupling("micro", "macro")
-    e = influence("deadlock", "macro", "det", uid="e1", klass=EMERGENCE)
-    with pytest.raises(UnknownCoupling):
-        spawn_macro_agent(state, coupling, e, agent_id="solver0")

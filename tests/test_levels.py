@@ -12,14 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsim.errors import EmptyLevelSet, UnknownLevel, UnknownLevelEndpoint
-from mlsim.levels import (
-    LevelGraphSpec,
-    in_influence_neighborhood,
-    in_perception_neighborhood,
-    out_influence_neighborhood,
-    out_perception_neighborhood,
-    validate,
-)
+from mlsim.levels import LevelGraphSpec, validate
 
 
 def oracle_out(levels, edges, l):
@@ -88,14 +81,6 @@ def test_unknown_level_query_raises():
     g = validate(LevelGraphSpec.make(["a"]))
     with pytest.raises(UnknownLevel):
         g.out_influence("zz")
-
-
-def test_free_function_aliases():
-    g = validate(LevelGraphSpec.make(["a", "b"], influence_edges=[("a", "b")]))
-    assert out_influence_neighborhood(g, "a") == g.out_influence("a")
-    assert in_influence_neighborhood(g, "b") == g.in_influence("b")
-    assert out_perception_neighborhood(g, "a") == g.out_perception("a")
-    assert in_perception_neighborhood(g, "a") == g.in_perception("a")
 
 
 # --- property tests ----------------------------------------------------------

@@ -15,6 +15,7 @@ from mlsim.cli import (
 from mlsim.errors import ScenarioError
 from mlsim.scenario import (
     apply_overrides,
+    build,
     default_scenario_dict,
     parse_scenario,
     parse_scenario_dict,
@@ -171,6 +172,47 @@ def test_run_exit_two_on_no_escape_path(capsys):
 def test_run_exit_three_on_invalid_scenario(capsys):
     rc = main(["run", "--scenario", str(NEGATIVE / "neg_empty_levels.json")])
     assert rc == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "params.attract=abc",
+        "grid.width=abc",
+        "params.window=-1",
+        "params.clearance=null",
+        "run.seed=abc",
+        "params.attract=true",  # a bool is not an int
+    ],
+)
+def test_run_exit_three_on_malformed_value(override, capsys):
+    rc = main(["run", "--scenario", str(SCENARIOS / "corridor.json"), "--override", override])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"[value] {override.split('=')[0]} must be" in err
+
+
+def test_run_exit_three_on_one_element_cell(tmp_path, capsys):
+    raw = json.loads((SCENARIOS / "corridor.json").read_text())
+    raw["agvs"][0]["cell"] = [1]
+    path = tmp_path / "bad_cell.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path)])
+    assert rc == EXIT_INVALID
+    assert "[value]" in capsys.readouterr().err
+
+
+def test_zero_repulsion_stays_valid():
+    data = default_scenario_dict()
+    data["params"]["repulse"] = 0
+    assert validate_scenario(data) == []
+
+
+def test_spec_grid_is_built_once():
+    spec = parse_scenario(SCENARIOS / "corridor.json")
+    assert spec.grid is spec.grid
+    model, _ = build(spec)
+    assert model.behaviors["agv-1"].grid is spec.grid
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, capsys):

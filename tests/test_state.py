@@ -1,61 +1,68 @@
-"""State algebra: influences, bodies, membership, and functional updates."""
+"""State algebra: influences, bodies, membership, and the engine's body updates."""
 
 import copy
 
 import pytest
 
-from mlsim.errors import DuplicateBody, IllegalPerception, UnknownAgent, UnknownLevel
+from mlsim.engine import Model, ReactionResult, identity_reaction, step
+from mlsim.errors import IllegalPerception, UnknownAgent
+from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     AgentRecord,
     Body,
     EnvironmentRecord,
-    Influence,
     LevelState,
     Percept,
     SystemState,
+    bodies_of,
     body_key,
     influence,
     member_levels,
     merge_influences,
-    partition_by_level,
-    register_body,
-    remove_agent,
-    remove_body,
 )
 
 
-def make_state(levels=("micro",)):
+def make_state(bodies=(), levels=("micro",)):
+    """A snapshot with one body per (agent id, level) pair in `bodies`."""
+    properties = {l: {} for l in levels}
+    for aid, level in bodies:
+        properties[level][body_key(aid)] = Body(level)
     return SystemState(
-        time=0,
-        per_level={l: LevelState(l) for l in levels},
-        agents={},
+        per_level={l: LevelState(l, properties[l]) for l in levels},
+        agents={aid: AgentRecord(id=aid) for aid, _ in bodies},
     )
 
 
-def add(state, aid, level, **attrs):
-    from mlsim.state import add_agent
+def step_with(state, reaction):
+    """One engine step in which every level reacts with `reaction`."""
+    graph = validate(LevelGraphSpec.make(list(state.per_level)))
+    model = Model(graph=graph, reactions={l: reaction for l in graph.levels})
+    nxt, _ = step(model, state)
+    return nxt
 
-    if aid not in state.agents:
-        state = add_agent(state, AgentRecord(id=aid))
-    return register_body(state, aid, level, Body(level, dict(attrs)))
+
+def without_body(aid):
+    def reaction(level, sigma, influences, ctx):
+        sigma.pop(body_key(aid), None)
+        return ReactionResult(sigma)
+
+    return reaction
 
 
 # --- member_levels -----------------------------------------------------------
 
 def test_single_body_membership():
-    state = add(make_state(), "a1", "micro")
+    state = make_state([("a1", "micro")])
     assert member_levels(state, "a1") == {"micro"}
 
 
 def test_two_level_membership():
-    state = add(add(make_state(("micro", "macro")), "solver", "micro"), "solver", "macro")
+    state = make_state([("solver", "micro"), ("solver", "macro")], levels=("micro", "macro"))
     assert member_levels(state, "solver") == {"micro", "macro"}
 
 
 def test_empty_membership():
-    from mlsim.state import add_agent
-
-    state = add_agent(make_state(), AgentRecord(id="ghost"))
+    state = SystemState(per_level={"micro": LevelState("micro")}, agents={"ghost": AgentRecord("ghost")})
     assert member_levels(state, "ghost") == frozenset()
 
 
@@ -65,19 +72,17 @@ def test_member_levels_unknown_agent():
 
 
 def test_membership_requires_sigma_registration():
-    # A body listed on the record but absent from the level property map does
-    # not count as membership.
-    state = add(make_state(), "a1", "micro")
-    level = state.per_level["micro"]
-    props = dict(level.properties)
+    # Membership is read from the level property map alone: a known agent
+    # whose key is absent there is not a member, whatever else the map holds.
+    state = make_state([("a1", "micro"), ("a2", "micro")])
+    props = dict(state.per_level["micro"].properties)
     del props[body_key("a1")]
-    state = SystemState(
-        state.time, {**state.per_level, "micro": LevelState("micro", props)}, state.agents
-    )
+    state = SystemState(state.time, {"micro": LevelState("micro", props)}, state.agents)
     assert member_levels(state, "a1") == frozenset()
+    assert member_levels(state, "a2") == {"micro"}
 
 
-# --- merge / partition -------------------------------------------------------
+# --- merge -------------------------------------------------------------------
 
 def test_merge_empty_sets():
     assert merge_influences([set(), set()]) == frozenset()
@@ -100,59 +105,48 @@ def test_merge_cardinality_is_sum_minus_duplicates():
     assert len(merged) == 5
 
 
-def test_partition_no_leakage():
-    micro = influence("move", "micro", "a", uid="1")
-    macro = influence("deadlock", "macro", "d", uid="2")
-    parts = partition_by_level([micro, macro])
-    assert parts == {"micro": frozenset({micro}), "macro": frozenset({macro})}
-
-
-# --- body registration -------------------------------------------------------
+# --- bodies in the property map ----------------------------------------------
 
 def test_register_then_member():
-    state = add(make_state(), "a1", "micro")
+    state = make_state([("a1", "micro")])
     assert "micro" in member_levels(state, "a1")
     assert state.per_level["micro"].bodies()["a1"].level == "micro"
 
 
+def test_register_at_two_levels():
+    state = make_state([("a1", "micro"), ("a1", "macro")], levels=("micro", "macro"))
+    assert member_levels(state, "a1") == {"micro", "macro"}
+    for level in ("micro", "macro"):
+        assert state.per_level[level].bodies() == {"a1": Body(level)}
+
+
+def test_bodies_of_reads_only_body_keys():
+    properties = {body_key("a1"): Body("micro"), "tasks": {}, "bodyguard": 1}
+    assert bodies_of(properties) == {"a1": Body("micro")}
+    assert LevelState("micro", properties).bodies() == bodies_of(properties)
+
+
 def test_remove_last_body_empties_membership():
-    state = add(make_state(), "a1", "micro")
-    state = remove_body(state, "a1", "micro")
+    state = step_with(make_state([("a1", "micro")]), without_body("a1"))
+    assert "a1" in state.agents
     assert member_levels(state, "a1") == frozenset()
 
 
-def test_register_at_two_levels():
-    state = add(add(make_state(("micro", "macro")), "a1", "micro"), "a1", "macro")
-    assert member_levels(state, "a1") == {"micro", "macro"}
-
-
-def test_duplicate_body_rejected():
-    state = add(make_state(), "a1", "micro")
-    with pytest.raises(DuplicateBody):
-        register_body(state, "a1", "micro", Body("micro"))
-
-
-def test_register_unknown_level():
-    from mlsim.state import add_agent
-
-    state = add_agent(make_state(), AgentRecord(id="a1"))
-    with pytest.raises(UnknownLevel):
-        register_body(state, "a1", "nowhere", Body("nowhere"))
-
-
 def test_remove_agent_clears_bodies():
-    state = add(make_state(), "a1", "micro")
-    state = remove_agent(state, "a1")
+    def remove_a1(level, sigma, influences, ctx):
+        return ReactionResult(sigma, remove=("a1",))
+
+    state = step_with(make_state([("a1", "micro")]), remove_a1)
     assert "a1" not in state.agents
     assert body_key("a1") not in state.per_level["micro"].properties
 
 
 def test_operations_do_not_mutate_input():
-    state = add(make_state(), "a1", "micro")
+    state = make_state([("a1", "micro")])
     frozen = copy.deepcopy(state)
-    add(state, "a2", "micro")
-    remove_body(state, "a1", "micro")
-    assert state.agents.keys() == frozen.agents.keys()
+    step_with(state, without_body("a1"))
+    step_with(state, identity_reaction)
+    assert state == frozen
     assert state.per_level["micro"].properties.keys() == frozen.per_level["micro"].properties.keys()
 
 
@@ -175,7 +169,6 @@ def test_influence_payload_access():
     inf = influence("move", "micro", "a1", uid="x", to=(1, 0), frm=(0, 0))
     assert inf.payload_get("to") == (1, 0)
     assert inf.payload_get("missing", 9) == 9
-    assert inf.payload_dict == {"to": (1, 0), "frm": (0, 0)}
 
 
 def test_influence_hashable_and_frozen():
