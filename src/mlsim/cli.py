@@ -19,8 +19,6 @@ from .scenario import (
     apply_overrides,
     parse_scenario,
     parse_scenario_dict,
-    validate_scenario,
-    _merge_defaults,
 )
 from . import scenario as scenario_mod
 
@@ -117,16 +115,11 @@ def write_trace(path, trace):
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.scenario) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}")
-        return EXIT_INVALID
-    issues = validate_scenario(_merge_defaults(raw))
-    if issues:
-        for issue in issues:
+        parse_scenario(args.scenario)
+    except ScenarioError as exc:
+        for issue in exc.errors:
             print(issue)
-        print(f"invalid: {len(issues)} problem(s)")
+        print(f"invalid: {len(exc.errors)} problem(s)")
         return EXIT_INVALID
     print("valid")
     return EXIT_OK

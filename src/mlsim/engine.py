@@ -12,7 +12,8 @@ under level evaluation order.
 
 Everything is deterministic given (model, state, seed): per-producer RNG
 streams are keyed by (seed, producer, tick), so agent iteration order cannot
-leak into results.
+leak into results.  A stream is seeded only when its producer first reads
+`ctx.rng`.
 """
 
 from __future__ import annotations
@@ -54,13 +55,26 @@ def derived_rng(seed: int, *key) -> random.Random:
 
 
 class StepContext:
-    """Handed to each producer for one step: id factory and private RNG."""
+    """Handed to each producer for one step: id factory and private RNG.
 
-    def __init__(self, tick: int, producer: str, rng: random.Random):
+    Pass either `rng` or `rng_key`.  The engine passes `rng_key`: the
+    stream `derived_rng(*rng_key)` is seeded the first time `rng` is read,
+    so a producer that draws nothing costs no seeding.
+    """
+
+    def __init__(self, tick: int, producer: str, rng: random.Random | None = None,
+                 rng_key: tuple = ()):
         self.tick = tick
         self.producer = producer
-        self.rng = rng
+        self._rng = rng
+        self._rng_key = rng_key
         self._seq = 0
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = derived_rng(*self._rng_key)
+        return self._rng
 
     def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
         uid = f"{self.producer}@{self.tick}#{self._seq}"
@@ -280,7 +294,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         if rule is None:
             continue
         percept, targets = run_producer(agent_id, levels)
-        ctx = StepContext(state.time, agent_id, derived_rng(seed, agent_id, state.time))
+        ctx = StepContext(state.time, agent_id, rng_key=(seed, agent_id, state.time))
         perception = rule.perceive(percept, record)
         internal = rule.memorize(perception, record.internal_state, ctx)
         new_internal[agent_id] = internal
@@ -293,7 +307,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         if env.natural is None:
             continue
         percept, targets = run_producer(env.id, env.member_levels)
-        ctx = StepContext(state.time, env.id, derived_rng(seed, env.id, state.time))
+        ctx = StepContext(state.time, env.id, rng_key=(seed, env.id, state.time))
         out = list(env.natural(percept, ctx))
         for inf in out:
             _check_influence(model, inf, targets, f"environment {env.id!r}", env.member_levels)
@@ -302,7 +316,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     for name in sorted(model.detectors):
         detector = model.detectors[name]
         percept, targets = run_producer(name, {detector.level})
-        ctx = StepContext(state.time, name, derived_rng(seed, name, state.time))
+        ctx = StepContext(state.time, name, rng_key=(seed, name, state.time))
         out = list(detector.rule(percept, ctx))
         for inf in out:
             _check_influence(
@@ -355,7 +369,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         ctx = StepContext(
             state.time,
             REACTION_PRODUCER_PREFIX + level,
-            derived_rng(seed, "reaction", level, state.time),
+            rng_key=(seed, "reaction", level, state.time),
         )
         rule = model.reactions[level]
         try:

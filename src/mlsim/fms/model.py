@@ -24,6 +24,7 @@ enabled per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..engine import (
     BehaviorRule,
@@ -131,52 +132,104 @@ def _floor_agvs(level_state: LevelState):
     }
 
 
-def _emitting_cells(tasks_state: LevelState):
-    return [
-        b.get("cell")
-        for b in tasks_state.bodies().values()
-        if b.get("type") == "shop" and b.get("emitting")
-    ]
+class FloorView:
+    """What the field law reads from one (floor, tasks) snapshot pair.
+
+    It holds the AGV bodies, the emitting shop cells and a memo of each
+    AGV's jitter-free desired move, filled on first ask.  Every producer
+    that senses the same snapshot shares one view, so without jitter the
+    field is evaluated once per AGV and tick.  The memo caches a pure
+    function of the snapshot, so filling it never changes what the view
+    reports.
+    """
+
+    def __init__(self, grid: GridMap, params: FmsParams, floor: LevelState,
+                 tasks: LevelState):
+        self.floor = floor
+        self.tasks = tasks
+        self.agvs = MappingProxyType(_floor_agvs(floor))
+        self.emitting = tuple(
+            b.get("cell")
+            for b in tasks.bodies().values()
+            if b.get("type") == "shop" and b.get("emitting")
+        )
+        self._grid = grid
+        self._params = params
+        self._moves: dict = {}
+
+    def move(self, agent_id):
+        """`desired_move` of one AGV with the `min` tie-break."""
+        to = self._moves.get(agent_id)
+        if to is None:
+            to = self._moves[agent_id] = desired_move(
+                self._grid, self._params, agent_id, self.agvs[agent_id], self.agvs,
+                self.emitting,
+            )
+        return to
+
+
+class FieldSensor:
+    """Hands every producer of one tick the same FloorView.
+
+    A view is keyed by the identity of its (floor, tasks) level states: a
+    snapshot is never mutated, and each tick builds new level states, so a
+    new snapshot always gets a fresh view.
+    """
+
+    def __init__(self, grid: GridMap, params: FmsParams):
+        self.grid = grid
+        self.params = params
+        self._view: FloorView | None = None
+
+    def view(self, floor: LevelState, tasks: LevelState) -> FloorView:
+        view = self._view
+        if view is None or view.floor is not floor or view.tasks is not tasks:
+            view = self._view = FloorView(self.grid, self.params, floor, tasks)
+        return view
 
 
 # --- behaviors ---------------------------------------------------------------
 
 class AgvBehavior(BehaviorRule):
     """Sense the net field, head for the strictly best neighbor, advertise
-    capability when idle, claim right-of-way (repulsion) when on a task."""
+    capability when idle, claim right-of-way (repulsion) when on a task.
 
-    def __init__(self, grid: GridMap, params: FmsParams):
-        self.grid = grid
-        self.params = params
+    The internal state holds only the AGV's own body and the cell it wants,
+    never the shared view."""
+
+    def __init__(self, sensor: FieldSensor):
+        self.sensor = sensor
 
     def perceive(self, percept, me):
-        floor = percept[FLOOR]
-        tasks = percept[TASKS]
-        return {
-            "me": me.id,
-            "body": floor.bodies().get(me.id),
-            "agvs": _floor_agvs(floor),
-            "emitting": _emitting_cells(tasks),
-        }
+        return me.id, self.sensor.view(percept[FLOOR], percept[TASKS])
 
     def memorize(self, perception, internal_state, ctx):
-        return {"view": perception}
+        me, view = perception
+        body = view.agvs.get(me)
+        sensor = self.sensor
+        if body is None:
+            to = None
+        elif sensor.params.jitter:
+            to = desired_move(
+                sensor.grid, sensor.params, me, body, view.agvs, view.emitting, ctx.rng
+            )
+        else:
+            to = view.move(me)
+        return {"me": me, "body": body, "to": to}
 
     def decide(self, internal_state, ctx):
-        view = internal_state["view"]
-        body = view["body"]
+        body = internal_state["body"]
         if body is None:
             return []
-        me = view["me"]
+        me = internal_state["me"]
         out = []
         if body.get("assigned") is None:
             out.append(ctx.make(K_SERVE, TASKS, agent=me, cell=body.get("cell")))
         else:
             out.append(ctx.make(K_REPULSE, FLOOR, agent=me))
-        to = desired_move(
-            self.grid, self.params, me, body, view["agvs"], view["emitting"], ctx.rng
+        out.append(
+            ctx.make(K_MOVE, FLOOR, agent=me, frm=body.get("cell"), to=internal_state["to"])
         )
-        out.append(ctx.make(K_MOVE, FLOOR, agent=me, frm=body.get("cell"), to=to))
         return out
 
 
@@ -384,20 +437,21 @@ def wait_cycles(waits: dict) -> set:
     return in_cycle
 
 
-def make_deadlock_detector(grid: GridMap, params: FmsParams) -> DetectorRule:
+def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
     """Wait-for-cycle and no-progress detector over the floor snapshot.
 
     Only assigned AGVs count, and AGVs already governed by a solver are
     skipped so a standing deadlock is not re-reported while being solved.
+    Desired moves come from the shared view with the `min` tie-break, even
+    when the AGVs themselves jitter.
     """
+    grid, params = sensor.grid, sensor.params
 
     def rule(percept, ctx):
-        floor = percept[FLOOR]
-        control = percept[CONTROL]
-        agvs = _floor_agvs(floor)
-        emitting = _emitting_cells(percept[TASKS])
+        view = sensor.view(percept[FLOOR], percept[TASKS])
+        agvs = view.agvs
         governed: set[str] = set()
-        for b in control.bodies().values():
+        for b in percept[CONTROL].bodies().values():
             if b.get("type") == "solver":
                 governed.update(b.get("trapped", ()))
 
@@ -407,7 +461,7 @@ def make_deadlock_detector(grid: GridMap, params: FmsParams) -> DetectorRule:
             body = agvs[aid]
             if body.get("assigned") is None or aid in governed:
                 continue
-            candidates[aid] = desired_move(grid, params, aid, body, agvs, emitting)
+            candidates[aid] = view.move(aid)
 
         waits = {}
         for aid, to in candidates.items():
@@ -760,11 +814,12 @@ def default_level_graph():
 def build_fms_model(grid: GridMap, agv_ids, shop_ids, params: FmsParams,
                     control: bool = True, graph=None) -> Model:
     graph = graph or default_level_graph()
-    agv_rule = AgvBehavior(grid, params)
+    sensor = FieldSensor(grid, params)
+    agv_rule = AgvBehavior(sensor)
     shop_rule = ShopBehavior()
     behaviors = {aid: agv_rule for aid in agv_ids}
     behaviors.update({sid: shop_rule for sid in shop_ids})
-    detector = make_deadlock_detector(grid, params)
+    detector = make_deadlock_detector(sensor)
     return Model(
         graph=graph,
         behaviors=behaviors,

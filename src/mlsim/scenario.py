@@ -27,6 +27,7 @@ from .fms.model import (
 from .levels import LevelGraphSpec, validate as validate_graph
 
 KNOWN_DETECTORS = ("deadlock-detector",)
+KIND_CLASSES = ("ordinary", "constraint", "emergence")
 TERMINATION_PREDICATES = ("all-delivered", "none")
 
 
@@ -141,11 +142,8 @@ def _merge_defaults(data: dict) -> dict:
             base = merged[key]
             if key == "kinds":
                 merged[key] = {
-                    lvl: {
-                        "ordinary": list(spec.get("ordinary", [])),
-                        "constraint": list(spec.get("constraint", [])),
-                        "emergence": list(spec.get("emergence", [])),
-                    }
+                    lvl: {cls: spec.get(cls, []) for cls in KIND_CLASSES}
+                    if isinstance(spec, dict) else spec
                     for lvl, spec in value.items()
                 }
             else:
@@ -160,11 +158,7 @@ def _merge_defaults(data: dict) -> dict:
 def _level_kinds(kinds: dict) -> dict:
     """Flattened producible-kind set per level."""
     return {
-        lvl: frozenset(
-            list(spec.get("ordinary", []))
-            + list(spec.get("constraint", []))
-            + list(spec.get("emergence", []))
-        )
+        lvl: frozenset(k for cls in KIND_CLASSES for k in spec.get(cls, []))
         for lvl, spec in kinds.items()
     }
 
@@ -175,6 +169,63 @@ def _is_int(value) -> bool:
 
 def _is_cell(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value))
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Sections that hold one object each, and lists of objects with the name
+# fields the checks compare or hash: a name is a string or absent (the
+# reference checks report it missing), and every id must be present.
+OBJECT_SECTIONS = ("grid", "params", "run", "kinds")
+OBJECT_LISTS = {
+    "shops": ("id",),
+    "agvs": ("id",),
+    "tasks": ("id", "source", "dest"),
+    "couplings": ("micro", "macro"),
+    "emergences": ("kind", "macro_level"),
+    "constraints": ("kind", "micro_level", "inhibits"),
+}
+
+
+def _structure_issues(data: dict) -> list[Issue]:
+    """Shape checks every other check relies on: each section of the right
+    JSON type, each list item an object, each compared name a string."""
+    issues = []
+
+    def expect(path, what, value):
+        issues.append(Issue("value", f"{path} must be {what}, got {value!r}"))
+
+    for key in OBJECT_SECTIONS:
+        if not isinstance(data.get(key), dict):
+            expect(key, "an object", data.get(key))
+    if isinstance(data.get("grid"), dict) and not isinstance(data["grid"].get("blocked"), list):
+        expect("grid.blocked", "a list", data["grid"].get("blocked"))
+    for lvl, spec in data["kinds"].items() if isinstance(data.get("kinds"), dict) else ():
+        lists = spec.values() if isinstance(spec, dict) else [None]
+        if not all(map(_is_str_list, lists)):
+            expect(f"kinds.{lvl}", "an object of kind-name lists", spec)
+    if not _is_str_list(data.get("levels")):
+        expect("levels", "a list of level names", data.get("levels"))
+    for key in ("influence_edges", "perception_edges"):
+        edges = data.get(key)
+        if not (isinstance(edges, list) and all(_is_str_list(e) and len(e) == 2 for e in edges)):
+            expect(key, "a list of [from, to] level-name pairs", edges)
+    for key, names in OBJECT_LISTS.items():
+        items = data.get(key)
+        if not isinstance(items, list):
+            expect(key, "a list", items)
+            continue
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                expect(f"{key}[{i}]", "an object", item)
+                continue
+            for name in names:
+                value = item.get(name)
+                if not isinstance(value, str) and (value is not None or name == "id"):
+                    expect(f"{key}[{i}].{name}", "a string", value)
+    return issues
 
 
 # Field parameters: the least value each integer parameter may take.
@@ -189,8 +240,9 @@ def _value_issues(data: dict) -> list[Issue]:
         value = params.get(name)
         if not _is_int(value) or value < least:
             issues.append(Issue("value", f"params.{name} must be an integer >= {least}, got {value!r}"))
-    if not isinstance(params.get("jitter"), bool):
-        issues.append(Issue("value", f"params.jitter must be a boolean, got {params.get('jitter')!r}"))
+    for path, value in (("params.jitter", params.get("jitter")), ("control", data.get("control"))):
+        if not isinstance(value, bool):
+            issues.append(Issue("value", f"{path} must be a boolean, got {value!r}"))
     for path, value in (
         ("grid.width", grid.get("width")),
         ("grid.height", grid.get("height")),
@@ -208,7 +260,10 @@ def _value_issues(data: dict) -> list[Issue]:
 
 
 def validate_scenario(data: dict) -> list[Issue]:
-    issues: list[Issue] = _value_issues(data)
+    issues = _structure_issues(data)
+    if issues:
+        return issues  # the checks below read the sections this shape promises
+    issues += _value_issues(data)
     levels = list(data.get("levels", []))
 
     try:
@@ -229,7 +284,7 @@ def validate_scenario(data: dict) -> list[Issue]:
         if lvl not in levels:
             issues.append(Issue("unknown-level-endpoint", f"kinds declared for unknown level {lvl!r}"))
     producible = _level_kinds(kinds)
-    declared_constraints = {c["kind"] for c in data.get("constraints", [])}
+    declared_constraints = {c.get("kind") for c in data.get("constraints", [])}
 
     influence_edges = {tuple(e) for e in data.get("influence_edges", [])}
     for coupling in data.get("couplings", []):
@@ -396,10 +451,16 @@ def parse_scenario(path) -> ScenarioSpec:
         raise ScenarioError(
             [Issue("parse", f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")]
         ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([Issue("parse", f"{path}: {exc}")]) from None
     return parse_scenario_dict(raw)
 
 
 def parse_scenario_dict(raw: dict) -> ScenarioSpec:
+    if not isinstance(raw, dict):
+        raise ScenarioError(
+            [Issue("value", f"a scenario must be a JSON object, got {type(raw).__name__}")]
+        )
     data = _merge_defaults(raw)
     issues = validate_scenario(data)
     if issues:
@@ -418,8 +479,13 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
             value = raw_value
         node = data
         *parents, leaf = dotted.split(".")
-        for part in parents:
+        for depth, part in enumerate(parents):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                path = ".".join(parents[: depth + 1])
+                raise ScenarioError(
+                    [Issue("value", f"override {dotted!r}: {path} must be an object, got {node!r}")]
+                )
         node[leaf] = value
     return data
 

@@ -5,12 +5,15 @@ path (building the next snapshot from the current one).  An agent's body in
 a level is an entry of that level's property map, stored under
 ``body_key(agent_id)``; the map is the only place a body lives, so only that
 level's reaction can change it.  ``bodies_of`` is the one reader of that key
-format.
+format; ``LevelState.bodies()`` runs it once per level state and hands every
+reader the same read-only mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .errors import IllegalPerception, UnknownAgent
@@ -103,8 +106,20 @@ class LevelState:
     properties: dict = field(default_factory=dict)
     influences: frozenset = frozenset()
 
-    def bodies(self) -> dict[AgentId, Body]:
-        return bodies_of(self.properties)
+    def bodies(self) -> Mapping[AgentId, Body]:
+        """The level's bodies by agent id: built on the first call, then the
+        same read-only mapping for every reader of this snapshot."""
+        return self._bodies
+
+    @cached_property
+    def _bodies(self) -> Mapping[AgentId, Body]:
+        return MappingProxyType(bodies_of(self.properties))
+
+    def __getstate__(self):
+        # The cache is rebuilt on demand; a mapping proxy cannot be copied.
+        state = dict(self.__dict__)
+        state.pop("_bodies", None)
+        return state
 
 
 @dataclass(frozen=True)

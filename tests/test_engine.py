@@ -363,6 +363,52 @@ def test_step_context_ids_are_unique_per_producer():
     assert ids == ["a1@7#0", "a1@7#1", "a1@7#2"]
 
 
+def test_step_context_seeds_its_rng_on_first_read(monkeypatch):
+    import mlsim.engine as engine
+
+    built = []
+
+    def counting_rng(*key):
+        built.append(key)
+        return derived_rng(*key)
+
+    monkeypatch.setattr(engine, "derived_rng", counting_rng)
+    ctx = StepContext(3, "a1", rng_key=(7, "a1", 3))
+    ctx.make("inc", "l")
+    assert built == []
+    first = ctx.rng
+    assert ctx.rng is first
+    assert built == [(7, "a1", 3)]
+    expected = derived_rng(7, "a1", 3)
+    assert [first.random() for _ in range(3)] == [expected.random() for _ in range(3)]
+
+
+def test_step_context_uses_a_given_rng_as_is():
+    rng = random.Random(0)
+    assert StepContext(0, "a1", rng).rng is rng
+
+
+def test_step_seeds_only_the_streams_that_are_read(monkeypatch):
+    import mlsim.engine as engine
+
+    class RandomInc(BehaviorRule):
+        def decide(self, internal_state, ctx):
+            return [ctx.make("inc", "l", amount=ctx.rng.randint(0, 100))]
+
+    built = []
+
+    def counting_rng(*key):
+        built.append(key)
+        return derived_rng(*key)
+
+    monkeypatch.setattr(engine, "derived_rng", counting_rng)
+    model = make_model(behaviors={"a1": IncBehavior(2), "a2": RandomInc()})
+    state = make_state(agents=[("a1", "l"), ("a2", "l")])
+    nxt, _ = step(model, state, seed=5)
+    assert built == [(5, "a2", 0)]
+    assert nxt.per_level["l"].properties["total"] == 2 + derived_rng(5, "a2", 0).randint(0, 100)
+
+
 # --- run ---------------------------------------------------------------------
 
 def test_run_one_tick_equals_step():

@@ -1,12 +1,15 @@
 """AGV fleet reference model: fields, movement, conflicts, assignment, deadlock."""
 
+import copy
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsim.engine import StepContext, run, step
+from mlsim.engine import StepContext, produce_influences, run, step
 from mlsim.errors import EmitterOnBlockedCell, SafetyViolation
 from mlsim.fms.grid import GridMap, bfs_distances, bfs_path, compute_fields
 from mlsim.fms.model import (
@@ -14,6 +17,8 @@ from mlsim.fms.model import (
     FLOOR,
     TASKS,
     AgvBehavior,
+    FieldSensor,
+    FloorView,
     FmsParams,
     K_ASSIGN,
     K_DELIVERED,
@@ -34,10 +39,12 @@ from mlsim.fms.model import (
     resolve_moves,
 )
 from mlsim.state import (
+    AgentRecord,
     Body,
     CONSTRAINT,
     LevelState,
     Percept,
+    SystemState,
     influence,
 )
 
@@ -435,7 +442,7 @@ def test_head_on_pair_reported_and_cycle_checked():
         "a1": agv_body((1, 0), assigned="t1", source=(3, 0), dest=(3, 0)),
         "a2": agv_body((2, 0), assigned="t2", source=(0, 0), dest=(0, 0)),
     }
-    detector = make_deadlock_detector(grid, params)
+    detector = make_deadlock_detector(FieldSensor(grid, params))
     out = detector.rule(detector_percept(grid, bodies), ctx("deadlock-detector"))
     assert len(out) == 1
     assert out[0].payload_get("trapped") == ("a1", "a2")
@@ -457,7 +464,7 @@ def test_no_progress_window_flags_stalled_agv():
     stuck = agv_body((2, 0), assigned="t1", source=(6, 0), dest=(6, 0),
                      window=((2, 0),) * 4)
     blocker = agv_body((3, 0), repulsion_on=True)
-    detector = make_deadlock_detector(grid, params)
+    detector = make_deadlock_detector(FieldSensor(grid, params))
     out = detector.rule(
         detector_percept(grid, {"a1": stuck, "a2": blocker}), ctx("deadlock-detector")
     )
@@ -471,7 +478,7 @@ def test_idle_agvs_never_reported():
         "a1": agv_body((1, 0), window=((1, 0),) * 6),
         "a2": agv_body((2, 0), window=((2, 0),) * 6),
     }
-    detector = make_deadlock_detector(grid, FmsParams())
+    detector = make_deadlock_detector(FieldSensor(grid, FmsParams()))
     assert detector.rule(detector_percept(grid, bodies), ctx("deadlock-detector")) == []
 
 
@@ -481,7 +488,7 @@ def test_governed_agvs_not_rereported():
         "a1": agv_body((1, 0), assigned="t1", source=(3, 0), dest=(3, 0)),
         "a2": agv_body((2, 0), assigned="t2", source=(0, 0), dest=(0, 0)),
     }
-    detector = make_deadlock_detector(grid, FmsParams())
+    detector = make_deadlock_detector(FieldSensor(grid, FmsParams()))
     percept = detector_percept(grid, bodies, solvers=[("solver0", ("a1", "a2"))])
     assert detector.rule(percept, ctx("deadlock-detector")) == []
 
@@ -494,9 +501,158 @@ def test_free_flowing_agvs_no_emergence():
     }
     # Far apart, heading the same direction: no wait edges, no stall.
     bodies["a2"] = bodies["a2"].with_attrs(dest=(0, 0))
-    detector = make_deadlock_detector(grid, FmsParams())
+    detector = make_deadlock_detector(FieldSensor(grid, FmsParams()))
     out = detector.rule(detector_percept(grid, bodies), ctx("deadlock-detector"))
     assert out == []
+
+
+# --- one shared floor view per snapshot --------------------------------------
+
+class LastPick:
+    """An RNG stand-in whose choice is the largest of the ties."""
+
+    def choice(self, seq):
+        return seq[-1]
+
+
+def tied_standoff():
+    """a1 at (2,2) heads for (0,0): (1,2) and (2,1) tie, and the `min` cell
+    (1,2) holds a2, which wants a1's cell."""
+    return {
+        "a1": agv_body((2, 2), assigned="t1", source=(0, 0), dest=(0, 0)),
+        "a2": agv_body((1, 2), assigned="t2", source=(2, 2), dest=(2, 2)),
+    }
+
+
+def test_jitter_tie_break_stays_apart_from_the_detectors():
+    grid = GridMap(3, 3)
+    sensor = FieldSensor(grid, FmsParams(jitter=True))
+    agv = AgvBehavior(sensor)
+    detector = make_deadlock_detector(sensor)
+    percept = detector_percept(grid, tied_standoff())
+
+    agv_ctx = StepContext(0, "a1", LastPick())
+    internal = agv.memorize(agv.perceive(percept, AgentRecord("a1", "agv")), None, agv_ctx)
+    moves = [i for i in agv.decide(internal, agv_ctx) if i.kind == K_MOVE]
+    assert [m.payload_get("to") for m in moves] == [(2, 1)]  # the RNG's pick
+
+    # The detector's wait-for map uses the `min` cell (1,2), a2's: a cycle.
+    out = detector.rule(percept, ctx("deadlock-detector"))
+    assert [i.payload_get("trapped") for i in out] == [("a1", "a2")]
+    view = sensor.view(percept[FLOOR], percept[TASKS])
+    assert view.move("a1") == (1, 2)
+
+
+def test_without_jitter_the_agv_reads_the_shared_memo():
+    grid = GridMap(3, 3)
+    sensor = FieldSensor(grid, FmsParams())
+    agv = AgvBehavior(sensor)
+    percept = detector_percept(grid, tied_standoff())
+
+    class NoRng:
+        def choice(self, seq):
+            raise AssertionError("jitter is off: the RNG must not be read")
+
+    agv_ctx = StepContext(0, "a1", NoRng())
+    internal = agv.memorize(agv.perceive(percept, AgentRecord("a1", "agv")), None, agv_ctx)
+    assert internal["to"] == (1, 2)
+    assert sensor.view(percept[FLOOR], percept[TASKS]).move("a1") is internal["to"]
+
+
+def test_each_snapshot_gets_one_fresh_view(monkeypatch):
+    import mlsim.fms.model as model_mod
+
+    grid, model, state = simple_setup(
+        width=6, agvs={"a1": (1, 0), "a2": (4, 0)},
+        tasks=[{"id": "t1", "source": "s-west", "dest": "s-east"},
+               {"id": "t2", "source": "s-east", "dest": "s-west"}],
+    )
+    views = []
+    real_init = model_mod.FloorView.__init__
+
+    def recording_init(self, grid, params, floor, tasks):
+        real_init(self, grid, params, floor, tasks)
+        views.append(self)
+
+    monkeypatch.setattr(model_mod.FloorView, "__init__", recording_init)
+    snapshots = []
+    for _ in range(6):
+        snapshots.append(state)
+        state, _ = step(model, state)
+    assert len(views) == len(snapshots)
+    for view, snapshot in zip(views, snapshots):
+        assert view.floor is snapshot.per_level[FLOOR]
+        assert view.tasks is snapshot.per_level[TASKS]
+    assert len({id(v) for v in views}) == len(views)
+
+    # Same level states: the same view; equal but new level states: a new one.
+    sensor = model.behaviors["a1"].sensor
+    floor, tasks = state.per_level[FLOOR], state.per_level[TASKS]
+    first = sensor.view(floor, tasks)
+    assert sensor.view(floor, tasks) is first
+    assert sensor.view(LevelState(FLOOR, dict(floor.properties)), tasks) is not first
+    first = sensor.view(floor, tasks)
+    assert sensor.view(floor, LevelState(TASKS, dict(tasks.properties))) is not first
+
+
+def test_detector_alone_emits_what_it_emits_after_the_agvs():
+    bodies = tied_standoff()
+    floor_props = {f"body:{aid}": b for aid, b in bodies.items()}
+    state = SystemState(
+        per_level={
+            FLOOR: LevelState(FLOOR, floor_props),
+            TASKS: LevelState(TASKS, {"tasks": {}}),
+            CONTROL: LevelState(CONTROL, {}),
+        },
+        agents={aid: AgentRecord(aid, "agv") for aid in bodies},
+    )
+    grid = GridMap(3, 3)
+
+    def detector_influences(model):
+        produced = produce_influences(model, state)
+        return sorted(
+            (i for group in produced.per_level.values() for i in group
+             if i.producer == "deadlock-detector"),
+            key=lambda i: i.id,
+        )
+
+    full = build_fms_model(grid, sorted(bodies), [], FmsParams())
+    alone = build_fms_model(grid, sorted(bodies), [], FmsParams())
+    alone.behaviors = {}
+    with_agvs = detector_influences(full)
+    assert [i.payload_get("trapped") for i in with_agvs] == [("a1", "a2")]
+    assert detector_influences(alone) == with_agvs
+
+
+def test_a_finished_run_is_freed_without_the_cycle_collector():
+    # The sensor and its view must form no reference cycle: a cycle would
+    # keep each episode's grid and its distance table alive until a full
+    # collection, so memory would grow from episode to episode.
+    gc.collect()
+    gc.disable()
+    try:
+        grid, model, state = simple_setup(width=6, agvs={"a1": (1, 0), "a2": (4, 0)})
+        result = run(model, state, ticks=5)
+        sensor_ref = weakref.ref(model.behaviors["a1"].sensor)
+        grid_ref = weakref.ref(grid)
+        del grid, model, state, result
+        assert sensor_ref() is None
+        assert grid_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_agv_internal_state_survives_the_next_step():
+    grid, model, state = simple_setup(width=6, agvs={"a1": (1, 0), "a2": (4, 0)})
+    state, _ = step(model, state)
+    stored = {aid: state.agents[aid].internal_state for aid in ("a1", "a2")}
+    for internal in stored.values():
+        assert set(internal) == {"me", "body", "to"}
+        assert not any(isinstance(v, FloorView) for v in internal.values())
+    frozen = copy.deepcopy(stored)
+    for _ in range(3):
+        state, _ = step(model, state)
+    assert stored == frozen
 
 
 # --- end-to-end model runs ---------------------------------------------------

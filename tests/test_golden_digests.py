@@ -58,10 +58,9 @@ def test_every_pin_has_an_episode():
     assert len(EPISODES) == 19
 
 
-@pytest.mark.parametrize("name", sorted(PINS["episodes"]))
-def test_episode_matches_pinned_digests(name, tmp_path):
-    workload, index = EPISODES[name]
-    _, raw = episode(workload, PINS["pinned_seed"], index, ROOT)
+def episode_digests(raw, tmp_path):
+    """[metrics-CSV sha256, final-state sha256, exit code] of one scenario
+    dict run through parse -> build -> run with SafetyChecker."""
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
     result = run(
@@ -72,6 +71,12 @@ def test_episode_matches_pinned_digests(name, tmp_path):
     metrics = tmp_path / "metrics.csv"
     cli.write_metrics(metrics, result.records)
     exit_code = cli.EXIT_NO_ESCAPE if result.diagnostics else cli.EXIT_OK
-    got = [hashlib.sha256(metrics.read_bytes()).hexdigest(), state_sha256(result.final_state),
-           exit_code]
-    assert got == PINS["episodes"][name]
+    return [hashlib.sha256(metrics.read_bytes()).hexdigest(), state_sha256(result.final_state),
+            exit_code]
+
+
+@pytest.mark.parametrize("name", sorted(PINS["episodes"]))
+def test_episode_matches_pinned_digests(name, tmp_path):
+    workload, index = EPISODES[name]
+    _, raw = episode(workload, PINS["pinned_seed"], index, ROOT)
+    assert episode_digests(raw, tmp_path) == PINS["episodes"][name]

@@ -1,6 +1,9 @@
 """Scenario parsing/validation and the command-line entry points."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,7 @@ def test_run_exit_three_on_invalid_scenario(capsys):
         "params.clearance=null",
         "run.seed=abc",
         "params.attract=true",  # a bool is not an int
+        "control=5",
     ],
 )
 def test_run_exit_three_on_malformed_value(override, capsys):
@@ -202,6 +206,51 @@ def test_run_exit_three_on_one_element_cell(tmp_path, capsys):
     assert "[value]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override,path",
+    [
+        ("grid=5", "grid"),
+        ("params=5", "params"),
+        ("run=5", "run"),
+        ("agvs=5", "agvs"),
+        ("agvs=[5]", "agvs[0]"),
+        ("shops=[5]", "shops[0]"),
+        ("tasks=5", "tasks"),
+        ("tasks=[5]", "tasks[0]"),
+        ("kinds=5", "kinds"),
+        ('kinds={"floor": {"ordinary": 5}}', "kinds.floor"),
+        ("levels=[[1]]", "levels"),
+        ("influence_edges=[5]", "influence_edges"),
+        ("grid.blocked=5", "grid.blocked"),
+        ('shops=[{"cell": [0, 0]}]', "shops[0].id"),
+        ('constraints=[{"kind": ["inhibit-move"]}]', "constraints[0].kind"),
+    ],
+)
+def test_run_exit_three_on_malformed_structure(override, path, capsys):
+    rc = main(["run", "--scenario", str(SCENARIOS / "corridor.json"), "--override", override])
+    assert rc == EXIT_INVALID
+    assert f"[value] {path} must be" in capsys.readouterr().err
+
+
+def test_override_below_a_non_object_is_an_issue(capsys):
+    rc = main(["run", "--scenario", str(SCENARIOS / "corridor.json"),
+               "--override", "run=5", "--seed", "1"])
+    assert rc == EXIT_INVALID
+    assert "[value] override 'run.seed': run must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_unreadable_or_non_object_file_is_an_issue(command, tmp_path, capsys):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path, code in ((listing, "[value]"), (binary, "[parse]"), (tmp_path, "[parse]")):
+        assert main([command, "--scenario", str(path)]) == EXIT_INVALID
+        out = capsys.readouterr()
+        assert code in out.out + out.err
+
+
 def test_zero_repulsion_stays_valid():
     data = default_scenario_dict()
     data["params"]["repulse"] = 0
@@ -212,7 +261,7 @@ def test_spec_grid_is_built_once():
     spec = parse_scenario(SCENARIOS / "corridor.json")
     assert spec.grid is spec.grid
     model, _ = build(spec)
-    assert model.behaviors["agv-1"].grid is spec.grid
+    assert model.behaviors["agv-1"].sensor.grid is spec.grid
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, capsys):
@@ -278,3 +327,13 @@ def test_compare_walled_trap_verdict(capsys):
     assert rc == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "unresolvable deadlock under control=on (no escape path)"
+
+
+def test_python_dash_m_mlsim_validates_a_fixture():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mlsim", "validate", "--scenario", str(SCENARIOS / "corridor.json")],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.strip() == "valid"

@@ -126,6 +126,39 @@ def test_bodies_of_reads_only_body_keys():
     assert LevelState("micro", properties).bodies() == bodies_of(properties)
 
 
+def test_level_bodies_are_built_once_and_read_only():
+    level_state = make_state([("a1", "micro")]).per_level["micro"]
+    bodies = level_state.bodies()
+    assert level_state.bodies() is bodies
+    with pytest.raises(TypeError):
+        bodies["a2"] = Body("micro")
+    with pytest.raises(TypeError):
+        del bodies["a1"]
+    assert dict(bodies) == {"a1": Body("micro")}
+
+
+def test_reaction_edit_shows_only_in_the_next_snapshot():
+    state = make_state([("a1", "micro")])
+    before = state.per_level["micro"].bodies()
+
+    def move_a1(level, sigma, influences, ctx):
+        sigma[body_key("a1")] = Body(level, {"cell": (1, 0)})
+        return ReactionResult(sigma)
+
+    nxt = step_with(state, move_a1)
+    assert state.per_level["micro"].bodies() is before
+    assert before == {"a1": Body("micro")}
+    assert nxt.per_level["micro"].bodies() == {"a1": Body("micro", {"cell": (1, 0)})}
+
+
+def test_snapshot_with_read_bodies_can_be_copied():
+    state = make_state([("a1", "micro")])
+    state.per_level["micro"].bodies()
+    copied = copy.deepcopy(state)
+    assert copied == state
+    assert copied.per_level["micro"].bodies() == {"a1": Body("micro")}
+
+
 def test_remove_last_body_empties_membership():
     state = step_with(make_state([("a1", "micro")]), without_body("a1"))
     assert "a1" in state.agents
