@@ -25,12 +25,19 @@ from typing import Any, Callable, Iterable
 
 from .errors import (
     IllegalInfluenceTarget,
+    Issue,
     KindNotProducible,
     MlsimError,
     ModelValidationError,
     ReactionFault,
 )
-from .hierarchy import ConstraintKindDecl, EmergenceKindDecl, apply_constraints
+from .hierarchy import (
+    ConstraintKindDecl,
+    Declarations,
+    EmergenceKindDecl,
+    apply_constraints,
+    hierarchy_issues,
+)
 from .levels import LevelId, ValidatedLevelGraph
 from .state import (
     CONSTRAINT,
@@ -157,69 +164,18 @@ class Model:
         return next((d for d in self.emergences if d.kind == kind), None)
 
 
-def validate_model(model: Model) -> list[str]:
-    """Static legality of a model.  Returns all problems found (empty = valid)."""
-    problems = []
+def validate_model(model: Model) -> list[Issue]:
+    """Static legality of a model: the hierarchy rules over its declarations,
+    plus a reaction for every level.  Returns all issues found (empty = valid)."""
     levels = model.graph.levels
-    for level in levels:
-        if level not in model.reactions:
-            problems.append(f"level {level!r} has no reaction rule")
-    edges = model.graph.spec.influence_edges
-    for coupling in model.couplings:
-        for endpoint in (coupling.micro, coupling.macro):
-            if endpoint not in levels:
-                problems.append(f"coupling references unknown level {endpoint!r}")
-        if coupling.micro in levels and coupling.macro in levels:
-            required = {(coupling.micro, coupling.macro), (coupling.macro, coupling.micro)}
-            for edge in sorted(required - set(edges)):
-                problems.append(
-                    f"coupling {coupling.micro}/{coupling.macro} requires influence edge {edge}"
-                )
-    kinds = model.producible_kinds
-    constraint_kinds = {d.kind for d in model.constraints}
-    for decl in model.emergences:
-        coupling = next((c for c in model.couplings if c.macro == decl.macro_level), None)
-        if coupling is None:
-            problems.append(f"emergence {decl.kind!r}: no coupling with macro {decl.macro_level!r}")
-        if decl.kind not in kinds.get(decl.macro_level, ()):
-            problems.append(f"emergence {decl.kind!r} not in producible kinds of {decl.macro_level!r}")
-        if coupling is not None and decl.kind in kinds.get(coupling.micro, ()):
-            problems.append(
-                f"emergence {decl.kind!r} must not be producible at micro level {coupling.micro!r}"
-            )
-        detector = model.detectors.get(decl.detector)
-        if detector is None:
-            problems.append(
-                f"emergence {decl.kind!r}: detector {decl.detector!r} is not a registered detector"
-            )
-        elif coupling is not None and detector.level != coupling.micro:
-            problems.append(
-                f"emergence {decl.kind!r}: detector {decl.detector!r} sits at "
-                f"{detector.level!r}, expected micro level {coupling.micro!r}"
-            )
-    for decl in model.constraints:
-        coupling = next((c for c in model.couplings if c.micro == decl.micro_level), None)
-        if coupling is None:
-            problems.append(f"constraint {decl.kind!r}: no coupling with micro {decl.micro_level!r}")
-        if decl.kind not in kinds.get(decl.micro_level, ()):
-            problems.append(f"constraint {decl.kind!r} not in producible kinds of {decl.micro_level!r}")
-        if decl.inhibits not in kinds.get(decl.micro_level, ()):
-            problems.append(
-                f"constraint {decl.kind!r}: inhibited kind {decl.inhibits!r} "
-                f"not producible at {decl.micro_level!r}"
-            )
-        if decl.inhibits in constraint_kinds:
-            problems.append(
-                f"constraint over constraint: {decl.kind!r} inhibits constraint kind {decl.inhibits!r}"
-            )
-        if coupling is not None:
-            macro_kinds = kinds.get(coupling.macro, ())
-            if decl.kind in macro_kinds and decl.inhibits in macro_kinds:
-                problems.append(
-                    f"constraint pair {{{decl.inhibits!r}, {decl.kind!r}}} must not be a "
-                    f"subset of the macro level {coupling.macro!r} kinds"
-                )
-    return problems
+    issues = [
+        Issue("reference", f"level {level!r} has no reaction rule")
+        for level in sorted(levels)
+        if level not in model.reactions
+    ]
+    decls = Declarations(*(getattr(model, name) for name in Declarations._fields))
+    detectors = {name: d.level for name, d in model.detectors.items()}
+    return issues + hierarchy_issues(levels, model.graph.spec.influence_edges, decls, detectors)
 
 
 @dataclass
@@ -390,10 +346,6 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             _check_influence(
                 model, inf, targets, f"reaction of level {level!r}", {level}
             )
-            if inf.klass == EMERGENCE:
-                raise IllegalInfluenceTarget(
-                    f"reaction of level {level!r} persisted emergence {inf.kind!r}"
-                )
             persisted.append(inf)
     routed: dict[str, set] = {level: set() for level in state.per_level}
     for inf in merge_influences([persisted]):
@@ -502,9 +454,9 @@ def run(
     """
     if ticks < 1:
         raise ValueError("ticks must be >= 1")
-    problems = validate_model(model)
-    if problems:
-        raise ModelValidationError("; ".join(problems))
+    issues = validate_model(model)
+    if issues:
+        raise ModelValidationError(issues)
 
     records = []
     diagnostics = []

@@ -1,8 +1,30 @@
-"""Exception hierarchy shared by all mlsim modules."""
+"""Exception hierarchy shared by all mlsim modules, and the coded issue."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Issue:
+    """One problem found by a static check, tagged with a stable code."""
+
+    code: str
+    message: str
+
+    def __str__(self):
+        return f"[{self.code}] {self.message}"
 
 
 class MlsimError(Exception):
     """Base class for all mlsim errors."""
+
+
+class IssuesError(MlsimError):
+    """Carries the full issue list so a user sees every problem at once, not
+    just the first."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(str(e) for e in self.errors))
 
 
 # --- level graph ---
@@ -50,8 +72,8 @@ class SafetyViolation(MlsimError):
 
 # --- hierarchy / model validation ---
 
-class ModelValidationError(MlsimError):
-    pass
+class ModelValidationError(IssuesError):
+    """A model's static declarations break a hierarchy rule."""
 
 
 # --- domain ---
@@ -62,10 +84,5 @@ class EmitterOnBlockedCell(MlsimError):
 
 # --- scenario ---
 
-class ScenarioError(MlsimError):
-    """Scenario parse or validation failure.  Carries the full error list so a
-    user sees every problem at once, not just the first."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(str(e) for e in self.errors))
+class ScenarioError(IssuesError):
+    """Scenario parse or validation failure."""

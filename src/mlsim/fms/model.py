@@ -34,6 +34,7 @@ from ..engine import (
 )
 from ..hierarchy import (
     ConstraintKindDecl,
+    Declarations,
     EmergenceKindDecl,
     HierarchicalCoupling,
     InfluenceSelector,
@@ -45,7 +46,6 @@ from ..state import (
     EMERGENCE,
     AgentRecord,
     Body,
-    EnvironmentRecord,
     LevelState,
     SystemState,
     bodies_of,
@@ -56,6 +56,9 @@ from .grid import GridMap, bfs_distances, bfs_path, compute_fields
 FLOOR = "floor"
 TASKS = "tasks"
 CONTROL = "control"
+
+LEVELS = (FLOOR, TASKS, CONTROL)
+LEVEL_EDGES = ((FLOOR, TASKS), (TASKS, FLOOR), (FLOOR, CONTROL), (CONTROL, FLOOR))
 
 K_MOVE = "move"
 K_FORCED = "forced-move"
@@ -76,6 +79,21 @@ PRODUCIBLE_KINDS = {
     TASKS: frozenset({K_SERVE, K_NEED, K_PICKED, K_DELIVERED}),
     CONTROL: frozenset({K_DEADLOCK, K_RESOLVED, K_UNRESOLVABLE}),
 }
+
+DEADLOCK_DETECTOR = "deadlock-detector"
+DETECTORS = {DEADLOCK_DETECTOR: FLOOR}  # registered detector name -> its level
+
+# The hierarchy the behaviors, the detector and the reactions below are
+# written for; a scenario declares these and may add to them.
+FMS_DECLARATIONS = Declarations(
+    PRODUCIBLE_KINDS,
+    couplings=(HierarchicalCoupling(FLOOR, TASKS), HierarchicalCoupling(FLOOR, CONTROL)),
+    emergences=(EmergenceKindDecl(K_DEADLOCK, CONTROL, DEADLOCK_DETECTOR),),
+    constraints=(
+        ConstraintKindDecl(K_INH_MOVE, FLOOR, inhibits=K_MOVE),
+        ConstraintKindDecl(K_INH_REP, FLOOR, inhibits=K_REPULSE),
+    ),
+)
 
 TASK_STATES = ("pending", "assigned", "picked", "delivered")
 
@@ -506,7 +524,7 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
             )
         return out
 
-    return DetectorRule(name="deadlock-detector", level=FLOOR, rule=rule)
+    return DetectorRule(name=DEADLOCK_DETECTOR, level=DETECTORS[DEADLOCK_DETECTOR], rule=rule)
 
 
 # --- reactions ---------------------------------------------------------------
@@ -797,22 +815,13 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
 
 # --- model / initial state builders -----------------------------------------
 
-LEVEL_EDGES = (
-    (FLOOR, TASKS),
-    (TASKS, FLOOR),
-    (FLOOR, CONTROL),
-    (CONTROL, FLOOR),
-)
-
-
 def default_level_graph():
-    return validate(
-        LevelGraphSpec.make([FLOOR, TASKS, CONTROL], LEVEL_EDGES, LEVEL_EDGES)
-    )
+    return validate(LevelGraphSpec.make(LEVELS, LEVEL_EDGES, LEVEL_EDGES))
 
 
 def build_fms_model(grid: GridMap, agv_ids, shop_ids, params: FmsParams,
-                    control: bool = True, graph=None) -> Model:
+                    control: bool = True, graph=None,
+                    decls: Declarations = FMS_DECLARATIONS) -> Model:
     graph = graph or default_level_graph()
     sensor = FieldSensor(grid, params)
     agv_rule = AgvBehavior(sensor)
@@ -824,29 +833,16 @@ def build_fms_model(grid: GridMap, agv_ids, shop_ids, params: FmsParams,
         graph=graph,
         behaviors=behaviors,
         dynamic_behaviors={"solver": SolverBehavior(grid, params)},
-        environments=(
-            EnvironmentRecord(id="shop-floor", member_levels=frozenset({FLOOR})),
-        ),
         detectors={detector.name: detector},
         reactions={
             FLOOR: make_floor_reaction(grid, params),
             TASKS: make_tasks_reaction(grid),
             CONTROL: make_control_reaction(grid, params, control),
         },
-        producible_kinds=dict(PRODUCIBLE_KINDS),
-        couplings=(
-            HierarchicalCoupling(micro=FLOOR, macro=TASKS),
-            HierarchicalCoupling(micro=FLOOR, macro=CONTROL),
-        ),
-        emergences=(
-            EmergenceKindDecl(
-                kind=K_DEADLOCK, macro_level=CONTROL, detector="deadlock-detector"
-            ),
-        ),
-        constraints=(
-            ConstraintKindDecl(kind=K_INH_MOVE, micro_level=FLOOR, inhibits=K_MOVE),
-            ConstraintKindDecl(kind=K_INH_REP, micro_level=FLOOR, inhibits=K_REPULSE),
-        ),
+        producible_kinds=dict(decls.producible_kinds),
+        couplings=decls.couplings,
+        emergences=decls.emergences,
+        constraints=decls.constraints,
     )
 
 

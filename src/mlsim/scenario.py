@@ -10,71 +10,51 @@ tooling (and the negative-fixture suite) can assert on the failure class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .errors import EmptyLevelSet, ScenarioError, UnknownLevelEndpoint
+from .errors import EmptyLevelSet, Issue, ScenarioError, UnknownLevelEndpoint
 from .fms.grid import GridMap
 from .fms.model import (
-    CONTROL,
-    FLOOR,
+    DETECTORS,
+    FMS_DECLARATIONS,
     LEVEL_EDGES,
-    TASKS,
+    LEVELS,
     FmsParams,
     build_fms_model,
     build_initial_state,
 )
+from .hierarchy import (
+    ConstraintKindDecl,
+    Declarations,
+    EmergenceKindDecl,
+    HierarchicalCoupling,
+    hierarchy_issues,
+)
 from .levels import LevelGraphSpec, validate as validate_graph
 
-KNOWN_DETECTORS = ("deadlock-detector",)
 KIND_CLASSES = ("ordinary", "constraint", "emergence")
 TERMINATION_PREDICATES = ("all-delivered", "none")
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    message: str
-
-    def __str__(self):
-        return f"[{self.code}] {self.message}"
-
-
 def default_scenario_dict() -> dict:
+    """A scenario declaring the bundled model's hierarchy, on an empty 1x1 grid."""
+    decls = FMS_DECLARATIONS
+    klass = {(d.macro_level, d.kind): "emergence" for d in decls.emergences}
+    klass.update({(d.micro_level, d.kind): "constraint" for d in decls.constraints})
+    kinds = {level: {cls: [] for cls in KIND_CLASSES} for level in LEVELS}
+    for level, names in decls.producible_kinds.items():
+        for kind in sorted(names):
+            kinds[level][klass.get((level, kind), "ordinary")].append(kind)
     return {
         "name": "unnamed",
-        "levels": [FLOOR, TASKS, CONTROL],
+        "levels": list(LEVELS),
         "influence_edges": [list(e) for e in LEVEL_EDGES],
         "perception_edges": [list(e) for e in LEVEL_EDGES],
-        "kinds": {
-            FLOOR: {
-                "ordinary": ["move", "forced-move", "emit-repulsion", "assign-task"],
-                "constraint": ["inhibit-move", "inhibit-repulsion"],
-                "emergence": [],
-            },
-            TASKS: {
-                "ordinary": ["can-serve", "need-transport", "task-picked", "task-delivered"],
-                "constraint": [],
-                "emergence": [],
-            },
-            CONTROL: {
-                "ordinary": ["deadlock-resolved", "deadlock-unresolvable"],
-                "constraint": [],
-                "emergence": ["deadlock"],
-            },
-        },
-        "couplings": [
-            {"micro": FLOOR, "macro": TASKS},
-            {"micro": FLOOR, "macro": CONTROL},
-        ],
-        "emergences": [
-            {"kind": "deadlock", "macro_level": CONTROL, "detector": "deadlock-detector"}
-        ],
-        "constraints": [
-            {"kind": "inhibit-move", "micro_level": FLOOR, "inhibits": "move"},
-            {"kind": "inhibit-repulsion", "micro_level": FLOOR, "inhibits": "emit-repulsion"},
-        ],
-        "environments": [{"id": "shop-floor", "levels": [FLOOR]}],
+        "kinds": kinds,
+        "couplings": [dict(vars(c)) for c in decls.couplings],
+        "emergences": [dict(vars(d)) for d in decls.emergences],
+        "constraints": [dict(vars(d)) for d in decls.constraints],
         "grid": {"width": 1, "height": 1, "blocked": []},
         "shops": [],
         "agvs": [],
@@ -155,12 +135,41 @@ def _merge_defaults(data: dict) -> dict:
     return merged
 
 
-def _level_kinds(kinds: dict) -> dict:
-    """Flattened producible-kind set per level."""
+def _declarations(data: dict) -> Declarations:
+    """The typed hierarchy declarations of a scenario: what validation checks
+    and what `build` hands to the model.  A declaration's JSON keys are the
+    field names of its class."""
+
+    def typed(cls, key):
+        names = [f.name for f in fields(cls)]
+        return tuple(cls(*map(item.get, names)) for item in data[key])
+
+    return Declarations(
+        {lvl: frozenset(k for cls in KIND_CLASSES for k in spec.get(cls, []))
+         for lvl, spec in data["kinds"].items()},
+        typed(HierarchicalCoupling, "couplings"),
+        typed(EmergenceKindDecl, "emergences"),
+        typed(ConstraintKindDecl, "constraints"),
+    )
+
+
+def _parts(graph: LevelGraphSpec, decls: Declarations) -> dict:
+    """A hierarchy's levels, edges, (level, kind) pairs and declarations, one
+    set per part."""
     return {
-        lvl: frozenset(k for cls in KIND_CLASSES for k in spec.get(cls, []))
-        for lvl, spec in kinds.items()
+        "levels": graph.levels,
+        "influence edges": graph.influence_edges,
+        "perception edges": graph.perception_edges,
+        "kinds": {(lvl, k) for lvl, names in decls.producible_kinds.items() for k in names},
+        "couplings": set(decls.couplings),
+        "emergences": set(decls.emergences),
+        "constraints": set(decls.constraints),
     }
+
+
+# What the bundled behaviors, detector and reactions use: a scenario must
+# declare all of it.
+FMS_USES = _parts(LevelGraphSpec.make(LEVELS, LEVEL_EDGES, LEVEL_EDGES), FMS_DECLARATIONS)
 
 
 def _is_int(value) -> bool:
@@ -184,7 +193,7 @@ OBJECT_LISTS = {
     "agvs": ("id",),
     "tasks": ("id", "source", "dest"),
     "couplings": ("micro", "macro"),
-    "emergences": ("kind", "macro_level"),
+    "emergences": ("kind", "macro_level", "detector"),
     "constraints": ("kind", "micro_level", "inhibits"),
 }
 
@@ -264,111 +273,24 @@ def validate_scenario(data: dict) -> list[Issue]:
     if issues:
         return issues  # the checks below read the sections this shape promises
     issues += _value_issues(data)
-    levels = list(data.get("levels", []))
-
+    levels = data["levels"]
+    graph = LevelGraphSpec.make(levels, data["influence_edges"], data["perception_edges"])
     try:
-        validate_graph(
-            LevelGraphSpec.make(
-                levels,
-                [tuple(e) for e in data.get("influence_edges", [])],
-                [tuple(e) for e in data.get("perception_edges", [])],
-            )
-        )
+        graph = validate_graph(graph).spec  # normalized as the model's graph will be
     except EmptyLevelSet as exc:
         issues.append(Issue("empty-level-set", str(exc)))
     except UnknownLevelEndpoint as exc:
         issues.append(Issue("unknown-level-endpoint", str(exc)))
 
-    kinds = data.get("kinds", {})
-    for lvl in kinds:
-        if lvl not in levels:
-            issues.append(Issue("unknown-level-endpoint", f"kinds declared for unknown level {lvl!r}"))
-    producible = _level_kinds(kinds)
-    declared_constraints = {c.get("kind") for c in data.get("constraints", [])}
-
-    influence_edges = {tuple(e) for e in data.get("influence_edges", [])}
-    for coupling in data.get("couplings", []):
-        micro, macro = coupling.get("micro"), coupling.get("macro")
-        if micro not in levels or macro not in levels:
-            issues.append(
-                Issue("unknown-level-endpoint", f"coupling {micro}/{macro} references unknown level")
-            )
-            continue
-        for edge in ((micro, macro), (macro, micro)):
-            if edge not in influence_edges:
-                issues.append(
-                    Issue("coupling-edges", f"coupling {micro}/{macro} requires influence edge {edge}")
-                )
-
-    couplings = [
-        c for c in data.get("couplings", [])
-        if c.get("micro") in levels and c.get("macro") in levels
-    ]
-
-    for decl in data.get("emergences", []):
-        kind, macro = decl.get("kind"), decl.get("macro_level")
-        coupling = next((c for c in couplings if c["macro"] == macro), None)
-        if macro not in levels:
-            issues.append(Issue("unknown-level-endpoint", f"emergence {kind!r}: unknown level {macro!r}"))
-            continue
-        if kind not in producible.get(macro, ()):
-            issues.append(
-                Issue("kind-discipline", f"emergence kind {kind!r} not producible at {macro!r}")
-            )
-        if kind not in kinds.get(macro, {}).get("emergence", []):
-            issues.append(
-                Issue("kind-discipline", f"kind {kind!r} must be declared emergence-class at {macro!r}")
-            )
-        if coupling is not None and kind in producible.get(coupling["micro"], ()):
-            issues.append(
-                Issue(
-                    "kind-discipline",
-                    f"emergence kind {kind!r} must not be producible at micro level "
-                    f"{coupling['micro']!r}",
-                )
-            )
-        if decl.get("detector") not in KNOWN_DETECTORS:
-            issues.append(
-                Issue(
-                    "emergence-producer",
-                    f"emergence {kind!r}: {decl.get('detector')!r} is not a registered "
-                    f"detector (behaviors/naturals may not produce emergences)",
-                )
-            )
-
-    for decl in data.get("constraints", []):
-        kind, micro = decl.get("kind"), decl.get("micro_level")
-        inhibits = decl.get("inhibits")
-        if micro not in levels:
-            issues.append(Issue("unknown-level-endpoint", f"constraint {kind!r}: unknown level {micro!r}"))
-            continue
-        for k in (kind, inhibits):
-            if k not in producible.get(micro, ()):
-                issues.append(
-                    Issue("kind-discipline", f"constraint pair member {k!r} not producible at {micro!r}")
-                )
-        if kind not in kinds.get(micro, {}).get("constraint", []):
-            issues.append(
-                Issue("kind-discipline", f"kind {kind!r} must be declared constraint-class at {micro!r}")
-            )
-        if inhibits in declared_constraints:
-            issues.append(
-                Issue(
-                    "constraint-over-constraint",
-                    f"constraint {kind!r} inhibits constraint kind {inhibits!r}",
-                )
-            )
-        coupling = next((c for c in couplings if c["micro"] == micro), None)
-        if coupling is not None:
-            macro_kinds = producible.get(coupling["macro"], frozenset())
-            if kind in macro_kinds and inhibits in macro_kinds:
-                issues.append(
-                    Issue(
-                        "kind-discipline",
-                        f"constraint pair {{{inhibits!r}, {kind!r}}} must not belong to "
-                        f"macro level {coupling['macro']!r}",
-                    )
-                )
+    decls = _declarations(data)
+    issues += hierarchy_issues(graph.levels, graph.influence_edges, decls, DETECTORS)
+    # The kind classes exist only in the scenario format.
+    listed = [(d.kind, d.macro_level, "emergence") for d in decls.emergences]
+    listed += [(d.kind, d.micro_level, "constraint") for d in decls.constraints]
+    for kind, level, klass in listed:
+        if level in levels and kind not in data["kinds"].get(level, {}).get(klass, []):
+            issues.append(Issue("kind-discipline",
+                                f"kind {kind!r} must be declared {klass}-class at {level!r}"))
 
     # Grid-world checks.
     grid_data = data.get("grid", {})
@@ -433,10 +355,13 @@ def validate_scenario(data: dict) -> list[Issue]:
             Issue("reference", f"unknown termination predicate {run.get('termination')!r}")
         )
 
-    # The bundled behaviors expect the three standard levels to exist.
-    for required in (FLOOR, TASKS, CONTROL):
-        if required not in levels:
-            issues.append(Issue("reference", f"required level {required!r} missing"))
+    declared = _parts(graph, decls)
+    for part, used in FMS_USES.items():
+        missing = sorted(used - declared[part], key=str)
+        if missing:
+            issues.append(
+                Issue("reference", f"the bundled model uses {part} the scenario omits: {missing}")
+            )
 
     return issues
 
@@ -492,15 +417,11 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
 
 def build(spec: ScenarioSpec):
     """Instantiate (model, initial state) from a validated scenario."""
-    grid = spec.grid
-    shops = {s["id"]: tuple(s["cell"]) for s in spec.data["shops"]}
-    agvs = {a["id"]: tuple(a["cell"]) for a in spec.data["agvs"]}
+    grid, data = spec.grid, spec.data
+    shops = {s["id"]: tuple(s["cell"]) for s in data["shops"]}
+    agvs = {a["id"]: tuple(a["cell"]) for a in data["agvs"]}
     graph = validate_graph(
-        LevelGraphSpec.make(
-            spec.data["levels"],
-            [tuple(e) for e in spec.data["influence_edges"]],
-            [tuple(e) for e in spec.data["perception_edges"]],
-        )
+        LevelGraphSpec.make(data["levels"], data["influence_edges"], data["perception_edges"])
     )
     model = build_fms_model(
         grid,
@@ -509,7 +430,7 @@ def build(spec: ScenarioSpec):
         params=spec.params,
         control=spec.control,
         graph=graph,
+        decls=_declarations(data),
     )
-    model.producible_kinds = dict(_level_kinds(spec.data["kinds"]))
-    state = build_initial_state(grid, agvs, shops, spec.data["tasks"])
+    state = build_initial_state(grid, agvs, shops, data["tasks"])
     return model, state

@@ -454,8 +454,11 @@ def test_run_rejects_nonpositive_ticks():
 def test_run_validates_model():
     model = make_model()
     model.reactions = {}
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelValidationError) as err:
         run(model, make_state(), ticks=1)
+    assert [(i.code, i.message) for i in err.value.errors] == [
+        ("reference", "level 'l' has no reaction rule")
+    ]
 
 
 def test_validate_model_reports_missing_coupling_edges():
@@ -463,5 +466,7 @@ def test_validate_model_reports_missing_coupling_edges():
 
     model = make_model(graph=make_graph(("a", "b")))
     model.couplings = (HierarchicalCoupling("a", "b"),)
-    problems = validate_model(model)
-    assert any("requires influence edge" in p for p in problems)
+    issues = validate_model(model)
+    assert any(
+        i.code == "coupling-edges" and "requires influence edge" in i.message for i in issues
+    )

@@ -197,8 +197,22 @@ def test_wrong_producer_is_violation():
 def test_emergence_kind_in_micro_is_violation():
     model = make_model()
     model.producible_kinds["micro"] = frozenset({"move", "deadlock"})
-    problems = validate_model(model)
-    assert any("must not be producible at micro level" in p for p in problems)
+    issues = validate_model(model)
+    assert any(
+        i.code == "kind-discipline" and "must not be producible at micro level" in i.message
+        for i in issues
+    )
+
+
+def test_reaction_persisting_an_emergence_is_violation():
+    def persist_emergence(level, sigma, influences, ctx):
+        return ReactionResult(sigma, persisted=(ctx.make("deadlock", "macro", klass=EMERGENCE),))
+
+    model = make_model()
+    model.detectors = {}
+    model.reactions["micro"] = persist_emergence
+    with pytest.raises(IllegalInfluenceTarget, match="only detector"):
+        step(model, three_levels())
 
 
 def test_wrong_target_level_is_violation():

@@ -1,5 +1,6 @@
 """Scenario parsing/validation and the command-line entry points."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlsim.cli import (
     EXIT_INVALID,
@@ -15,8 +18,13 @@ from mlsim.cli import (
     METRIC_COLUMNS,
     main,
 )
+from mlsim.engine import run, validate_model
 from mlsim.errors import ScenarioError
+from mlsim.fms.model import LEVELS, PRODUCIBLE_KINDS, SafetyChecker
+from mlsim.hierarchy import HierarchicalCoupling
 from mlsim.scenario import (
+    KIND_CLASSES,
+    ScenarioSpec,
     apply_overrides,
     build,
     default_scenario_dict,
@@ -337,3 +345,145 @@ def test_python_dash_m_mlsim_validates_a_fixture():
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.strip() == "valid"
+
+
+# --- the scenario's hierarchy declarations are the model's --------------------
+
+ALL_EDGES = '[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"]'
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ['kinds.tasks={"ordinary":["can-serve"]}'],
+        ["perception_edges=[]"],
+        [
+            'constraints=[{"kind":"inhibit-move","micro_level":"floor","inhibits":"move"}]',
+            'kinds.floor={"ordinary":["move","forced-move","emit-repulsion","assign-task"],'
+            '"constraint":["inhibit-move"]}',
+        ],
+        [
+            'couplings=[{"micro":"floor","macro":"control"}]',
+            'influence_edges=[["floor","control"],["control","floor"]]',
+            'emergences=[{"kind":"deadlock","macro_level":"control",'
+            '"detector":"deadlock-detector"}]',
+        ],
+        [
+            'couplings=[{"micro":"tasks","macro":"control"},{"micro":"floor","macro":"tasks"}]',
+            "influence_edges=" + ALL_EDGES + ',["tasks","control"],["control","tasks"]]',
+        ],
+    ],
+    ids=["tasks-kinds", "perception-edges", "one-constraint", "one-coupling", "coupling-swap"],
+)
+def test_run_exit_three_when_scenario_omits_what_the_model_uses(overrides, capsys):
+    argv = ["run", "--scenario", str(SCENARIOS / "corridor.json"), "--control", "on"]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == EXIT_INVALID
+    assert "[reference] the bundled model uses" in capsys.readouterr().err
+
+
+def test_build_hands_the_scenario_declarations_to_the_model():
+    added = HierarchicalCoupling("tasks", "control")
+    couplings = default_scenario_dict()["couplings"] + [{"micro": "tasks", "macro": "control"}]
+    data = apply_overrides(
+        parse_scenario(SCENARIOS / "corridor.json").data,
+        {
+            "couplings": json.dumps(couplings),
+            "influence_edges": ALL_EDGES + ',["tasks","control"],["control","tasks"]]',
+        },
+    )
+    model, _ = build(parse_scenario_dict(data))
+    assert added in model.couplings
+    assert validate_model(model) == []
+
+
+def test_a_kind_declared_twice_is_an_issue():
+    # The engine looks a declaration up by kind, so a second one would be
+    # silently shadowed.
+    data = default_scenario_dict()
+    data["constraints"].append({"kind": "inhibit-move", "micro_level": "floor",
+                                "inhibits": "emit-repulsion"})
+    issues = validate_scenario(data)
+    assert [i.code for i in issues] == ["kind-discipline"]
+    assert "declared an emergence or constraint twice" in issues[0].message
+
+
+def test_default_scenario_lists_each_kind_under_its_class():
+    kinds = default_scenario_dict()["kinds"]
+    assert {lvl: {k for names in spec.values() for k in names} for lvl, spec in kinds.items()} == (
+        {lvl: set(names) for lvl, names in PRODUCIBLE_KINDS.items()}
+    )
+    assert kinds["control"]["emergence"] == ["deadlock"]
+    assert kinds["floor"]["constraint"] == ["inhibit-move", "inhibit-repulsion"]
+    assert kinds["tasks"]["constraint"] == kinds["tasks"]["emergence"] == []
+
+
+CORRIDOR = apply_overrides(parse_scenario(SCENARIOS / "corridor.json").data, {"control": "true"})
+KIND_NAMES = sorted(set().union(*PRODUCIBLE_KINDS.values())) + ["extra"]
+SECTIONS = (
+    "kinds", "couplings", "emergences", "constraints", "influence_edges", "perception_edges"
+)
+
+
+def declaration_mutation():
+    """("drop", section, index) or ("add", section, item) on the declarations."""
+    level, kind = st.sampled_from(LEVELS), st.sampled_from(KIND_NAMES)
+    drop = st.tuples(st.just("drop"), st.sampled_from(SECTIONS), st.integers(0, 50))
+    return drop | st.one_of(
+        st.tuples(st.just("add"), st.just("kinds"),
+                  st.tuples(level, st.sampled_from(KIND_CLASSES), kind)),
+        st.tuples(st.just("add"), st.just("couplings"),
+                  st.fixed_dictionaries({"micro": level, "macro": level})),
+        st.tuples(st.just("add"), st.just("emergences"), st.fixed_dictionaries(
+            {"kind": kind, "macro_level": level,
+             "detector": st.sampled_from(["deadlock-detector", "other-detector"])})),
+        st.tuples(st.just("add"), st.just("constraints"), st.fixed_dictionaries(
+            {"kind": kind, "micro_level": level, "inhibits": kind})),
+        st.tuples(st.just("add"), st.sampled_from(["influence_edges", "perception_edges"]),
+                  st.lists(level, min_size=2, max_size=2)),
+    )
+
+
+def mutate(data, mutation):
+    op, section, value = mutation
+    if section == "kinds" and op == "add":
+        level, klass, kind = value
+        data["kinds"][level][klass].append(kind)
+        return
+    if section == "kinds":
+        items = [names for spec in data["kinds"].values() for names in spec.values() if names]
+        items = items[value % len(items)]
+    else:
+        items = data[section]
+    if op == "add":
+        items.append(value)
+    elif items:
+        del items[value % len(items)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(declaration_mutation(), min_size=1, max_size=3))
+def test_accepted_declaration_mutations_build_and_run(mutations):
+    """A scenario is rejected with issues, or the model it builds is valid
+    and runs without breaking a kind, target or perception contract."""
+    data = copy.deepcopy(CORRIDOR)
+    for mutation in mutations:
+        mutate(data, mutation)
+    if validate_scenario(data):
+        return
+    spec = ScenarioSpec(data)
+    model, state = build(spec)
+    assert validate_model(model) == []
+    run(model, state, ticks=5, seed=0, observers=(SafetyChecker(spec.grid),))
+
+
+@pytest.mark.parametrize("script", ["compare_control_modes.py", "sweep_repulsion.py"])
+def test_scripts_run(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
