@@ -98,19 +98,20 @@ def write_metrics(path, records):
 
 
 def write_trace(path, trace):
-    rows = sorted(
-        trace,
-        key=lambda r: (
-            r["tick"],
-            r["level"],
-            str(r["payload"].get("id", "")),
-            r["event"],
-            json.dumps(r["payload"], sort_keys=True, default=str),
-        ),
-    )
+    """One JSON line per trace row, with sorted keys, ordered by (tick, level,
+    influence id, event, payload).  Each payload is encoded once, for both
+    its sort key and its line."""
+    encode = json.JSONEncoder(sort_keys=True, default=str).encode
+    keyed = []
+    for row in trace:
+        payload = row["payload"]
+        keyed.append((row["tick"], row["level"], str(payload.get("id", "")), row["event"],
+                      encode(payload)))
+    keyed.sort()
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, default=str) + "\n")
+        for tick, level, _, event, payload in keyed:
+            fh.write(f'{{"event": {encode(event)}, "level": {encode(level)}, '
+                     f'"payload": {payload}, "tick": {encode(tick)}}}\n')
 
 
 def cmd_validate(args) -> int:
@@ -167,11 +168,18 @@ def compare_report(spec_off: ScenarioSpec, spec_on: ScenarioSpec) -> dict:
     return {"off": off, "on": on, "verdict": verdict}
 
 
+def _with_control(base: ScenarioSpec, control: str) -> ScenarioSpec:
+    """`base` re-parsed with `control` set; it reports `base`'s overrides."""
+    data = {key: value for key, value in base.data.items() if key != "_overrides"}
+    spec = parse_scenario_dict(apply_overrides(data, {"control": control}))
+    spec.data["_overrides"] = base.data["_overrides"]
+    return spec
+
+
 def cmd_compare(args) -> int:
     try:
         base = _load_spec(args)
-        off = parse_scenario_dict(apply_overrides(base.data, {"control": "false"}))
-        on = parse_scenario_dict(apply_overrides(base.data, {"control": "true"}))
+        off, on = _with_control(base, "false"), _with_control(base, "true")
     except ScenarioError as exc:
         for issue in exc.errors:
             print(issue, file=sys.stderr)

@@ -14,13 +14,19 @@ Everything is deterministic given (model, state, seed): per-producer RNG
 streams are keyed by (seed, producer, tick), so agent iteration order cannot
 leak into results.  A stream is seeded only when its producer first reads
 `ctx.rng`.
+
+Bookkeeping scales with the influences produced, not with producers x levels:
+the graph's route table gives each producer level set its perceived levels
+and influence targets, the snapshot's membership index gives each agent its
+levels, and trace rows are built only when `StepInfo.trace` is read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -50,8 +56,7 @@ from .state import (
     Percept,
     SystemState,
     body_key,
-    member_levels,
-    merge_influences,
+    group_by_level,
 )
 
 
@@ -182,7 +187,6 @@ def validate_model(model: Model) -> list[Issue]:
 class ProducedStep:
     per_level: dict  # LevelId -> frozenset[Influence]
     new_internal: dict  # AgentId -> internal state at t+dt
-    trace: tuple = ()
 
 
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
@@ -224,46 +228,48 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
     """Phase 1: evaluate all producers against the frozen snapshot."""
     graph = model.graph
+    tick = state.time
     produced_sets: list[Iterable[Influence]] = [
         level_state.influences for level_state in state.per_level.values()
     ]
     new_internal: dict[str, Any] = {}
-    trace = []
+    observed: dict = {}  # level set -> the level states its producers perceive
 
-    def run_producer(desc, rule_levels):
-        view_levels = set()
-        target_levels = set()
-        for level in rule_levels:
-            view_levels |= graph.out_perception(level)
-            target_levels |= graph.out_influence(level)
-        percept = Percept(
-            {l: state.per_level[l] for l in view_levels}, requester=desc
-        )
-        return percept, target_levels
+    def route(levels, requester):
+        """(percept, influence targets) of a producer belonging to `levels`."""
+        perceived, targets = graph.routes(levels)
+        view = observed.get(levels)
+        if view is None:
+            view = observed[levels] = MappingProxyType(
+                {level: state.per_level[level] for level in perceived}
+            )
+        return Percept(view, requester=requester), targets
 
+    memberships = state.memberships()
     for agent_id in sorted(state.agents):
         record = state.agents[agent_id]
-        levels = member_levels(state, agent_id)
+        levels = memberships.get(agent_id)
         if not levels:
             continue
         rule = model.behavior_for(record)
         if rule is None:
             continue
-        percept, targets = run_producer(agent_id, levels)
-        ctx = StepContext(state.time, agent_id, rng_key=(seed, agent_id, state.time))
+        percept, targets = route(levels, agent_id)
+        ctx = StepContext(tick, agent_id, rng_key=(seed, agent_id, tick))
         perception = rule.perceive(percept, record)
         internal = rule.memorize(perception, record.internal_state, ctx)
         new_internal[agent_id] = internal
         out = list(rule.decide(internal, ctx))
+        desc = f"agent {agent_id!r}"
         for inf in out:
-            _check_influence(model, inf, targets, f"agent {agent_id!r}", levels)
+            _check_influence(model, inf, targets, desc, levels)
         produced_sets.append(out)
 
     for env in model.environments:
         if env.natural is None:
             continue
-        percept, targets = run_producer(env.id, env.member_levels)
-        ctx = StepContext(state.time, env.id, rng_key=(seed, env.id, state.time))
+        percept, targets = route(env.member_levels, env.id)
+        ctx = StepContext(tick, env.id, rng_key=(seed, env.id, tick))
         out = list(env.natural(percept, ctx))
         for inf in out:
             _check_influence(model, inf, targets, f"environment {env.id!r}", env.member_levels)
@@ -271,38 +277,24 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
 
     for name in sorted(model.detectors):
         detector = model.detectors[name]
-        percept, targets = run_producer(name, {detector.level})
-        ctx = StepContext(state.time, name, rng_key=(seed, name, state.time))
+        levels = frozenset((detector.level,))
+        percept, targets = route(levels, name)
+        ctx = StepContext(tick, name, rng_key=(seed, name, tick))
         out = list(detector.rule(percept, ctx))
         for inf in out:
             _check_influence(
-                model, inf, targets, f"detector {name!r}", {detector.level},
+                model, inf, targets, f"detector {name!r}", levels,
                 is_detector=True, detector_name=name,
             )
         produced_sets.append(out)
 
-    merged = merge_influences(produced_sets)
-    per_level: dict[str, set] = {level: set() for level in state.per_level}
-    for inf in merged:
-        per_level.setdefault(inf.target_level, set()).add(inf)
-    per_level_frozen = {level: frozenset(group) for level, group in per_level.items()}
+    return ProducedStep(
+        per_level=group_by_level(state.per_level, produced_sets), new_internal=new_internal
+    )
 
-    for level in sorted(per_level_frozen):
-        for inf in sorted(per_level_frozen[level], key=lambda i: i.id):
-            trace.append(
-                {
-                    "tick": state.time,
-                    "level": level,
-                    "event": "influence",
-                    "payload": {
-                        "id": inf.id,
-                        "kind": inf.kind,
-                        "class": inf.klass,
-                        "producer": inf.producer,
-                    },
-                }
-            )
-    return ProducedStep(per_level=per_level_frozen, new_internal=new_internal, trace=tuple(trace))
+
+def _by_id(inf: Influence) -> str:
+    return inf.id
 
 
 @dataclass
@@ -310,7 +302,47 @@ class StepInfo:
     produced: dict  # LevelId -> frozenset (pre-filter)
     inhibitions: dict  # LevelId -> tuple[InhibitionRecord]
     events: tuple  # (level, name, payload) triples
-    trace: tuple  # trace rows
+    tick: int  # the time of the snapshot the step started from
+
+    @property
+    def trace(self) -> tuple:
+        """The step's trace rows, built on each read: every produced
+        influence by level and id, then every inhibition by level, then
+        the reaction events in order."""
+        tick = self.tick
+        rows = [
+            {
+                "tick": tick,
+                "level": level,
+                "event": "influence",
+                "payload": {
+                    "id": inf.id,
+                    "kind": inf.kind,
+                    "class": inf.klass,
+                    "producer": inf.producer,
+                },
+            }
+            for level in sorted(self.produced)
+            for inf in sorted(self.produced[level], key=_by_id)
+        ]
+        rows += [
+            {
+                "tick": tick,
+                "level": level,
+                "event": "inhibition",
+                "payload": {
+                    "constraint": record.constraint_id,
+                    "inhibited": list(record.inhibited_ids),
+                },
+            }
+            for level in sorted(self.inhibitions)
+            for record in self.inhibitions[level]
+        ]
+        rows += [
+            {"tick": tick, "level": level, "event": name, "payload": payload}
+            for level, name, payload in self.events
+        ]
+        return tuple(rows)
 
 
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0):
@@ -347,15 +379,14 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 model, inf, targets, f"reaction of level {level!r}", {level}
             )
             persisted.append(inf)
-    routed: dict[str, set] = {level: set() for level in state.per_level}
-    for inf in merge_influences([persisted]):
-        routed[inf.target_level].add(inf)
+    routed = group_by_level(state.per_level, [persisted])
 
     # Agent records: internal-state updates from memorization.
     agents = dict(state.agents)
     for agent_id, internal in produced.new_internal.items():
-        if agent_id in agents:
-            agents[agent_id] = replace(agents[agent_id], internal_state=internal)
+        record = agents.get(agent_id)
+        if record is not None:
+            agents[agent_id] = AgentRecord(record.id, record.kind, internal)
 
     # Spawns and removals, restricted to the reacting level.
     sigmas = {level: results[level].sigma for level in results}
@@ -388,33 +419,15 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             events.append((level, name, payload))
 
     per_level = {
-        level: LevelState(level, sigmas[level], frozenset(routed[level]))
+        level: LevelState(level, sigmas[level], routed[level])
         for level in state.per_level
     }
     next_state = SystemState(time=state.time + 1, per_level=per_level, agents=agents)
-
-    trace = list(produced.trace)
-    for level in sorted(inhibitions):
-        for record in inhibitions[level]:
-            trace.append(
-                {
-                    "tick": state.time,
-                    "level": level,
-                    "event": "inhibition",
-                    "payload": {
-                        "constraint": record.constraint_id,
-                        "inhibited": list(record.inhibited_ids),
-                    },
-                }
-            )
-    for level, name, payload in events:
-        trace.append({"tick": state.time, "level": level, "event": name, "payload": payload})
-
     info = StepInfo(
         produced=produced.per_level,
         inhibitions=inhibitions,
         events=tuple(events),
-        trace=tuple(trace),
+        tick=state.time,
     )
     return next_state, info
 

@@ -144,10 +144,16 @@ def desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=N
     return min(ties)
 
 
-def _floor_agvs(level_state: LevelState):
-    return {
-        aid: b for aid, b in level_state.bodies().items() if b.get("type") == "agv"
-    }
+def _agv_bodies(level_state: LevelState):
+    return MappingProxyType(
+        {aid: b for aid, b in level_state.bodies().items() if b.get("type") == "agv"}
+    )
+
+
+def floor_agvs(level_state: LevelState):
+    """The AGV bodies of a floor snapshot by agent id: one read-only mapping
+    per level state, shared by the view, the solvers and the observers."""
+    return level_state.derived(_agv_bodies)
 
 
 class FloorView:
@@ -165,7 +171,7 @@ class FloorView:
                  tasks: LevelState):
         self.floor = floor
         self.tasks = tasks
-        self.agvs = MappingProxyType(_floor_agvs(floor))
+        self.agvs = floor_agvs(floor)
         self.emitting = tuple(
             b.get("cell")
             for b in tasks.bodies().values()
@@ -305,7 +311,7 @@ class SolverBehavior(BehaviorRule):
         return {
             "me": me.id,
             "trapped": tuple(percept[CONTROL].bodies()[me.id].get("trapped", ())),
-            "agvs": _floor_agvs(percept[FLOOR]),
+            "agvs": floor_agvs(percept[FLOOR]),
         }
 
     def _goal(self, body):
@@ -561,15 +567,22 @@ def resolve_moves(current: dict, desired: dict) -> dict:
     return {a: (desired[a] if a in movers else current[a]) for a in current}
 
 
+def by_kind(influences) -> dict:
+    """Kind -> that kind's influences in id order, from one sort of the set."""
+    out: dict = {}
+    for inf in sorted(influences, key=lambda i: i.id):
+        out.setdefault(inf.kind, []).append(inf)
+    return out
+
+
 def make_floor_reaction(grid: GridMap, params: FmsParams):
     def floor_reaction(level, sigma, influences, ctx):
         agvs = {aid: b for aid, b in bodies_of(sigma).items() if b.get("type") == "agv"}
         persisted = []
         events = []
+        kinds = by_kind(influences)
 
-        for inf in sorted(influences, key=lambda i: i.id):
-            if inf.kind != K_ASSIGN:
-                continue
+        for inf in kinds.get(K_ASSIGN, ()):
             aid = inf.payload_get("agent")
             body = agvs.get(aid)
             if body is not None and body.get("assigned") is None:
@@ -581,22 +594,15 @@ def make_floor_reaction(grid: GridMap, params: FmsParams):
 
         current = {aid: b.get("cell") for aid, b in agvs.items()}
         desired = dict(current)
-        for inf in sorted(influences, key=lambda i: i.id):
-            if inf.kind == K_MOVE and inf.payload_get("agent") in agvs:
-                to = tuple(inf.payload_get("to"))
-                if grid.is_free(to):
-                    desired[inf.payload_get("agent")] = to
-        for inf in sorted(influences, key=lambda i: i.id):
-            if inf.kind == K_FORCED and inf.payload_get("agent") in agvs:
+        for inf in kinds.get(K_MOVE, []) + kinds.get(K_FORCED, []):
+            if inf.payload_get("agent") in agvs:
                 to = tuple(inf.payload_get("to"))
                 if grid.is_free(to):
                     desired[inf.payload_get("agent")] = to
 
         final = resolve_moves(current, desired)
 
-        repulsing = {
-            inf.payload_get("agent") for inf in influences if inf.kind == K_REPULSE
-        }
+        repulsing = {inf.payload_get("agent") for inf in kinds.get(K_REPULSE, ())}
         for aid in sorted(agvs):
             body = agvs[aid]
             cell = final[aid]
@@ -630,8 +636,9 @@ def make_tasks_reaction(grid: GridMap):
         tasks = {tid: dict(t) for tid, t in sigma.get("tasks", {}).items()}
         persisted = []
         events = []
+        ordered = sorted(influences, key=lambda i: i.id)
 
-        for inf in sorted(influences, key=lambda i: i.id):
+        for inf in ordered:
             tid = inf.payload_get("task")
             task = tasks.get(tid)
             if task is None:
@@ -643,9 +650,12 @@ def make_tasks_reaction(grid: GridMap):
                 events.append(("delivered", {"task": tid}))
 
         offers = {}
-        for inf in sorted(influences, key=lambda i: i.id):
+        needs = []
+        for inf in ordered:
             if inf.kind == K_SERVE:
                 offers[inf.payload_get("agent")] = tuple(inf.payload_get("cell"))
+            elif inf.kind == K_NEED:
+                needs.append(inf)
         busy = {
             t["assigned_to"]
             for t in tasks.values()
@@ -655,10 +665,7 @@ def make_tasks_reaction(grid: GridMap):
 
         demands = []
         seen = set()
-        for inf in sorted(
-            (i for i in influences if i.kind == K_NEED),
-            key=lambda i: (i.payload_get("order"), i.payload_get("task")),
-        ):
+        for inf in sorted(needs, key=lambda i: (i.payload_get("order"), i.payload_get("task"))):
             tid = inf.payload_get("task")
             if tid in seen:
                 continue
@@ -742,10 +749,9 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
             sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "solver"
         }
 
+        kinds = by_kind(influences)
         removed = set()
-        for inf in sorted(
-            (i for i in influences if i.kind == K_RESOLVED), key=lambda i: i.id
-        ):
+        for inf in kinds.get(K_RESOLVED, ()):
             sid = inf.payload_get("solver")
             if sid in solver_bodies and sid not in removed:
                 removed.add(sid)
@@ -758,9 +764,7 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
                     )
                 )
 
-        for inf in sorted(
-            (i for i in influences if i.kind == K_UNRESOLVABLE), key=lambda i: i.id
-        ):
+        for inf in kinds.get(K_UNRESOLVABLE, ()):
             sig = tuple(inf.payload_get("trapped", ()))
             known = tuple(sigma.get("unresolvable", ()))
             if sig not in known:
@@ -777,12 +781,7 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
             if sid not in removed:
                 governed.update(body.get("trapped", ()))
 
-        groups = [
-            frozenset(inf.payload_get("trapped", ()))
-            for inf in sorted(
-                (i for i in influences if i.kind == K_DEADLOCK), key=lambda i: i.id
-            )
-        ]
+        groups = [frozenset(inf.payload_get("trapped", ())) for inf in kinds.get(K_DEADLOCK, ())]
         groups = [g for g in groups if g and not (g & governed)]
         for group in merge_trapped_groups(groups):
             if control_enabled:
@@ -928,7 +927,7 @@ all_tasks_delivered.__name__ = "all-delivered"
 def fms_metrics(tick, state: SystemState, info) -> dict:
     tasks = state.per_level[TASKS].properties.get("tasks", {})
     control = state.per_level[CONTROL].properties
-    agvs = _floor_agvs(state.per_level[FLOOR])
+    agvs = floor_agvs(state.per_level[FLOOR])
     idle = sum(1 for b in agvs.values() if b.get("assigned") is None)
     active_constraints = sum(
         1
@@ -958,7 +957,7 @@ class SafetyChecker:
     def __call__(self, tick, state: SystemState, info):
         from ..errors import SafetyViolation
 
-        agvs = _floor_agvs(state.per_level[FLOOR])
+        agvs = floor_agvs(state.per_level[FLOOR])
         cells = [b.get("cell") for b in agvs.values()]
         if len(cells) != len(set(cells)):
             raise SafetyViolation(f"tick {tick}: two AGVs share a cell ({cells})")

@@ -162,12 +162,14 @@ def apply_constraints(influences) -> tuple[frozenset, tuple]:
 
     Returns (filtered set, inhibition log).  Constraints only ever match
     ordinary-class influences, are applied in id order for a stable log, and
-    never survive filtering themselves.
+    never survive filtering themselves.  A set without constraints comes back
+    as it is (a frozenset is returned itself), with an empty log.
     """
-    influences = list(influences)
     constraints = sorted(
         (i for i in influences if i.klass == CONSTRAINT), key=lambda i: i.id
     )
+    if not constraints:
+        return frozenset(influences), ()
     others = [i for i in influences if i.klass != CONSTRAINT]
 
     inhibited: set[str] = set()

@@ -50,7 +50,8 @@ def _neighborhoods(levels, edges):
 class ValidatedLevelGraph:
     """Normalized level graph with precomputed neighborhood tables.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction.  `routes` memoizes a pure function of the
+    graph per level set; the memo only ever gains entries.
     """
 
     spec: LevelGraphSpec
@@ -59,6 +60,7 @@ class ValidatedLevelGraph:
     _out_influence: dict = field(repr=False, compare=False, default=None)
     _in_perception: dict = field(repr=False, compare=False, default=None)
     _out_perception: dict = field(repr=False, compare=False, default=None)
+    _routes: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def levels(self) -> frozenset[LevelId]:
@@ -83,6 +85,19 @@ class ValidatedLevelGraph:
     def out_perception(self, level: LevelId) -> frozenset[LevelId]:
         self._check(level)
         return self._out_perception[level]
+
+    def routes(self, levels: frozenset) -> tuple[frozenset, frozenset]:
+        """(perceived levels, influence targets) of a producer that belongs to
+        `levels`: the union of their out-perception and of their out-influence
+        neighborhoods.  The graph never changes, so each level set's pair is
+        computed on first ask and kept."""
+        route = self._routes.get(levels)
+        if route is None:
+            route = self._routes[levels] = (
+                frozenset().union(*map(self.out_perception, levels)),
+                frozenset().union(*map(self.out_influence, levels)),
+            )
+        return route
 
 
 def validate(spec: LevelGraphSpec) -> ValidatedLevelGraph:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 from .errors import EmptyLevelSet, Issue, ScenarioError, UnknownLevelEndpoint
 from .fms.grid import GridMap
@@ -31,7 +30,7 @@ from .hierarchy import (
     HierarchicalCoupling,
     hierarchy_issues,
 )
-from .levels import LevelGraphSpec, validate as validate_graph
+from .levels import LevelGraphSpec, ValidatedLevelGraph, validate as validate_graph
 
 KIND_CLASSES = ("ordinary", "constraint", "emergence")
 TERMINATION_PREDICATES = ("all-delivered", "none")
@@ -73,7 +72,15 @@ def default_scenario_dict() -> dict:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    data: dict = field(default_factory=default_scenario_dict)
+    """A validated scenario, as `parse_scenario_dict` makes it: its data, and
+    the level graph, grid and hierarchy declarations its validation made,
+    which `build` hands to the model.  One grid per spec, so its distance
+    table is shared by every reader."""
+
+    data: dict
+    graph: ValidatedLevelGraph = field(compare=False, repr=False)
+    grid: GridMap = field(compare=False, repr=False)
+    decls: Declarations = field(compare=False, repr=False)
 
     @property
     def name(self):
@@ -98,16 +105,6 @@ class ScenarioSpec:
             jitter=bool(p["jitter"]),
         )
 
-    @cached_property
-    def grid(self) -> GridMap:
-        """One grid per spec, so its distance table is shared by every reader."""
-        g = self.data["grid"]
-        return GridMap(
-            width=g["width"],
-            height=g["height"],
-            blocked=frozenset(tuple(c) for c in g["blocked"]),
-        )
-
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.data))
 
@@ -122,7 +119,7 @@ def _merge_defaults(data: dict) -> dict:
             base = merged[key]
             if key == "kinds":
                 merged[key] = {
-                    lvl: {cls: spec.get(cls, []) for cls in KIND_CLASSES}
+                    lvl: {**{cls: [] for cls in KIND_CLASSES}, **spec}
                     if isinstance(spec, dict) else spec
                     for lvl, spec in value.items()
                 }
@@ -151,6 +148,17 @@ def _declarations(data: dict) -> Declarations:
         typed(EmergenceKindDecl, "emergences"),
         typed(ConstraintKindDecl, "constraints"),
     )
+
+
+def _graph_spec(data: dict) -> LevelGraphSpec:
+    return LevelGraphSpec.make(data["levels"], data["influence_edges"], data["perception_edges"])
+
+
+def _grid(data: dict) -> GridMap:
+    """The scenario's grid; blocked entries that are no cell are value issues."""
+    g = data["grid"]
+    blocked = frozenset(tuple(c) for c in g["blocked"] if _is_cell(c))
+    return GridMap(g["width"], g["height"], blocked)
 
 
 def _parts(graph: LevelGraphSpec, decls: Declarations) -> dict:
@@ -184,18 +192,23 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-# Sections that hold one object each, and lists of objects with the name
-# fields the checks compare or hash: a name is a string or absent (the
-# reference checks report it missing), and every id must be present.
+# Sections that hold one object each, and lists of objects with their keys.
+# Every key but a cell holds a name the checks compare or hash: a string or
+# absent (the reference checks report it missing); every id must be present.
 OBJECT_SECTIONS = ("grid", "params", "run", "kinds")
 OBJECT_LISTS = {
-    "shops": ("id",),
-    "agvs": ("id",),
+    "shops": ("id", "cell"),
+    "agvs": ("id", "cell"),
     "tasks": ("id", "source", "dest"),
     "couplings": ("micro", "macro"),
     "emergences": ("kind", "macro_level", "detector"),
     "constraints": ("kind", "micro_level", "inhibits"),
 }
+
+# The keys a scenario and its object sections may hold.  `environments` is
+# a retired section that older files still carry; it is accepted and unused.
+TOP_LEVEL_KEYS = frozenset(default_scenario_dict()) | {"environments"}
+SECTION_KEYS = {key: frozenset(default_scenario_dict()[key]) for key in ("grid", "params", "run")}
 
 
 def _structure_issues(data: dict) -> list[Issue]:
@@ -231,9 +244,36 @@ def _structure_issues(data: dict) -> list[Issue]:
                 expect(f"{key}[{i}]", "an object", item)
                 continue
             for name in names:
+                if name == "cell":
+                    continue  # a value, checked with the other cells
                 value = item.get(name)
                 if not isinstance(value, str) and (value is not None or name == "id"):
                     expect(f"{key}[{i}].{name}", "a string", value)
+    return issues
+
+
+def _unknown_key_issues(data: dict) -> list[Issue]:
+    """Every key of the scenario, an object section, a `kinds` level or a list
+    item that the format does not define: a misspelt key would otherwise be
+    ignored without a word."""
+    issues = []
+
+    def check(path, obj, known):
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in known:
+                issues.append(Issue("value", f"unknown key {path + key!r}; expected one of "
+                                             f"{sorted(known)}"))
+
+    check("", data, TOP_LEVEL_KEYS)
+    for section, known in SECTION_KEYS.items():
+        check(f"{section}.", data.get(section), known)
+    kinds = data.get("kinds")
+    for level, spec in kinds.items() if isinstance(kinds, dict) else ():
+        check(f"kinds.{level}.", spec, KIND_CLASSES)
+    for section, known in OBJECT_LISTS.items():
+        items = data.get(section)
+        for i, item in enumerate(items if isinstance(items, list) else ()):
+            check(f"{section}[{i}].", item, known)
     return issues
 
 
@@ -269,20 +309,32 @@ def _value_issues(data: dict) -> list[Issue]:
 
 
 def validate_scenario(data: dict) -> list[Issue]:
+    """Every problem of a scenario dict (defaults already merged), as coded
+    issues; empty when it is valid."""
+    return _check(data)[0]
+
+
+def _check(data: dict) -> tuple[list[Issue], dict]:
+    """(issues, parts): the issues of `validate_scenario`, and the validated
+    level graph, grid and declarations the checks made, by `ScenarioSpec`
+    field name (a part the checks could not make is absent)."""
     issues = _structure_issues(data)
+    unknown = _unknown_key_issues(data)
     if issues:
-        return issues  # the checks below read the sections this shape promises
-    issues += _value_issues(data)
+        return issues + unknown, {}  # the checks below read the sections this shape promises
+    issues += unknown + _value_issues(data)
+    parts = {}
     levels = data["levels"]
-    graph = LevelGraphSpec.make(levels, data["influence_edges"], data["perception_edges"])
+    graph = _graph_spec(data)
     try:
-        graph = validate_graph(graph).spec  # normalized as the model's graph will be
+        parts["graph"] = validate_graph(graph)
+        graph = parts["graph"].spec  # normalized as the model's graph will be
     except EmptyLevelSet as exc:
         issues.append(Issue("empty-level-set", str(exc)))
     except UnknownLevelEndpoint as exc:
         issues.append(Issue("unknown-level-endpoint", str(exc)))
 
-    decls = _declarations(data)
+    decls = parts["decls"] = _declarations(data)
     issues += hierarchy_issues(graph.levels, graph.influence_edges, decls, DETECTORS)
     # The kind classes exist only in the scenario format.
     listed = [(d.kind, d.macro_level, "emergence") for d in decls.emergences]
@@ -301,9 +353,8 @@ def validate_scenario(data: dict) -> list[Issue]:
     elif width < 1 or height < 1:
         issues.append(Issue("placement", f"grid must be at least 1x1, got {width}x{height}"))
     else:
-        blocked = frozenset(tuple(c) for c in grid_data.get("blocked", []) if _is_cell(c))
-        grid = GridMap(width, height, blocked)
-        for cell in sorted(blocked):
+        grid = parts["grid"] = _grid(data)
+        for cell in sorted(grid.blocked):
             if not grid.in_bounds(cell):
                 issues.append(Issue("placement", f"blocked cell {cell} out of bounds"))
 
@@ -363,7 +414,7 @@ def validate_scenario(data: dict) -> list[Issue]:
                 Issue("reference", f"the bundled model uses {part} the scenario omits: {missing}")
             )
 
-    return issues
+    return issues, parts
 
 
 def parse_scenario(path) -> ScenarioSpec:
@@ -387,10 +438,10 @@ def parse_scenario_dict(raw: dict) -> ScenarioSpec:
             [Issue("value", f"a scenario must be a JSON object, got {type(raw).__name__}")]
         )
     data = _merge_defaults(raw)
-    issues = validate_scenario(data)
+    issues, parts = _check(data)
     if issues:
         raise ScenarioError(issues)
-    return ScenarioSpec(data)
+    return ScenarioSpec(data, **parts)
 
 
 def apply_overrides(data: dict, overrides: dict) -> dict:
@@ -416,21 +467,19 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
 
 
 def build(spec: ScenarioSpec):
-    """Instantiate (model, initial state) from a validated scenario."""
+    """Instantiate (model, initial state) from a validated scenario, with the
+    spec's own graph, grid and declarations."""
     grid, data = spec.grid, spec.data
     shops = {s["id"]: tuple(s["cell"]) for s in data["shops"]}
     agvs = {a["id"]: tuple(a["cell"]) for a in data["agvs"]}
-    graph = validate_graph(
-        LevelGraphSpec.make(data["levels"], data["influence_edges"], data["perception_edges"])
-    )
     model = build_fms_model(
         grid,
         agv_ids=sorted(agvs),
         shop_ids=sorted(shops),
         params=spec.params,
         control=spec.control,
-        graph=graph,
-        decls=_declarations(data),
+        graph=spec.graph,
+        decls=spec.decls,
     )
     state = build_initial_state(grid, agvs, shops, data["tasks"])
     return model, state

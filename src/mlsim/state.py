@@ -6,7 +6,9 @@ a level is an entry of that level's property map, stored under
 ``body_key(agent_id)``; the map is the only place a body lives, so only that
 level's reaction can change it.  ``bodies_of`` is the one reader of that key
 format; ``LevelState.bodies()`` runs it once per level state and hands every
-reader the same read-only mapping.
+reader the same read-only mapping.  ``SystemState.memberships()`` derives the
+agent -> levels index from those mappings, once per snapshot, so it always
+agrees with what the reactions wrote.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import IllegalPerception, UnknownAgent
 from .levels import LevelId
@@ -54,7 +56,9 @@ class Influence:
 
     Identity is id-based: two influences with equal ids are the same influence
     for deduplication purposes, and ids are producer-scoped so they never
-    collide across producers or ticks.
+    collide across producers or ticks.  The hash reads the id only, so
+    hashing never walks the payload; equality stays structural, and equal
+    influences have equal ids, hence equal hashes.
     """
 
     id: str
@@ -63,6 +67,9 @@ class Influence:
     producer: str
     payload: tuple = ()
     klass: str = ORDINARY
+
+    def __hash__(self):
+        return hash(self.id)
 
     def payload_get(self, key: str, default=None):
         for k, v in self.payload:
@@ -115,10 +122,23 @@ class LevelState:
     def _bodies(self) -> Mapping[AgentId, Body]:
         return MappingProxyType(bodies_of(self.properties))
 
+    def derived(self, fn: Callable[["LevelState"], Any]):
+        """`fn(self)`, computed on the first call for this level state and
+        returned as is after that, like `bodies()`: a read-only view of the
+        snapshot that several readers share.  `fn` is the cache key, so pass
+        the same (module-level) function every time."""
+        cache = self.__dict__.setdefault("_derived", {})
+        try:
+            return cache[fn]
+        except KeyError:
+            value = cache[fn] = fn(self)
+            return value
+
     def __getstate__(self):
-        # The cache is rebuilt on demand; a mapping proxy cannot be copied.
+        # The caches are rebuilt on demand; a mapping proxy cannot be copied.
         state = dict(self.__dict__)
         state.pop("_bodies", None)
+        state.pop("_derived", None)
         return state
 
 
@@ -146,6 +166,26 @@ class SystemState:
     per_level: dict = field(default_factory=dict)  # LevelId -> LevelState
     agents: dict = field(default_factory=dict)  # AgentId -> AgentRecord
 
+    def memberships(self) -> Mapping[AgentId, frozenset]:
+        """Agent id -> the levels whose property map holds a body of it, for
+        every body in the snapshot.  Built from the levels' `bodies()` on the
+        first call, then the same read-only mapping for every reader; an
+        agent with no body is absent."""
+        return self._memberships
+
+    @cached_property
+    def _memberships(self) -> Mapping[AgentId, frozenset]:
+        found: dict[AgentId, list] = {}
+        for level, level_state in self.per_level.items():
+            for agent_id in level_state.bodies():
+                found.setdefault(agent_id, []).append(level)
+        return MappingProxyType({agent_id: frozenset(levels) for agent_id, levels in found.items()})
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_memberships", None)
+        return state
+
 
 class Percept:
     """Read-only view over the level states a producer is allowed to perceive.
@@ -156,7 +196,9 @@ class Percept:
     """
 
     def __init__(self, observed: Mapping[LevelId, LevelState], requester: str = "?"):
-        self._observed = dict(observed)
+        # Not copied: the engine hands every producer with the same levels one
+        # read-only mapping per tick.
+        self._observed = observed
         self._requester = requester
 
     def __getitem__(self, level: LevelId) -> LevelState:
@@ -181,10 +223,7 @@ def member_levels(state: SystemState, agent_id: AgentId) -> frozenset:
     """Levels whose property map holds a body of the agent."""
     if agent_id not in state.agents:
         raise UnknownAgent(agent_id)
-    key = body_key(agent_id)
-    return frozenset(
-        level for level, level_state in state.per_level.items() if key in level_state.properties
-    )
+    return state.memberships().get(agent_id, frozenset())
 
 
 def merge_influences(sets: Iterable[Iterable[Influence]]) -> frozenset:
@@ -194,3 +233,21 @@ def merge_influences(sets: Iterable[Iterable[Influence]]) -> frozenset:
         for inf in group:
             merged.setdefault(inf.id, inf)
     return frozenset(merged.values())
+
+
+def group_by_level(levels: Iterable[LevelId], sets: Iterable[Iterable[Influence]]) -> dict:
+    """`merge_influences` partitioned by target level, in one pass: level ->
+    frozenset of the influences aimed at it, the first influence of each id
+    kept.  Every level in `levels` gets an entry, empty or not."""
+    by_level: dict[LevelId, list] = {level: [] for level in levels}
+    seen: set[str] = set()
+    for group in sets:
+        for inf in group:
+            if inf.id in seen:
+                continue
+            seen.add(inf.id)
+            bucket = by_level.get(inf.target_level)
+            if bucket is None:
+                bucket = by_level[inf.target_level] = []
+            bucket.append(inf)
+    return {level: frozenset(bucket) for level, bucket in by_level.items()}

@@ -24,7 +24,6 @@ from mlsim.fms.model import LEVELS, PRODUCIBLE_KINDS, SafetyChecker
 from mlsim.hierarchy import HierarchicalCoupling
 from mlsim.scenario import (
     KIND_CLASSES,
-    ScenarioSpec,
     apply_overrides,
     build,
     default_scenario_dict,
@@ -470,9 +469,10 @@ def test_accepted_declaration_mutations_build_and_run(mutations):
     data = copy.deepcopy(CORRIDOR)
     for mutation in mutations:
         mutate(data, mutation)
-    if validate_scenario(data):
+    try:
+        spec = parse_scenario_dict(data)
+    except ScenarioError:
         return
-    spec = ScenarioSpec(data)
     model, state = build(spec)
     assert validate_model(model) == []
     run(model, state, ticks=5, seed=0, observers=(SafetyChecker(spec.grid),))
@@ -487,3 +487,70 @@ def test_scripts_run(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+# --- unknown keys ------------------------------------------------------------
+
+@pytest.mark.parametrize("path, value", [
+    ("contrl", "true"),
+    ("grid.widht", "7"),
+    ("params.repulsion", "2"),
+    ("run.tick", "5"),
+    ("kinds.floor.constrant", '["x"]'),
+    ("shops", '[{"id": "shop-a", "cell": [0, 0], "colour": "red"}]'),
+    ("couplings", '[{"micro": "floor", "macro": "tasks", "strength": 1}]'),
+])
+def test_an_unknown_key_is_a_value_issue(path, value, capsys):
+    argv = ["run", "--scenario", str(SCENARIOS / "corridor.json"), "--override",
+            f"{path}={value}"]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "[value] unknown key" in err
+    assert path.split(".")[-1] in err
+
+
+def test_unknown_keys_are_reported_with_their_path():
+    data = default_scenario_dict()
+    data["kinds"]["floor"]["constrant"] = ["x"]
+    data["tasks"] = [{"id": "t", "source": "a", "dest": "b", "prio": 1}]
+    messages = [i.message for i in validate_scenario(data) if i.code == "value"]
+    assert any(m.startswith("unknown key 'kinds.floor.constrant'") for m in messages)
+    assert any(m.startswith("unknown key 'tasks[0].prio'") for m in messages)
+
+
+def test_the_retired_environments_key_is_accepted():
+    data = default_scenario_dict()
+    data["environments"] = [{"id": "shop-floor", "levels": ["floor"]}]
+    assert validate_scenario(data) == []
+
+
+def test_compare_keeps_working_with_overrides(capsys):
+    argv = ["compare", "--scenario", str(SCENARIOS / "corridor.json"),
+            "--override", "params.repulse=4", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "control resolves deadlock; all tasks delivered"
+    assert report["off"]["overrides"] == {"params.repulse": "4", "run.seed": "1"}
+
+
+# --- one construction per concept --------------------------------------------
+
+def test_parse_then_build_makes_each_part_once(monkeypatch):
+    import mlsim.scenario as scenario
+
+    made = {"validate_graph": 0, "_declarations": 0, "GridMap": 0}
+    for name in made:
+        original = getattr(scenario, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            made[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, name, counted)
+    raw = json.loads((SCENARIOS / "corridor.json").read_text())
+    spec = parse_scenario_dict(raw)
+    model, _ = build(spec)
+    assert made == {"validate_graph": 1, "_declarations": 1, "GridMap": 1}
+    assert model.graph is spec.graph
+    assert model.behaviors["agv-1"].sensor.grid is spec.grid
+    assert model.couplings == spec.decls.couplings
