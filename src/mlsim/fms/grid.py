@@ -6,8 +6,12 @@ positive, repulsion negative, superposition additive.  Unreachable cells get
 no contribution.
 
 Walls never move, so each `GridMap` owns its static geometry: a sorted
-adjacency table and a per-source table of wall-only BFS distances.  Both are
-filled on first use and live on the instance, so they die with the grid.
+adjacency table and two per-source tables of wall-only BFS distances.  Full
+rows serve readers that need every distance (the task assignment, keyed by
+shop cells).  Balls serve readers that need only the distances below some
+limit (field emitters, deadlock grouping, the clearance check), so an AGV
+cell costs a ball of its reach, not a row of the whole floor.  All tables
+are filled on first use and live on the instance, so they die with the grid.
 """
 
 from __future__ import annotations
@@ -67,10 +71,43 @@ class GridMap:
             row = self._distance_rows[source] = bfs_distances(self, source)
         return row
 
+    @cached_property
+    def _balls(self) -> dict[Cell, tuple[float, dict[Cell, int]]]:
+        return {}
 
-def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset()) -> dict[Cell, int]:
+    def distances_below(self, source: Cell, limit: float) -> dict[Cell, int]:
+        """Wall-only BFS distances from `source` to at least every free cell
+        at distance `< limit`, each exact; cells farther away may be missing.
+
+        One ball per source is cached, and grown when a caller asks for a
+        larger limit.  A search that runs out of cells before its limit is
+        the full row and is cached as one; a full row answers every limit.
+        Read the result, never mutate it.
+        """
+        row = self._distance_rows.get(source)
+        if row is not None:
+            return row
+        ball = self._balls.get(source)
+        if ball is not None and ball[0] >= limit:
+            return ball[1]
+        row = bfs_distances(self, source, limit=limit)
+        # A cell at distance d was expanded iff d < limit - 1, and BFS inserts
+        # cells in distance order: if even the last one was expanded, the
+        # search ran out of cells and the row is complete.
+        if row and next(reversed(row.values())) < limit - 1:
+            self._distance_rows[source] = row
+            self._balls.pop(source, None)
+        else:
+            self._balls[source] = (limit, row)
+        return row
+
+
+def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset(),
+                  limit: float | None = None) -> dict[Cell, int]:
     """BFS distance map over free cells, treating `obstacles` as extra walls.
-    The start cell itself is never treated as an obstacle."""
+    The start cell itself is never treated as an obstacle.  With `limit`, the
+    search stops expanding at distance `limit - 1`: the map holds `start` and
+    exactly the reachable cells at distance `< limit`."""
     if not grid.is_free(start):
         return {}
     adjacency = grid.adjacency
@@ -79,6 +116,8 @@ def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset()) -> dict[Cel
     while queue:
         cell = queue.popleft()
         step = dist[cell] + 1
+        if limit is not None and step >= limit:
+            break
         for nxt in adjacency[cell]:
             if nxt in dist or nxt in obstacles:
                 continue
@@ -124,9 +163,10 @@ def compute_fields(grid: GridMap, attractors, repulsors, cells=None) -> dict[Cel
     field = {cell: 0.0 for cell in (grid.free_cells() if cells is None else cells)}
     for sign, emitters in ((1.0, attractors), (-1.0, repulsors)):
         for cell, amplitude in emitters:
-            if not grid.is_free(cell):
+            if cell not in grid.adjacency:
                 raise EmitterOnBlockedCell(f"emitter at {cell} is blocked or out of bounds")
-            dist = grid.distances(cell)
+            # Cells at distance >= amplitude get nothing, so the ball suffices.
+            dist = grid.distances_below(cell, amplitude)
             for target in field:
                 d = dist.get(target)
                 if d is not None and amplitude - d > 0:

@@ -359,12 +359,19 @@ class SolverBehavior(BehaviorRule):
         phase = state.get("phase", "plan")
 
         if phase in ("plan", "stuck"):
-            plan = self._plan(members, agvs)
-            if plan is None:
-                state["phase"] = "stuck"
-            else:
-                state["phase"] = "parking"
-                state["parker"], state["target"] = plan
+            # `_plan` reads only the members and every AGV's cell and goal:
+            # while those stay the same, a stuck solver stays stuck.
+            key = (tuple(members), tuple(
+                (aid, b.get("cell"), self._goal(b)) for aid, b in agvs.items()
+            ))
+            if phase == "plan" or state.get("plan_key") != key:
+                state["plan_key"] = key
+                plan = self._plan(members, agvs)
+                if plan is None:
+                    state["phase"] = "stuck"
+                else:
+                    state["phase"] = "parking"
+                    state["parker"], state["target"] = plan
         if state.get("phase") == "parking":
             parker_body = agvs.get(state["parker"])
             if parker_body is not None and parker_body.get("cell") == state["target"]:
@@ -373,7 +380,7 @@ class SolverBehavior(BehaviorRule):
             cells = [agvs[m].get("cell") for m in members if m in agvs]
             dispersed = True
             for i, a in enumerate(cells):
-                dist = self.grid.distances(a)
+                dist = self.grid.distances_below(a, self.params.clearance)
                 for b in cells[i + 1:]:
                     if dist.get(b, self.params.clearance) < self.params.clearance:
                         dispersed = False
@@ -511,7 +518,7 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
         radius = max(2, params.repulse)
         links = [{a} for a in flagged]
         for i, a in enumerate(flagged):
-            dist = grid.distances(agvs[a].get("cell"))
+            dist = grid.distances_below(agvs[a].get("cell"), radius + 1)
             for b in flagged[i + 1:]:
                 near = dist.get(agvs[b].get("cell"), radius + 1) <= radius
                 waiting = waits.get(a) == b or waits.get(b) == a
@@ -633,10 +640,17 @@ def make_floor_reaction(grid: GridMap, params: FmsParams):
 
 def make_tasks_reaction(grid: GridMap):
     def tasks_reaction(level, sigma, influences, ctx):
-        tasks = {tid: dict(t) for tid, t in sigma.get("tasks", {}).items()}
+        # Copy-on-write: the snapshot's table and task dicts are shared with
+        # the new table, and a task is copied only when its state changes.
+        tasks = dict(sigma.get("tasks", {}))
+        changed = set()
         persisted = []
         events = []
         ordered = sorted(influences, key=lambda i: i.id)
+
+        def update(tid, **attrs):
+            tasks[tid] = {**tasks[tid], **attrs}
+            changed.add(tid)
 
         for inf in ordered:
             tid = inf.payload_get("task")
@@ -644,9 +658,9 @@ def make_tasks_reaction(grid: GridMap):
             if task is None:
                 continue
             if inf.kind == K_PICKED and task["state"] == "assigned":
-                task["state"] = "picked"
+                update(tid, state="picked")
             elif inf.kind == K_DELIVERED and task["state"] == "picked":
-                task["state"] = "delivered"
+                update(tid, state="delivered")
                 events.append(("delivered", {"task": tid}))
 
         offers = {}
@@ -684,8 +698,7 @@ def make_tasks_reaction(grid: GridMap):
             if not reachable:
                 continue
             winner = min(reachable, key=lambda a: (reachable[a], a))
-            task["state"] = "assigned"
-            task["assigned_to"] = winner
+            update(tid, state="assigned", assigned_to=winner)
             del available[winner]
             assigned_any = True
             persisted.append(
@@ -714,25 +727,29 @@ def make_tasks_reaction(grid: GridMap):
                     )
                 )
 
-        shop_bodies = {
-            sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "shop"
-        }
-        order_of = lambda tid: tasks[tid]["order"]  # noqa: E731
-        for sid, body in shop_bodies.items():
-            pending = tuple(
-                sorted(
-                    (
-                        tid
-                        for tid, t in tasks.items()
-                        if (t["source"] == sid and t["state"] in ("pending", "assigned"))
-                        or (t["dest"] == sid and t["state"] == "picked")
-                    ),
-                    key=order_of,
+        # Only the source and dest shops of a changed task can see their
+        # queue change; every other shop body is carried over as it is.
+        queues: dict = {}
+        for tid in changed:
+            for sid in (tasks[tid]["source"], tasks[tid]["dest"]):
+                body = sigma.get(body_key(sid))
+                if body is not None and body.get("type") == "shop":
+                    queues[sid] = []
+        if queues:
+            for tid, t in tasks.items():
+                if t["state"] in ("pending", "assigned"):
+                    queue = queues.get(t["source"])
+                elif t["state"] == "picked":
+                    queue = queues.get(t["dest"])
+                else:
+                    continue
+                if queue is not None:
+                    queue.append(tid)
+            for sid, queue in queues.items():
+                pending = tuple(sorted(queue, key=lambda tid: tasks[tid]["order"]))
+                sigma[body_key(sid)] = sigma[body_key(sid)].with_attrs(
+                    pending=pending, emitting=bool(pending)
                 )
-            )
-            sigma[body_key(sid)] = body.with_attrs(
-                pending=pending, emitting=bool(pending)
-            )
 
         sigma["tasks"] = tasks
         return ReactionResult(sigma, tuple(persisted), events=tuple(events))

@@ -50,7 +50,7 @@ def _freeze_payload(payload: Mapping[str, Any]) -> tuple:
     return tuple(sorted(payload.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Influence:
     """A typed, level-targeted desire for change.
 
@@ -67,6 +67,14 @@ class Influence:
     producer: str
     payload: tuple = ()
     klass: str = ORDINARY
+
+    def __init__(self, id, kind, target_level, producer, payload=(), klass=ORDINARY):
+        # One dict update instead of the frozen dataclass's one
+        # object.__setattr__ per field; assignment still raises.
+        self.__dict__.update(
+            id=id, kind=kind, target_level=target_level, producer=producer,
+            payload=payload, klass=klass,
+        )
 
     def __hash__(self):
         return hash(self.id)

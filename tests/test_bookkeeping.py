@@ -3,26 +3,42 @@ definitions it replaces: the membership index against a scan of the level
 maps, id hashing against structural equality, the lazily built trace against
 an eager row builder, the constraint fast path against the full filter, the
 one-pass grouping against merge-then-partition, the route table against the
-neighborhood unions, and the trace writer against per-row `json.dumps`."""
+neighborhood unions, the trace writer against per-row `json.dumps`, the
+copy-on-write task reaction against a full rebuild, and the stuck solver's
+skipped replans against planning every tick."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsim import cli
-from mlsim.engine import Model, ReactionResult, StepInfo, run, step
+from mlsim.engine import Model, ReactionResult, StepContext, StepInfo, run, step
 from mlsim.errors import UnknownAgent
+from mlsim.fms.grid import GridMap
 from mlsim.fms.model import (
     FLOOR,
+    K_ASSIGN,
+    K_DELIVERED,
+    K_INH_MOVE,
+    K_MOVE,
+    K_NEED,
+    K_PICKED,
+    K_SERVE,
+    TASK_STATES,
     TASKS,
     FieldSensor,
+    FmsParams,
     SafetyChecker,
     SolverBehavior,
     all_tasks_delivered,
     floor_agvs,
     fms_metrics,
+    make_tasks_reaction,
 )
 from mlsim.hierarchy import InfluenceSelector, InhibitionRecord, apply_constraints
 from mlsim.levels import LevelGraphSpec, validate
@@ -33,9 +49,11 @@ from mlsim.state import (
     ORDINARY,
     AgentRecord,
     Body,
+    Influence,
     LevelState,
     Percept,
     SystemState,
+    bodies_of,
     body_key,
     group_by_level,
     influence,
@@ -144,6 +162,25 @@ def test_equal_influences_hash_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert len({a, b}) == (1 if a == b else 2)
+
+
+def test_an_influence_is_built_in_one_step_and_stays_frozen():
+    inf = StepContext(3, "p").make("move", "micro", amount=1, agent="a")
+    assert repr(inf) == (
+        "Influence(id='p@3#0', kind='move', target_level='micro', producer='p', "
+        "payload=(('agent', 'a'), ('amount', 1)), klass='ordinary')"
+    )
+    assert inf == Influence("p@3#0", "move", "micro", "p", (("agent", "a"), ("amount", 1)))
+    assert inf != dataclasses.replace(inf, klass=EMERGENCE)
+    assert [f.name for f in dataclasses.fields(inf)] == [
+        "id", "kind", "target_level", "producer", "payload", "klass"
+    ]
+    for attr in ("kind", "payload", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inf, attr, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del inf.kind
+    assert copy.deepcopy(inf) == inf == pickle.loads(pickle.dumps(inf))
 
 
 def partitioned_merge(levels, groups):
@@ -339,3 +376,220 @@ def test_write_trace_equals_json_dumps_per_row(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     cli.write_trace(path, rows)
     assert path.read_text() == dumped_trace(rows)
+
+
+# --- copy-on-write task bookkeeping -----------------------------------------
+
+def full_rebuild_tasks_reaction(grid):
+    """The task reaction as it was: copy every task dict and rebuild every
+    shop's queue from the whole table on every tick."""
+
+    def tasks_reaction(level, sigma, influences, ctx):
+        tasks = {tid: dict(t) for tid, t in sigma.get("tasks", {}).items()}
+        persisted = []
+        events = []
+        ordered = sorted(influences, key=lambda i: i.id)
+        for inf in ordered:
+            tid = inf.payload_get("task")
+            task = tasks.get(tid)
+            if task is None:
+                continue
+            if inf.kind == K_PICKED and task["state"] == "assigned":
+                task["state"] = "picked"
+            elif inf.kind == K_DELIVERED and task["state"] == "picked":
+                task["state"] = "delivered"
+                events.append(("delivered", {"task": tid}))
+        offers = {}
+        needs = []
+        for inf in ordered:
+            if inf.kind == K_SERVE:
+                offers[inf.payload_get("agent")] = tuple(inf.payload_get("cell"))
+            elif inf.kind == K_NEED:
+                needs.append(inf)
+        busy = {
+            t["assigned_to"]
+            for t in tasks.values()
+            if t["state"] in ("assigned", "picked") and t.get("assigned_to")
+        }
+        available = {a: c for a, c in offers.items() if a not in busy}
+        demands = []
+        seen = set()
+        for inf in sorted(needs, key=lambda i: (i.payload_get("order"), i.payload_get("task"))):
+            tid = inf.payload_get("task")
+            if tid in seen:
+                continue
+            seen.add(tid)
+            task = tasks.get(tid)
+            if task is not None and task["state"] == "pending":
+                demands.append(tid)
+        assigned_any = False
+        for tid in demands:
+            if not available:
+                break
+            task = tasks[tid]
+            dist = grid.distances(tuple(task["source_cell"]))
+            reachable = {a: dist.get(c) for a, c in available.items() if dist.get(c) is not None}
+            if not reachable:
+                continue
+            winner = min(reachable, key=lambda a: (reachable[a], a))
+            task["state"] = "assigned"
+            task["assigned_to"] = winner
+            del available[winner]
+            assigned_any = True
+            persisted.append(ctx.make(
+                K_ASSIGN, FLOOR, agent=winner, task=tid,
+                source_cell=tuple(task["source_cell"]), dest_cell=tuple(task["dest_cell"]),
+            ))
+            events.append(("assigned", {"task": tid, "agent": winner}))
+        if assigned_any:
+            for agent in sorted(available):
+                persisted.append(ctx.make(
+                    K_INH_MOVE, FLOOR, klass=CONSTRAINT,
+                    selector=InfluenceSelector(match_kind=K_MOVE, match_producer=agent),
+                    agent=agent,
+                ))
+        shop_bodies = {sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "shop"}
+        for sid, body in shop_bodies.items():
+            pending = tuple(sorted(
+                (
+                    tid
+                    for tid, t in tasks.items()
+                    if (t["source"] == sid and t["state"] in ("pending", "assigned"))
+                    or (t["dest"] == sid and t["state"] == "picked")
+                ),
+                key=lambda tid: tasks[tid]["order"],
+            ))
+            sigma[body_key(sid)] = body.with_attrs(pending=pending, emitting=bool(pending))
+        sigma["tasks"] = tasks
+        return ReactionResult(sigma, tuple(persisted), events=tuple(events))
+
+    return tasks_reaction
+
+
+SHOPS = ("s0", "s1", "s2", "s3")  # s3 has no shop body
+TASK_AGVS = ("a0", "a1", "a2")
+
+
+@st.composite
+def task_snapshots(draw):
+    """(grid, tasks-level properties, influences): a random task table whose
+    shop queues follow the queue rule, as every snapshot's do, and a random
+    set of pick, delivery, offer and need influences."""
+    grid = GridMap(5, 4, frozenset(draw(st.sets(st.sampled_from([(1, 1), (2, 1), (3, 2), (1, 3)])))))
+    free = grid.free_cells()
+    cells = {sid: draw(st.sampled_from(free)) for sid in SHOPS}
+    table = {}
+    for i in range(draw(st.integers(0, 7))):
+        source, dest = draw(st.lists(st.sampled_from(SHOPS), min_size=2, max_size=2, unique=True))
+        state = draw(st.sampled_from(TASK_STATES))
+        table[f"t{i}"] = {
+            "source": source, "dest": dest,
+            "source_cell": cells[source], "dest_cell": cells[dest], "state": state,
+            "assigned_to": None if state == "pending" else draw(st.sampled_from(TASK_AGVS)),
+            "order": draw(st.integers(0, 3)),  # ties are broken by table order
+        }
+    props = {"tasks": table}
+    for sid in SHOPS[:-1]:
+        pending = tuple(sorted(
+            (tid for tid, t in table.items()
+             if (t["source"] == sid and t["state"] in ("pending", "assigned"))
+             or (t["dest"] == sid and t["state"] == "picked")),
+            key=lambda tid: table[tid]["order"],
+        ))
+        props[body_key(sid)] = Body(
+            TASKS, {"type": "shop", "cell": cells[sid], "pending": pending, "emitting": bool(pending)}
+        )
+    tids = sorted(table) + ["ghost"]
+    uid = iter(range(100))
+    infs = set()
+    for kind in draw(st.lists(st.sampled_from([K_PICKED, K_DELIVERED, K_SERVE, K_NEED]), max_size=10)):
+        i = f"i{next(uid):02d}"
+        if kind == K_SERVE:
+            agent = draw(st.sampled_from(TASK_AGVS))
+            infs.add(influence(kind, TASKS, agent, uid=i, agent=agent, cell=draw(st.sampled_from(free))))
+        elif kind == K_NEED:
+            tid = draw(st.sampled_from(tids))
+            task = table.get(tid, {"source_cell": free[0], "dest_cell": free[-1], "order": 9})
+            infs.add(influence(kind, TASKS, "s0", uid=i, task=tid, source_cell=task["source_cell"],
+                               dest_cell=task["dest_cell"], order=task["order"]))
+        else:
+            infs.add(influence(kind, TASKS, "reaction:floor", uid=i,
+                               task=draw(st.sampled_from(tids)), agent="a0"))
+    return grid, props, frozenset(infs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(task_snapshots())
+def test_tasks_reaction_equals_the_full_rebuild_and_copies_only_what_changed(snapshot):
+    grid, props, infs = snapshot
+    before = copy.deepcopy(props)
+    table = props["tasks"]
+    task_dicts = dict(table)
+    expected = full_rebuild_tasks_reaction(grid)(TASKS, dict(props), infs, StepContext(1, "r"))
+    result = make_tasks_reaction(grid)(TASKS, dict(props), infs, StepContext(1, "r"))
+    assert result.sigma == expected.sigma
+    assert list(result.sigma) == list(expected.sigma)
+    assert list(result.sigma["tasks"]) == list(expected.sigma["tasks"])
+    assert (result.persisted, result.events) == (expected.persisted, expected.events)
+    # The input snapshot's table and task dicts are left as they were.
+    assert props == before and props["tasks"] is table
+    assert all(table[tid] is task for tid, task in task_dicts.items())
+    # A task is copied only when it changed, and only the source and dest
+    # shops of a changed task get a new body.
+    new_tasks = result.sigma["tasks"]
+    changed = {tid for tid in table if new_tasks[tid] is not table[tid]}
+    assert all(new_tasks[tid]["state"] != table[tid]["state"] for tid in changed)
+    touched = {table[tid][end] for tid in changed for end in ("source", "dest")}
+    for sid in SHOPS[:-1]:
+        if sid not in touched:
+            assert result.sigma[body_key(sid)] is props[body_key(sid)]
+
+
+# --- stuck solvers replan only when their inputs change ---------------------
+
+def count_plans(monkeypatch):
+    calls = []
+    plan = SolverBehavior._plan
+
+    def counted(self, members, agvs):
+        calls.append(tuple(members))
+        return plan(self, members, agvs)
+
+    monkeypatch.setattr(SolverBehavior, "_plan", counted)
+    return calls
+
+
+def test_a_stuck_solver_plans_once_per_stuck_spell(monkeypatch):
+    calls = count_plans(monkeypatch)
+    spec = parse_scenario(ROOT / "scenarios" / "walled_trap.json")
+    spec.data["control"] = True
+    model, state = build(spec)
+    result = run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+                 observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
+                 termination=all_tasks_delivered, collect_trace=True)
+    stuck_ticks = sum(
+        1 for row in result.trace
+        if row["event"] == "influence" and row["payload"]["kind"] == "deadlock-unresolvable"
+    )
+    assert stuck_ticks > 100  # the trapped pair never gets out
+    assert calls == [("agv-1", "agv-2")]  # one spell, one plan
+
+
+def test_a_stuck_solver_replans_when_an_agv_moves(monkeypatch):
+    calls = count_plans(monkeypatch)
+    solver = SolverBehavior(GridMap(4, 1), FmsParams())
+
+    def perception(c_cell):
+        # a and b are trapped; c, not a member, blocks the only way out.
+        cells = {"a": (0, 0), "b": (1, 0), "c": c_cell}
+        agvs = {aid: Body(FLOOR, {"type": "agv", "cell": cell, "assigned": None})
+                for aid, cell in cells.items()}
+        return {"me": "s", "trapped": ("a", "b"), "agvs": agvs}
+
+    state = solver.memorize(perception((2, 0)), None, None)
+    assert state["phase"] == "stuck" and len(calls) == 1
+    state = solver.memorize(perception((2, 0)), state, None)
+    assert state["phase"] == "stuck" and len(calls) == 1  # same inputs: no replan
+    state = solver.memorize(perception((3, 0)), state, None)
+    assert len(calls) == 2  # c moved away: replan, and b can park now
+    assert (state["phase"], state["parker"], state["target"]) == ("parking", "b", (2, 0))

@@ -160,7 +160,14 @@ def test_fields_match_brute_force(data):
     )
     split = data.draw(st.integers(0, len(emitters)))
     attract, repulse = emitters[:split], emitters[split:]
-    assert compute_fields(grid, attract, repulse) == brute_force_field(grid, attract, repulse)
+    expected = brute_force_field(grid, attract, repulse)
+    assert compute_fields(grid, attract, repulse) == expected
+    # Balls and full rows give the same field.
+    filled = GridMap(w, h, frozenset(blocked))
+    for cell in free:
+        filled.distances(cell)
+    assert compute_fields(filled, attract, repulse) == expected
+    assert not filled._balls
 
 
 # --- gradient movement -------------------------------------------------------

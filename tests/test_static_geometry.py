@@ -27,12 +27,18 @@ from mlsim.fms.model import (
     wait_cycles,
 )
 from mlsim.hierarchy import merge_trapped_groups
-from mlsim.scenario import build, parse_scenario
+from mlsim.scenario import build, parse_scenario, parse_scenario_dict
 from mlsim.state import Body
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 FIXTURES = ("corridor.json", "open_floor.json", "walled_trap.json")
+
+sys.path.insert(0, str(ROOT / "bench"))  # read-only use of the floor generator
+try:
+    from floors import generate_floor
+finally:
+    sys.path.remove(str(ROOT / "bench"))
 
 
 # --- oracles: the neighbors4-based algorithms the tables replaced ------------
@@ -169,6 +175,43 @@ def small_floors(draw):
     return GridMap(w, h, frozenset(blocked))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_distances_below_agree_with_the_oracle_in_any_request_order(data):
+    grid = data.draw(small_floors())
+    free = grid.free_cells()
+    if not free:
+        return
+    # `None` asks for the full row; limits may be floats, like amplitudes.
+    requests = data.draw(st.lists(
+        st.tuples(st.sampled_from(free),
+                  st.none() | st.integers(-1, 9) | st.floats(0.5, 9.5)),
+        min_size=1, max_size=12,
+    ))
+    for source, limit in requests:
+        expected = oracle_bfs_distances(grid, source)
+        if limit is None:
+            assert grid.distances(source) == expected
+            continue
+        row = grid.distances_below(source, limit)
+        assert {c: d for c, d in expected.items() if d < limit}.items() <= row.items()
+        assert row.items() <= expected.items()  # no wrong distance, no extra cell
+    for source, (_, ball) in grid._balls.items():
+        assert ball.items() <= oracle_bfs_distances(grid, source).items()
+
+
+def test_a_ball_grows_on_demand_and_a_finished_search_is_a_full_row():
+    grid = GridMap(9, 1)
+    ball = grid.distances_below((0, 0), 3)
+    assert ball == {(0, 0): 0, (1, 0): 1, (2, 0): 2}
+    assert grid.distances_below((0, 0), 2) is ball  # a larger ball answers
+    assert grid.distances_below((0, 0), 5) == {(x, 0): x for x in range(5)}
+    assert grid._balls[(0, 0)][0] == 5 and not grid._distance_rows
+    row = grid.distances_below((8, 0), 20)  # runs out of cells first
+    assert grid._distance_rows == {(8, 0): row} and (8, 0) not in grid._balls
+    assert grid.distances((8, 0)) is row and grid.distances_below((8, 0), 1) is row
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_obstacle_bfs_and_paths_equal_oracle(data):
@@ -290,12 +333,69 @@ def test_running_a_model_leaves_no_module_level_cache():
     )
     grid = model.dynamic_behaviors["solver"].grid
     assert result.records
-    assert grid._distance_rows  # the run did fill the grid's own table
+    assert grid._distance_rows and grid._balls  # the run did fill the grid's own tables
     assert _module_state() == before
+    # Both tables are owned by the grid alone, so they die with it.
+    assert gc.get_referrers(grid._distance_rows) == [vars(grid)]
+    assert gc.get_referrers(grid._balls) == [vars(grid)]
     grid_ref = weakref.ref(grid)
     del spec, model, state, result, grid
     gc.collect()
     assert grid_ref() is None  # nothing outside the run keeps the tables alive
+
+
+# --- generated floors ----------------------------------------------------------
+
+def run_floor(raw):
+    spec = parse_scenario_dict(raw)
+    model, state = build(spec)
+    result = run(
+        model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+        observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
+        termination=all_tasks_delivered,
+    )
+    return spec, model, result
+
+
+def test_full_rows_exist_only_for_shop_cells():
+    raw = generate_floor("open", 30, 20, agvs=20, tasks=60, shops=12, seed=0, ticks=60)
+    spec, model, result = run_floor(raw)
+    grid = model.dynamic_behaviors["solver"].grid
+    shop_cells = {tuple(shop["cell"]) for shop in raw["shops"]}
+    assert len(result.records) == 60
+    assert grid._distance_rows and set(grid._distance_rows) <= shop_cells
+    # AGV cells hold balls of their reach, not rows of the whole floor.
+    reach = max(FmsParams().repulse, 2) + 1
+    agv_balls = [ball for cell, (_, ball) in grid._balls.items() if cell not in shop_cells]
+    assert agv_balls
+    assert max(len(ball) for ball in agv_balls) <= 2 * reach * (reach - 1) + 1
+
+
+@st.composite
+def generated_floors(draw):
+    layout = draw(st.sampled_from(("open", "aisles")))
+    width = draw(st.integers(4, 14))
+    height = draw(st.integers(3, 10))
+    if layout == "open":
+        shop_slots = 2 * width + 2 * (height - 2)
+        free = width * height
+    else:
+        shop_slots = (width + 1) // 2
+        free = width * height - (height - 2) * (width // 2)
+    shops = draw(st.integers(2, min(8, shop_slots)))
+    agvs = draw(st.integers(1, min(8, free - shops)))
+    return generate_floor(
+        layout, width, height, agvs=agvs, tasks=draw(st.integers(1, 10)), shops=shops,
+        seed=draw(st.integers(0, 2**16)), ticks=draw(st.integers(1, 40)),
+        params=draw(st.sampled_from(({}, {"repulse": 1}, {"repulse": 0, "window": 3}))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_floors())
+def test_generated_floors_keep_the_safety_invariants(raw):
+    _, _, result = run_floor(raw)  # SafetyChecker raises on any violation
+    assert 1 <= len(result.records) <= raw["run"]["ticks"]
 
 
 # --- determinism across processes --------------------------------------------
