@@ -1,8 +1,11 @@
 """Two-phase step driver.
 
-Phase 1 (produce): every agent behavior, environment natural, and registered
-detector is evaluated against the same frozen snapshot; outputs are merged
-with the carried-over influence sets and partitioned by target level.
+Phase 1 (produce): every agent behavior and registered detector is
+evaluated against the same frozen snapshot; outputs are merged with the
+carried-over influence sets and partitioned by target level.  Detectors, the
+micro-level rules that reify emergences, are the only producers that are not
+agents.  An influence's payload is the dict of keyword arguments its
+producer passed to `StepContext.make`, read-only from then on.
 
 Phase 2 (react): each level independently filters its produced set through
 apply_constraints and invokes its reaction rule.  Reactions see only their own
@@ -96,7 +99,7 @@ class StepContext:
             kind=kind,
             target_level=target_level,
             producer=self.producer,
-            payload=tuple(sorted(payload.items())),
+            payload=payload,
             klass=klass,
         )
 
@@ -148,7 +151,6 @@ class Model:
     graph: ValidatedLevelGraph
     behaviors: dict = field(default_factory=dict)  # AgentId -> BehaviorRule
     dynamic_behaviors: dict = field(default_factory=dict)  # agent kind -> BehaviorRule
-    environments: tuple = ()
     detectors: dict = field(default_factory=dict)  # name -> DetectorRule
     reactions: dict = field(default_factory=dict)  # LevelId -> ReactionRule
     producible_kinds: dict = field(default_factory=dict)  # LevelId -> frozenset[str]
@@ -190,7 +192,9 @@ class ProducedStep:
 
 
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
-                     producer_levels, is_detector=False, detector_name=None):
+                     producer_levels, detector=None):
+    """Raise unless `inf` is legal from its producer; `detector` is the
+    producer's name when it is a registered detector."""
     if inf.target_level not in allowed_targets:
         raise IllegalInfluenceTarget(
             f"{producer_desc} produced {inf.kind!r} into {inf.target_level!r}, "
@@ -202,7 +206,7 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
         )
     if inf.klass == EMERGENCE:
         decl = model.emergence_decl(inf.kind)
-        if decl is None or not is_detector or detector_name != decl.detector:
+        if decl is None or detector is None or detector != decl.detector:
             allowed = decl.detector if decl is not None else "<undeclared>"
             raise IllegalInfluenceTarget(
                 f"{producer_desc} produced emergence {inf.kind!r}; only detector "
@@ -219,7 +223,7 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
                 f"{producer_desc} belongs to micro level {decl.micro_level!r} and "
                 f"cannot produce constraint {inf.kind!r}"
             )
-        if inf.payload_get("selector") is None:
+        if inf.payload.get("selector") is None:
             raise IllegalInfluenceTarget(
                 f"constraint {inf.id} from {producer_desc} carries no selector"
             )
@@ -265,16 +269,6 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
             _check_influence(model, inf, targets, desc, levels)
         produced_sets.append(out)
 
-    for env in model.environments:
-        if env.natural is None:
-            continue
-        percept, targets = route(env.member_levels, env.id)
-        ctx = StepContext(tick, env.id, rng_key=(seed, env.id, tick))
-        out = list(env.natural(percept, ctx))
-        for inf in out:
-            _check_influence(model, inf, targets, f"environment {env.id!r}", env.member_levels)
-        produced_sets.append(out)
-
     for name in sorted(model.detectors):
         detector = model.detectors[name]
         levels = frozenset((detector.level,))
@@ -282,10 +276,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         ctx = StepContext(tick, name, rng_key=(seed, name, tick))
         out = list(detector.rule(percept, ctx))
         for inf in out:
-            _check_influence(
-                model, inf, targets, f"detector {name!r}", levels,
-                is_detector=True, detector_name=name,
-            )
+            _check_influence(model, inf, targets, f"detector {name!r}", levels, detector=name)
         produced_sets.append(out)
 
     return ProducedStep(

@@ -83,6 +83,19 @@ PRODUCIBLE_KINDS = {
 DEADLOCK_DETECTOR = "deadlock-detector"
 DETECTORS = {DEADLOCK_DETECTOR: FLOOR}  # registered detector name -> its level
 
+# The control reaction names the n-th solver it spawns SOLVER_ID_PREFIX + n;
+# a scenario may give no AGV or shop an id of that form.
+SOLVER_ID_PREFIX = "solver"
+
+
+def solver_id(seq: int) -> str:
+    return f"{SOLVER_ID_PREFIX}{seq}"
+
+
+def is_solver_id(agent_id: str) -> bool:
+    digits = agent_id[len(SOLVER_ID_PREFIX):]
+    return agent_id.startswith(SOLVER_ID_PREFIX) and digits.isascii() and digits.isdigit()
+
 # The hierarchy the behaviors, the detector and the reactions below are
 # written for; a scenario declares these and may add to them.
 FMS_DECLARATIONS = Declarations(
@@ -590,26 +603,27 @@ def make_floor_reaction(grid: GridMap, params: FmsParams):
         kinds = by_kind(influences)
 
         for inf in kinds.get(K_ASSIGN, ()):
-            aid = inf.payload_get("agent")
+            aid = inf.payload["agent"]
             body = agvs.get(aid)
             if body is not None and body.get("assigned") is None:
                 agvs[aid] = body.with_attrs(
-                    assigned=inf.payload_get("task"),
-                    source=tuple(inf.payload_get("source_cell")),
-                    dest=tuple(inf.payload_get("dest_cell")),
+                    assigned=inf.payload["task"],
+                    source=tuple(inf.payload["source_cell"]),
+                    dest=tuple(inf.payload["dest_cell"]),
                 )
 
         current = {aid: b.get("cell") for aid, b in agvs.items()}
         desired = dict(current)
         for inf in kinds.get(K_MOVE, []) + kinds.get(K_FORCED, []):
-            if inf.payload_get("agent") in agvs:
-                to = tuple(inf.payload_get("to"))
+            aid = inf.payload["agent"]
+            if aid in agvs:
+                to = tuple(inf.payload["to"])
                 if grid.is_free(to):
-                    desired[inf.payload_get("agent")] = to
+                    desired[aid] = to
 
         final = resolve_moves(current, desired)
 
-        repulsing = {inf.payload_get("agent") for inf in kinds.get(K_REPULSE, ())}
+        repulsing = {inf.payload["agent"] for inf in kinds.get(K_REPULSE, ())}
         for aid in sorted(agvs):
             body = agvs[aid]
             cell = final[aid]
@@ -652,24 +666,24 @@ def make_tasks_reaction(grid: GridMap):
             tasks[tid] = {**tasks[tid], **attrs}
             changed.add(tid)
 
-        for inf in ordered:
-            tid = inf.payload_get("task")
-            task = tasks.get(tid)
-            if task is None:
-                continue
-            if inf.kind == K_PICKED and task["state"] == "assigned":
-                update(tid, state="picked")
-            elif inf.kind == K_DELIVERED and task["state"] == "picked":
-                update(tid, state="delivered")
-                events.append(("delivered", {"task": tid}))
-
         offers = {}
         needs = []
         for inf in ordered:
-            if inf.kind == K_SERVE:
-                offers[inf.payload_get("agent")] = tuple(inf.payload_get("cell"))
-            elif inf.kind == K_NEED:
+            kind = inf.kind
+            if kind == K_SERVE:
+                offers[inf.payload["agent"]] = tuple(inf.payload["cell"])
+            elif kind == K_NEED:
                 needs.append(inf)
+            elif kind == K_PICKED or kind == K_DELIVERED:
+                tid = inf.payload["task"]
+                task = tasks.get(tid)
+                if task is None:
+                    continue
+                if kind == K_PICKED and task["state"] == "assigned":
+                    update(tid, state="picked")
+                elif kind == K_DELIVERED and task["state"] == "picked":
+                    update(tid, state="delivered")
+                    events.append(("delivered", {"task": tid}))
         busy = {
             t["assigned_to"]
             for t in tasks.values()
@@ -679,8 +693,8 @@ def make_tasks_reaction(grid: GridMap):
 
         demands = []
         seen = set()
-        for inf in sorted(needs, key=lambda i: (i.payload_get("order"), i.payload_get("task"))):
-            tid = inf.payload_get("task")
+        for inf in sorted(needs, key=lambda i: (i.payload["order"], i.payload["task"])):
+            tid = inf.payload["task"]
             if tid in seen:
                 continue
             seen.add(tid)
@@ -769,7 +783,7 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
         kinds = by_kind(influences)
         removed = set()
         for inf in kinds.get(K_RESOLVED, ()):
-            sid = inf.payload_get("solver")
+            sid = inf.payload["solver"]
             if sid in solver_bodies and sid not in removed:
                 removed.add(sid)
                 remove.append(sid)
@@ -782,14 +796,14 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
                 )
 
         for inf in kinds.get(K_UNRESOLVABLE, ()):
-            sig = tuple(inf.payload_get("trapped", ()))
+            sig = tuple(inf.payload["trapped"])
             known = tuple(sigma.get("unresolvable", ()))
             if sig not in known:
                 sigma["unresolvable"] = known + (sig,)
                 events.append(
                     (
                         "no-escape-path",
-                        {"solver": inf.payload_get("solver"), "trapped": list(sig)},
+                        {"solver": inf.payload["solver"], "trapped": list(sig)},
                     )
                 )
 
@@ -798,13 +812,13 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
             if sid not in removed:
                 governed.update(body.get("trapped", ()))
 
-        groups = [frozenset(inf.payload_get("trapped", ())) for inf in kinds.get(K_DEADLOCK, ())]
+        groups = [frozenset(inf.payload["trapped"]) for inf in kinds.get(K_DEADLOCK, ())]
         groups = [g for g in groups if g and not (g & governed)]
         for group in merge_trapped_groups(groups):
             if control_enabled:
                 seq = sigma.get("solver_seq", 0)
                 sigma["solver_seq"] = seq + 1
-                sid = f"solver{seq}"
+                sid = solver_id(seq)
                 sigma["deadlocks_detected"] = sigma.get("deadlocks_detected", 0) + 1
                 sigma[body_key(sid)] = Body(
                     CONTROL,

@@ -4,7 +4,7 @@ A constraint influence carries a selector in its payload; before a level
 reacts, every ordinary influence matched by a present constraint's selector is
 removed.  Constraints themselves are consumed in the same step.  Emergence
 influences exist only at the macro level and may only be produced by
-registered detectors, never by macro behaviors or naturals; this producer
+registered detectors, never by agent behaviors or reactions; this producer
 whitelisting enforces the definition structurally.
 
 `hierarchy_issues` is the one static check of these rules: a scenario's
@@ -29,21 +29,15 @@ class HierarchicalCoupling:
 
 @dataclass(frozen=True)
 class InfluenceSelector:
-    """Pure, declarative predicate over an influence's fields."""
+    """Pure, declarative predicate over an influence's kind and producer."""
 
     match_kind: str
     match_producer: str | None = None
-    payload_equals: tuple = ()  # ((key, value), ...)
 
     def matches(self, inf: Influence) -> bool:
-        if inf.kind != self.match_kind:
-            return False
-        if self.match_producer is not None and inf.producer != self.match_producer:
-            return False
-        for key, value in self.payload_equals:
-            if inf.payload_get(key) != value:
-                return False
-        return True
+        return inf.kind == self.match_kind and (
+            self.match_producer is None or inf.producer == self.match_producer
+        )
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,7 @@ def apply_constraints(influences) -> tuple[frozenset, tuple]:
     inhibited: set[str] = set()
     log = []
     for constraint in constraints:
-        selector = constraint.payload_get("selector")
+        selector = constraint.payload.get("selector")
         hits: tuple = ()
         if selector is not None:
             hits = tuple(

@@ -22,6 +22,7 @@ from .fms.model import (
     FmsParams,
     build_fms_model,
     build_initial_state,
+    is_solver_id,
 )
 from .hierarchy import (
     ConstraintKindDecl,
@@ -104,9 +105,6 @@ class ScenarioSpec:
             clearance=p["clearance"],
             jitter=bool(p["jitter"]),
         )
-
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.data))
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)
@@ -359,12 +357,19 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
                 issues.append(Issue("placement", f"blocked cell {cell} out of bounds"))
 
     ids_seen = set()
+
+    def check_id(agent_id):
+        if agent_id in ids_seen:
+            issues.append(Issue("reference", f"duplicate id {agent_id!r}"))
+        if is_solver_id(agent_id):
+            issues.append(Issue("reference", f"id {agent_id!r} has the form of a solver id, "
+                                             f"which the control level gives its solvers"))
+        ids_seen.add(agent_id)
+
     shop_ids = set()
     for shop in data.get("shops", []):
         sid, cell = shop.get("id"), shop.get("cell")
-        if sid in ids_seen:
-            issues.append(Issue("reference", f"duplicate id {sid!r}"))
-        ids_seen.add(sid)
+        check_id(sid)
         shop_ids.add(sid)
         if grid is not None and _is_cell(cell) and not grid.is_free(tuple(cell)):
             issues.append(
@@ -373,9 +378,7 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
     agv_cells = set()
     for agv in data.get("agvs", []):
         aid, cell = agv.get("id"), agv.get("cell")
-        if aid in ids_seen:
-            issues.append(Issue("reference", f"duplicate id {aid!r}"))
-        ids_seen.add(aid)
+        check_id(aid)
         if not _is_cell(cell):
             continue
         cell = tuple(cell)

@@ -46,18 +46,17 @@ def bodies_of(properties: Mapping[str, Any]) -> dict[AgentId, Body]:
     }
 
 
-def _freeze_payload(payload: Mapping[str, Any]) -> tuple:
-    return tuple(sorted(payload.items()))
-
-
 @dataclass(frozen=True, init=False)
 class Influence:
     """A typed, level-targeted desire for change.
 
-    Identity is id-based: two influences with equal ids are the same influence
-    for deduplication purposes, and ids are producer-scoped so they never
-    collide across producers or ticks.  The hash reads the id only, so
-    hashing never walks the payload; equality stays structural, and equal
+    `payload` is the dict of the producer's keyword arguments; like
+    `Body.attributes` it is read-only by contract: readers index it, nobody
+    writes into it.  Identity is id-based: two influences with equal ids are
+    the same influence for deduplication purposes, and ids are
+    producer-scoped so they never collide across producers or ticks.  The
+    hash reads the id only, so hashing never walks the payload; equality
+    stays structural (dict equality ignores key order), and equal
     influences have equal ids, hence equal hashes.
     """
 
@@ -65,10 +64,10 @@ class Influence:
     kind: str
     target_level: LevelId
     producer: str
-    payload: tuple = ()
+    payload: dict
     klass: str = ORDINARY
 
-    def __init__(self, id, kind, target_level, producer, payload=(), klass=ORDINARY):
+    def __init__(self, id, kind, target_level, producer, payload, klass=ORDINARY):
         # One dict update instead of the frozen dataclass's one
         # object.__setattr__ per field; assignment still raises.
         self.__dict__.update(
@@ -79,12 +78,6 @@ class Influence:
     def __hash__(self):
         return hash(self.id)
 
-    def payload_get(self, key: str, default=None):
-        for k, v in self.payload:
-            if k == key:
-                return v
-        return default
-
 
 def influence(kind, target_level, producer, uid, klass=ORDINARY, **payload) -> Influence:
     return Influence(
@@ -92,7 +85,7 @@ def influence(kind, target_level, producer, uid, klass=ORDINARY, **payload) -> I
         kind=kind,
         target_level=target_level,
         producer=producer,
-        payload=_freeze_payload(payload),
+        payload=payload,
         klass=klass,
     )
 
@@ -155,17 +148,6 @@ class AgentRecord:
     id: AgentId
     kind: str = ""
     internal_state: Any = None
-
-
-@dataclass(frozen=True)
-class EnvironmentRecord:
-    id: str
-    member_levels: frozenset
-    natural: Any = None  # callable(percept, ctx) -> iterable[Influence]
-
-    def __post_init__(self):
-        if not self.member_levels:
-            raise ValueError(f"environment {self.id!r} must belong to at least one level")
 
 
 @dataclass(frozen=True)

@@ -178,12 +178,12 @@ class ProbeBehavior(BehaviorRule):
 
 
 def accumulate_reaction(level, sigma, influences, ctx):
-    marks = sorted((i.producer, i.payload_get("value")) for i in influences if i.kind == "mark")
+    marks = sorted((i.producer, i.payload["value"]) for i in influences if i.kind == "mark")
     sigma["log"] = sigma.get("log", ()) + (tuple(marks),)
     keep = tuple(
-        ctx.make("mark", "l", value=i.payload_get("value"))
+        ctx.make("mark", "l", value=i.payload["value"])
         for i in sorted(influences, key=lambda i: i.id)
-        if i.kind == "mark" and (i.payload_get("value") or 0) % 2 == 0
+        if i.kind == "mark" and (i.payload["value"] or 0) % 2 == 0
     )[:2]
     return ReactionResult(sigma, persisted=keep)
 
@@ -247,7 +247,7 @@ class TargetedEmitter(BehaviorRule):
 
 def local_sum(level, sigma, influences, ctx):
     sigma["sum"] = sigma.get("sum", 0) + sum(
-        i.payload_get("value", 0) for i in influences
+        i.payload.get("value", 0) for i in influences
     )
     return ReactionResult(sigma, persisted=tuple(sorted(influences, key=lambda i: i.id))[:1])
 

@@ -168,9 +168,12 @@ def test_an_influence_is_built_in_one_step_and_stays_frozen():
     inf = StepContext(3, "p").make("move", "micro", amount=1, agent="a")
     assert repr(inf) == (
         "Influence(id='p@3#0', kind='move', target_level='micro', producer='p', "
-        "payload=(('agent', 'a'), ('amount', 1)), klass='ordinary')"
+        "payload={'amount': 1, 'agent': 'a'}, klass='ordinary')"
     )
-    assert inf == Influence("p@3#0", "move", "micro", "p", (("agent", "a"), ("amount", 1)))
+    reordered = Influence("p@3#0", "move", "micro", "p", {"agent": "a", "amount": 1})
+    assert inf == reordered and hash(inf) == hash(reordered) == hash("p@3#0")
+    assert len({inf, reordered}) == 1
+    assert inf != Influence("p@3#0", "move", "micro", "p", {"agent": "a", "amount": 2})
     assert inf != dataclasses.replace(inf, klass=EMERGENCE)
     assert [f.name for f in dataclasses.fields(inf)] == [
         "id", "kind", "target_level", "producer", "payload", "klass"
@@ -180,7 +183,9 @@ def test_an_influence_is_built_in_one_step_and_stays_frozen():
             setattr(inf, attr, None)
     with pytest.raises(dataclasses.FrozenInstanceError):
         del inf.kind
-    assert copy.deepcopy(inf) == inf == pickle.loads(pickle.dumps(inf))
+    for twin in (copy.deepcopy(inf), pickle.loads(pickle.dumps(inf))):
+        assert twin == inf and hash(twin) == hash(inf)
+        assert twin.payload is not inf.payload
 
 
 def partitioned_merge(levels, groups):
@@ -205,7 +210,7 @@ def full_apply_constraints(influences):
     others = [i for i in influences if i.klass != CONSTRAINT]
     inhibited, log = set(), []
     for c in constraints:
-        selector = c.payload_get("selector")
+        selector = c.payload.get("selector")
         hits = ()
         if selector is not None:
             hits = tuple(sorted(i.id for i in others
@@ -390,7 +395,7 @@ def full_rebuild_tasks_reaction(grid):
         events = []
         ordered = sorted(influences, key=lambda i: i.id)
         for inf in ordered:
-            tid = inf.payload_get("task")
+            tid = inf.payload.get("task")
             task = tasks.get(tid)
             if task is None:
                 continue
@@ -403,7 +408,7 @@ def full_rebuild_tasks_reaction(grid):
         needs = []
         for inf in ordered:
             if inf.kind == K_SERVE:
-                offers[inf.payload_get("agent")] = tuple(inf.payload_get("cell"))
+                offers[inf.payload["agent"]] = tuple(inf.payload["cell"])
             elif inf.kind == K_NEED:
                 needs.append(inf)
         busy = {
@@ -414,8 +419,8 @@ def full_rebuild_tasks_reaction(grid):
         available = {a: c for a, c in offers.items() if a not in busy}
         demands = []
         seen = set()
-        for inf in sorted(needs, key=lambda i: (i.payload_get("order"), i.payload_get("task"))):
-            tid = inf.payload_get("task")
+        for inf in sorted(needs, key=lambda i: (i.payload["order"], i.payload["task"])):
+            tid = inf.payload["task"]
             if tid in seen:
                 continue
             seen.add(tid)

@@ -28,7 +28,6 @@ from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     AgentRecord,
     Body,
-    EnvironmentRecord,
     LevelState,
     SystemState,
     body_key,
@@ -44,7 +43,7 @@ def sum_reaction(level, sigma, influences, ctx):
     total = sigma.get("total", 0)
     for inf in influences:
         if inf.kind == "inc":
-            total += inf.payload_get("amount", 0)
+            total += inf.payload.get("amount", 0)
     sigma["total"] = total
     return ReactionResult(sigma)
 
@@ -70,14 +69,13 @@ def make_state(levels=("l",), agents=()):
     )
 
 
-def make_model(graph=None, behaviors=None, reactions=None, kinds=None, **kwargs):
+def make_model(graph=None, behaviors=None, reactions=None, kinds=None):
     graph = graph or make_graph()
     return Model(
         graph=graph,
         behaviors=behaviors or {},
         reactions=reactions or {l: sum_reaction for l in graph.levels},
         producible_kinds=kinds or {l: frozenset({"inc"}) for l in graph.levels},
-        **kwargs,
     )
 
 
@@ -101,17 +99,6 @@ def test_single_agent_union_with_carried_over():
     kinds = {(i.producer, i.kind) for i in produced.per_level["l"]}
     assert kinds == {("old", "inc"), ("a1", "inc")}
     assert len(produced.per_level["l"]) == 2
-
-
-def test_environment_natural_produces():
-    def natural(percept, ctx):
-        return [ctx.make("inc", "l", amount=10)]
-
-    model = make_model(
-        environments=(EnvironmentRecord(id="env", member_levels=frozenset({"l"}), natural=natural),)
-    )
-    produced = produce_influences(model, make_state())
-    assert {i.producer for i in produced.per_level["l"]} == {"env"}
 
 
 def test_cross_level_partition_no_leakage():

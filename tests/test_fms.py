@@ -4,12 +4,13 @@ import copy
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsim.engine import StepContext, produce_influences, run, step
+from mlsim.engine import StepContext, produce_influences, react, run, step
 from mlsim.errors import EmitterOnBlockedCell, SafetyViolation
 from mlsim.fms.grid import GridMap, bfs_distances, bfs_path, compute_fields
 from mlsim.fms.model import (
@@ -38,6 +39,7 @@ from mlsim.fms.model import (
     make_tasks_reaction,
     resolve_moves,
 )
+from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 from mlsim.state import (
     AgentRecord,
     Body,
@@ -353,7 +355,7 @@ def test_single_offer_single_task_assigned():
     assert result.sigma["tasks"]["t1"]["state"] == "assigned"
     assert result.sigma["tasks"]["t1"]["assigned_to"] == "a1"
     assigns = [i for i in result.persisted if i.kind == K_ASSIGN]
-    assert len(assigns) == 1 and assigns[0].payload_get("agent") == "a1"
+    assert len(assigns) == 1 and assigns[0].payload["agent"] == "a1"
 
 
 def test_nearest_offer_wins_and_loser_is_held():
@@ -373,7 +375,7 @@ def test_nearest_offer_wins_and_loser_is_held():
     holds = [i for i in result.persisted if i.kind == K_INH_MOVE]
     assert len(holds) == 1
     assert holds[0].klass == CONSTRAINT
-    assert holds[0].payload_get("agent") == "far"
+    assert holds[0].payload["agent"] == "far"
 
 
 def test_no_offers_task_stays_pending():
@@ -452,7 +454,7 @@ def test_head_on_pair_reported_and_cycle_checked():
     detector = make_deadlock_detector(FieldSensor(grid, params))
     out = detector.rule(detector_percept(grid, bodies), ctx("deadlock-detector"))
     assert len(out) == 1
-    assert out[0].payload_get("trapped") == ("a1", "a2")
+    assert out[0].payload["trapped"] == ("a1", "a2")
     assert out[0].klass == "emergence"
 
     occupant = {b.get("cell"): aid for aid, b in bodies.items()}
@@ -461,7 +463,7 @@ def test_head_on_pair_reported_and_cycle_checked():
         to = desired_move(grid, params, aid, b, bodies, [])
         if to != b.get("cell") and occupant.get(to):
             edges.append((aid, occupant[to]))
-    for member in out[0].payload_get("trapped"):
+    for member in out[0].payload["trapped"]:
         assert cycle_oracle(edges, member)
 
 
@@ -476,7 +478,7 @@ def test_no_progress_window_flags_stalled_agv():
         detector_percept(grid, {"a1": stuck, "a2": blocker}), ctx("deadlock-detector")
     )
     assert len(out) == 1
-    assert "a1" in out[0].payload_get("trapped")
+    assert "a1" in out[0].payload["trapped"]
 
 
 def test_idle_agvs_never_reported():
@@ -541,11 +543,11 @@ def test_jitter_tie_break_stays_apart_from_the_detectors():
     agv_ctx = StepContext(0, "a1", LastPick())
     internal = agv.memorize(agv.perceive(percept, AgentRecord("a1", "agv")), None, agv_ctx)
     moves = [i for i in agv.decide(internal, agv_ctx) if i.kind == K_MOVE]
-    assert [m.payload_get("to") for m in moves] == [(2, 1)]  # the RNG's pick
+    assert [m.payload["to"] for m in moves] == [(2, 1)]  # the RNG's pick
 
     # The detector's wait-for map uses the `min` cell (1,2), a2's: a cycle.
     out = detector.rule(percept, ctx("deadlock-detector"))
-    assert [i.payload_get("trapped") for i in out] == [("a1", "a2")]
+    assert [i.payload["trapped"] for i in out] == [("a1", "a2")]
     view = sensor.view(percept[FLOOR], percept[TASKS])
     assert view.move("a1") == (1, 2)
 
@@ -627,7 +629,7 @@ def test_detector_alone_emits_what_it_emits_after_the_agvs():
     alone = build_fms_model(grid, sorted(bodies), [], FmsParams())
     alone.behaviors = {}
     with_agvs = detector_influences(full)
-    assert [i.payload_get("trapped") for i in with_agvs] == [("a1", "a2")]
+    assert [i.payload["trapped"] for i in with_agvs] == [("a1", "a2")]
     assert detector_influences(alone) == with_agvs
 
 
@@ -739,3 +741,37 @@ def test_safety_checker_rejects_task_regression():
     bad = type(state)(1, {**state.per_level, TASKS: regressed}, state.agents)
     with pytest.raises(SafetyViolation):
         checker(1, bad, None)
+
+
+# --- read-only payloads --------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("control", ["false", "true"])
+@pytest.mark.parametrize("fixture", ["corridor.json", "open_floor.json", "walled_trap.json"])
+def test_no_producer_filter_or_reaction_writes_into_a_payload(fixture, control):
+    spec = parse_scenario(SCENARIOS / fixture)
+    spec = parse_scenario_dict(apply_overrides(spec.data, {"control": control}))
+    model, state = build(spec)
+    seed = spec.run_params["seed"]
+    produced_as = {}  # influence id -> (influence, deep copy of its payload when produced)
+
+    def record(groups):
+        for group in groups:
+            for inf in group:
+                produced_as.setdefault(inf.id, (inf, copy.deepcopy(inf.payload)))
+
+    def assert_unchanged(after):
+        for inf, payload in produced_as.values():
+            assert inf.payload == payload, f"{after} changed the payload of {inf.id}"
+
+    for _ in range(spec.run_params["ticks"]):
+        produced = produce_influences(model, state, seed)
+        assert_unchanged(f"production at tick {state.time}")
+        record(produced.per_level.values())
+        state, _ = react(model, state, produced, seed)
+        assert_unchanged(f"constraint filtering or the reactions at tick {state.time - 1}")
+        record(level.influences for level in state.per_level.values())
+        if all_tasks_delivered(state):
+            break

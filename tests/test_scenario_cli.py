@@ -213,6 +213,15 @@ def test_run_exit_three_on_one_element_cell(tmp_path, capsys):
     assert "[value]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("renamed", ["agv-1", "shop-east"])
+def test_run_exit_three_on_an_id_of_the_solver_form(renamed, tmp_path, capsys):
+    path = tmp_path / "solver_id.json"
+    path.write_text((SCENARIOS / "corridor.json").read_text().replace(f'"{renamed}"', '"solver0"'))
+    rc = main(["run", "--scenario", str(path), "--control", "on"])
+    assert rc == EXIT_INVALID
+    assert "[reference] id 'solver0' has the form of a solver id" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "override,path",
     [

@@ -10,7 +10,6 @@ from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     AgentRecord,
     Body,
-    EnvironmentRecord,
     LevelState,
     Percept,
     SystemState,
@@ -185,11 +184,6 @@ def test_operations_do_not_mutate_input():
 
 # --- misc types --------------------------------------------------------------
 
-def test_environment_requires_levels():
-    with pytest.raises(ValueError):
-        EnvironmentRecord(id="env", member_levels=frozenset())
-
-
 def test_percept_blocks_out_of_scope_levels():
     percept = Percept({"micro": LevelState("micro")}, requester="a1")
     assert "micro" in percept
@@ -200,8 +194,8 @@ def test_percept_blocks_out_of_scope_levels():
 
 def test_influence_payload_access():
     inf = influence("move", "micro", "a1", uid="x", to=(1, 0), frm=(0, 0))
-    assert inf.payload_get("to") == (1, 0)
-    assert inf.payload_get("missing", 9) == 9
+    assert inf.payload["to"] == (1, 0)
+    assert inf.payload.get("missing", 9) == 9
 
 
 def test_influence_hashable_and_frozen():
