@@ -6,6 +6,10 @@ small amplitudes let vehicles approach closely before stalling, larger ones
 stall them further apart, but no amplitude removes the head-on pathology on a
 narrow corridor. That is what the control level is for.
 
+Each amplitude is applied as the override `params.repulse=<amplitude>` and
+validated like `mlsim run --override`: an invalid one is reported and the
+script exits 3.
+
 Usage: python3 scripts/sweep_repulsion.py [--scenario scenarios/corridor.json]
        [--amplitudes 0,2,4,8] [--control on|off]
 """
@@ -14,9 +18,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from mlsim.cli import EXIT_INVALID
 from mlsim.engine import run
+from mlsim.errors import ScenarioError
 from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
-from mlsim.scenario import build, parse_scenario
+from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 
 
 def main():
@@ -27,13 +33,23 @@ def main():
     parser.add_argument("--control", choices=["on", "off"], default="off")
     args = parser.parse_args()
 
-    amplitudes = [int(a) for a in args.amplitudes.split(",")]
+    try:
+        base = parse_scenario(args.scenario)
+        specs = [
+            parse_scenario_dict(apply_overrides(base.data, {
+                "params.repulse": amp,
+                "control": "true" if args.control == "on" else "false",
+            }))
+            for amp in args.amplitudes.split(",")
+        ]
+    except ScenarioError as exc:
+        for issue in exc.errors:
+            print(issue, file=sys.stderr)
+        return EXIT_INVALID
     print(f"scenario={args.scenario} control={args.control}")
     print(f"{'repulse':>8} {'delivered':>10} {'detected':>9} {'resolved':>9} {'ticks':>6}  stop")
-    for amp in amplitudes:
-        spec = parse_scenario(args.scenario)
-        spec.data["params"]["repulse"] = amp
-        spec.data["control"] = args.control == "on"
+    for spec in specs:
+        amp = spec.params.repulse
         model, state = build(spec)
         result = run(
             model,

@@ -37,7 +37,9 @@ EXIT_NO_ESCAPE = 2
 EXIT_INVALID = 3
 
 
-def _load_spec(args) -> ScenarioSpec:
+def _load_spec(args) -> tuple[ScenarioSpec, dict]:
+    """The scenario with the command line's overrides applied, and those
+    overrides by sorted dotted key."""
     spec = parse_scenario(args.scenario)
     overrides = {}
     for item in getattr(args, "override", None) or []:
@@ -51,8 +53,7 @@ def _load_spec(args) -> ScenarioSpec:
         overrides["control"] = "true" if args.control == "on" else "false"
     if overrides:
         spec = parse_scenario_dict(apply_overrides(spec.data, overrides))
-    spec.data["_overrides"] = {k: overrides[k] for k in sorted(overrides)}
-    return spec
+    return spec, {k: overrides[k] for k in sorted(overrides)}
 
 
 def _execute(spec: ScenarioSpec, collect_trace: bool):
@@ -72,7 +73,7 @@ def _execute(spec: ScenarioSpec, collect_trace: bool):
     return result
 
 
-def _summary(spec: ScenarioSpec, result) -> dict:
+def _summary(spec: ScenarioSpec, result, overrides=None) -> dict:
     last = result.records[-1] if result.records else {}
     return {
         "scenario": spec.name,
@@ -85,7 +86,7 @@ def _summary(spec: ScenarioSpec, result) -> dict:
         "deadlocks_detected": last.get("deadlocks_detected", 0),
         "deadlocks_resolved": last.get("deadlocks_resolved", 0),
         "unresolvable": bool(result.diagnostics),
-        "overrides": spec.data.get("_overrides", {}),
+        "overrides": overrides or {},
     }
 
 
@@ -128,7 +129,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        spec = _load_spec(args)
+        spec, overrides = _load_spec(args)
     except ScenarioError as exc:
         for issue in exc.errors:
             print(issue, file=sys.stderr)
@@ -142,15 +143,15 @@ def cmd_run(args) -> int:
         write_metrics(args.metrics_out, result.records)
     if args.trace_out:
         write_trace(args.trace_out, result.trace)
-    print(json.dumps(_summary(spec, result), indent=2, sort_keys=True))
+    print(json.dumps(_summary(spec, result, overrides), indent=2, sort_keys=True))
     return EXIT_NO_ESCAPE if result.diagnostics else EXIT_OK
 
 
-def compare_report(spec_off: ScenarioSpec, spec_on: ScenarioSpec) -> dict:
+def compare_report(spec_off: ScenarioSpec, spec_on: ScenarioSpec, overrides=None) -> dict:
     result_off = _execute(spec_off, collect_trace=False)
     result_on = _execute(spec_on, collect_trace=False)
-    off = _summary(spec_off, result_off)
-    on = _summary(spec_on, result_on)
+    off = _summary(spec_off, result_off, overrides)
+    on = _summary(spec_on, result_on, overrides)
 
     total = off["tasks_total"]
     if on["unresolvable"]:
@@ -169,23 +170,20 @@ def compare_report(spec_off: ScenarioSpec, spec_on: ScenarioSpec) -> dict:
 
 
 def _with_control(base: ScenarioSpec, control: str) -> ScenarioSpec:
-    """`base` re-parsed with `control` set; it reports `base`'s overrides."""
-    data = {key: value for key, value in base.data.items() if key != "_overrides"}
-    spec = parse_scenario_dict(apply_overrides(data, {"control": control}))
-    spec.data["_overrides"] = base.data["_overrides"]
-    return spec
+    """`base` re-parsed with `control` set."""
+    return parse_scenario_dict(apply_overrides(base.data, {"control": control}))
 
 
 def cmd_compare(args) -> int:
     try:
-        base = _load_spec(args)
+        base, overrides = _load_spec(args)
         off, on = _with_control(base, "false"), _with_control(base, "true")
     except ScenarioError as exc:
         for issue in exc.errors:
             print(issue, file=sys.stderr)
         return EXIT_INVALID
     try:
-        report = compare_report(off, on)
+        report = compare_report(off, on, overrides)
     except MlsimError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

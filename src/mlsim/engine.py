@@ -153,10 +153,9 @@ class Model:
     dynamic_behaviors: dict = field(default_factory=dict)  # agent kind -> BehaviorRule
     detectors: dict = field(default_factory=dict)  # name -> DetectorRule
     reactions: dict = field(default_factory=dict)  # LevelId -> ReactionRule
-    producible_kinds: dict = field(default_factory=dict)  # LevelId -> frozenset[str]
-    couplings: tuple = ()
-    emergences: tuple = ()  # EmergenceKindDecl
-    constraints: tuple = ()  # ConstraintKindDecl
+    # The hierarchy declarations, read-only by contract: swap them with
+    # `_replace`, never write into them.
+    decls: Declarations = field(default_factory=lambda: Declarations({}))
 
     def behavior_for(self, record: AgentRecord) -> BehaviorRule | None:
         rule = self.behaviors.get(record.id)
@@ -165,10 +164,10 @@ class Model:
         return rule
 
     def constraint_decl(self, kind: str) -> ConstraintKindDecl | None:
-        return next((d for d in self.constraints if d.kind == kind), None)
+        return next((d for d in self.decls.constraints if d.kind == kind), None)
 
     def emergence_decl(self, kind: str) -> EmergenceKindDecl | None:
-        return next((d for d in self.emergences if d.kind == kind), None)
+        return next((d for d in self.decls.emergences if d.kind == kind), None)
 
 
 def validate_model(model: Model) -> list[Issue]:
@@ -180,9 +179,9 @@ def validate_model(model: Model) -> list[Issue]:
         for level in sorted(levels)
         if level not in model.reactions
     ]
-    decls = Declarations(*(getattr(model, name) for name in Declarations._fields))
     detectors = {name: d.level for name, d in model.detectors.items()}
-    return issues + hierarchy_issues(levels, model.graph.spec.influence_edges, decls, detectors)
+    return issues + hierarchy_issues(levels, model.graph.spec.influence_edges, model.decls,
+                                     detectors)
 
 
 @dataclass
@@ -200,7 +199,7 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
             f"{producer_desc} produced {inf.kind!r} into {inf.target_level!r}, "
             f"allowed targets are {sorted(allowed_targets)}"
         )
-    if inf.kind not in model.producible_kinds.get(inf.target_level, ()):
+    if inf.kind not in model.decls.producible_kinds.get(inf.target_level, ()):
         raise KindNotProducible(
             f"{producer_desc}: kind {inf.kind!r} is not producible at {inf.target_level!r}"
         )

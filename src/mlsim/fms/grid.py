@@ -6,16 +6,18 @@ positive, repulsion negative, superposition additive.  Unreachable cells get
 no contribution.
 
 Walls never move, so each `GridMap` owns its static geometry: a sorted
-adjacency table and two per-source tables of wall-only BFS distances.  Full
-rows serve readers that need every distance (the task assignment, keyed by
-shop cells).  Balls serve readers that need only the distances below some
-limit (field emitters, deadlock grouping, the clearance check), so an AGV
-cell costs a ball of its reach, not a row of the whole floor.  All tables
-are filled on first use and live on the instance, so they die with the grid.
+adjacency table and one per-source table of wall-only BFS distances, each
+exact below a limit.  Readers that need every distance (the task assignment,
+keyed by shop cells) ask for the limit `math.inf`, the full row.  Readers
+that need only the distances below some limit (field emitters, deadlock
+grouping, the clearance check) ask for that limit, so an AGV cell costs a
+ball of its reach, not a row of the whole floor.  Both tables are filled on
+first use and live on the instance, so they die with the grid.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,57 +59,43 @@ class GridMap:
         return {cell: tuple(self.neighbors4(cell)) for cell in self.free_cells()}
 
     @cached_property
-    def _distance_rows(self) -> dict[Cell, dict[Cell, int]]:
+    def _rows(self) -> dict[Cell, tuple[float, dict[Cell, int]]]:
+        """Source -> (limit, row): the row is exact below the limit."""
         return {}
 
     def distances(self, source: Cell) -> dict[Cell, int]:
-        """Wall-only BFS distances from `source`, computed once per source.
-
-        The row is shared by every caller on this grid: read it, never
-        mutate it.
-        """
-        row = self._distance_rows.get(source)
-        if row is None:
-            row = self._distance_rows[source] = bfs_distances(self, source)
-        return row
-
-    @cached_property
-    def _balls(self) -> dict[Cell, tuple[float, dict[Cell, int]]]:
-        return {}
+        """Wall-only BFS distances from `source` to every reachable cell."""
+        return self.distances_below(source, math.inf)
 
     def distances_below(self, source: Cell, limit: float) -> dict[Cell, int]:
         """Wall-only BFS distances from `source` to at least every free cell
         at distance `< limit`, each exact; cells farther away may be missing.
 
-        One ball per source is cached, and grown when a caller asks for a
+        One row per source is cached, and grown when a caller asks for a
         larger limit.  A search that runs out of cells before its limit is
-        the full row and is cached as one; a full row answers every limit.
-        Read the result, never mutate it.
+        the full row and is cached with the limit `math.inf`, so it answers
+        every limit.  The row is shared by every caller on this grid: read
+        it, never mutate it.
         """
-        row = self._distance_rows.get(source)
-        if row is not None:
-            return row
-        ball = self._balls.get(source)
-        if ball is not None and ball[0] >= limit:
-            return ball[1]
+        entry = self._rows.get(source)
+        if entry is not None and entry[0] >= limit:
+            return entry[1]
         row = bfs_distances(self, source, limit=limit)
         # A cell at distance d was expanded iff d < limit - 1, and BFS inserts
         # cells in distance order: if even the last one was expanded, the
         # search ran out of cells and the row is complete.
         if row and next(reversed(row.values())) < limit - 1:
-            self._distance_rows[source] = row
-            self._balls.pop(source, None)
-        else:
-            self._balls[source] = (limit, row)
+            limit = math.inf
+        self._rows[source] = (limit, row)
         return row
 
 
 def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset(),
-                  limit: float | None = None) -> dict[Cell, int]:
+                  limit: float = math.inf) -> dict[Cell, int]:
     """BFS distance map over free cells, treating `obstacles` as extra walls.
-    The start cell itself is never treated as an obstacle.  With `limit`, the
-    search stops expanding at distance `limit - 1`: the map holds `start` and
-    exactly the reachable cells at distance `< limit`."""
+    The start cell itself is never treated as an obstacle.  The search stops
+    expanding at distance `limit - 1`: the map holds `start` and exactly the
+    reachable cells at distance `< limit`."""
     if not grid.is_free(start):
         return {}
     adjacency = grid.adjacency
@@ -116,7 +104,7 @@ def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset(),
     while queue:
         cell = queue.popleft()
         step = dist[cell] + 1
-        if limit is not None and step >= limit:
+        if step >= limit:
             break
         for nxt in adjacency[cell]:
             if nxt in dist or nxt in obstacles:

@@ -59,6 +59,7 @@ CONTROL = "control"
 
 LEVELS = (FLOOR, TASKS, CONTROL)
 LEVEL_EDGES = ((FLOOR, TASKS), (TASKS, FLOOR), (FLOOR, CONTROL), (CONTROL, FLOOR))
+FMS_GRAPH = LevelGraphSpec.make(LEVELS, LEVEL_EDGES, LEVEL_EDGES)
 
 K_MOVE = "move"
 K_FORCED = "forced-move"
@@ -74,11 +75,11 @@ K_DEADLOCK = "deadlock"
 K_RESOLVED = "deadlock-resolved"
 K_UNRESOLVABLE = "deadlock-unresolvable"
 
-PRODUCIBLE_KINDS = {
+PRODUCIBLE_KINDS = MappingProxyType({
     FLOOR: frozenset({K_MOVE, K_FORCED, K_REPULSE, K_ASSIGN, K_INH_MOVE, K_INH_REP}),
     TASKS: frozenset({K_SERVE, K_NEED, K_PICKED, K_DELIVERED}),
     CONTROL: frozenset({K_DEADLOCK, K_RESOLVED, K_UNRESOLVABLE}),
-}
+})
 
 DEADLOCK_DETECTOR = "deadlock-detector"
 DETECTORS = {DEADLOCK_DETECTOR: FLOOR}  # registered detector name -> its level
@@ -122,6 +123,14 @@ class FmsParams:
 
 # --- field sensing -----------------------------------------------------------
 
+def agv_goal(body):
+    """The cell an AGV's task sends it to: the dest while carrying, the
+    source while assigned, None while idle."""
+    if body.get("assigned") is None:
+        return None
+    return body.get("dest") if body.get("carrying") else body.get("source")
+
+
 def desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=None):
     """The cell an AGV's gradient rule wants next (may equal its own cell).
 
@@ -130,11 +139,11 @@ def desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=N
     happen toward a strictly larger net potential.
     """
     cell = body.get("cell")
-    if body.get("assigned") is not None:
-        target = body.get("dest") if body.get("carrying") else body.get("source")
-        attract = [target] if target is not None else []
-    else:
+    if body.get("assigned") is None:
         attract = sorted(emitting_cells)
+    else:
+        goal = agv_goal(body)
+        attract = [goal] if goal is not None else []
     repulse = sorted(
         b.get("cell")
         for other, b in agv_bodies.items()
@@ -327,11 +336,6 @@ class SolverBehavior(BehaviorRule):
             "agvs": floor_agvs(percept[FLOOR]),
         }
 
-    def _goal(self, body):
-        if body.get("assigned") is None:
-            return None
-        return body.get("dest") if body.get("carrying") else body.get("source")
-
     def _plan(self, members, agvs):
         ideal: dict[str, set] = {}
         for m in members:
@@ -339,7 +343,7 @@ class SolverBehavior(BehaviorRule):
             if body is None:
                 ideal[m] = set()
                 continue
-            goal = self._goal(body)
+            goal = agv_goal(body)
             path = bfs_path(self.grid, body.get("cell"), goal) if goal else None
             ideal[m] = set(path) if path else {body.get("cell")}
         occupied = {b.get("cell") for b in agvs.values()}
@@ -375,7 +379,7 @@ class SolverBehavior(BehaviorRule):
             # `_plan` reads only the members and every AGV's cell and goal:
             # while those stay the same, a stuck solver stays stuck.
             key = (tuple(members), tuple(
-                (aid, b.get("cell"), self._goal(b)) for aid, b in agvs.items()
+                (aid, b.get("cell"), agv_goal(b)) for aid, b in agvs.items()
             ))
             if phase == "plan" or state.get("plan_key") != key:
                 state["plan_key"] = key
@@ -652,6 +656,26 @@ def make_floor_reaction(grid: GridMap, params: FmsParams):
     return floor_reaction
 
 
+def shop_queues(tasks: dict, shop_ids) -> dict:
+    """Shop id -> the ids of the tasks waiting there, in task order, for each
+    of `shop_ids`: pending and assigned tasks wait at their source shop,
+    picked ones at their dest shop."""
+    queues: dict = {sid: [] for sid in shop_ids}
+    for tid, t in tasks.items():
+        if t["state"] in ("pending", "assigned"):
+            queue = queues.get(t["source"])
+        elif t["state"] == "picked":
+            queue = queues.get(t["dest"])
+        else:
+            continue
+        if queue is not None:
+            queue.append(tid)
+    return {
+        sid: tuple(sorted(queue, key=lambda tid: tasks[tid]["order"]))
+        for sid, queue in queues.items()
+    }
+
+
 def make_tasks_reaction(grid: GridMap):
     def tasks_reaction(level, sigma, influences, ctx):
         # Copy-on-write: the snapshot's table and task dicts are shared with
@@ -743,25 +767,15 @@ def make_tasks_reaction(grid: GridMap):
 
         # Only the source and dest shops of a changed task can see their
         # queue change; every other shop body is carried over as it is.
-        queues: dict = {}
+        touched = {}
         for tid in changed:
             for sid in (tasks[tid]["source"], tasks[tid]["dest"]):
                 body = sigma.get(body_key(sid))
                 if body is not None and body.get("type") == "shop":
-                    queues[sid] = []
-        if queues:
-            for tid, t in tasks.items():
-                if t["state"] in ("pending", "assigned"):
-                    queue = queues.get(t["source"])
-                elif t["state"] == "picked":
-                    queue = queues.get(t["dest"])
-                else:
-                    continue
-                if queue is not None:
-                    queue.append(tid)
-            for sid, queue in queues.items():
-                pending = tuple(sorted(queue, key=lambda tid: tasks[tid]["order"]))
-                sigma[body_key(sid)] = sigma[body_key(sid)].with_attrs(
+                    touched[sid] = body
+        if touched:
+            for sid, pending in shop_queues(tasks, touched).items():
+                sigma[body_key(sid)] = touched[sid].with_attrs(
                     pending=pending, emitting=bool(pending)
                 )
 
@@ -845,14 +859,10 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
 
 # --- model / initial state builders -----------------------------------------
 
-def default_level_graph():
-    return validate(LevelGraphSpec.make(LEVELS, LEVEL_EDGES, LEVEL_EDGES))
-
-
 def build_fms_model(grid: GridMap, agv_ids, shop_ids, params: FmsParams,
                     control: bool = True, graph=None,
                     decls: Declarations = FMS_DECLARATIONS) -> Model:
-    graph = graph or default_level_graph()
+    graph = graph or validate(FMS_GRAPH)
     sensor = FieldSensor(grid, params)
     agv_rule = AgvBehavior(sensor)
     shop_rule = ShopBehavior()
@@ -869,10 +879,7 @@ def build_fms_model(grid: GridMap, agv_ids, shop_ids, params: FmsParams,
             TASKS: make_tasks_reaction(grid),
             CONTROL: make_control_reaction(grid, params, control),
         },
-        producible_kinds=dict(decls.producible_kinds),
-        couplings=decls.couplings,
-        emergences=decls.emergences,
-        constraints=decls.constraints,
+        decls=decls,
     )
 
 
@@ -917,15 +924,11 @@ def build_initial_state(grid: GridMap, agvs: dict, shops: dict, tasks) -> System
         floor_props[body_key(aid)] = body
         agents[aid] = AgentRecord(id=aid, kind="agv")
 
+    queues = shop_queues(task_table, shops)
     for sid in sorted(shops):
         cell = tuple(shops[sid])
         floor_body = Body(FLOOR, {"type": "shop", "cell": cell})
-        pending = tuple(
-            sorted(
-                (tid for tid, t in task_table.items() if t["source"] == sid),
-                key=lambda tid: task_table[tid]["order"],
-            )
-        )
+        pending = queues[sid]
         task_body = Body(
             TASKS,
             {"type": "shop", "cell": cell, "pending": pending, "emitting": bool(pending)},

@@ -55,7 +55,8 @@ class ConstraintKindDecl:
 
 
 class Declarations(NamedTuple):
-    """A model's hierarchy declarations, named as the `Model` fields they fill."""
+    """A model's hierarchy declarations (`Model.decls`): what may be produced
+    at each level, and the couplings, emergences and constraints over them."""
 
     producible_kinds: Mapping  # LevelId -> frozenset[str]
     couplings: tuple = ()  # HierarchicalCoupling

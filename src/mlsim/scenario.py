@@ -17,6 +17,7 @@ from .fms.grid import GridMap
 from .fms.model import (
     DETECTORS,
     FMS_DECLARATIONS,
+    FMS_GRAPH,
     LEVEL_EDGES,
     LEVELS,
     FmsParams,
@@ -36,6 +37,14 @@ from .levels import LevelGraphSpec, ValidatedLevelGraph, validate as validate_gr
 KIND_CLASSES = ("ordinary", "constraint", "emergence")
 TERMINATION_PREDICATES = ("all-delivered", "none")
 
+# The lists of hierarchy declarations, by JSON key (each a `Declarations`
+# field); an item's keys are the field names of its class.
+DECLARATION_LISTS = {
+    "couplings": HierarchicalCoupling,
+    "emergences": EmergenceKindDecl,
+    "constraints": ConstraintKindDecl,
+}
+
 
 def default_scenario_dict() -> dict:
     """A scenario declaring the bundled model's hierarchy, on an empty 1x1 grid."""
@@ -52,20 +61,12 @@ def default_scenario_dict() -> dict:
         "influence_edges": [list(e) for e in LEVEL_EDGES],
         "perception_edges": [list(e) for e in LEVEL_EDGES],
         "kinds": kinds,
-        "couplings": [dict(vars(c)) for c in decls.couplings],
-        "emergences": [dict(vars(d)) for d in decls.emergences],
-        "constraints": [dict(vars(d)) for d in decls.constraints],
+        **{key: [dict(vars(d)) for d in getattr(decls, key)] for key in DECLARATION_LISTS},
         "grid": {"width": 1, "height": 1, "blocked": []},
         "shops": [],
         "agvs": [],
         "tasks": [],
-        "params": {
-            "attract": 16,
-            "repulse": 4,
-            "window": 6,
-            "clearance": 3,
-            "jitter": False,
-        },
+        "params": dict(vars(FmsParams())),
         "control": True,
         "run": {"ticks": 100, "seed": 0, "termination": "all-delivered"},
     }
@@ -97,17 +98,7 @@ class ScenarioSpec:
 
     @property
     def params(self) -> FmsParams:
-        p = self.data["params"]
-        return FmsParams(
-            attract=p["attract"],
-            repulse=p["repulse"],
-            window=p["window"],
-            clearance=p["clearance"],
-            jitter=bool(p["jitter"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
+        return FmsParams(**self.data["params"])
 
 
 def _merge_defaults(data: dict) -> dict:
@@ -132,19 +123,12 @@ def _merge_defaults(data: dict) -> dict:
 
 def _declarations(data: dict) -> Declarations:
     """The typed hierarchy declarations of a scenario: what validation checks
-    and what `build` hands to the model.  A declaration's JSON keys are the
-    field names of its class."""
-
-    def typed(cls, key):
-        names = [f.name for f in fields(cls)]
-        return tuple(cls(*map(item.get, names)) for item in data[key])
-
+    and what `build` hands to the model."""
     return Declarations(
         {lvl: frozenset(k for cls in KIND_CLASSES for k in spec.get(cls, []))
          for lvl, spec in data["kinds"].items()},
-        typed(HierarchicalCoupling, "couplings"),
-        typed(EmergenceKindDecl, "emergences"),
-        typed(ConstraintKindDecl, "constraints"),
+        **{key: tuple(cls(*map(item.get, OBJECT_LISTS[key])) for item in data[key])
+           for key, cls in DECLARATION_LISTS.items()},
     )
 
 
@@ -167,15 +151,13 @@ def _parts(graph: LevelGraphSpec, decls: Declarations) -> dict:
         "influence edges": graph.influence_edges,
         "perception edges": graph.perception_edges,
         "kinds": {(lvl, k) for lvl, names in decls.producible_kinds.items() for k in names},
-        "couplings": set(decls.couplings),
-        "emergences": set(decls.emergences),
-        "constraints": set(decls.constraints),
+        **{key: set(getattr(decls, key)) for key in DECLARATION_LISTS},
     }
 
 
 # What the bundled behaviors, detector and reactions use: a scenario must
 # declare all of it.
-FMS_USES = _parts(LevelGraphSpec.make(LEVELS, LEVEL_EDGES, LEVEL_EDGES), FMS_DECLARATIONS)
+FMS_USES = _parts(FMS_GRAPH, FMS_DECLARATIONS)
 
 
 def _is_int(value) -> bool:
@@ -198,9 +180,7 @@ OBJECT_LISTS = {
     "shops": ("id", "cell"),
     "agvs": ("id", "cell"),
     "tasks": ("id", "source", "dest"),
-    "couplings": ("micro", "macro"),
-    "emergences": ("kind", "macro_level", "detector"),
-    "constraints": ("kind", "micro_level", "inhibits"),
+    **{key: tuple(f.name for f in fields(cls)) for key, cls in DECLARATION_LISTS.items()},
 }
 
 # The keys a scenario and its object sections may hold.  `environments` is

@@ -22,7 +22,7 @@ from mlsim.engine import (
 )
 from mlsim.fms.grid import GridMap, bfs_distances, compute_fields
 from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
-from mlsim.hierarchy import InfluenceSelector, apply_constraints
+from mlsim.hierarchy import Declarations, InfluenceSelector, apply_constraints
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.scenario import build, parse_scenario
 from mlsim.state import (
@@ -201,7 +201,7 @@ def random_micro_model(rng, order):
         graph=graph,
         behaviors=behaviors,
         reactions={"l": accumulate_reaction},
-        producible_kinds={"l": frozenset({"mark"})},
+        decls=Declarations({"l": frozenset({"mark"})}),
     )
     state = SystemState(
         per_level={"l": LevelState("l", {body_key(aid): Body("l") for aid in ids})},
@@ -281,14 +281,14 @@ def test_criterion_4_level_locality():
             graph=graph,
             behaviors=behaviors,
             reactions={l: local_sum for l in levels},
-            producible_kinds={l: frozenset({"mark"}) for l in levels},
+            decls=Declarations({l: frozenset({"mark"}) for l in levels}),
         )
         swapped_level = rng.choice(levels)
         swapped = Model(
             graph=graph,
             behaviors=behaviors,
             reactions={l: (tracer if l == swapped_level else local_sum) for l in levels},
-            producible_kinds={l: frozenset({"mark"}) for l in levels},
+            decls=Declarations({l: frozenset({"mark"}) for l in levels}),
         )
         produced = produce_influences(base, state, seed=11)
         next_base, _ = react(base, state, produced, seed=11)

@@ -24,6 +24,7 @@ from mlsim.errors import (
     ModelValidationError,
     ReactionFault,
 )
+from mlsim.hierarchy import Declarations
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     AgentRecord,
@@ -75,7 +76,7 @@ def make_model(graph=None, behaviors=None, reactions=None, kinds=None):
         graph=graph,
         behaviors=behaviors or {},
         reactions=reactions or {l: sum_reaction for l in graph.levels},
-        producible_kinds=kinds or {l: frozenset({"inc"}) for l in graph.levels},
+        decls=Declarations(kinds or {l: frozenset({"inc"}) for l in graph.levels}),
     )
 
 
@@ -448,11 +449,18 @@ def test_run_validates_model():
     ]
 
 
+def test_a_model_without_declarations_gets_its_own_empty_ones():
+    graph = make_graph()
+    first, second = Model(graph=graph), Model(graph=graph)
+    assert first.decls == Declarations({})
+    assert first.decls.producible_kinds is not second.decls.producible_kinds
+
+
 def test_validate_model_reports_missing_coupling_edges():
     from mlsim.hierarchy import HierarchicalCoupling
 
     model = make_model(graph=make_graph(("a", "b")))
-    model.couplings = (HierarchicalCoupling("a", "b"),)
+    model.decls = model.decls._replace(couplings=(HierarchicalCoupling("a", "b"),))
     issues = validate_model(model)
     assert any(
         i.code == "coupling-edges" and "requires influence edge" in i.message for i in issues

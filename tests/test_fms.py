@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import math
 import random
 import weakref
 from pathlib import Path
@@ -16,6 +17,7 @@ from mlsim.fms.grid import GridMap, bfs_distances, bfs_path, compute_fields
 from mlsim.fms.model import (
     CONTROL,
     FLOOR,
+    FMS_DECLARATIONS,
     TASKS,
     AgvBehavior,
     FieldSensor,
@@ -29,6 +31,7 @@ from mlsim.fms.model import (
     K_PICKED,
     K_SERVE,
     SafetyChecker,
+    agv_goal,
     all_tasks_delivered,
     build_fms_model,
     build_initial_state,
@@ -38,6 +41,7 @@ from mlsim.fms.model import (
     make_floor_reaction,
     make_tasks_reaction,
     resolve_moves,
+    shop_queues,
 )
 from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 from mlsim.state import (
@@ -169,7 +173,7 @@ def test_fields_match_brute_force(data):
     for cell in free:
         filled.distances(cell)
     assert compute_fields(filled, attract, repulse) == expected
-    assert not filled._balls
+    assert all(limit == math.inf for limit, _ in filled._rows.values())
 
 
 # --- gradient movement -------------------------------------------------------
@@ -218,6 +222,14 @@ def test_repulsion_only_from_flagged_agvs():
     assert advance == (2, 0)
     held = desired_move(grid, params, "a1", mover, {"a1": mover, "a2": noisy}, [])
     assert held == (1, 0)  # repulsion gradient cancels the attraction gradient
+
+
+def test_agv_goal_is_the_end_of_the_task_the_agv_serves():
+    idle = agv_body((0, 0))
+    assigned = agv_body((0, 0), assigned="t", source=(1, 0), dest=(2, 0))
+    assert agv_goal(idle) is None
+    assert agv_goal(assigned) == (1, 0)
+    assert agv_goal(assigned.with_attrs(carrying="t")) == (2, 0)
 
 
 # --- move conflict resolution ------------------------------------------------
@@ -407,6 +419,37 @@ def test_shop_emitting_tracks_open_tasks():
     assert result.sigma["tasks"]["t1"]["state"] == "delivered"
     for sid in ("s1", "s2"):
         assert result.sigma[f"body:{sid}"].get("emitting") is False
+
+
+def test_shop_queues_hold_the_waiting_tasks_in_task_order():
+    def task(source, dest, state, order):
+        return {"source": source, "dest": dest, "state": state, "order": order}
+
+    tasks = {
+        "t2": task("a", "b", "picked", 2),
+        "t0": task("a", "b", "pending", 0),
+        "t1": task("b", "a", "assigned", 1),
+        "t3": task("a", "b", "delivered", 3),
+        "t4": task("b", "c", "picked", 4),
+    }
+    queues = shop_queues(tasks, ["b", "a"])
+    assert queues == {"b": ("t1", "t2"), "a": ("t0",)}
+    assert list(queues) == ["b", "a"]
+    # The initial state's queues are the same rule over all-pending tasks.
+    state = build_initial_state(
+        GridMap(3, 1), {}, {"a": (0, 0), "b": (2, 0)},
+        [{"id": "t0", "source": "b", "dest": "a"}, {"id": "t1", "source": "a", "dest": "b"},
+         {"id": "t2", "source": "b", "dest": "a"}],
+    )
+    bodies = state.per_level[TASKS].bodies()
+    assert bodies["a"].get("pending") == ("t1",) and bodies["b"].get("pending") == ("t0", "t2")
+
+
+def test_a_built_model_shares_the_read_only_bundled_declarations():
+    model = build_fms_model(GridMap(2, 1), [], [], FmsParams())
+    assert model.decls is FMS_DECLARATIONS
+    with pytest.raises(TypeError):
+        model.decls.producible_kinds[FLOOR] = frozenset()
 
 
 # --- deadlock detector -------------------------------------------------------

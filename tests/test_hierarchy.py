@@ -19,6 +19,7 @@ from mlsim.engine import (
 )
 from mlsim.errors import IllegalInfluenceTarget
 from mlsim.hierarchy import (
+    Declarations,
     EmergenceKindDecl,
     HierarchicalCoupling,
     InfluenceSelector,
@@ -147,14 +148,16 @@ def make_model(target="macro", detector_name="det", behaviors=None):
         behaviors=behaviors or {},
         detectors={detector_name: DetectorRule(detector_name, "micro", rule)},
         reactions={l: identity_reaction for l in graph.levels},
-        producible_kinds={
-            "micro": frozenset({"move"}),
-            "macro": frozenset({"deadlock"}),
-            "side": frozenset({"deadlock"}),
-        },
-        couplings=(HierarchicalCoupling("micro", "macro"),),
-        emergences=(EmergenceKindDecl("deadlock", "macro", detector="det"),),
-        constraints=(),
+        decls=Declarations(
+            {
+                "micro": frozenset({"move"}),
+                "macro": frozenset({"deadlock"}),
+                "side": frozenset({"deadlock"}),
+            },
+            couplings=(HierarchicalCoupling("micro", "macro"),),
+            emergences=(EmergenceKindDecl("deadlock", "macro", detector="det"),),
+            constraints=(),
+        ),
     )
 
 
@@ -192,7 +195,9 @@ def test_wrong_producer_is_violation():
 
 def test_emergence_kind_in_micro_is_violation():
     model = make_model()
-    model.producible_kinds["micro"] = frozenset({"move", "deadlock"})
+    model.decls = model.decls._replace(producible_kinds={
+        **model.decls.producible_kinds, "micro": frozenset({"move", "deadlock"}),
+    })
     issues = validate_model(model)
     assert any(
         i.code == "kind-discipline" and "must not be producible at micro level" in i.message

@@ -16,13 +16,16 @@ from mlsim.cli import (
     EXIT_NO_ESCAPE,
     EXIT_OK,
     METRIC_COLUMNS,
+    _load_spec,
+    build_parser,
     main,
 )
 from mlsim.engine import run, validate_model
 from mlsim.errors import ScenarioError
-from mlsim.fms.model import LEVELS, PRODUCIBLE_KINDS, SafetyChecker
-from mlsim.hierarchy import HierarchicalCoupling
+from mlsim.fms.model import LEVELS, PRODUCIBLE_KINDS, FmsParams, SafetyChecker
+from mlsim.hierarchy import Declarations, HierarchicalCoupling
 from mlsim.scenario import (
+    DECLARATION_LISTS,
     KIND_CLASSES,
     apply_overrides,
     build,
@@ -60,7 +63,7 @@ def test_bundled_fixtures_are_valid(fixture):
 @pytest.mark.parametrize("fixture", POSITIVE_FIXTURES)
 def test_round_trip(fixture):
     spec = parse_scenario(SCENARIOS / fixture)
-    reparsed = parse_scenario_dict(json.loads(spec.to_json()))
+    reparsed = parse_scenario_dict(json.loads(json.dumps(spec.data)))
     assert reparsed.data == spec.data
 
 
@@ -162,6 +165,17 @@ def test_run_records_overrides_in_summary(capsys):
     assert rc == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert summary["overrides"] == {"control": "true", "run.ticks": "20"}
+
+
+def test_loading_with_overrides_leaves_the_spec_data_as_validated():
+    args = build_parser().parse_args(
+        ["run", "--scenario", str(SCENARIOS / "corridor.json"), "--ticks", "5",
+         "--override", "params.repulse=2"]
+    )
+    spec, overrides = _load_spec(args)
+    assert overrides == {"params.repulse": "2", "run.ticks": "5"}
+    assert parse_scenario_dict(spec.data).data == spec.data
+    assert spec.params.repulse == 2 and spec.run_params["ticks"] == 5
 
 
 def test_run_exit_two_on_no_escape_path(capsys):
@@ -391,6 +405,13 @@ def test_run_exit_three_when_scenario_omits_what_the_model_uses(overrides, capsy
     assert "[reference] the bundled model uses" in capsys.readouterr().err
 
 
+def test_the_scenario_defaults_are_the_model_defaults():
+    assert default_scenario_dict()["params"] == dict(vars(FmsParams()))
+    assert parse_scenario_dict({}).params == FmsParams()
+    # Each declaration list is the `Declarations` field of the same name.
+    assert tuple(DECLARATION_LISTS) == Declarations._fields[1:]
+
+
 def test_build_hands_the_scenario_declarations_to_the_model():
     added = HierarchicalCoupling("tasks", "control")
     couplings = default_scenario_dict()["couplings"] + [{"micro": "tasks", "macro": "control"}]
@@ -402,7 +423,7 @@ def test_build_hands_the_scenario_declarations_to_the_model():
         },
     )
     model, _ = build(parse_scenario_dict(data))
-    assert added in model.couplings
+    assert added in model.decls.couplings
     assert validate_model(model) == []
 
 
@@ -490,12 +511,22 @@ def test_accepted_declaration_mutations_build_and_run(mutations):
 @pytest.mark.parametrize("script", ["compare_control_modes.py", "sweep_repulsion.py"])
 def test_scripts_run(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
-    )
+
+    def run_script(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *args],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        )
+
+    done = run_script()
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    if script == "sweep_repulsion.py":
+        # An amplitude is validated like `mlsim run --override params.repulse=...`.
+        done = run_script("--amplitudes=2,-3")
+        assert done.returncode == EXIT_INVALID, done.stdout
+        assert done.stderr == "[value] params.repulse must be an integer >= 0, got -3\n"
+        assert done.stdout == ""
 
 
 # --- unknown keys ------------------------------------------------------------
@@ -562,4 +593,4 @@ def test_parse_then_build_makes_each_part_once(monkeypatch):
     assert made == {"validate_graph": 1, "_declarations": 1, "GridMap": 1}
     assert model.graph is spec.graph
     assert model.behaviors["agv-1"].sensor.grid is spec.grid
-    assert model.couplings == spec.decls.couplings
+    assert model.decls is spec.decls

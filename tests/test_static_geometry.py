@@ -4,6 +4,7 @@ algorithm it replaced (kept here as a test-only oracle)."""
 
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -160,10 +161,10 @@ def test_adjacency_equals_neighbors4():
 
 def test_distance_rows_are_filled_lazily_and_once():
     grid = walled_grid()
-    assert "_distance_rows" not in vars(grid) and "adjacency" not in vars(grid)
+    assert "_rows" not in vars(grid) and "adjacency" not in vars(grid)
     row = grid.distances((0, 0))
     assert grid.distances((0, 0)) is row
-    assert list(grid._distance_rows) == [(0, 0)]
+    assert list(grid._rows) == [(0, 0)] and grid._rows[(0, 0)][0] == math.inf
 
 
 @st.composite
@@ -196,8 +197,10 @@ def test_distances_below_agree_with_the_oracle_in_any_request_order(data):
         row = grid.distances_below(source, limit)
         assert {c: d for c, d in expected.items() if d < limit}.items() <= row.items()
         assert row.items() <= expected.items()  # no wrong distance, no extra cell
-    for source, (_, ball) in grid._balls.items():
-        assert ball.items() <= oracle_bfs_distances(grid, source).items()
+    for source, (limit, row) in grid._rows.items():
+        assert row.items() <= oracle_bfs_distances(grid, source).items()
+        if limit == math.inf:
+            assert row == oracle_bfs_distances(grid, source)
 
 
 def test_a_ball_grows_on_demand_and_a_finished_search_is_a_full_row():
@@ -206,9 +209,10 @@ def test_a_ball_grows_on_demand_and_a_finished_search_is_a_full_row():
     assert ball == {(0, 0): 0, (1, 0): 1, (2, 0): 2}
     assert grid.distances_below((0, 0), 2) is ball  # a larger ball answers
     assert grid.distances_below((0, 0), 5) == {(x, 0): x for x in range(5)}
-    assert grid._balls[(0, 0)][0] == 5 and not grid._distance_rows
+    assert list(grid._rows) == [(0, 0)] and grid._rows[(0, 0)][0] == 5  # no full row
     row = grid.distances_below((8, 0), 20)  # runs out of cells first
-    assert grid._distance_rows == {(8, 0): row} and (8, 0) not in grid._balls
+    assert grid._rows[(8, 0)][0] == math.inf and grid._rows[(8, 0)][1] is row
+    assert [s for s, (limit, _) in grid._rows.items() if limit == math.inf] == [(8, 0)]
     assert grid.distances((8, 0)) is row and grid.distances_below((8, 0), 1) is row
 
 
@@ -304,7 +308,7 @@ def test_grids_with_different_walls_share_nothing():
     assert open_grid.distances((0, 0)) != walled.distances((0, 0))
     assert walled.distances((0, 0))[(2, 0)] == 6
     assert open_grid.distances((0, 0))[(2, 0)] == 2
-    assert open_grid._distance_rows is not walled._distance_rows
+    assert open_grid._rows is not walled._rows
 
 
 def _module_state():
@@ -333,11 +337,12 @@ def test_running_a_model_leaves_no_module_level_cache():
     )
     grid = model.dynamic_behaviors["solver"].grid
     assert result.records
-    assert grid._distance_rows and grid._balls  # the run did fill the grid's own tables
+    # The run did fill the grid's own table with full rows and with balls.
+    limits = {limit for limit, _ in grid._rows.values()}
+    assert math.inf in limits and limits - {math.inf}
     assert _module_state() == before
-    # Both tables are owned by the grid alone, so they die with it.
-    assert gc.get_referrers(grid._distance_rows) == [vars(grid)]
-    assert gc.get_referrers(grid._balls) == [vars(grid)]
+    # The table is owned by the grid alone, so it dies with it.
+    assert gc.get_referrers(grid._rows) == [vars(grid)]
     grid_ref = weakref.ref(grid)
     del spec, model, state, result, grid
     gc.collect()
@@ -363,10 +368,11 @@ def test_full_rows_exist_only_for_shop_cells():
     grid = model.dynamic_behaviors["solver"].grid
     shop_cells = {tuple(shop["cell"]) for shop in raw["shops"]}
     assert len(result.records) == 60
-    assert grid._distance_rows and set(grid._distance_rows) <= shop_cells
+    full = {cell for cell, (limit, _) in grid._rows.items() if limit == math.inf}
+    assert full and full <= shop_cells
     # AGV cells hold balls of their reach, not rows of the whole floor.
     reach = max(FmsParams().repulse, 2) + 1
-    agv_balls = [ball for cell, (_, ball) in grid._balls.items() if cell not in shop_cells]
+    agv_balls = [ball for cell, (_, ball) in grid._rows.items() if cell not in shop_cells]
     assert agv_balls
     assert max(len(ball) for ball in agv_balls) <= 2 * reach * (reach - 1) + 1
 
