@@ -6,8 +6,6 @@ with an unresolvable-deadlock diagnostic, 3 invalid scenario.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import json
 import sys
 
@@ -91,6 +89,8 @@ def _summary(spec: ScenarioSpec, result, overrides=None) -> dict:
 
 
 def write_metrics(path, records):
+    import csv  # the library path imports this module for its writers only
+
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
         writer.writeheader()
@@ -98,10 +98,24 @@ def write_metrics(path, records):
             writer.writerow({col: row[col] for col in METRIC_COLUMNS})
 
 
+class _EncodedScalars(dict):
+    """(type, value) -> the value's JSON text, encoded on first use.  The
+    type is part of the key because 1 == 1.0 == True encode apart."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key):
+        text = self[key] = self.encode(key[1])
+        return text
+
+
 def write_trace(path, trace):
     """One JSON line per trace row, with sorted keys, ordered by (tick, level,
     influence id, event, payload).  Each payload is encoded once, for both
-    its sort key and its line."""
+    its sort key and its line; each distinct tick, level and event once per
+    file.  The file is written in one call."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
     keyed = []
     for row in trace:
@@ -109,10 +123,14 @@ def write_trace(path, trace):
         keyed.append((row["tick"], row["level"], str(payload.get("id", "")), row["event"],
                       encode(payload)))
     keyed.sort()
+    scalar = _EncodedScalars(encode)
+    lines = [
+        f'{{"event": {scalar[type(event), event]}, "level": {scalar[type(level), level]}, '
+        f'"payload": {payload}, "tick": {scalar[type(tick), tick]}}}\n'
+        for tick, level, _, event, payload in keyed
+    ]
     with open(path, "w") as fh:
-        for tick, level, _, event, payload in keyed:
-            fh.write(f'{{"event": {encode(event)}, "level": {encode(level)}, '
-                     f'"payload": {payload}, "tick": {encode(tick)}}}\n')
+        fh.write("".join(lines))
 
 
 def cmd_validate(args) -> int:
@@ -192,6 +210,8 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="mlsim",
         description="Multi-level influence/reaction simulator with an AGV fleet reference model",

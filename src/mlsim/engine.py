@@ -26,7 +26,6 @@ levels, and trace rows are built only when `StepInfo.trace` is read.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -65,6 +64,8 @@ from .state import (
 
 def derived_rng(seed: int, *key) -> random.Random:
     """Stable RNG stream keyed by (seed, *key); independent of iteration order."""
+    import hashlib  # only jitter runs draw, so only they pay for the import
+
     digest = hashlib.sha256(repr((seed,) + key).encode()).hexdigest()
     return random.Random(int(digest[:16], 16))
 

@@ -27,6 +27,12 @@ from ..errors import EmitterOnBlockedCell
 Cell = tuple[int, int]
 
 
+def around(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
+    """The four cells next to `cell`, free or not, in sorted order."""
+    x, y = cell
+    return ((x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y))
+
+
 @dataclass(frozen=True)
 class GridMap:
     width: int
@@ -49,14 +55,15 @@ class GridMap:
         return [c for c in self.cells() if c not in self.blocked]
 
     def neighbors4(self, cell: Cell) -> list[Cell]:
-        x, y = cell
-        candidates = [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
-        return sorted(c for c in candidates if self.is_free(c))
+        """The free 4-neighbors of `cell`, in sorted order."""
+        return [c for c in around(cell) if c in self.adjacency]
 
     @cached_property
     def adjacency(self) -> dict[Cell, tuple[Cell, ...]]:
-        """Sorted free 4-neighbors of every free cell, built on first use."""
-        return {cell: tuple(self.neighbors4(cell)) for cell in self.free_cells()}
+        """Sorted free 4-neighbors of every free cell, built on first use.
+        Its keys are the free cells."""
+        free = dict.fromkeys(self.free_cells())
+        return {cell: tuple(filter(free.__contains__, around(cell))) for cell in free}
 
     @cached_property
     def _rows(self) -> dict[Cell, tuple[float, dict[Cell, int]]]:
@@ -96,21 +103,21 @@ def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset(),
     The start cell itself is never treated as an obstacle.  The search stops
     expanding at distance `limit - 1`: the map holds `start` and exactly the
     reachable cells at distance `< limit`."""
-    if not grid.is_free(start):
-        return {}
     adjacency = grid.adjacency
+    if start not in adjacency:
+        return {}
     dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        step = dist[cell] + 1
-        if step >= limit:
-            break
-        for nxt in adjacency[cell]:
-            if nxt in dist or nxt in obstacles:
-                continue
-            dist[nxt] = step
-            queue.append(nxt)
+    frontier = [start]
+    step = 1
+    while frontier and step < limit:
+        reached = []
+        for cell in frontier:
+            for nxt in adjacency[cell]:
+                if nxt not in dist and nxt not in obstacles:
+                    dist[nxt] = step
+                    reached.append(nxt)
+        frontier = reached
+        step += 1
     return dist
 
 
@@ -142,19 +149,26 @@ def bfs_path(grid: GridMap, start: Cell, goal: Cell, obstacles=frozenset()):
     return None
 
 
+def emitter_reach(grid: GridMap, cell: Cell, amplitude: int) -> dict[Cell, int]:
+    """The distances from an emitter at `cell` to at least every cell its
+    field touches: cells at distance >= amplitude get nothing, so its ball
+    below the amplitude suffices.  Raises EmitterOnBlockedCell when the
+    emitter is outside the free cell set."""
+    if cell not in grid.adjacency:
+        raise EmitterOnBlockedCell(f"emitter at {cell} is blocked or out of bounds")
+    return grid.distances_below(cell, amplitude)
+
+
 def compute_fields(grid: GridMap, attractors, repulsors, cells=None) -> dict[Cell, float]:
     """Net potential per free cell, or only at `cells` when given.
 
     attractors / repulsors: iterables of (cell, amplitude).  Raises
     EmitterOnBlockedCell for any emitter outside the free cell set.
     """
-    field = {cell: 0.0 for cell in (grid.free_cells() if cells is None else cells)}
+    field = dict.fromkeys(grid.free_cells() if cells is None else cells, 0.0)
     for sign, emitters in ((1.0, attractors), (-1.0, repulsors)):
         for cell, amplitude in emitters:
-            if cell not in grid.adjacency:
-                raise EmitterOnBlockedCell(f"emitter at {cell} is blocked or out of bounds")
-            # Cells at distance >= amplitude get nothing, so the ball suffices.
-            dist = grid.distances_below(cell, amplitude)
+            dist = emitter_reach(grid, cell, amplitude)
             for target in field:
                 d = dist.get(target)
                 if d is not None and amplitude - d > 0:

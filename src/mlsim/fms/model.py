@@ -24,6 +24,7 @@ enabled per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from ..engine import (
@@ -51,7 +52,7 @@ from ..state import (
     bodies_of,
     body_key,
 )
-from .grid import GridMap, bfs_distances, bfs_path, compute_fields
+from .grid import GridMap, bfs_distances, bfs_path, compute_fields, emitter_reach
 
 FLOOR = "floor"
 TASKS = "tasks"
@@ -131,37 +132,23 @@ def agv_goal(body):
     return body.get("dest") if body.get("carrying") else body.get("source")
 
 
-def desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=None):
+def desired_move(view, agent_id, rng=None):
     """The cell an AGV's gradient rule wants next (may equal its own cell).
 
     Candidates are the wall-free 4-neighbors; occupancy is *not* considered
     here - capacity conflicts are the floor reaction's business.  Moves only
-    happen toward a strictly larger net potential.
+    happen toward a strictly larger net potential, read off the snapshot's
+    shared emitters in `view`.
     """
-    cell = body.get("cell")
-    if body.get("assigned") is None:
-        attract = sorted(emitting_cells)
-    else:
-        goal = agv_goal(body)
-        attract = [goal] if goal is not None else []
-    repulse = sorted(
-        b.get("cell")
-        for other, b in agv_bodies.items()
-        if other != agent_id and b.get("repulsion_on")
-    )
-    candidates = grid.adjacency[cell]
-    values = compute_fields(
-        grid,
-        [(c, params.attract) for c in attract],
-        [(c, params.repulse) for c in repulse],
-        cells=candidates + (cell,),
-    )
+    cell = view.agvs[agent_id].get("cell")
+    candidates = view.grid.adjacency[cell]
+    values = view.potential(agent_id, candidates + (cell,))
     here = values[cell]
-    best = max((values[c] for c in candidates), default=here)
+    best = max(map(values.__getitem__, candidates), default=here)
     if best <= here:
         return cell
     ties = [c for c in candidates if values[c] == best]
-    if params.jitter and rng is not None and len(ties) > 1:
+    if view.params.jitter and rng is not None and len(ties) > 1:
         return rng.choice(sorted(ties))
     return min(ties)
 
@@ -181,36 +168,92 @@ def floor_agvs(level_state: LevelState):
 class FloorView:
     """What the field law reads from one (floor, tasks) snapshot pair.
 
-    It holds the AGV bodies, the emitting shop cells and a memo of each
-    AGV's jitter-free desired move, filled on first ask.  Every producer
-    that senses the same snapshot shares one view, so without jitter the
-    field is evaluated once per AGV and tick.  The memo caches a pure
-    function of the snapshot, so filling it never changes what the view
+    The field's emitters are gathered once per snapshot, not once per AGV:
+    the idle attraction (the summed field of every emitting shop, kept in
+    the sensor's one-entry `idle_fields` table keyed by the emitting cells
+    and filled per cell on first ask) and the AGVs with repulsion on, each
+    with its reach, the cells its field can touch.
+
+    An AGV's net potential is its attraction (the idle field or its goal's
+    field) minus the repulsion of the other AGVs whose reach meets its cell
+    or candidates; the rest add nothing there.  Every term is an integer, so
+    the values equal the per-AGV sums exactly, in any order.
+
+    Every producer that senses the same snapshot shares one view, which also
+    memoizes each AGV's jitter-free desired move.  The memos cache pure
+    functions of the snapshot, so filling them never changes what the view
     reports.
     """
 
-    def __init__(self, grid: GridMap, params: FmsParams, floor: LevelState,
-                 tasks: LevelState):
+    def __init__(self, grid: GridMap, params: FmsParams, idle_fields: dict,
+                 floor: LevelState, tasks: LevelState):
+        self.grid = grid
+        self.params = params
         self.floor = floor
         self.tasks = tasks
         self.agvs = floor_agvs(floor)
-        self.emitting = tuple(
+        self._idle_fields = idle_fields
+        self._repulsors: list | None = None
+        self._moves: dict = {}
+
+    @cached_property
+    def emitting(self) -> tuple:
+        """The cells of the shops that emit attraction, in body order."""
+        return tuple(
             b.get("cell")
-            for b in tasks.bodies().values()
+            for b in self.tasks.bodies().values()
             if b.get("type") == "shop" and b.get("emitting")
         )
-        self._grid = grid
-        self._params = params
-        self._moves: dict = {}
+
+    def idle_attraction(self, cells):
+        """Every emitting shop's field, at least at `cells`.  Each cell is
+        summed once per emitting set, on first ask."""
+        field = self._idle_fields.get(self.emitting)
+        if field is None:
+            self._idle_fields.clear()
+            field = self._idle_fields[self.emitting] = {}
+        missing = [c for c in cells if c not in field]
+        if missing:
+            amplitude = self.params.attract
+            field.update(compute_fields(
+                self.grid, [(c, amplitude) for c in self.emitting], (), missing
+            ))
+        return field
+
+    def repulsors(self):
+        """(agent id, emitter, reach) of every AGV with repulsion on."""
+        found = self._repulsors
+        if found is None:
+            amplitude = self.params.repulse
+            found = self._repulsors = [
+                (aid, (b.get("cell"), amplitude),
+                 emitter_reach(self.grid, b.get("cell"), amplitude).keys())
+                for aid, b in self.agvs.items()
+                if b.get("repulsion_on")
+            ]
+        return found
+
+    def potential(self, agent_id, cells):
+        """One AGV's net potential, by cell, at least at `cells` (its
+        candidates and its own cell)."""
+        body = self.agvs[agent_id]
+        near = [emitter for other, emitter, reach in self.repulsors()
+                if other != agent_id and not reach.isdisjoint(cells)]
+        if body.get("assigned") is None:
+            idle = self.idle_attraction(cells)
+            if not near:
+                return idle
+            repulsion = compute_fields(self.grid, (), near, cells)
+            return {c: idle[c] + repulsion[c] for c in cells}
+        goal = agv_goal(body)
+        attract = [(goal, self.params.attract)] if goal is not None else ()
+        return compute_fields(self.grid, attract, near, cells)
 
     def move(self, agent_id):
         """`desired_move` of one AGV with the `min` tie-break."""
         to = self._moves.get(agent_id)
         if to is None:
-            to = self._moves[agent_id] = desired_move(
-                self._grid, self._params, agent_id, self.agvs[agent_id], self.agvs,
-                self.emitting,
-            )
+            to = self._moves[agent_id] = desired_move(self, agent_id)
         return to
 
 
@@ -219,18 +262,23 @@ class FieldSensor:
 
     A view is keyed by the identity of its (floor, tasks) level states: a
     snapshot is never mutated, and each tick builds new level states, so a
-    new snapshot always gets a fresh view.
+    new snapshot always gets a fresh view.  The idle attraction outlives its
+    view: the sensor keeps the latest one, keyed by its emitting cells, and
+    every view reuses it while the emitting cells stay the same.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):
         self.grid = grid
         self.params = params
+        self._idle_fields: dict = {}
         self._view: FloorView | None = None
 
     def view(self, floor: LevelState, tasks: LevelState) -> FloorView:
         view = self._view
         if view is None or view.floor is not floor or view.tasks is not tasks:
-            view = self._view = FloorView(self.grid, self.params, floor, tasks)
+            view = self._view = FloorView(
+                self.grid, self.params, self._idle_fields, floor, tasks
+            )
         return view
 
 
@@ -252,13 +300,10 @@ class AgvBehavior(BehaviorRule):
     def memorize(self, perception, internal_state, ctx):
         me, view = perception
         body = view.agvs.get(me)
-        sensor = self.sensor
         if body is None:
             to = None
-        elif sensor.params.jitter:
-            to = desired_move(
-                sensor.grid, sensor.params, me, body, view.agvs, view.emitting, ctx.rng
-            )
+        elif self.sensor.params.jitter:
+            to = desired_move(view, me, ctx.rng)
         else:
             to = view.move(me)
         return {"me": me, "body": body, "to": to}
@@ -284,9 +329,10 @@ class ShopBehavior(BehaviorRule):
 
     def perceive(self, percept, me):
         tasks_level = percept[TASKS]
+        body = tasks_level.bodies().get(me.id)
         return {
             "me": me.id,
-            "queue": tasks_level.bodies().get(me.id, Body(TASKS)).get("pending", ()),
+            "queue": body.get("pending", ()) if body is not None else (),
             "tasks": tasks_level.properties.get("tasks", {}),
         }
 

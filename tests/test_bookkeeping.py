@@ -367,7 +367,9 @@ payload_values = st.one_of(
     st.builds(InfluenceSelector, st.just("move")),
 )
 trace_rows = st.fixed_dictionaries({
-    "tick": st.integers(0, 3),
+    # True and 1.0 equal 1 but encode apart, so the writer must not share
+    # one encoding between them.
+    "tick": st.one_of(st.integers(0, 3), st.sampled_from([True, 1.0])),
     "level": st.sampled_from(["floor", "tasks", "contröl"]),
     "event": st.sampled_from(["influence", "spawn", "assigned"]),
     "payload": st.dictionaries(st.sampled_from(["id", "agent", "task", "z"]), payload_values,

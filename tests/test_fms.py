@@ -8,7 +8,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlsim.engine import StepContext, produce_influences, react, run, step
@@ -51,6 +51,7 @@ from mlsim.state import (
     LevelState,
     Percept,
     SystemState,
+    body_key,
     influence,
 )
 
@@ -178,10 +179,27 @@ def test_fields_match_brute_force(data):
 
 # --- gradient movement -------------------------------------------------------
 
+def snapshot(bodies, shops=()):
+    """(floor, tasks) level states holding the AGV `bodies` and a shop body
+    per (cell, emitting) pair of `shops`."""
+    floor = LevelState(FLOOR, {body_key(aid): b for aid, b in bodies.items()})
+    tasks = LevelState(TASKS, {
+        body_key(f"shop{i}"): Body(TASKS, {"type": "shop", "cell": cell, "emitting": emitting})
+        for i, (cell, emitting) in enumerate(shops)
+    })
+    return floor, tasks
+
+
+def sensed_move(grid, params, agent_id, bodies, emitting=()):
+    """`desired_move` of one AGV in a fresh view of one snapshot."""
+    view = FieldSensor(grid, params).view(*snapshot(bodies, [(c, True) for c in emitting]))
+    return desired_move(view, agent_id)
+
+
 def test_flat_field_stays_put():
     grid = GridMap(5, 1)
     body = agv_body((2, 0))
-    assert desired_move(grid, FmsParams(), "a1", body, {"a1": body}, []) == (2, 0)
+    assert sensed_move(grid, FmsParams(), "a1", {"a1": body}) == (2, 0)
 
 
 def test_monotone_field_ascends_toward_shop():
@@ -190,7 +208,7 @@ def test_monotone_field_ascends_toward_shop():
     body = agv_body((0, 0), assigned="t", source=(4, 0), dest=(4, 0))
     cells = [body.get("cell")]
     for _ in range(4):
-        to = desired_move(grid, params, "a1", body, {"a1": body}, [])
+        to = sensed_move(grid, params, "a1", {"a1": body})
         body = body.with_attrs(cell=to)
         cells.append(to)
     assert cells == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
@@ -201,14 +219,14 @@ def test_equal_maxima_tie_break_lexicographic():
     # neighbors; the lexicographically smallest winner is chosen.
     grid = GridMap(3, 3)
     body = agv_body((2, 2), assigned="t", source=(0, 0), dest=(0, 0))
-    to = desired_move(grid, FmsParams(), "a1", body, {"a1": body}, [])
+    to = sensed_move(grid, FmsParams(), "a1", {"a1": body})
     assert to == (1, 2)  # min((1,2),(2,1))
 
 
 def test_idle_agv_attracted_to_emitting_shops():
     grid = GridMap(5, 1)
     body = agv_body((0, 0))
-    to = desired_move(grid, FmsParams(), "a1", body, {"a1": body}, [(4, 0)])
+    to = sensed_move(grid, FmsParams(), "a1", {"a1": body}, [(4, 0)])
     assert to == (1, 0)
 
 
@@ -218,10 +236,148 @@ def test_repulsion_only_from_flagged_agvs():
     mover = agv_body((1, 0), assigned="t", source=(6, 0), dest=(6, 0))
     quiet = agv_body((3, 0))
     noisy = agv_body((3, 0), repulsion_on=True)
-    advance = desired_move(grid, params, "a1", mover, {"a1": mover, "a2": quiet}, [])
+    advance = sensed_move(grid, params, "a1", {"a1": mover, "a2": quiet})
     assert advance == (2, 0)
-    held = desired_move(grid, params, "a1", mover, {"a1": mover, "a2": noisy}, [])
+    held = sensed_move(grid, params, "a1", {"a1": mover, "a2": noisy})
     assert held == (1, 0)  # repulsion gradient cancels the attraction gradient
+
+
+def test_an_agv_is_not_repelled_by_its_own_field():
+    # Its own field would be lowest on its own cell and push it off a flat floor.
+    grid = GridMap(5, 1)
+    for repulsion_on in (False, True):
+        body = agv_body((2, 0), repulsion_on=repulsion_on)
+        assert sensed_move(grid, FmsParams(repulse=4), "a1", {"a1": body}) == (2, 0)
+
+
+def test_a_field_that_reaches_only_a_candidate_still_counts():
+    # a2's field (amplitude 3) reaches (2,0) but not a1's own cell (1,0):
+    # it lowers the candidate to a1's own value, so a1 holds.
+    grid = GridMap(7, 1)
+    params = FmsParams(attract=16, repulse=3)
+    mover = agv_body((1, 0), assigned="t", source=(6, 0), dest=(6, 0))
+    blocker = agv_body((4, 0), repulsion_on=True)
+    assert sensed_move(grid, params, "a1", {"a1": mover}) == (2, 0)
+    assert sensed_move(grid, params, "a1", {"a1": mover, "a2": blocker}) == (1, 0)
+
+
+def test_the_idle_field_follows_the_emitting_shops():
+    # One sensor across snapshots: the idle field it keeps must follow each
+    # shop that starts or stops emitting.
+    grid = GridMap(7, 1)
+    sensor = FieldSensor(grid, FmsParams())
+    bodies = {"a1": agv_body((3, 0))}
+    west, east = (0, 0), (6, 0)
+    moves = [
+        sensor.view(*snapshot(bodies, [(west, w), (east, e)])).move("a1")
+        for w, e in [(False, True), (True, False), (True, True), (False, True), (False, False)]
+    ]
+    assert moves == [(4, 0), (2, 0), (3, 0), (4, 0), (3, 0)]
+
+
+def test_a_blocked_emitter_is_rejected_when_sensed():
+    grid = GridMap(3, 3, frozenset({(1, 1)}))
+    idle = {"a1": agv_body((0, 0))}
+    with pytest.raises(EmitterOnBlockedCell):
+        sensed_move(grid, FmsParams(), "a1", idle, [(1, 1)])
+    walled = {"a1": agv_body((0, 0)), "a2": agv_body((1, 1), repulsion_on=True)}
+    with pytest.raises(EmitterOnBlockedCell):
+        sensed_move(grid, FmsParams(), "a1", walled)
+
+
+def per_agv_desired_move(grid, params, agent_id, body, agv_bodies, emitting_cells, rng=None):
+    """The desired move as each AGV once computed it alone, summing every
+    emitter at its cell and candidates: the oracle for the shared view."""
+    cell = body.get("cell")
+    if body.get("assigned") is None:
+        attract = sorted(emitting_cells)
+    else:
+        goal = agv_goal(body)
+        attract = [goal] if goal is not None else []
+    repulse = sorted(
+        b.get("cell")
+        for other, b in agv_bodies.items()
+        if other != agent_id and b.get("repulsion_on")
+    )
+    candidates = grid.adjacency[cell]
+    values = compute_fields(
+        grid,
+        [(c, params.attract) for c in attract],
+        [(c, params.repulse) for c in repulse],
+        cells=candidates + (cell,),
+    )
+    here = values[cell]
+    best = max((values[c] for c in candidates), default=here)
+    if best <= here:
+        return cell
+    ties = [c for c in candidates if values[c] == best]
+    if params.jitter and rng is not None and len(ties) > 1:
+        return rng.choice(sorted(ties))
+    return min(ties)
+
+
+class RecordingRng:
+    """Picks ties by a fixed rule and records every sequence it was offered."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.offered = []
+
+    def choice(self, seq):
+        self.offered.append(list(seq))
+        return seq[self.pick % len(seq)]
+
+
+@st.composite
+def floor_snapshots(draw):
+    """A walled grid, its shops, and a few snapshots of idle, assigned and
+    carrying AGVs with repulsion on or off over changing emitting shops."""
+    w = draw(st.integers(1, 7))
+    h = draw(st.integers(1, 6))
+    blocked = draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                           max_size=(w * h) // 3))
+    grid = GridMap(w, h, frozenset(blocked))
+    free = grid.free_cells()
+    assume(len(free) >= 2)
+    shops = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    params = FmsParams(attract=draw(st.integers(0, 9)), repulse=draw(st.integers(0, 6)),
+                       jitter=draw(st.booleans()))
+    snapshots = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(st.sampled_from(free), min_size=1, max_size=min(6, len(free)),
+                              unique=True))
+        bodies = {}
+        for i, cell in enumerate(cells):
+            state = draw(st.sampled_from(["idle", "assigned", "carrying"]))
+            task = None if state == "idle" else f"t{i}"
+            bodies[f"a{i}"] = agv_body(
+                cell, assigned=task,
+                source=draw(st.sampled_from(shops)), dest=draw(st.sampled_from(shops)),
+                carrying=task if state == "carrying" else None,
+                repulsion_on=draw(st.booleans()),
+            )
+        emitting = [(cell, draw(st.booleans())) for cell in shops]
+        snapshots.append((bodies, emitting))
+    return grid, params, snapshots, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_snapshots())
+def test_the_shared_view_moves_each_agv_as_it_moved_alone(case):
+    grid, params, snapshots, pick = case
+    sensor = FieldSensor(grid, params)
+    for bodies, shops in snapshots:
+        view = sensor.view(*snapshot(bodies, shops))
+        emitting = [cell for cell, on in shops if on]
+        for aid, body in bodies.items():
+            assert view.move(aid) == per_agv_desired_move(
+                grid, params, aid, body, bodies, emitting
+            )
+            drawn, expected = RecordingRng(pick), RecordingRng(pick)
+            assert desired_move(view, aid, drawn) == per_agv_desired_move(
+                grid, params, aid, body, bodies, emitting, expected
+            )
+            assert drawn.offered == expected.offered
 
 
 def test_agv_goal_is_the_end_of_the_task_the_agv_serves():
@@ -503,7 +659,7 @@ def test_head_on_pair_reported_and_cycle_checked():
     occupant = {b.get("cell"): aid for aid, b in bodies.items()}
     edges = []
     for aid, b in bodies.items():
-        to = desired_move(grid, params, aid, b, bodies, [])
+        to = sensed_move(grid, params, aid, bodies)
         if to != b.get("cell") and occupant.get(to):
             edges.append((aid, occupant[to]))
     for member in out[0].payload["trapped"]:
@@ -622,8 +778,8 @@ def test_each_snapshot_gets_one_fresh_view(monkeypatch):
     views = []
     real_init = model_mod.FloorView.__init__
 
-    def recording_init(self, grid, params, floor, tasks):
-        real_init(self, grid, params, floor, tasks)
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
         views.append(self)
 
     monkeypatch.setattr(model_mod.FloorView, "__init__", recording_init)

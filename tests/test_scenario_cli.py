@@ -369,6 +369,37 @@ def test_python_dash_m_mlsim_validates_a_fixture():
     assert done.stdout.strip() == "valid"
 
 
+JITTER_OFF_RUN = """
+import sys
+before = "hashlib" in sys.modules
+from mlsim import cli
+from mlsim.engine import run
+from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
+from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
+base = parse_scenario(sys.argv[1])
+for control in ("false", "true"):
+    spec = parse_scenario_dict(apply_overrides(base.data, {"control": control}))
+    model, state = build(spec)
+    run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+        observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
+        termination=all_tasks_delivered)
+print(before, "hashlib" in sys.modules)
+"""
+
+
+def test_a_jitter_off_run_does_not_import_hashlib():
+    # Only a producer that reads `ctx.rng` seeds a stream, and only seeding
+    # needs hashlib.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", JITTER_OFF_RUN, str(SCENARIOS / "corridor.json")],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert before == "True" or after == "False"
+
+
 # --- the scenario's hierarchy declarations are the model's --------------------
 
 ALL_EDGES = '[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"]'
