@@ -4,7 +4,7 @@ Phase 1 (produce): every agent behavior and registered detector is
 evaluated against the same frozen snapshot; outputs are merged with the
 carried-over influence sets and partitioned by target level.  Detectors, the
 micro-level rules that reify emergences, are the only producers that are not
-agents.  An influence's payload is the dict of keyword arguments its
+agents; an agent with no behavior only has bodies and produces nothing.  An influence's payload is the dict of keyword arguments its
 producer passed to `StepContext.make`, read-only from then on.
 
 Phase 2 (react): each level independently filters its produced set through
@@ -140,11 +140,6 @@ class ReactionResult:
 
 # Reaction rule signature: (level, sigma: dict, influences: frozenset, ctx) -> ReactionResult
 ReactionRule = Callable[[LevelId, dict, frozenset, StepContext], ReactionResult]
-
-
-def identity_reaction(level, sigma, influences, ctx) -> ReactionResult:
-    """Default reaction: keep properties, persist nothing."""
-    return ReactionResult(sigma=sigma)
 
 
 @dataclass

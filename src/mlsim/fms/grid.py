@@ -54,10 +54,6 @@ class GridMap:
     def free_cells(self):
         return [c for c in self.cells() if c not in self.blocked]
 
-    def neighbors4(self, cell: Cell) -> list[Cell]:
-        """The free 4-neighbors of `cell`, in sorted order."""
-        return [c for c in around(cell) if c in self.adjacency]
-
     @cached_property
     def adjacency(self) -> dict[Cell, tuple[Cell, ...]]:
         """Sorted free 4-neighbors of every free cell, built on first use.

@@ -4,8 +4,10 @@ Three decision levels:
 
 * ``floor``   - grid world with AGV and shop bodies; moves resolved under
   cell capacity 1.
-* ``tasks``   - transport-task bookkeeping; its reaction is a greedy
-  nearest-vehicle assignment algorithm.
+* ``tasks``   - transport-task bookkeeping; its reaction reads the pending
+  tasks from its own table and assigns them, in task order, to the nearest
+  idle vehicle.  Shops are agents with bodies but no behavior: a shop emits
+  attraction while a task waits at it.
 * ``control`` - deadlock governance; macro "solver" agents spawn from
   deadlock emergences and constrain trapped AGVs until the blockage is
   unwound.
@@ -67,7 +69,6 @@ K_FORCED = "forced-move"
 K_REPULSE = "emit-repulsion"
 K_ASSIGN = "assign-task"
 K_SERVE = "can-serve"
-K_NEED = "need-transport"
 K_PICKED = "task-picked"
 K_DELIVERED = "task-delivered"
 K_INH_MOVE = "inhibit-move"
@@ -78,7 +79,7 @@ K_UNRESOLVABLE = "deadlock-unresolvable"
 
 PRODUCIBLE_KINDS = MappingProxyType({
     FLOOR: frozenset({K_MOVE, K_FORCED, K_REPULSE, K_ASSIGN, K_INH_MOVE, K_INH_REP}),
-    TASKS: frozenset({K_SERVE, K_NEED, K_PICKED, K_DELIVERED}),
+    TASKS: frozenset({K_SERVE, K_PICKED, K_DELIVERED}),
     CONTROL: frozenset({K_DEADLOCK, K_RESOLVED, K_UNRESOLVABLE}),
 })
 
@@ -321,41 +322,6 @@ class AgvBehavior(BehaviorRule):
         out.append(
             ctx.make(K_MOVE, FLOOR, agent=me, frm=body.get("cell"), to=internal_state["to"])
         )
-        return out
-
-
-class ShopBehavior(BehaviorRule):
-    """Request transport for every still-unassigned task waiting at this shop."""
-
-    def perceive(self, percept, me):
-        tasks_level = percept[TASKS]
-        body = tasks_level.bodies().get(me.id)
-        return {
-            "me": me.id,
-            "queue": body.get("pending", ()) if body is not None else (),
-            "tasks": tasks_level.properties.get("tasks", {}),
-        }
-
-    def memorize(self, perception, internal_state, ctx):
-        return {"view": perception}
-
-    def decide(self, internal_state, ctx):
-        view = internal_state["view"]
-        out = []
-        for tid in view["queue"]:
-            task = view["tasks"].get(tid)
-            if task is None or task["state"] != "pending":
-                continue
-            out.append(
-                ctx.make(
-                    K_NEED,
-                    TASKS,
-                    task=tid,
-                    source_cell=tuple(task["source_cell"]),
-                    dest_cell=tuple(task["dest_cell"]),
-                    order=task["order"],
-                )
-            )
         return out
 
 
@@ -702,24 +668,17 @@ def make_floor_reaction(grid: GridMap, params: FmsParams):
     return floor_reaction
 
 
-def shop_queues(tasks: dict, shop_ids) -> dict:
-    """Shop id -> the ids of the tasks waiting there, in task order, for each
-    of `shop_ids`: pending and assigned tasks wait at their source shop,
-    picked ones at their dest shop."""
-    queues: dict = {sid: [] for sid in shop_ids}
-    for tid, t in tasks.items():
+def waiting_shops(tasks: dict) -> set:
+    """The ids of the shops some task waits at, the shops that emit
+    attraction: a pending or assigned task waits at its source shop, a picked
+    one at its dest shop."""
+    waiting = set()
+    for t in tasks.values():
         if t["state"] in ("pending", "assigned"):
-            queue = queues.get(t["source"])
+            waiting.add(t["source"])
         elif t["state"] == "picked":
-            queue = queues.get(t["dest"])
-        else:
-            continue
-        if queue is not None:
-            queue.append(tid)
-    return {
-        sid: tuple(sorted(queue, key=lambda tid: tasks[tid]["order"]))
-        for sid, queue in queues.items()
-    }
+            waiting.add(t["dest"])
+    return waiting
 
 
 def make_tasks_reaction(grid: GridMap):
@@ -730,20 +689,16 @@ def make_tasks_reaction(grid: GridMap):
         changed = set()
         persisted = []
         events = []
-        ordered = sorted(influences, key=lambda i: i.id)
 
         def update(tid, **attrs):
             tasks[tid] = {**tasks[tid], **attrs}
             changed.add(tid)
 
         offers = {}
-        needs = []
-        for inf in ordered:
+        for inf in sorted(influences, key=lambda i: i.id):
             kind = inf.kind
             if kind == K_SERVE:
                 offers[inf.payload["agent"]] = tuple(inf.payload["cell"])
-            elif kind == K_NEED:
-                needs.append(inf)
             elif kind == K_PICKED or kind == K_DELIVERED:
                 tid = inf.payload["task"]
                 task = tasks.get(tid)
@@ -754,26 +709,24 @@ def make_tasks_reaction(grid: GridMap):
                 elif kind == K_DELIVERED and task["state"] == "picked":
                     update(tid, state="delivered")
                     events.append(("delivered", {"task": tid}))
-        busy = {
-            t["assigned_to"]
-            for t in tasks.values()
-            if t["state"] in ("assigned", "picked") and t.get("assigned_to")
-        }
-        available = {a: c for a, c in offers.items() if a not in busy}
 
+        # The demand is the level's own table: every task still pending after
+        # this tick's picks and deliveries, in (order, id) order.  One pass
+        # finds it and the AGVs already on a task; with no offer there is
+        # nothing to assign, and no pass.
+        available = {}
         demands = []
-        seen = set()
-        for inf in sorted(needs, key=lambda i: (i.payload["order"], i.payload["task"])):
-            tid = inf.payload["task"]
-            if tid in seen:
-                continue
-            seen.add(tid)
-            task = tasks.get(tid)
-            if task is not None and task["state"] == "pending":
-                demands.append(tid)
+        if offers:
+            busy = set()
+            for tid, t in tasks.items():
+                if t["state"] == "pending":
+                    demands.append((t["order"], tid))
+                elif t["state"] in ("assigned", "picked") and t.get("assigned_to"):
+                    busy.add(t["assigned_to"])
+            available = {a: c for a, c in offers.items() if a not in busy}
 
         assigned_any = False
-        for tid in demands:
+        for _, tid in sorted(demands):
             if not available:
                 break
             task = tasks[tid]
@@ -811,19 +764,17 @@ def make_tasks_reaction(grid: GridMap):
                     )
                 )
 
-        # Only the source and dest shops of a changed task can see their
-        # queue change; every other shop body is carried over as it is.
-        touched = {}
-        for tid in changed:
-            for sid in (tasks[tid]["source"], tasks[tid]["dest"]):
-                body = sigma.get(body_key(sid))
-                if body is not None and body.get("type") == "shop":
-                    touched[sid] = body
-        if touched:
-            for sid, pending in shop_queues(tasks, touched).items():
-                sigma[body_key(sid)] = touched[sid].with_attrs(
-                    pending=pending, emitting=bool(pending)
-                )
+        # Only the source and dest shops of a changed task can start or stop
+        # emitting; every other shop body is carried over as it is.
+        if changed:
+            waiting = waiting_shops(tasks)
+            for tid in changed:
+                for sid in (tasks[tid]["source"], tasks[tid]["dest"]):
+                    body = sigma.get(body_key(sid))
+                    emitting = sid in waiting
+                    if (body is not None and body.get("type") == "shop"
+                            and body.get("emitting") != emitting):
+                        sigma[body_key(sid)] = body.with_attrs(emitting=emitting)
 
         sigma["tasks"] = tasks
         return ReactionResult(sigma, tuple(persisted), events=tuple(events))
@@ -905,15 +856,15 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
 
 # --- model / initial state builders -----------------------------------------
 
-def build_fms_model(grid: GridMap, agv_ids, shop_ids, params: FmsParams,
+def build_fms_model(grid: GridMap, agv_ids, params: FmsParams,
                     control: bool = True, graph=None,
                     decls: Declarations = FMS_DECLARATIONS) -> Model:
+    """The model of one floor: an `AgvBehavior` per AGV id and a solver
+    behavior for the agents the control level spawns.  Shops have bodies but
+    no behavior: the tasks level reads their tasks from its own table."""
     graph = graph or validate(FMS_GRAPH)
     sensor = FieldSensor(grid, params)
-    agv_rule = AgvBehavior(sensor)
-    shop_rule = ShopBehavior()
-    behaviors = {aid: agv_rule for aid in agv_ids}
-    behaviors.update({sid: shop_rule for sid in shop_ids})
+    behaviors = dict.fromkeys(agv_ids, AgvBehavior(sensor))
     detector = make_deadlock_detector(sensor)
     return Model(
         graph=graph,
@@ -970,17 +921,13 @@ def build_initial_state(grid: GridMap, agvs: dict, shops: dict, tasks) -> System
         floor_props[body_key(aid)] = body
         agents[aid] = AgentRecord(id=aid, kind="agv")
 
-    queues = shop_queues(task_table, shops)
+    waiting = waiting_shops(task_table)
     for sid in sorted(shops):
         cell = tuple(shops[sid])
-        floor_body = Body(FLOOR, {"type": "shop", "cell": cell})
-        pending = queues[sid]
-        task_body = Body(
-            TASKS,
-            {"type": "shop", "cell": cell, "pending": pending, "emitting": bool(pending)},
+        floor_props[body_key(sid)] = Body(FLOOR, {"type": "shop", "cell": cell})
+        tasks_props[body_key(sid)] = Body(
+            TASKS, {"type": "shop", "cell": cell, "emitting": sid in waiting}
         )
-        floor_props[body_key(sid)] = floor_body
-        tasks_props[body_key(sid)] = task_body
         agents[sid] = AgentRecord(id=sid, kind="shop")
 
     return SystemState(

@@ -396,6 +396,9 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
             issues.append(
                 Issue("reference", f"the bundled model uses {part} the scenario omits: {missing}")
             )
+    # The bundled model reacts at its own levels only.
+    for level in sorted(declared["levels"] - FMS_USES["levels"]):
+        issues.append(Issue("reference", f"the bundled model has no reaction for level {level!r}"))
 
     return issues, parts
 
@@ -458,7 +461,6 @@ def build(spec: ScenarioSpec):
     model = build_fms_model(
         grid,
         agv_ids=sorted(agvs),
-        shop_ids=sorted(shops),
         params=spec.params,
         control=spec.control,
         graph=spec.graph,

@@ -79,17 +79,6 @@ class Influence:
         return hash(self.id)
 
 
-def influence(kind, target_level, producer, uid, klass=ORDINARY, **payload) -> Influence:
-    return Influence(
-        id=uid,
-        kind=kind,
-        target_level=target_level,
-        producer=producer,
-        payload=payload,
-        klass=klass,
-    )
-
-
 @dataclass(frozen=True)
 class Body:
     """An agent's physical manifestation in one level's state."""
@@ -216,19 +205,10 @@ def member_levels(state: SystemState, agent_id: AgentId) -> frozenset:
     return state.memberships().get(agent_id, frozenset())
 
 
-def merge_influences(sets: Iterable[Iterable[Influence]]) -> frozenset:
-    """Set union with id-based deduplication."""
-    merged: dict[str, Influence] = {}
-    for group in sets:
-        for inf in group:
-            merged.setdefault(inf.id, inf)
-    return frozenset(merged.values())
-
-
 def group_by_level(levels: Iterable[LevelId], sets: Iterable[Iterable[Influence]]) -> dict:
-    """`merge_influences` partitioned by target level, in one pass: level ->
-    frozenset of the influences aimed at it, the first influence of each id
-    kept.  Every level in `levels` gets an entry, empty or not."""
+    """The union of `sets`, partitioned by target level: level -> frozenset
+    of the influences aimed at it, the first influence of each id kept.
+    Every level in `levels` gets an entry, empty or not."""
     by_level: dict[LevelId, list] = {level: [] for level in levels}
     seen: set[str] = set()
     for group in sets:

@@ -32,8 +32,9 @@ from mlsim.state import (
     LevelState,
     SystemState,
     body_key,
-    influence,
 )
+
+from support import influence
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"

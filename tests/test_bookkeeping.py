@@ -26,7 +26,6 @@ from mlsim.fms.model import (
     K_DELIVERED,
     K_INH_MOVE,
     K_MOVE,
-    K_NEED,
     K_PICKED,
     K_SERVE,
     TASK_STATES,
@@ -56,11 +55,10 @@ from mlsim.state import (
     bodies_of,
     body_key,
     group_by_level,
-    influence,
     member_levels,
-    merge_influences,
 )
 
+from support import influence
 from test_golden_digests import ROOT
 
 LEVELS = ("micro", "macro")
@@ -186,6 +184,15 @@ def test_an_influence_is_built_in_one_step_and_stays_frozen():
     for twin in (copy.deepcopy(inf), pickle.loads(pickle.dumps(inf))):
         assert twin == inf and hash(twin) == hash(inf)
         assert twin.payload is not inf.payload
+
+
+def merge_influences(sets):
+    """Set union with id-based deduplication: the first influence of each id."""
+    merged = {}
+    for group in sets:
+        for inf in group:
+            merged.setdefault(inf.id, inf)
+    return frozenset(merged.values())
 
 
 def partitioned_merge(levels, groups):
@@ -388,8 +395,9 @@ def test_write_trace_equals_json_dumps_per_row(tmp_path_factory, rows):
 # --- copy-on-write task bookkeeping -----------------------------------------
 
 def full_rebuild_tasks_reaction(grid):
-    """The task reaction as it was: copy every task dict and rebuild every
-    shop's queue from the whole table on every tick."""
+    """The task reaction rebuilt from the whole table on every tick: copy
+    every task dict, sort every pending task into the demand, and set every
+    shop's emitting flag."""
 
     def tasks_reaction(level, sigma, influences, ctx):
         tasks = {tid: dict(t) for tid, t in sigma.get("tasks", {}).items()}
@@ -407,28 +415,19 @@ def full_rebuild_tasks_reaction(grid):
                 task["state"] = "delivered"
                 events.append(("delivered", {"task": tid}))
         offers = {}
-        needs = []
         for inf in ordered:
             if inf.kind == K_SERVE:
                 offers[inf.payload["agent"]] = tuple(inf.payload["cell"])
-            elif inf.kind == K_NEED:
-                needs.append(inf)
         busy = {
             t["assigned_to"]
             for t in tasks.values()
             if t["state"] in ("assigned", "picked") and t.get("assigned_to")
         }
         available = {a: c for a, c in offers.items() if a not in busy}
-        demands = []
-        seen = set()
-        for inf in sorted(needs, key=lambda i: (i.payload["order"], i.payload["task"])):
-            tid = inf.payload["task"]
-            if tid in seen:
-                continue
-            seen.add(tid)
-            task = tasks.get(tid)
-            if task is not None and task["state"] == "pending":
-                demands.append(tid)
+        demands = sorted(
+            (tid for tid, t in tasks.items() if t["state"] == "pending"),
+            key=lambda tid: (tasks[tid]["order"], tid),
+        )
         assigned_any = False
         for tid in demands:
             if not available:
@@ -457,16 +456,12 @@ def full_rebuild_tasks_reaction(grid):
                 ))
         shop_bodies = {sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "shop"}
         for sid, body in shop_bodies.items():
-            pending = tuple(sorted(
-                (
-                    tid
-                    for tid, t in tasks.items()
-                    if (t["source"] == sid and t["state"] in ("pending", "assigned"))
-                    or (t["dest"] == sid and t["state"] == "picked")
-                ),
-                key=lambda tid: tasks[tid]["order"],
-            ))
-            sigma[body_key(sid)] = body.with_attrs(pending=pending, emitting=bool(pending))
+            emitting = any(
+                (t["source"] == sid and t["state"] in ("pending", "assigned"))
+                or (t["dest"] == sid and t["state"] == "picked")
+                for t in tasks.values()
+            )
+            sigma[body_key(sid)] = body.with_attrs(emitting=emitting)
         sigma["tasks"] = tasks
         return ReactionResult(sigma, tuple(persisted), events=tuple(events))
 
@@ -480,8 +475,8 @@ TASK_AGVS = ("a0", "a1", "a2")
 @st.composite
 def task_snapshots(draw):
     """(grid, tasks-level properties, influences): a random task table whose
-    shop queues follow the queue rule, as every snapshot's do, and a random
-    set of pick, delivery, offer and need influences."""
+    shops emit by the waiting rule, as every snapshot's do, and a random set
+    of pick, delivery and offer influences."""
     grid = GridMap(5, 4, frozenset(draw(st.sets(st.sampled_from([(1, 1), (2, 1), (3, 2), (1, 3)])))))
     free = grid.free_cells()
     cells = {sid: draw(st.sampled_from(free)) for sid in SHOPS}
@@ -493,32 +488,24 @@ def task_snapshots(draw):
             "source": source, "dest": dest,
             "source_cell": cells[source], "dest_cell": cells[dest], "state": state,
             "assigned_to": None if state == "pending" else draw(st.sampled_from(TASK_AGVS)),
-            "order": draw(st.integers(0, 3)),  # ties are broken by table order
+            "order": draw(st.integers(0, 3)),  # ties are broken by task id
         }
     props = {"tasks": table}
     for sid in SHOPS[:-1]:
-        pending = tuple(sorted(
-            (tid for tid, t in table.items()
-             if (t["source"] == sid and t["state"] in ("pending", "assigned"))
-             or (t["dest"] == sid and t["state"] == "picked")),
-            key=lambda tid: table[tid]["order"],
-        ))
-        props[body_key(sid)] = Body(
-            TASKS, {"type": "shop", "cell": cells[sid], "pending": pending, "emitting": bool(pending)}
+        emitting = any(
+            (t["source"] == sid and t["state"] in ("pending", "assigned"))
+            or (t["dest"] == sid and t["state"] == "picked")
+            for t in table.values()
         )
+        props[body_key(sid)] = Body(TASKS, {"type": "shop", "cell": cells[sid], "emitting": emitting})
     tids = sorted(table) + ["ghost"]
     uid = iter(range(100))
     infs = set()
-    for kind in draw(st.lists(st.sampled_from([K_PICKED, K_DELIVERED, K_SERVE, K_NEED]), max_size=10)):
+    for kind in draw(st.lists(st.sampled_from([K_PICKED, K_DELIVERED, K_SERVE]), max_size=10)):
         i = f"i{next(uid):02d}"
         if kind == K_SERVE:
             agent = draw(st.sampled_from(TASK_AGVS))
             infs.add(influence(kind, TASKS, agent, uid=i, agent=agent, cell=draw(st.sampled_from(free))))
-        elif kind == K_NEED:
-            tid = draw(st.sampled_from(tids))
-            task = table.get(tid, {"source_cell": free[0], "dest_cell": free[-1], "order": 9})
-            infs.add(influence(kind, TASKS, "s0", uid=i, task=tid, source_cell=task["source_cell"],
-                               dest_cell=task["dest_cell"], order=task["order"]))
         else:
             infs.add(influence(kind, TASKS, "reaction:floor", uid=i,
                                task=draw(st.sampled_from(tids)), agent="a0"))
@@ -541,15 +528,18 @@ def test_tasks_reaction_equals_the_full_rebuild_and_copies_only_what_changed(sna
     # The input snapshot's table and task dicts are left as they were.
     assert props == before and props["tasks"] is table
     assert all(table[tid] is task for tid, task in task_dicts.items())
-    # A task is copied only when it changed, and only the source and dest
-    # shops of a changed task get a new body.
+    # A task is copied only when it changed, and a shop gets a new body only
+    # when it starts or stops emitting, which only the source and dest shops
+    # of a changed task can.
     new_tasks = result.sigma["tasks"]
     changed = {tid for tid in table if new_tasks[tid] is not table[tid]}
     assert all(new_tasks[tid]["state"] != table[tid]["state"] for tid in changed)
     touched = {table[tid][end] for tid in changed for end in ("source", "dest")}
     for sid in SHOPS[:-1]:
+        old, new = props[body_key(sid)], result.sigma[body_key(sid)]
+        assert (new is old) == (new.get("emitting") == old.get("emitting"))
         if sid not in touched:
-            assert result.sigma[body_key(sid)] is props[body_key(sid)]
+            assert new is old
 
 
 # --- stuck solvers replan only when their inputs change ---------------------

@@ -10,7 +10,6 @@ from mlsim.engine import (
     ReactionResult,
     StepContext,
     derived_rng,
-    identity_reaction,
     produce_influences,
     react,
     run,
@@ -32,8 +31,9 @@ from mlsim.state import (
     LevelState,
     SystemState,
     body_key,
-    influence,
 )
+
+from support import identity_reaction, influence
 
 
 def make_graph(levels=("l",), edges=()):

@@ -27,7 +27,6 @@ from mlsim.fms.model import (
     K_DELIVERED,
     K_INH_MOVE,
     K_MOVE,
-    K_NEED,
     K_PICKED,
     K_SERVE,
     SafetyChecker,
@@ -41,7 +40,7 @@ from mlsim.fms.model import (
     make_floor_reaction,
     make_tasks_reaction,
     resolve_moves,
-    shop_queues,
+    waiting_shops,
 )
 from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 from mlsim.state import (
@@ -52,8 +51,9 @@ from mlsim.state import (
     Percept,
     SystemState,
     body_key,
-    influence,
 )
+
+from support import influence
 
 
 def ctx(producer="test", tick=0):
@@ -81,8 +81,9 @@ def agv_body(cell, assigned=None, source=None, dest=None, carrying=None,
 
 def test_neighbors_respect_walls_and_bounds():
     grid = GridMap(3, 3, frozenset({(1, 0)}))
-    assert grid.neighbors4((0, 0)) == [(0, 1)]
-    assert grid.neighbors4((1, 1)) == [(0, 1), (1, 2), (2, 1)]
+    assert grid.adjacency[(0, 0)] == ((0, 1),)
+    assert grid.adjacency[(1, 1)] == ((0, 1), (1, 2), (2, 1))
+    assert (1, 0) not in grid.adjacency
 
 
 def test_bfs_distances_around_wall():
@@ -489,9 +490,10 @@ def test_floor_delivery_clears_task_fields():
 
 def tasks_sigma(task_table, shops=()):
     sigma = {"tasks": {tid: dict(t) for tid, t in task_table.items()}}
+    waiting = waiting_shops(task_table)
     for sid, cell in shops:
         sigma[f"body:{sid}"] = Body(
-            TASKS, {"type": "shop", "cell": cell, "pending": (), "emitting": False}
+            TASKS, {"type": "shop", "cell": cell, "emitting": sid in waiting}
         )
     return sigma
 
@@ -515,8 +517,6 @@ def test_single_offer_single_task_assigned():
     infs = frozenset(
         {
             influence(K_SERVE, TASKS, "a1", uid="o1", agent="a1", cell=(2, 0)),
-            influence(K_NEED, TASKS, "s1", uid="n1", task="t1",
-                      source_cell=(0, 0), dest_cell=(4, 0), order=0),
         }
     )
     result = reaction(TASKS, sigma, infs, ctx("reaction:tasks"))
@@ -534,8 +534,6 @@ def test_nearest_offer_wins_and_loser_is_held():
         {
             influence(K_SERVE, TASKS, "near", uid="o1", agent="near", cell=(2, 0)),
             influence(K_SERVE, TASKS, "far", uid="o2", agent="far", cell=(4, 0)),
-            influence(K_NEED, TASKS, "s1", uid="n1", task="t1",
-                      source_cell=(0, 0), dest_cell=(6, 0), order=0),
         }
     )
     result = reaction(TASKS, sigma, infs, ctx("reaction:tasks"))
@@ -550,15 +548,34 @@ def test_no_offers_task_stays_pending():
     grid = GridMap(5, 1)
     reaction = make_tasks_reaction(grid)
     sigma = tasks_sigma({"t1": pending_task("t1", "s1", "s2", (0, 0), (4, 0))})
+    result = reaction(TASKS, sigma, frozenset(), ctx("reaction:tasks"))
+    assert result.sigma["tasks"]["t1"]["state"] == "pending"
+    assert result.persisted == ()
+
+
+def test_the_demand_is_every_pending_task_in_task_order():
+    grid = GridMap(7, 1)
+    reaction = make_tasks_reaction(grid)
+    table = {
+        "t1": pending_task("t1", "s1", "s2", (0, 0), (6, 0), order=2),
+        "t2": pending_task("t2", "s2", "s1", (6, 0), (0, 0), order=1),
+        "t3": pending_task("t3", "s1", "s2", (0, 0), (6, 0), order=0),
+    }
+    table["t3"].update(state="picked", assigned_to="busy")
+    sigma = tasks_sigma(table)
     infs = frozenset(
         {
-            influence(K_NEED, TASKS, "s1", uid="n1", task="t1",
-                      source_cell=(0, 0), dest_cell=(4, 0), order=0),
+            influence(K_SERVE, TASKS, "a1", uid="o1", agent="a1", cell=(1, 0)),
+            influence(K_SERVE, TASKS, "busy", uid="o2", agent="busy", cell=(0, 0)),
         }
     )
     result = reaction(TASKS, sigma, infs, ctx("reaction:tasks"))
+    # t3 is picked and its AGV busy; of the pending tasks t2 comes first,
+    # although a1 stands next to t1's source.
+    assert [e for e in result.events if e[0] == "assigned"] == [
+        ("assigned", {"task": "t2", "agent": "a1"})
+    ]
     assert result.sigma["tasks"]["t1"]["state"] == "pending"
-    assert result.persisted == ()
 
 
 def test_shop_emitting_tracks_open_tasks():
@@ -571,38 +588,40 @@ def test_shop_emitting_tracks_open_tasks():
     infs = frozenset(
         {influence(K_DELIVERED, TASKS, "reaction:floor", uid="d1", task="t1", agent="a1")}
     )
+    assert sigma["body:s2"].get("emitting") is True  # the picked task waits there
     result = reaction(TASKS, sigma, infs, ctx("reaction:tasks"))
     assert result.sigma["tasks"]["t1"]["state"] == "delivered"
     for sid in ("s1", "s2"):
         assert result.sigma[f"body:{sid}"].get("emitting") is False
 
 
-def test_shop_queues_hold_the_waiting_tasks_in_task_order():
-    def task(source, dest, state, order):
-        return {"source": source, "dest": dest, "state": state, "order": order}
+def test_a_shop_emits_while_a_task_waits_at_it():
+    def task(source, dest, state):
+        return {"source": source, "dest": dest, "state": state}
 
     tasks = {
-        "t2": task("a", "b", "picked", 2),
-        "t0": task("a", "b", "pending", 0),
-        "t1": task("b", "a", "assigned", 1),
-        "t3": task("a", "b", "delivered", 3),
-        "t4": task("b", "c", "picked", 4),
+        "t0": task("a", "b", "pending"),
+        "t1": task("b", "a", "assigned"),
+        "t2": task("c", "d", "picked"),
+        "t3": task("e", "f", "delivered"),
     }
-    queues = shop_queues(tasks, ["b", "a"])
-    assert queues == {"b": ("t1", "t2"), "a": ("t0",)}
-    assert list(queues) == ["b", "a"]
-    # The initial state's queues are the same rule over all-pending tasks.
+    assert waiting_shops(tasks) == {"a", "b", "d"}
+    # The initial state's shops follow the same rule over all-pending tasks,
+    # and a shop's tasks-level body holds no more than the view reads.
     state = build_initial_state(
-        GridMap(3, 1), {}, {"a": (0, 0), "b": (2, 0)},
-        [{"id": "t0", "source": "b", "dest": "a"}, {"id": "t1", "source": "a", "dest": "b"},
-         {"id": "t2", "source": "b", "dest": "a"}],
+        GridMap(3, 1), {}, {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
+        [{"id": "t0", "source": "b", "dest": "a"}, {"id": "t1", "source": "c", "dest": "b"}],
     )
     bodies = state.per_level[TASKS].bodies()
-    assert bodies["a"].get("pending") == ("t1",) and bodies["b"].get("pending") == ("t0", "t2")
+    assert {sid: b.attributes for sid, b in bodies.items()} == {
+        "a": {"type": "shop", "cell": (0, 0), "emitting": False},
+        "b": {"type": "shop", "cell": (1, 0), "emitting": True},
+        "c": {"type": "shop", "cell": (2, 0), "emitting": True},
+    }
 
 
 def test_a_built_model_shares_the_read_only_bundled_declarations():
-    model = build_fms_model(GridMap(2, 1), [], [], FmsParams())
+    model = build_fms_model(GridMap(2, 1), [], FmsParams())
     assert model.decls is FMS_DECLARATIONS
     with pytest.raises(TypeError):
         model.decls.producible_kinds[FLOOR] = frozenset()
@@ -824,8 +843,8 @@ def test_detector_alone_emits_what_it_emits_after_the_agvs():
             key=lambda i: i.id,
         )
 
-    full = build_fms_model(grid, sorted(bodies), [], FmsParams())
-    alone = build_fms_model(grid, sorted(bodies), [], FmsParams())
+    full = build_fms_model(grid, sorted(bodies), FmsParams())
+    alone = build_fms_model(grid, sorted(bodies), FmsParams())
     alone.behaviors = {}
     with_agvs = detector_influences(full)
     assert [i.payload["trapped"] for i in with_agvs] == [("a1", "a2")]
@@ -871,7 +890,7 @@ def simple_setup(width=5, agvs=None, tasks=None, control=True, params=None):
     agvs = agvs or {"a1": (1, 0)}
     shops = {"s-west": (0, 0), "s-east": (width - 1, 0)}
     tasks = tasks if tasks is not None else [{"id": "t1", "source": "s-west", "dest": "s-east"}]
-    model = build_fms_model(grid, sorted(agvs), sorted(shops), params, control=control)
+    model = build_fms_model(grid, sorted(agvs), params, control=control)
     state = build_initial_state(grid, agvs, shops, tasks)
     return grid, model, state
 
@@ -974,3 +993,21 @@ def test_no_producer_filter_or_reaction_writes_into_a_payload(fixture, control):
         record(level.influences for level in state.per_level.values())
         if all_tasks_delivered(state):
             break
+
+
+# --- producers ---------------------------------------------------------------
+
+@pytest.mark.parametrize("fixture", ["corridor.json", "open_floor.json", "walled_trap.json"])
+def test_only_agvs_and_solvers_produce_and_no_shop_does(fixture):
+    spec = parse_scenario_dict(
+        apply_overrides(parse_scenario(SCENARIOS / fixture).data, {"control": "true"})
+    )
+    model, state = build(spec)
+    shops = {s["id"] for s in spec.data["shops"]}
+    assert shops and shops <= set(state.agents)  # shops are agents, with bodies
+    assert set(model.behaviors) == {a["id"] for a in spec.data["agvs"]}
+    assert set(model.dynamic_behaviors) == {"solver"}
+    result = run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+                 termination=all_tasks_delivered, collect_trace=True)
+    producers = {row["payload"]["producer"] for row in result.trace if row["event"] == "influence"}
+    assert producers and not producers & shops

@@ -12,7 +12,6 @@ from mlsim.engine import (
     DetectorRule,
     Model,
     ReactionResult,
-    identity_reaction,
     produce_influences,
     step,
     validate_model,
@@ -35,9 +34,10 @@ from mlsim.state import (
     LevelState,
     SystemState,
     body_key,
-    influence,
     member_levels,
 )
+
+from support import identity_reaction, influence
 
 
 def ordinary(kind, uid, producer="p", **payload):

@@ -436,6 +436,17 @@ def test_run_exit_three_when_scenario_omits_what_the_model_uses(overrides, capsy
     assert "[reference] the bundled model uses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_a_level_the_model_has_no_reaction_for_is_a_reference_issue(command, tmp_path, capsys):
+    data = json.loads((SCENARIOS / "corridor.json").read_text())
+    data["levels"] = list(LEVELS) + ["extra"]
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr()
+    assert "[reference] the bundled model has no reaction for level 'extra'" in out.out + out.err
+
+
 def test_the_scenario_defaults_are_the_model_defaults():
     assert default_scenario_dict()["params"] == dict(vars(FmsParams()))
     assert parse_scenario_dict({}).params == FmsParams()
@@ -482,7 +493,8 @@ def test_default_scenario_lists_each_kind_under_its_class():
 CORRIDOR = apply_overrides(parse_scenario(SCENARIOS / "corridor.json").data, {"control": "true"})
 KIND_NAMES = sorted(set().union(*PRODUCIBLE_KINDS.values())) + ["extra"]
 SECTIONS = (
-    "kinds", "couplings", "emergences", "constraints", "influence_edges", "perception_edges"
+    "kinds", "couplings", "emergences", "constraints", "influence_edges", "perception_edges",
+    "levels",
 )
 
 
@@ -502,6 +514,7 @@ def declaration_mutation():
             {"kind": kind, "micro_level": level, "inhibits": kind})),
         st.tuples(st.just("add"), st.sampled_from(["influence_edges", "perception_edges"]),
                   st.lists(level, min_size=2, max_size=2)),
+        st.tuples(st.just("add"), st.just("levels"), st.just("extra")),
     )
 
 

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from mlsim.engine import Model, ReactionResult, identity_reaction, step
+from mlsim.engine import Model, ReactionResult, step
 from mlsim.errors import IllegalPerception, UnknownAgent
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
@@ -15,10 +15,11 @@ from mlsim.state import (
     SystemState,
     bodies_of,
     body_key,
-    influence,
+    group_by_level,
     member_levels,
-    merge_influences,
 )
+
+from support import identity_reaction, influence
 
 
 def make_state(bodies=(), levels=("micro",)):
@@ -84,14 +85,14 @@ def test_membership_requires_sigma_registration():
 # --- merge -------------------------------------------------------------------
 
 def test_merge_empty_sets():
-    assert merge_influences([set(), set()]) == frozenset()
+    assert group_by_level(["micro"], [set(), set()]) == {"micro": frozenset()}
 
 
 def test_merge_dedups_by_id():
     a = influence("move", "micro", "a1", uid="a1@0#0")
     b = influence("move", "micro", "a1", uid="a1@0#0")
     c = influence("move", "micro", "a2", uid="a2@0#0")
-    merged = merge_influences([[a], [b, c]])
+    merged = group_by_level(["micro"], [[a], [b, c]])["micro"]
     assert merged == {a, c}
     assert len(merged) == 2
 
@@ -100,7 +101,7 @@ def test_merge_cardinality_is_sum_minus_duplicates():
     carried = [influence("move", "micro", "old", uid=f"old#{i}") for i in range(3)]
     env = [influence("move", "micro", "env", uid="env#0")]
     agents = [influence("move", "micro", "a", uid="a#0"), carried[0]]
-    merged = merge_influences([carried, env, agents])
+    merged = group_by_level(["micro"], [carried, env, agents])["micro"]
     assert len(merged) == 5
 
 

@@ -20,20 +20,20 @@ from mlsim.scenario import build, parse_scenario_dict
 from test_golden_digests import ROOT, episode
 
 TRACE_PINS = {
-    "aisles-22x12-a4-s0-f0": "ee9431c6860e7f9258717707d985852a79914879b28b1506053136f9ced740d7",
-    "aisles-22x12-a4-s0-f1": "55b80c2bb16670d52ebc950906ed865e94cd26ba81b2fe6849eb4f6a3d067546",
-    "aisles-22x12-a4-s0-f2": "873f0d4e84da29c9c68f3357a6484d6717b3fb5cb92f7f64bc53b0b2a60813f4",
-    "aisles-22x12-a4-s0-f3": "e24211464c55597ccc626659f1ab8f410602009574706bf76c12a85ccd1826e2",
-    "aisles-22x12-a4-s0-f4": "10f5a781473aaa8cc91aea8d1e77af731f54a8618be1e75f2bcc3b33cf0362fd",
-    "aisles-22x12-a4-s0-f5": "5b036ea3ab47ff42517be1d16302aba346d3eb55b9dd2dd90ec8680b3c8efad8",
-    "aisles-22x12-a4-s0-f6": "ce34f89a998544ab6eb04db680e04267cd685cfbc6595504f0a65836ca5633f4",
-    "aisles-22x12-a4-s0-f7": "cf7890e91567d5e8d444ce0ed9e4738170b8b41b874f9a701f6443310185782a",
-    "corridor/off": "10b86293cb187d32bd1209a5a93c968849ac896ca7fdf8cf575b494c7bda1935",
-    "corridor/on": "55f86e6226c2fb211f94c80ea643e99350896c2fdbb25096cc3278f103bb834a",
-    "open_floor/off": "c5a5ed8704b36bc8774612bc4bd2493b6ec442f5233171ae7c74c448c6c5c7c0",
-    "open_floor/on": "c5a5ed8704b36bc8774612bc4bd2493b6ec442f5233171ae7c74c448c6c5c7c0",
-    "walled_trap/off": "060d3b5f8c9c763f1db015a5954cf2a8cd4a7ebcecf5c0b3dc99165857ca6c2c",
-    "walled_trap/on": "a929f2326ea9e3edac06a6cf72888e4f360a8c5f7e3bb467a26b37498e7f97b9",
+    "aisles-22x12-a4-s0-f0": "ec2568d3e7fd33deb817342977cac9c6538341c75fa0f34c58dd2a2e2f657ab8",
+    "aisles-22x12-a4-s0-f1": "d07628159c26f3d3c9ebe2e2694445f306fe411d15befe5c301f13a026b7fbc9",
+    "aisles-22x12-a4-s0-f2": "6a4e14bc21c256ec4e3673b731d4d9486f82659504f519f27e7a6280f0dbc742",
+    "aisles-22x12-a4-s0-f3": "d85ae06778379cc0e1f3254ad5279acdd99b0dc148b4027b147b59a4a2f2c8c4",
+    "aisles-22x12-a4-s0-f4": "7fef1cba16a87651ab8ae9a61530344ba75616a09ca58b7652b85bd41ce0559d",
+    "aisles-22x12-a4-s0-f5": "a6f0bbfbbcdf7ac71563ff9c84a1d00d7b3f124c5d8d6d8f91fa452916e49868",
+    "aisles-22x12-a4-s0-f6": "3dacb39ac7bbd8b63a2331441008f33afdb4dccde8de4957dff4080d0db24bbf",
+    "aisles-22x12-a4-s0-f7": "042722f8804cd416c6e24da80624d53833af75143323498f2b33b8c8b24631d6",
+    "corridor/off": "85fa8e6d6060df433156355c46a5611b51de751e7097e3010a3d7d0720b82f93",
+    "corridor/on": "a6c99714ae9400b70970073bca85e1f3bd81e650065b4c9b7ae1a0f634960321",
+    "open_floor/off": "74ab58b663252c3f092c7c663fa717d25081c45938a45ab68c7704f6df2d65ec",
+    "open_floor/on": "74ab58b663252c3f092c7c663fa717d25081c45938a45ab68c7704f6df2d65ec",
+    "walled_trap/off": "7ea59a5210f5137a94eb15e3d3c6ed3be0dca478ae6336910d1dc3dc2cecc6a8",
+    "walled_trap/on": "2ab6c7458b5ffdd46c2c13e9e48145c3a179a25fe9eeda09c6d6aff1172a1741",
 }
 
 AISLE_FLOORS = 8
