@@ -11,8 +11,14 @@ exact below a limit.  Readers that need every distance (the task assignment,
 keyed by shop cells) ask for the limit `math.inf`, the full row.  Readers
 that need only the distances below some limit (field emitters, deadlock
 grouping, the clearance check) ask for that limit, so an AGV cell costs a
-ball of its reach, not a row of the whole floor.  Both tables are filled on
-first use and live on the instance, so they die with the grid.
+ball of its reach, not a row of the whole floor.  A ball asked for a larger
+limit grows: the search resumes from its last level into a copy, so a row
+handed out never changes.  Both tables are filled on first use and live on
+the instance, so they die with the grid.
+
+A shortest path needs no search of its own: on the goal's row, the walk that
+steps from each cell to its smallest neighbor one step closer to the goal is
+the lexicographically smallest shortest path, the one `bfs_path` returns.
 """
 
 from __future__ import annotations
@@ -74,16 +80,16 @@ class GridMap:
         """Wall-only BFS distances from `source` to at least every free cell
         at distance `< limit`, each exact; cells farther away may be missing.
 
-        One row per source is cached, and grown when a caller asks for a
-        larger limit.  A search that runs out of cells before its limit is
-        the full row and is cached with the limit `math.inf`, so it answers
-        every limit.  The row is shared by every caller on this grid: read
-        it, never mutate it.
+        One row per source is cached.  When a caller asks for a larger
+        limit, a copy of it is grown from its last level.  A search that runs
+        out of cells before its limit is the full row and is cached with the
+        limit `math.inf`, so it answers every limit.  The row is shared by
+        every caller on this grid: read it, never mutate it.
         """
         entry = self._rows.get(source)
         if entry is not None and entry[0] >= limit:
             return entry[1]
-        row = bfs_distances(self, source, limit=limit)
+        row = bfs_distances(self, source, limit, entry[1] if entry else None)
         # A cell at distance d was expanded iff d < limit - 1, and BFS inserts
         # cells in distance order: if even the last one was expanded, the
         # search ran out of cells and the row is complete.
@@ -93,23 +99,38 @@ class GridMap:
         return row
 
 
-def bfs_distances(grid: GridMap, start: Cell, obstacles=frozenset(),
-                  limit: float = math.inf) -> dict[Cell, int]:
-    """BFS distance map over free cells, treating `obstacles` as extra walls.
-    The start cell itself is never treated as an obstacle.  The search stops
-    expanding at distance `limit - 1`: the map holds `start` and exactly the
-    reachable cells at distance `< limit`."""
+def bfs_distances(grid: GridMap, start: Cell, limit: float = math.inf,
+                  ball: dict[Cell, int] | None = None) -> dict[Cell, int]:
+    """BFS distance map over free cells.  The search stops expanding at
+    distance `limit - 1`: the map holds `start` and exactly the reachable
+    cells at distance `< limit`.
+
+    `ball`, when given, is a map this function returned for `start` under a
+    smaller limit, whose last level is unexpanded.  The search resumes from
+    that level into a copy, so the result equals a fresh search, in the same
+    insertion order, and `ball` is left as it is."""
     adjacency = grid.adjacency
     if start not in adjacency:
         return {}
-    dist = {start: 0}
-    frontier = [start]
-    step = 1
+    if ball:
+        dist = dict(ball)
+        last = next(reversed(dist.values()))
+        frontier = []
+        for cell in reversed(dist):
+            if dist[cell] != last:
+                break
+            frontier.append(cell)
+        frontier.reverse()
+        step = last + 1
+    else:
+        dist = {start: 0}
+        frontier = [start]
+        step = 1
     while frontier and step < limit:
         reached = []
         for cell in frontier:
             for nxt in adjacency[cell]:
-                if nxt not in dist and nxt not in obstacles:
+                if nxt not in dist:
                     dist[nxt] = step
                     reached.append(nxt)
         frontier = reached

@@ -54,7 +54,7 @@ from ..state import (
     bodies_of,
     body_key,
 )
-from .grid import GridMap, bfs_distances, bfs_path, compute_fields, emitter_reach
+from .grid import GridMap, bfs_path, compute_fields, emitter_reach
 
 FLOOR = "floor"
 TASKS = "tasks"
@@ -325,6 +325,25 @@ class AgvBehavior(BehaviorRule):
         return out
 
 
+def ideal_cells(grid: GridMap, cell, goal) -> set:
+    """The cells of `bfs_path(grid, cell, goal)`, or {cell} when it has none.
+
+    That path is the walk down the goal's cached wall-only row that steps,
+    from each cell, to the smallest neighbor one step closer to the goal.
+    """
+    row = grid.distances(goal)
+    d = row.get(cell)
+    if d is None:
+        return {cell}
+    adjacency = grid.adjacency
+    path = {cell}
+    while d:
+        d -= 1
+        cell = next(c for c in adjacency[cell] if row[c] == d)
+        path.add(cell)
+    return path
+
+
 class SolverBehavior(BehaviorRule):
     """Macro deadlock-solving agent.
 
@@ -335,6 +354,11 @@ class SolverBehavior(BehaviorRule):
     dissolve this agent).  Planning failure means the trapped set is fully
     enclosed: reported upward as unresolvable, the agent persists and keeps
     retrying in case a blocker moves away.
+
+    The plan is the nearest parking cell: its members' searches around the
+    other AGVs advance one level at a time, together, and stop at the first
+    level that holds a valid cell, so a plan costs the distance to its
+    answer, not the size of the floor.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):
@@ -349,36 +373,46 @@ class SolverBehavior(BehaviorRule):
         }
 
     def _plan(self, members, agvs):
+        """The (parker, target) minimizing (parking path length, member,
+        target), where a target is a free cell that no AGV occupies and no
+        other member's ideal path crosses, reached around the other AGVs;
+        None when no member has one."""
+        grid = self.grid
         ideal: dict[str, set] = {}
-        for m in members:
+        for m in sorted(members):
             body = agvs.get(m)
-            if body is None:
-                ideal[m] = set()
-                continue
-            goal = agv_goal(body)
-            path = bfs_path(self.grid, body.get("cell"), goal) if goal else None
-            ideal[m] = set(path) if path else {body.get("cell")}
+            if body is not None:
+                goal = agv_goal(body)
+                cell = body.get("cell")
+                ideal[m] = ideal_cells(grid, cell, goal) if goal else {cell}
         occupied = {b.get("cell") for b in agvs.values()}
-        best = None
-        for m in members:
-            body = agvs.get(m)
-            if body is None:
-                continue
-            others_paths = set().union(*(ideal[o] for o in members if o != m)) if len(members) > 1 else set()
-            obstacles = frozenset(occupied - {body.get("cell")})
-            # A parking path of d steps has d + 1 cells; the own cell is
-            # occupied, so every target left here is at least one step away.
-            dist = bfs_distances(self.grid, body.get("cell"), obstacles)
-            for target, d in dist.items():
-                if target in occupied or target in others_paths:
-                    continue
-                key = (d + 1, m, target)
-                if best is None or key < best[0]:
-                    best = (key, m, target)
-        if best is None:
-            return None
-        _, parker, target = best
-        return parker, target
+        adjacency = grid.adjacency
+        # One breadth-first search per member: (member, cells it may not
+        # park on, cells seen, frontier).  Every AGV's cell is a wall to it.
+        searches = []
+        for m in ideal:
+            cell = agvs[m].get("cell")
+            if cell in adjacency:
+                others = set().union(*(p for o, p in ideal.items() if o != m))
+                searches.append((m, others, set(occupied), [cell]))
+        # Level d of every search, in member order: the first valid cells
+        # found hold the least (d, member), so their least cell is the plan.
+        while searches:
+            growing = []
+            for m, others, seen, frontier in searches:
+                reached = []
+                for cell in frontier:
+                    for nxt in adjacency[cell]:
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            reached.append(nxt)
+                valid = [c for c in reached if c not in others]
+                if valid:
+                    return m, min(valid)
+                if reached:
+                    growing.append((m, others, seen, reached))
+            searches = growing
+        return None
 
     def memorize(self, perception, internal_state, ctx):
         state = dict(internal_state or {})

@@ -1,4 +1,4 @@
-"""Static-wall geometry tables, the single-BFS parking planner and the
+"""Static-wall geometry tables, the nearest-first parking planner and the
 wait-for cycle/grouping code, each checked against the straightforward
 algorithm it replaced (kept here as a test-only oracle)."""
 
@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlsim
+import mlsim.fms.grid as grid_module
+import mlsim.fms.model as model_module
 from mlsim.engine import run
 from mlsim.fms.grid import GridMap, bfs_distances, bfs_path
 from mlsim.fms.model import (
@@ -25,6 +27,7 @@ from mlsim.fms.model import (
     SolverBehavior,
     all_tasks_delivered,
     fms_metrics,
+    ideal_cells,
     wait_cycles,
 )
 from mlsim.hierarchy import merge_trapped_groups
@@ -222,6 +225,45 @@ def test_a_ball_grows_on_demand_and_a_finished_search_is_a_full_row():
     assert grid.distances((8, 0)) is row and grid.distances_below((8, 0), 1) is row
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_grown_ball_equals_a_fresh_search_and_leaves_old_balls_alone(data):
+    grid = data.draw(small_floors())
+    free = grid.free_cells()
+    if not free:
+        return
+    requests = data.draw(st.lists(
+        st.tuples(st.sampled_from(free),
+                  st.none() | st.integers(-1, 9) | st.floats(0.5, 9.5)),
+        min_size=1, max_size=12,
+    ))
+    searches = []
+    original = grid_module.bfs_distances
+
+    def counted(*args):
+        searches.append(args[1])
+        return original(*args)
+
+    handed = []  # (row, its items when handed out)
+    grid_module.bfs_distances = counted
+    try:
+        for source, limit in requests:
+            limit = math.inf if limit is None else limit
+            entry = grid._rows.get(source)
+            row = grid.distances_below(source, limit)
+            # A search runs exactly when the cached ball is too small.
+            expected_searches = 0 if entry is not None and entry[0] >= limit else 1
+            assert searches == [source] * expected_searches
+            searches.clear()
+            fresh = original(grid, source, grid._rows[source][0])
+            assert list(row.items()) == list(fresh.items())
+            handed.append((row, list(row.items())))
+    finally:
+        grid_module.bfs_distances = original
+    for row, items in handed:
+        assert list(row.items()) == items
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_obstacle_bfs_and_paths_equal_oracle(data):
@@ -232,9 +274,22 @@ def test_obstacle_bfs_and_paths_equal_oracle(data):
     start = data.draw(st.sampled_from(free))
     goal = data.draw(st.sampled_from(free))
     obstacles = frozenset(data.draw(st.sets(st.sampled_from(free), max_size=4)))
-    assert bfs_distances(grid, start, obstacles) == oracle_bfs_distances(grid, start, obstacles)
     assert bfs_path(grid, start, goal, obstacles) == oracle_bfs_path(grid, start, goal, obstacles)
     assert bfs_path(grid, start, goal) == oracle_bfs_path(grid, start, goal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_row_walk_is_the_bfs_path(data):
+    grid = data.draw(small_floors())
+    free = grid.free_cells()
+    if not free:
+        return
+    cell = data.draw(st.sampled_from(free))
+    goal = data.draw(st.sampled_from(free))
+    path = oracle_bfs_path(grid, cell, goal)
+    # No path when the goal is unreachable; one cell when start equals goal.
+    assert ideal_cells(grid, cell, goal) == (set(path) if path else {cell})
 
 
 # --- the parking planner -----------------------------------------------------
@@ -266,6 +321,97 @@ def test_plan_equals_all_pairs_planner(data):
     members = sorted(data.draw(st.sets(st.sampled_from(sorted(agvs) + ["gone"]), min_size=1)))
     solver = SolverBehavior(grid, FmsParams())
     assert solver._plan(members, agvs) == oracle_plan(grid, members, agvs)
+
+
+def plan_with_search_reads(grid, members, agvs):
+    """(plan, the cells whose neighbors the parking search read, in order);
+    the ideal-path walks' reads are left out."""
+    reads, walking = [], []
+
+    class Recording(dict):
+        def __getitem__(self, cell):
+            if not walking:
+                reads.append(cell)
+            return super().__getitem__(cell)
+
+    def walk(*args):
+        walking.append(True)
+        try:
+            return ideal_cells(*args)
+        finally:
+            walking.pop()
+
+    adjacency = grid.adjacency
+    vars(grid)["adjacency"] = Recording(adjacency)
+    model_module.ideal_cells = walk
+    try:
+        plan = SolverBehavior(grid, FmsParams())._plan(members, agvs)
+    finally:
+        model_module.ideal_cells = ideal_cells
+        vars(grid)["adjacency"] = adjacency
+    return plan, reads
+
+
+def agv(cell, goal=None):
+    return Body(FLOOR, {
+        "type": "agv", "cell": cell, "assigned": None if goal is None else "t",
+        "source": goal, "dest": goal, "carrying": None,
+    })
+
+
+def test_the_plan_searches_no_level_beyond_the_nearest_valid_cell():
+    # A 60-cell corridor with one side pocket at (30, 1).  a0 and a1 stand
+    # head-on, and each one's ideal path covers the corridor behind the
+    # other, so the only valid cell is the pocket, 20 steps from a1.
+    grid = GridMap(60, 2, frozenset((x, 1) for x in range(60) if x != 30))
+    agvs = {"a0": agv((10, 0), goal=(59, 0)), "a1": agv((11, 0), goal=(0, 0))}
+    plan, reads = plan_with_search_reads(grid, ["a0", "a1"], agvs)
+    assert plan == ("a1", (30, 1)) == oracle_plan(grid, ["a0", "a1"], agvs)
+    # a0 runs out of cells at (0, 0); a1 expands its levels 0 to 19, up to
+    # (30, 0), and stops at level 20, which holds the pocket.  Level 20's
+    # (31, 0) and the 28 cells past it are never expanded.
+    assert sorted(reads) == [(x, 0) for x in range(31)]
+
+
+def test_on_an_open_floor_the_plan_expands_only_the_first_members_cell():
+    # Four idle AGVs in the middle of a 40x40 floor: every free neighbor is
+    # a valid cell, so only the own cell of the first member is expanded.
+    grid = GridMap(40, 40)
+    agvs = {f"a{i}": agv(cell) for i, cell in enumerate([(20, 20), (21, 20), (20, 21), (21, 21)])}
+    plan, reads = plan_with_search_reads(grid, sorted(agvs), agvs)
+    assert plan == ("a0", (19, 20))  # its least free neighbor
+    assert reads == [(20, 20)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_plan_reads_no_cell_at_or_beyond_the_plans_distance(data):
+    grid = data.draw(small_floors())
+    free = grid.free_cells()
+    if not free:
+        return
+    cells = data.draw(
+        st.lists(st.sampled_from(free), min_size=1, max_size=min(5, len(free)), unique=True)
+    )
+    agvs = {
+        f"a{i}": agv(cell, goal=data.draw(st.none() | st.sampled_from(free)))
+        for i, cell in enumerate(cells)
+    }
+    members = sorted(data.draw(st.sets(st.sampled_from(sorted(agvs)), min_size=1)))
+    plan, reads = plan_with_search_reads(grid, members, agvs)
+    assert plan == oracle_plan(grid, members, agvs)
+    if plan is None:
+        return
+    occupied = set(cells)
+    parker, target = plan
+
+    def around_agvs(m):
+        start = agvs[m].get("cell")
+        return oracle_bfs_distances(grid, start, occupied - {start})
+
+    reach = around_agvs(parker)[target]
+    near = set().union(*({c for c, d in around_agvs(m).items() if d < reach} for m in members))
+    assert set(reads) <= near
 
 
 # --- wait-for cycles and deadlock grouping -----------------------------------
