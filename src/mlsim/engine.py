@@ -22,12 +22,21 @@ Bookkeeping scales with the influences produced, not with producers x levels:
 the graph's route table gives each producer level set its perceived levels
 and influence targets, the snapshot's membership index gives each agent its
 levels, and trace rows are built only when `StepInfo.trace` is read.
+
+A level whose tick changed nothing is carried over: when its reaction leaves
+every property bound to the very object it held, in the same order, and the
+influences routed to it equal the ones it holds, the next snapshot keeps the
+old `LevelState` itself (`carried_level`).  When every level is carried
+over, the next snapshot also keeps the old membership index.  Every cache
+keyed on a level state (its `bodies()` and `derived` views, and the
+model's own caches keyed on the snapshot objects) then survives the tick.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import is_
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
@@ -331,6 +340,21 @@ class StepInfo:
         return tuple(rows)
 
 
+def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelState:
+    """The level's next state: `old` itself when `sigma` binds the same keys,
+    in the same order, to the very same objects, and `influences` equals
+    the set `old` holds; a new `LevelState` otherwise."""
+    properties = old.properties
+    if (
+        len(sigma) == len(properties)
+        and influences == old.influences
+        and all(map(is_, sigma.values(), properties.values()))
+        and list(sigma) == list(properties)
+    ):
+        return old
+    return LevelState(old.level, sigma, influences)
+
+
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0):
     """Phase 2: per-level constraint filtering + reaction, then merge."""
     results = {}
@@ -405,10 +429,10 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             events.append((level, name, payload))
 
     per_level = {
-        level: LevelState(level, sigmas[level], routed[level])
-        for level in state.per_level
+        level: carried_level(level_state, sigmas[level], routed[level])
+        for level, level_state in state.per_level.items()
     }
-    next_state = SystemState(time=state.time + 1, per_level=per_level, agents=agents)
+    next_state = state.successor(per_level, agents)
     info = StepInfo(
         produced=produced.per_level,
         inhibitions=inhibitions,

@@ -262,8 +262,9 @@ class FieldSensor:
     """Hands every producer of one tick the same FloorView.
 
     A view is keyed by the identity of its (floor, tasks) level states: a
-    snapshot is never mutated, and each tick builds new level states, so a
-    new snapshot always gets a fresh view.  The idle attraction outlives its
+    snapshot is never mutated, so a changed level state gets a fresh view,
+    and a tick that carries both level states over keeps the view with its
+    repulsors and memoized moves.  The idle attraction outlives its
     view: the sensor keeps the latest one, keyed by its emitting cells, and
     every view reuses it while the emitting cells stay the same.
     """
@@ -538,14 +539,29 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
     skipped so a standing deadlock is not re-reported while being solved.
     Desired moves come from the shared view with the `min` tie-break, even
     when the AGVs themselves jitter.
+
+    The trapped groups are a function of the view and the control level
+    state, so they are found once per such pair; a carried-over snapshot
+    reuses them, and only the tick's `deadlock` influences are made anew.
     """
     grid, params = sensor.grid, sensor.params
+    last = [None, None, []]  # the view, the control level state, their groups
 
     def rule(percept, ctx):
         view = sensor.view(percept[FLOOR], percept[TASKS])
+        control = percept[CONTROL]
+        if last[0] is not view or last[1] is not control:
+            last[:] = view, control, trapped_groups(view, control)
+        return [
+            ctx.make(K_DEADLOCK, CONTROL, klass=EMERGENCE, trapped=group)
+            for group in last[2]
+        ]
+
+    def trapped_groups(view, control):
+        """The flagged AGVs' groups, each a sorted tuple of agent ids."""
         agvs = view.agvs
         governed: set[str] = set()
-        for b in percept[CONTROL].bodies().values():
+        for b in control.bodies().values():
             if b.get("type") == "solver":
                 governed.update(b.get("trapped", ()))
 
@@ -588,17 +604,7 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
                 if near or waiting:
                     links.append({a, b})
 
-        out = []
-        for group in merge_trapped_groups(links):
-            out.append(
-                ctx.make(
-                    K_DEADLOCK,
-                    CONTROL,
-                    klass=EMERGENCE,
-                    trapped=tuple(sorted(group)),
-                )
-            )
-        return out
+        return [tuple(sorted(group)) for group in merge_trapped_groups(links)]
 
     return DetectorRule(name=DEADLOCK_DETECTOR, level=DETECTORS[DEADLOCK_DETECTOR], rule=rule)
 
@@ -678,9 +684,12 @@ def make_floor_reaction(grid: GridMap, params: FmsParams):
             body = agvs[aid]
             cell = final[aid]
             window = (body.get("window", ()) + (cell,))[-params.window:]
-            body = body.with_attrs(
-                cell=cell, window=window, repulsion_on=aid in repulsing
-            )
+            repulsion_on = aid in repulsing
+            # A body whose cell, window and repulsion stay the same is kept
+            # itself, so an unchanged floor can be carried over.
+            if (cell != body.get("cell") or window != body.get("window")
+                    or repulsion_on != body.get("repulsion_on")):
+                body = body.with_attrs(cell=cell, window=window, repulsion_on=repulsion_on)
             if (
                 body.get("assigned") is not None
                 and body.get("carrying") is None
@@ -719,6 +728,7 @@ def make_tasks_reaction(grid: GridMap):
     def tasks_reaction(level, sigma, influences, ctx):
         # Copy-on-write: the snapshot's table and task dicts are shared with
         # the new table, and a task is copied only when its state changes.
+        # With no change the snapshot's table itself is kept.
         tasks = dict(sigma.get("tasks", {}))
         changed = set()
         persisted = []
@@ -810,7 +820,8 @@ def make_tasks_reaction(grid: GridMap):
                             and body.get("emitting") != emitting):
                         sigma[body_key(sid)] = body.with_attrs(emitting=emitting)
 
-        sigma["tasks"] = tasks
+        if changed or "tasks" not in sigma:
+            sigma["tasks"] = tasks
         return ReactionResult(sigma, tuple(persisted), events=tuple(events))
 
     return tasks_reaction
@@ -977,19 +988,29 @@ def build_initial_state(grid: GridMap, agvs: dict, shops: dict, tasks) -> System
 
 # --- run helpers -------------------------------------------------------------
 
+def _delivered(tasks: LevelState) -> int:
+    return sum(1 for t in tasks.properties.get("tasks", {}).values() if t["state"] == "delivered")
+
+
+def _idle_ratio(floor: LevelState) -> float:
+    agvs = floor_agvs(floor)
+    idle = sum(1 for b in agvs.values() if b.get("assigned") is None)
+    return round(idle / len(agvs), 6) if agvs else 0.0
+
+
 def all_tasks_delivered(state: SystemState) -> bool:
-    tasks = state.per_level[TASKS].properties.get("tasks", {})
-    return bool(tasks) and all(t["state"] == "delivered" for t in tasks.values())
+    level_state = state.per_level[TASKS]
+    tasks = level_state.properties.get("tasks", {})
+    return bool(tasks) and level_state.derived(_delivered) == len(tasks)
 
 
 all_tasks_delivered.__name__ = "all-delivered"
 
 
 def fms_metrics(tick, state: SystemState, info) -> dict:
-    tasks = state.per_level[TASKS].properties.get("tasks", {})
+    """One metrics row.  The delivered count and the idle ratio are read
+    through `LevelState.derived`, once per level state."""
     control = state.per_level[CONTROL].properties
-    agvs = floor_agvs(state.per_level[FLOOR])
-    idle = sum(1 for b in agvs.values() if b.get("assigned") is None)
     active_constraints = sum(
         1
         for group in info.produced.values()
@@ -998,34 +1019,44 @@ def fms_metrics(tick, state: SystemState, info) -> dict:
     )
     return {
         "tick": tick,
-        "tasks_delivered": sum(1 for t in tasks.values() if t["state"] == "delivered"),
+        "tasks_delivered": state.per_level[TASKS].derived(_delivered),
         "deadlocks_detected": control.get("deadlocks_detected", 0),
         "deadlocks_resolved": control.get("deadlocks_resolved", 0),
         "active_constraints": active_constraints,
-        "agv_idle_ratio": round(idle / len(agvs), 6) if agvs else 0.0,
+        "agv_idle_ratio": state.per_level[FLOOR].derived(_idle_ratio),
     }
 
 
 class SafetyChecker:
-    """Observer enforcing occupancy and task-monotonicity invariants each tick."""
+    """Observer enforcing occupancy and task-monotonicity invariants each tick.
+
+    A floor level state or task table it has already checked passes again,
+    so it is skipped: a carried-over snapshot costs no check."""
 
     STATE_INDEX = {name: i for i, name in enumerate(TASK_STATES)}
 
     def __init__(self, grid: GridMap):
         self.grid = grid
         self._last_task_states: dict = {}
+        self._checked_floor = None
+        self._checked_tasks = None
 
     def __call__(self, tick, state: SystemState, info):
         from ..errors import SafetyViolation
 
-        agvs = floor_agvs(state.per_level[FLOOR])
-        cells = [b.get("cell") for b in agvs.values()]
-        if len(cells) != len(set(cells)):
-            raise SafetyViolation(f"tick {tick}: two AGVs share a cell ({cells})")
-        for aid, b in agvs.items():
-            if not self.grid.is_free(b.get("cell")):
-                raise SafetyViolation(f"tick {tick}: {aid} on blocked cell {b.get('cell')}")
+        floor = state.per_level[FLOOR]
+        if floor is not self._checked_floor:
+            agvs = floor_agvs(floor)
+            cells = [b.get("cell") for b in agvs.values()]
+            if len(cells) != len(set(cells)):
+                raise SafetyViolation(f"tick {tick}: two AGVs share a cell ({cells})")
+            for aid, b in agvs.items():
+                if not self.grid.is_free(b.get("cell")):
+                    raise SafetyViolation(f"tick {tick}: {aid} on blocked cell {b.get('cell')}")
+            self._checked_floor = floor
         tasks = state.per_level[TASKS].properties.get("tasks", {})
+        if tasks is self._checked_tasks:
+            return
         for tid, task in tasks.items():
             new = self.STATE_INDEX[task["state"]]
             old = self._last_task_states.get(tid, 0)
@@ -1034,3 +1065,4 @@ class SafetyChecker:
                     f"tick {tick}: task {tid} regressed {TASK_STATES[old]} -> {task['state']}"
                 )
             self._last_task_states[tid] = new
+        self._checked_tasks = tasks

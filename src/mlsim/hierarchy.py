@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import Issue
 from .levels import LevelId
-from .state import CONSTRAINT, ORDINARY, Influence
+from .state import CONSTRAINT, ORDINARY
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,12 @@ class HierarchicalCoupling:
 
 @dataclass(frozen=True)
 class InfluenceSelector:
-    """Pure, declarative predicate over an influence's kind and producer."""
+    """Pure, declarative predicate over an influence's kind and producer: it
+    matches an influence of kind `match_kind` from `match_producer`, or from
+    any producer when that is None."""
 
     match_kind: str
     match_producer: str | None = None
-
-    def matches(self, inf: Influence) -> bool:
-        return inf.kind == self.match_kind and (
-            self.match_producer is None or inf.producer == self.match_producer
-        )
 
 
 @dataclass(frozen=True)
@@ -159,6 +156,10 @@ def apply_constraints(influences) -> tuple[frozenset, tuple]:
     ordinary-class influences, are applied in id order for a stable log, and
     never survive filtering themselves.  A set without constraints comes back
     as it is (a frozenset is returned itself), with an empty log.
+
+    A selector matches on a kind and an optional producer, so the ordinary
+    influences are indexed once by (kind, producer) and by (kind, None), and
+    each constraint looks its hits up instead of testing every influence.
     """
     constraints = sorted(
         (i for i in influences if i.klass == CONSTRAINT), key=lambda i: i.id
@@ -166,6 +167,11 @@ def apply_constraints(influences) -> tuple[frozenset, tuple]:
     if not constraints:
         return frozenset(influences), ()
     others = [i for i in influences if i.klass != CONSTRAINT]
+    index: dict[tuple, list] = {}
+    for i in others:
+        if i.klass == ORDINARY:
+            index.setdefault((i.kind, i.producer), []).append(i.id)
+            index.setdefault((i.kind, None), []).append(i.id)
 
     inhibited: set[str] = set()
     log = []
@@ -173,9 +179,7 @@ def apply_constraints(influences) -> tuple[frozenset, tuple]:
         selector = constraint.payload.get("selector")
         hits: tuple = ()
         if selector is not None:
-            hits = tuple(
-                sorted(i.id for i in others if i.klass == ORDINARY and selector.matches(i))
-            )
+            hits = tuple(sorted(index.get((selector.match_kind, selector.match_producer), ())))
         inhibited.update(hits)
         log.append(InhibitionRecord(constraint.id, hits))
     kept = frozenset(i for i in others if i.id not in inhibited)

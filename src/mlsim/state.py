@@ -8,7 +8,8 @@ level's reaction can change it.  ``bodies_of`` is the one reader of that key
 format; ``LevelState.bodies()`` runs it once per level state and hands every
 reader the same read-only mapping.  ``SystemState.memberships()`` derives the
 agent -> levels index from those mappings, once per snapshot, so it always
-agrees with what the reactions wrote.
+agrees with what the reactions wrote; a successor that keeps every level
+state of its snapshot holds the same bodies and shares the index.
 """
 
 from __future__ import annotations
@@ -79,15 +80,29 @@ class Influence:
         return hash(self.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Body:
-    """An agent's physical manifestation in one level's state."""
+    """An agent's physical manifestation in one level's state.
+
+    `get(name, default=None)` reads an attribute: it is the attribute dict's
+    own `get`, bound once per body, so a read costs no Python call.  A copy
+    (pickle, `copy.copy`, `copy.deepcopy`) binds it to the copy's dict.
+    """
 
     level: LevelId
     attributes: dict = field(default_factory=dict)
 
-    def get(self, name, default=None):
-        return self.attributes.get(name, default)
+    def __init__(self, level, attributes=None):
+        if attributes is None:
+            attributes = {}
+        # One dict update, as for `Influence`; assignment still raises.
+        self.__dict__.update(level=level, attributes=attributes, get=attributes.get)
+
+    def __getstate__(self):
+        return {"level": self.level, "attributes": self.attributes}
+
+    def __setstate__(self, state):
+        self.__init__(state["level"], state["attributes"])
 
     def with_attrs(self, **updates) -> "Body":
         attrs = dict(self.attributes)
@@ -132,11 +147,14 @@ class LevelState:
         return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AgentRecord:
     id: AgentId
     kind: str = ""
     internal_state: Any = None
+
+    def __init__(self, id, kind="", internal_state=None):
+        self.__dict__.update(id=id, kind=kind, internal_state=internal_state)
 
 
 @dataclass(frozen=True)
@@ -159,6 +177,17 @@ class SystemState:
             for agent_id in level_state.bodies():
                 found.setdefault(agent_id, []).append(level)
         return MappingProxyType({agent_id: frozenset(levels) for agent_id, levels in found.items()})
+
+    def successor(self, per_level: dict, agents: dict) -> "SystemState":
+        """The next snapshot.  When it keeps every level state of this one,
+        it holds the same bodies, so it shares this snapshot's membership
+        index instead of deriving it again."""
+        nxt = SystemState(self.time + 1, per_level, agents)
+        if per_level.keys() == self.per_level.keys() and all(
+            per_level[level] is level_state for level, level_state in self.per_level.items()
+        ):
+            nxt.__dict__["_memberships"] = self._memberships
+        return nxt
 
     def __getstate__(self):
         state = dict(self.__dict__)

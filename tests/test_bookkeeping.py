@@ -186,6 +186,50 @@ def test_an_influence_is_built_in_one_step_and_stays_frozen():
         assert twin.payload is not inf.payload
 
 
+def test_a_body_reads_its_attributes_through_its_own_dict():
+    body = Body(FLOOR, {"cell": (1, 0), "type": "agv"})
+    assert body.get("cell") == (1, 0) and body.get("missing") is None
+    assert body.get("missing", 7) == 7
+    assert Body(FLOOR).attributes == {} and Body(FLOOR).get("cell") is None
+    assert body == Body(FLOOR, {"type": "agv", "cell": (1, 0)})
+    assert body != Body(TASKS, {"cell": (1, 0), "type": "agv"})
+    assert repr(body) == "Body(level='floor', attributes={'cell': (1, 0), 'type': 'agv'})"
+    assert [f.name for f in dataclasses.fields(body)] == ["level", "attributes"]
+    with pytest.raises(TypeError):
+        hash(body)
+    for attr in ("level", "attributes", "get"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(body, attr, None)
+    moved = dataclasses.replace(body, attributes={"cell": (2, 0)})
+    assert moved.get("cell") == (2, 0) and body.get("cell") == (1, 0)
+    assert body.with_attrs(cell=(3, 0)).get("cell") == (3, 0)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda b: pickle.loads(pickle.dumps(b))])
+def test_a_copied_body_reads_its_own_attributes(clone):
+    body = Body(FLOOR, {"cell": (1, 0), "window": [(1, 0)]})
+    twin = clone(body)
+    assert twin == body
+    twin.attributes["cell"] = (5, 5)  # a copy's dict, written only here
+    assert twin.get("cell") == (5, 5)
+    if twin.attributes is not body.attributes:
+        assert body.get("cell") == (1, 0)
+
+
+def test_an_agent_record_is_built_in_one_step_and_stays_frozen():
+    record = AgentRecord("a1", "agv", {"to": (1, 0)})
+    assert record == AgentRecord(id="a1", kind="agv", internal_state={"to": (1, 0)})
+    assert AgentRecord("s").kind == "" and AgentRecord("s").internal_state is None
+    assert hash(AgentRecord("a1", "agv")) == hash(AgentRecord("a1", "agv"))
+    assert repr(AgentRecord("a1")) == "AgentRecord(id='a1', kind='', internal_state=None)"
+    assert dataclasses.replace(record, kind="shop").kind == "shop"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.kind = "shop"
+    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin.internal_state is not record.internal_state
+
+
 def merge_influences(sets):
     """Set union with id-based deduplication: the first influence of each id."""
     merged = {}
@@ -208,10 +252,18 @@ def test_group_by_level_equals_merge_then_partition(groups):
     assert group_by_level(["micro"], groups) == partitioned_merge(["micro"], groups)
 
 
-# --- constraint fast path ----------------------------------------------------
+# --- constraint fast path and index ------------------------------------------
+
+def selector_matches(selector, inf):
+    """The selector's definition: its kind, and its producer unless None."""
+    return inf.kind == selector.match_kind and (
+        selector.match_producer is None or inf.producer == selector.match_producer
+    )
+
 
 def full_apply_constraints(influences):
-    """The constraint filter without its fast path."""
+    """The constraint filter without its fast path or its (kind, producer)
+    index: every constraint's selector is tested against every influence."""
     influences = list(influences)
     constraints = sorted((i for i in influences if i.klass == CONSTRAINT), key=lambda i: i.id)
     others = [i for i in influences if i.klass != CONSTRAINT]
@@ -221,20 +273,23 @@ def full_apply_constraints(influences):
         hits = ()
         if selector is not None:
             hits = tuple(sorted(i.id for i in others
-                                if i.klass == ORDINARY and selector.matches(i)))
+                                if i.klass == ORDINARY and selector_matches(selector, i)))
         inhibited.update(hits)
         log.append(InhibitionRecord(c.id, hits))
     return frozenset(i for i in others if i.id not in inhibited), tuple(log)
 
 
 def any_influence(index):
+    """Influence `i#index`: ordinary or emergence of a few kinds and
+    producers, or a constraint whose selector may be missing, name any
+    producer or match nothing."""
     ordinary = st.builds(
-        influence, st.sampled_from(["move", "inc"]), st.just("micro"),
-        st.sampled_from(["p", "q"]), uid=st.just(f"i#{index}"),
-        klass=st.sampled_from([ORDINARY, EMERGENCE]),
+        influence, st.sampled_from(["move", "inc", "inhibit"]), st.just("micro"),
+        st.sampled_from(["p", "q", "r"]), uid=st.just(f"i#{index}"),
+        klass=st.sampled_from([ORDINARY, ORDINARY, EMERGENCE]),
     )
-    selector = st.builds(InfluenceSelector, st.sampled_from(["move", "inc"]),
-                         st.sampled_from([None, "p", "q"]))
+    selector = st.none() | st.builds(InfluenceSelector, st.sampled_from(["move", "inc", "x"]),
+                                     st.sampled_from([None, "p", "q", "r", "nobody"]))
     constraint = st.builds(
         influence, st.just("inhibit"), st.just("micro"), st.just("m"),
         uid=st.just(f"i#{index}"), klass=st.just(CONSTRAINT), selector=selector,
@@ -242,9 +297,12 @@ def any_influence(index):
     return ordinary | constraint
 
 
-@given(st.lists(st.integers(0, 9), unique=True, max_size=8).flatmap(
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 99), unique=True, max_size=16).flatmap(
     lambda ids: st.tuples(*map(any_influence, ids))))
 def test_constraint_fast_path_equals_the_full_filter(influences):
+    """The (kind, producer) index and the fast path give the scan's filtered
+    set and log: constraints in id order, each with its hits in id order."""
     gamma = frozenset(influences)
     kept, log = apply_constraints(gamma)
     assert (kept, log) == full_apply_constraints(gamma)

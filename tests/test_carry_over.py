@@ -1,0 +1,267 @@
+"""Carried-over levels: a tick that changes nothing keeps its level states.
+
+When a level's reaction leaves every property bound to the object it held and
+the influences routed to it equal the ones it holds, the engine keeps the old
+`LevelState` (`engine.carried_level`), and when every level is kept the new
+snapshot keeps the old membership index.  Every cache keyed on a snapshot
+object then survives the tick.  The oracle is the same run with
+`carried_level` patched to build a new level state every tick, as the engine
+did before; metrics, trace, diagnostics and final state must be equal.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlsim import cli, engine
+from mlsim.engine import run, step
+from mlsim.errors import SafetyViolation
+from mlsim.fms import model as fms_model
+from mlsim.fms.grid import GridMap
+from mlsim.fms.model import (
+    FLOOR,
+    TASKS,
+    SafetyChecker,
+    all_tasks_delivered,
+    build_initial_state,
+    floor_agvs,
+    fms_metrics,
+)
+from mlsim.scenario import build, parse_scenario_dict
+from mlsim.state import Body, LevelState, body_key
+
+from support import influence
+from test_bookkeeping import scanned_memberships
+from test_golden_digests import ROOT, episode, state_sha256
+from test_static_geometry import generated_floors
+
+FIXTURE_CASES = dict(episode("fixtures", 0, index, ROOT) for index in range(6))
+
+
+def rebuilt_level(old, sigma, influences):
+    """`carried_level` without the carry-over: a new level state every tick."""
+    return LevelState(old.level, sigma, influences)
+
+
+def run_case(raw, carry=True):
+    spec = parse_scenario_dict(raw)
+    model, state = build(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        if not carry:
+            patch.setattr(engine, "carried_level", rebuilt_level)
+        return run(
+            model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+            observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
+            termination=all_tasks_delivered, collect_trace=True,
+        )
+
+
+def outputs(result, tmp_path, tag):
+    """Everything a run reports: the written metrics and trace files, the
+    stop reason, the diagnostics and the final state."""
+    metrics, trace = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.jsonl"
+    cli.write_metrics(metrics, result.records)
+    cli.write_trace(trace, result.trace)
+    final = result.final_state
+    return {
+        "metrics": metrics.read_bytes(),
+        "trace": trace.read_bytes(),
+        "records": result.records,
+        "stop": result.stop_reason,
+        "diagnostics": result.diagnostics,
+        "state_sha256": state_sha256(final),
+        "time": final.time,
+        "levels": {level: (ls.properties, ls.influences) for level, ls in final.per_level.items()},
+        "agents": final.agents,
+        "memberships": dict(final.memberships()),
+    }
+
+
+def stalled(name, ticks):
+    """(model, seed, snapshot) of a fixture case after `ticks` steps."""
+    spec = parse_scenario_dict(FIXTURE_CASES[name])
+    model, state = build(spec)
+    seed = spec.run_params["seed"]
+    for _ in range(ticks):
+        state, _ = step(model, state, seed)
+    return model, seed, state
+
+
+# --- carry-over -------------------------------------------------------------------
+
+def test_a_level_is_carried_only_when_nothing_was_rebound():
+    body, table = Body(FLOOR, {"cell": (0, 0)}), {"t1": {"state": "pending"}}
+    old = LevelState(FLOOR, {body_key("a1"): body, "tasks": table},
+                     frozenset({influence("move", FLOOR, "a1", uid="a1@0#0")}))
+    same = frozenset({influence("move", FLOOR, "a1", uid="a1@0#0")})
+    assert engine.carried_level(old, dict(old.properties), same) is old
+    changed = [
+        ({body_key("a1"): body, "tasks": dict(table)}, same),  # equal, not the same object
+        ({"tasks": table, body_key("a1"): body}, same),  # the same bindings, reordered
+        ({"tasks": body, body_key("a1"): table}, same),  # the same objects under other keys
+        ({body_key("a2"): body, "tasks": table}, same),  # a body under another agent's key
+        ({body_key("a1"): body}, same),  # a key dropped
+        ({**old.properties, "extra": 0}, same),  # a key added
+        (dict(old.properties), frozenset()),  # other influences
+    ]
+    for sigma, influences in changed:
+        new = engine.carried_level(old, sigma, influences)
+        assert new is not old
+        assert new.properties is sigma and new.influences is influences
+        assert list(new.properties) == list(sigma)
+
+
+@pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
+def test_an_unchanged_tick_returns_the_same_level_states_and_memberships(name):
+    model, seed, state = stalled(name, 60)
+    for _ in range(3):
+        nxt, info = step(model, state, seed)
+        assert nxt.time == state.time + 1
+        for level, level_state in state.per_level.items():
+            assert nxt.per_level[level] is level_state
+        assert nxt.memberships() is state.memberships()
+        assert floor_agvs(nxt.per_level[FLOOR]) is floor_agvs(state.per_level[FLOOR])
+        assert info.produced  # the tick still produced its influences
+        state = nxt
+
+
+def test_a_changed_level_is_new_and_the_others_are_kept():
+    """On corridor/on some levels change and some do not in one tick: each
+    new level state really rebinds something, and a snapshot with a new level
+    derives its own membership index."""
+    spec = parse_scenario_dict(FIXTURE_CASES["corridor/on"])
+    model, state = build(spec)
+    kept = new = 0
+    for _ in range(spec.run_params["ticks"]):
+        nxt, _ = step(model, state, spec.run_params["seed"])
+        changed = [level for level, old in state.per_level.items()
+                   if nxt.per_level[level] is not old]
+        for level in changed:
+            level_state = nxt.per_level[level]
+            assert engine.carried_level(state.per_level[level], dict(level_state.properties),
+                                        level_state.influences) is not state.per_level[level]
+        if changed:
+            assert "_memberships" not in nxt.__dict__
+            assert nxt.memberships() == scanned_memberships(nxt)
+        kept += len(state.per_level) - len(changed)
+        new += len(changed)
+        state = nxt
+        if all_tasks_delivered(state):
+            break
+    assert kept and new
+
+
+def test_an_unchanged_tick_makes_no_desired_move_call(monkeypatch):
+    calls = []
+    original = fms_model.desired_move
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fms_model, "desired_move", counted)
+    model, seed, state = stalled("corridor/off", 60)
+    state, _ = step(model, state, seed)
+    calls.clear()
+    nxt, _ = step(model, state, seed)
+    assert nxt.per_level[FLOOR] is state.per_level[FLOOR]
+    assert calls == []
+
+    # Without the carry-over the same tick senses every AGV again.
+    monkeypatch.setattr(engine, "carried_level", rebuilt_level)
+    step(model, step(model, state, seed)[0], seed)
+    assert calls
+
+
+def test_the_detector_groups_once_per_view_and_control_state(monkeypatch):
+    calls = []
+    original = fms_model.wait_cycles
+    monkeypatch.setattr(fms_model, "wait_cycles", lambda waits: calls.append(1) or original(waits))
+    model, seed, state = stalled("corridor/off", 60)
+    state, before = step(model, state, seed)
+    calls.clear()
+    nxt, info = step(model, state, seed)
+    assert calls == []
+
+    # The groups are reused, the influences are the tick's own.
+    def deadlocks(step_info):
+        return sorted((inf.id, inf.payload["trapped"]) for inf in step_info.produced["control"]
+                      if inf.kind == "deadlock")
+
+    assert deadlocks(info) and [t for _, t in deadlocks(info)] == [t for _, t in deadlocks(before)]
+    assert deadlocks(info)[0][0] == f"deadlock-detector@{state.time}#0"
+
+
+# --- the carried-over run equals the rebuilt one -------------------------------------
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_fixture_runs_equal_the_runs_without_carry_over(name, tmp_path):
+    raw = FIXTURE_CASES[name]
+    assert outputs(run_case(raw), tmp_path, "carried") == outputs(
+        run_case(raw, carry=False), tmp_path, "rebuilt"
+    )
+
+
+@st.composite
+def any_floor(draw):
+    raw = draw(generated_floors())
+    raw["control"] = draw(st.booleans())
+    raw["params"]["jitter"] = draw(st.booleans())
+    return raw
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_floor())
+def test_generated_runs_equal_the_runs_without_carry_over(tmp_path_factory, raw):
+    tmp_path = tmp_path_factory.mktemp("floor")
+    assert outputs(run_case(raw), tmp_path, "carried") == outputs(
+        run_case(raw, carry=False), tmp_path, "rebuilt"
+    )
+
+
+# --- the safety checker skips only what it has checked -------------------------
+
+def small_state():
+    grid = GridMap(4, 1, frozenset())
+    shops = {"s1": (0, 0), "s2": (3, 0)}
+    tasks = [{"id": "t1", "source": "s1", "dest": "s2"}]
+    return grid, build_initial_state(grid, {"a1": (1, 0), "a2": (2, 0)}, shops, tasks)
+
+
+def with_level(state, level_state):
+    return dataclasses.replace(
+        state, time=state.time + 1, per_level={**state.per_level, level_state.level: level_state}
+    )
+
+
+def test_the_safety_checker_raises_on_the_first_new_bad_floor():
+    grid, state = small_state()
+    checker = SafetyChecker(grid)
+    checker(0, state, None)
+    checker(1, state, None)  # already checked: skipped
+    floor = state.per_level[FLOOR]
+    clash = dict(floor.properties)
+    clash[body_key("a2")] = clash[body_key("a2")].with_attrs(cell=(1, 0))
+    bad = with_level(state, LevelState(FLOOR, clash))
+    with pytest.raises(SafetyViolation, match="tick 2: two AGVs share a cell"):
+        checker(2, bad, None)
+    with pytest.raises(SafetyViolation, match="tick 3: two AGVs share a cell"):
+        checker(3, bad, None)  # a floor that failed is not taken as checked
+
+
+def test_the_safety_checker_raises_on_a_new_regressed_table_under_a_kept_floor():
+    grid, state = small_state()
+    checker = SafetyChecker(grid)
+    tasks = state.per_level[TASKS]
+    table = tasks.properties["tasks"]
+    picked = {"t1": {**table["t1"], "state": "picked"}}
+    state = with_level(state, LevelState(TASKS, {**tasks.properties, "tasks": picked}))
+    checker(0, state, None)
+    checker(1, state, None)
+    back = {"t1": {**table["t1"], "state": "assigned"}}
+    regressed = with_level(state, LevelState(TASKS, {**tasks.properties, "tasks": back}))
+    assert regressed.per_level[FLOOR] is state.per_level[FLOOR]
+    with pytest.raises(SafetyViolation, match="task t1 regressed picked -> assigned"):
+        checker(2, regressed, None)
