@@ -30,6 +30,19 @@ old `LevelState` itself (`carried_level`).  When every level is carried
 over, the next snapshot also keeps the old membership index.  Every cache
 keyed on a level state (its `bodies()` and `derived` views, and the
 model's own caches keyed on the snapshot objects) then survives the tick.
+
+A carried-over level also replays a quiet reaction.  A reaction must be a
+function of its property map, of its influences' producer, kind, class and
+payload in id order (ids serve for ordering only), and of whatever it reads
+of `ctx`; values that compare equal must act the same (`1 == True`).  A call
+is quiet when it returns no persisted influences, spawns, removals or events,
+its `StepContext` made no influence, seeded no stream and read no `tick`, and
+`carried_level` kept the old `LevelState`.  The level state then keeps the
+call's echo (`echo_of` of the filtered influences, with the reaction rule
+itself), and the next tick whose filtered influences have an equal echo does
+not call the reaction: the level is treated as if its reaction returned the
+property map unchanged.  Constraint filtering still runs, so the inhibition
+log and the trace are the same.
 """
 
 from __future__ import annotations
@@ -84,16 +97,25 @@ class StepContext:
 
     Pass either `rng` or `rng_key`.  The engine passes `rng_key`: the
     stream `derived_rng(*rng_key)` is seeded the first time `rng` is read,
-    so a producer that draws nothing costs no seeding.
+    so a producer that draws nothing costs no seeding.  Reads of `tick` are
+    recorded too: `untouched` says whether the holder made no influence,
+    seeded no stream and read no clock, which is what lets the engine replay
+    a quiet reaction (see `react`).
     """
 
     def __init__(self, tick: int, producer: str, rng: random.Random | None = None,
                  rng_key: tuple = ()):
-        self.tick = tick
+        self._tick = tick
+        self._tick_read = False
         self.producer = producer
         self._rng = rng
         self._rng_key = rng_key
         self._seq = 0
+
+    @property
+    def tick(self) -> int:
+        self._tick_read = True
+        return self._tick
 
     @property
     def rng(self) -> random.Random:
@@ -101,8 +123,13 @@ class StepContext:
             self._rng = derived_rng(*self._rng_key)
         return self._rng
 
+    @property
+    def untouched(self) -> bool:
+        """No influence made, no stream seeded and no clock read so far."""
+        return self._seq == 0 and self._rng is None and not self._tick_read
+
     def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
-        uid = f"{self.producer}@{self.tick}#{self._seq}"
+        uid = f"{self.producer}@{self._tick}#{self._seq}"
         self._seq += 1
         return Influence(
             id=uid,
@@ -148,6 +175,12 @@ class ReactionResult:
 
 
 # Reaction rule signature: (level, sigma: dict, influences: frozenset, ctx) -> ReactionResult
+#
+# A reaction must be a function of its property map, of its influences'
+# producer, kind, class and payload in id order (ids serve for ordering
+# only), and of whatever it reads of `ctx`; values that compare equal must
+# act the same (`1 == True`).  The engine relies on it to replay a quiet
+# call instead of making it again (`react`).
 ReactionRule = Callable[[LevelId, dict, frozenset, StepContext], ReactionResult]
 
 
@@ -341,35 +374,59 @@ class StepInfo:
 
 
 def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelState:
-    """The level's next state: `old` itself when `sigma` binds the same keys,
-    in the same order, to the very same objects, and `influences` equals
-    the set `old` holds; a new `LevelState` otherwise."""
+    """The level's next state: `old` itself when `sigma` is its property map
+    or binds the same keys, in the same order, to the very same objects, and
+    `influences` equals the set `old` holds; a new `LevelState` otherwise."""
     properties = old.properties
-    if (
-        len(sigma) == len(properties)
-        and influences == old.influences
-        and all(map(is_, sigma.values(), properties.values()))
-        and list(sigma) == list(properties)
+    if influences == old.influences and (
+        sigma is properties
+        or (
+            len(sigma) == len(properties)
+            and all(map(is_, sigma.values(), properties.values()))
+            and list(sigma) == list(properties)
+        )
     ):
         return old
     return LevelState(old.level, sigma, influences)
 
 
+def echo_of(influences: frozenset) -> tuple:
+    """What a reaction may read of its influences: the producer, kind, class
+    and payload of each, in id order."""
+    return tuple(
+        (inf.producer, inf.kind, inf.klass, inf.payload) for inf in sorted(influences, key=_by_id)
+    )
+
+
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0):
-    """Phase 2: per-level constraint filtering + reaction, then merge."""
+    """Phase 2: per-level constraint filtering + reaction, then merge.
+
+    A level whose state holds the echo of a quiet call of its reaction, and
+    whose filtered influences have an equal echo, is not called again: the
+    call is replayed as the property map returned unchanged."""
     results = {}
+    sigmas = {}
     inhibitions = {}
+    quiet = {}  # level -> (filtered set, its echo or None) of a quiet call
     for level in sorted(state.per_level):
+        level_state = state.per_level[level]
         influences = produced.per_level.get(level, frozenset())
         filtered, log = apply_constraints(influences)
         inhibitions[level] = log
-        sigma = dict(state.per_level[level].properties)
+        rule = model.reactions[level]
+        held = level_state.__dict__.get("_echo")
+        echo = None
+        if held is not None and held[0] is rule:
+            echo = echo_of(filtered)
+            if echo == held[1]:
+                sigmas[level] = level_state.properties
+                continue
+        sigma = dict(level_state.properties)
         ctx = StepContext(
             state.time,
             REACTION_PRODUCER_PREFIX + level,
             rng_key=(seed, "reaction", level, state.time),
         )
-        rule = model.reactions[level]
         try:
             result = rule(level, sigma, filtered, ctx)
         except MlsimError:
@@ -379,6 +436,11 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         if not isinstance(result, ReactionResult):
             raise ReactionFault(f"reaction of level {level!r} returned {type(result).__name__}")
         results[level] = result
+        sigmas[level] = result.sigma
+        if ctx.untouched and not (
+            result.persisted or result.spawn or result.remove or result.events
+        ):
+            quiet[level] = (filtered, echo)
 
     # Validate and collect persisted influences.
     persisted: list[Influence] = []
@@ -399,7 +461,6 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             agents[agent_id] = AgentRecord(record.id, record.kind, internal)
 
     # Spawns and removals, restricted to the reacting level.
-    sigmas = {level: results[level].sigma for level in results}
     events = []
     for level in sorted(results):
         result = results[level]
@@ -432,6 +493,14 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         level: carried_level(level_state, sigmas[level], routed[level])
         for level, level_state in state.per_level.items()
     }
+    # A quiet call on a kept level state is recorded there, so the next tick
+    # can replay it; a new level state starts without an echo.
+    for level, (filtered, echo) in quiet.items():
+        level_state = state.per_level[level]
+        if per_level[level] is level_state:
+            if echo is None:
+                echo = echo_of(filtered)
+            level_state.__dict__["_echo"] = (model.reactions[level], echo)
     next_state = state.successor(per_level, agents)
     info = StepInfo(
         produced=produced.per_level,

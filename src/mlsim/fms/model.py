@@ -26,7 +26,6 @@ enabled per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 from ..engine import (
@@ -194,30 +193,35 @@ class FloorView:
         self.tasks = tasks
         self.agvs = floor_agvs(floor)
         self._idle_fields = idle_fields
+        self._emitting: tuple | None = None
         self._repulsors: list | None = None
         self._moves: dict = {}
 
-    @cached_property
     def emitting(self) -> tuple:
-        """The cells of the shops that emit attraction, in body order."""
-        return tuple(
-            b.get("cell")
-            for b in self.tasks.bodies().values()
-            if b.get("type") == "shop" and b.get("emitting")
-        )
+        """The cells of the shops that emit attraction, in body order,
+        gathered on the first call."""
+        cells = self._emitting
+        if cells is None:
+            cells = self._emitting = tuple(
+                b.get("cell")
+                for b in self.tasks.bodies().values()
+                if b.get("type") == "shop" and b.get("emitting")
+            )
+        return cells
 
     def idle_attraction(self, cells):
         """Every emitting shop's field, at least at `cells`.  Each cell is
         summed once per emitting set, on first ask."""
-        field = self._idle_fields.get(self.emitting)
+        emitting = self.emitting()
+        field = self._idle_fields.get(emitting)
         if field is None:
             self._idle_fields.clear()
-            field = self._idle_fields[self.emitting] = {}
+            field = self._idle_fields[emitting] = {}
         missing = [c for c in cells if c not in field]
         if missing:
             amplitude = self.params.attract
             field.update(compute_fields(
-                self.grid, [(c, amplitude) for c in self.emitting], (), missing
+                self.grid, [(c, amplitude) for c in emitting], (), missing
             ))
         return field
 

@@ -15,7 +15,6 @@ state of its snapshot holds the same bodies and shares the index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
@@ -121,11 +120,10 @@ class LevelState:
     def bodies(self) -> Mapping[AgentId, Body]:
         """The level's bodies by agent id: built on the first call, then the
         same read-only mapping for every reader of this snapshot."""
-        return self._bodies
-
-    @cached_property
-    def _bodies(self) -> Mapping[AgentId, Body]:
-        return MappingProxyType(bodies_of(self.properties))
+        bodies = self.__dict__.get("_bodies")
+        if bodies is None:
+            bodies = self.__dict__["_bodies"] = MappingProxyType(bodies_of(self.properties))
+        return bodies
 
     def derived(self, fn: Callable[["LevelState"], Any]):
         """`fn(self)`, computed on the first call for this level state and
@@ -141,9 +139,12 @@ class LevelState:
 
     def __getstate__(self):
         # The caches are rebuilt on demand; a mapping proxy cannot be copied.
+        # `_echo` is the engine's record of a quiet reaction call
+        # (`engine.react`); a copy starts without one and calls its reaction.
         state = dict(self.__dict__)
         state.pop("_bodies", None)
         state.pop("_derived", None)
+        state.pop("_echo", None)
         return state
 
 
@@ -168,15 +169,16 @@ class SystemState:
         every body in the snapshot.  Built from the levels' `bodies()` on the
         first call, then the same read-only mapping for every reader; an
         agent with no body is absent."""
-        return self._memberships
-
-    @cached_property
-    def _memberships(self) -> Mapping[AgentId, frozenset]:
-        found: dict[AgentId, list] = {}
-        for level, level_state in self.per_level.items():
-            for agent_id in level_state.bodies():
-                found.setdefault(agent_id, []).append(level)
-        return MappingProxyType({agent_id: frozenset(levels) for agent_id, levels in found.items()})
+        memberships = self.__dict__.get("_memberships")
+        if memberships is None:
+            found: dict[AgentId, list] = {}
+            for level, level_state in self.per_level.items():
+                for agent_id in level_state.bodies():
+                    found.setdefault(agent_id, []).append(level)
+            memberships = self.__dict__["_memberships"] = MappingProxyType(
+                {agent_id: frozenset(levels) for agent_id, levels in found.items()}
+            )
+        return memberships
 
     def successor(self, per_level: dict, agents: dict) -> "SystemState":
         """The next snapshot.  When it keeps every level state of this one,
@@ -186,7 +188,7 @@ class SystemState:
         if per_level.keys() == self.per_level.keys() and all(
             per_level[level] is level_state for level, level_state in self.per_level.items()
         ):
-            nxt.__dict__["_memberships"] = self._memberships
+            nxt.__dict__["_memberships"] = self.memberships()
         return nxt
 
     def __getstate__(self):

@@ -7,8 +7,15 @@ snapshot keeps the old membership index.  Every cache keyed on a snapshot
 object then survives the tick.  The oracle is the same run with
 `carried_level` patched to build a new level state every tick, as the engine
 did before; metrics, trace, diagnostics and final state must be equal.
+
+A kept level state also remembers the echo of a quiet reaction call, and the
+next tick replays that call instead of making it when the filtered influences
+echo it again (`engine.react`).  Its oracle is the same run with
+`engine.echo_of` patched to return an echo equal to no other, so every
+reaction is called every tick.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -45,12 +52,19 @@ def rebuilt_level(old, sigma, influences):
     return LevelState(old.level, sigma, influences)
 
 
-def run_case(raw, carry=True):
+def never_equal(influences):
+    """`echo_of` without the replay: an echo equal to no other."""
+    return object()
+
+
+def run_case(raw, carry=True, replay=True):
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
     with pytest.MonkeyPatch.context() as patch:
         if not carry:
             patch.setattr(engine, "carried_level", rebuilt_level)
+        if not replay:
+            patch.setattr(engine, "echo_of", never_equal)
         return run(
             model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
             observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
@@ -77,6 +91,21 @@ def outputs(result, tmp_path, tag):
         "agents": final.agents,
         "memberships": dict(final.memberships()),
     }
+
+
+def counted_reactions(model):
+    """Wrap every reaction of `model` in place; returns level -> calls."""
+    calls = collections.Counter()
+
+    def counted(level, rule):
+        def reaction(*args):
+            calls[level] += 1
+            return rule(*args)
+
+        return reaction
+
+    model.reactions = {level: counted(level, rule) for level, rule in model.reactions.items()}
+    return calls
 
 
 def stalled(name, ticks):
@@ -218,6 +247,47 @@ def test_generated_runs_equal_the_runs_without_carry_over(tmp_path_factory, raw)
     tmp_path = tmp_path_factory.mktemp("floor")
     assert outputs(run_case(raw), tmp_path, "carried") == outputs(
         run_case(raw, carry=False), tmp_path, "rebuilt"
+    )
+
+
+# --- a stalled tick replays its quiet reactions ---------------------------------
+
+@pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
+def test_a_stalled_tick_calls_no_reaction(name, monkeypatch):
+    model, seed, state = stalled(name, 60)
+    calls = counted_reactions(model)
+    # The echoes held so far are the unwrapped reactions': the first tick
+    # calls the wrapped ones and records theirs.
+    state, _ = step(model, state, seed)
+    assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
+    calls.clear()
+    for _ in range(3):
+        nxt, info = step(model, state, seed)
+        assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
+        assert info.produced and info.trace  # the tick still produced and traced
+        state = nxt
+    assert calls == {}
+
+    # Without the replay the same ticks call every level's reaction.
+    monkeypatch.setattr(engine, "echo_of", never_equal)
+    step(model, state, seed)
+    assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_fixture_runs_equal_the_runs_without_replay(name, tmp_path):
+    raw = FIXTURE_CASES[name]
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        run_case(raw, replay=False), tmp_path, "called"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_floor())
+def test_generated_runs_equal_the_runs_without_replay(tmp_path_factory, raw):
+    tmp_path = tmp_path_factory.mktemp("floor")
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        run_case(raw, replay=False), tmp_path, "called"
     )
 
 

@@ -1,6 +1,7 @@
 """State algebra: influences, bodies, membership, and the engine's body updates."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -157,6 +158,32 @@ def test_snapshot_with_read_bodies_can_be_copied():
     copied = copy.deepcopy(state)
     assert copied == state
     assert copied.per_level["micro"].bodies() == {"a1": Body("micro")}
+
+
+def body_count(level_state):
+    return len(level_state.bodies())
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda obj: pickle.loads(pickle.dumps(obj))])
+def test_a_copied_snapshot_rebuilds_its_caches_and_agrees(clone):
+    state = step_with(make_state([("a1", "micro"), ("a2", "macro")], levels=("micro", "macro")),
+                      identity_reaction)
+    micro = state.per_level["micro"]
+    bodies, memberships = micro.bodies(), state.memberships()
+    assert micro.derived(body_count) == 1
+    assert "_echo" in micro.__dict__  # the quiet reaction call of the step
+
+    twin = clone(state)
+    assert "_memberships" not in twin.__dict__
+    assert twin.memberships() == memberships == {"a1": {"micro"}, "a2": {"macro"}}
+    assert twin.memberships() is twin.memberships()
+
+    copied = clone(micro)
+    for cache in ("_bodies", "_derived", "_echo"):
+        assert cache not in copied.__dict__
+    assert copied.bodies() == bodies and copied.bodies() is copied.bodies()
+    assert copied.derived(body_count) == 1
 
 
 def test_remove_last_body_empties_membership():
