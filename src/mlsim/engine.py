@@ -43,6 +43,19 @@ itself), and the next tick whose filtered influences have an equal echo does
 not call the reaction: the level is treated as if its reaction returned the
 property map unchanged.  Constraint filtering still runs, so the inhibition
 log and the trace are the same.
+
+Production is replayed the same way.  A behavior or detector must be a
+function of the level states it perceives, of its record, and of whatever it
+reads of `ctx`, and a `memorize` that changes nothing returns `internal_state`
+itself.  A producer call is quiet when its `StepContext` seeded no stream and
+read no `tick`, every influence it returned was made by that context in that
+call, and, for an agent, `memorize` returned the record's internal state
+itself; `react` then keeps the record.  The snapshot holds each quiet call
+(rule, record, returned influences), and its successor takes the record over
+only when it keeps every level state.  The next tick whose producer has the
+very same rule and record does not call it: each held influence is made
+again under the tick's id, with its own place `k` (`producer@tick#k`), kind,
+target, class and payload, and is not checked again.
 """
 
 from __future__ import annotations
@@ -98,9 +111,12 @@ class StepContext:
     Pass either `rng` or `rng_key`.  The engine passes `rng_key`: the
     stream `derived_rng(*rng_key)` is seeded the first time `rng` is read,
     so a producer that draws nothing costs no seeding.  Reads of `tick` are
-    recorded too: `untouched` says whether the holder made no influence,
-    seeded no stream and read no clock, which is what lets the engine replay
-    a quiet reaction (see `react`).
+    recorded too, and so is every influence `make` makes: `untouched` says
+    whether the holder made no influence, seeded no stream and read no
+    clock, which is what lets the engine replay a quiet reaction (see
+    `react`), and `made_quietly` says which of a producer's returned
+    influences it made, which is what lets it replay a quiet producer (see
+    `produce_influences`).
     """
 
     def __init__(self, tick: int, producer: str, rng: random.Random | None = None,
@@ -110,7 +126,7 @@ class StepContext:
         self.producer = producer
         self._rng = rng
         self._rng_key = rng_key
-        self._seq = 0
+        self._made: list[Influence] = []  # in the order `make` made them
 
     @property
     def tick(self) -> int:
@@ -126,24 +142,45 @@ class StepContext:
     @property
     def untouched(self) -> bool:
         """No influence made, no stream seeded and no clock read so far."""
-        return self._seq == 0 and self._rng is None and not self._tick_read
+        return not self._made and self._rng is None and not self._tick_read
 
     def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
-        uid = f"{self.producer}@{self._tick}#{self._seq}"
-        self._seq += 1
-        return Influence(
-            id=uid,
+        made = self._made
+        # The id `_replayed` gives a held influence too.
+        inf = Influence(
+            id=f"{self.producer}@{self._tick}#{len(made)}",
             kind=kind,
             target_level=target_level,
             producer=self.producer,
             payload=payload,
             klass=klass,
         )
+        made.append(inf)
+        return inf
+
+    def made_quietly(self, out: list) -> tuple | None:
+        """`((k, influence), ...)` for each influence of `out`, `k` being its
+        place among the ones this context made, when this context made every
+        one of them, seeded no stream and read no clock; None otherwise."""
+        if self._rng is not None or self._tick_read:
+            return None
+        made = self._made
+        if len(out) == len(made) and all(map(is_, out, made)):
+            return tuple(enumerate(out))
+        place = {id(inf): k for k, inf in enumerate(made)}
+        held = tuple((place.get(id(inf)), inf) for inf in out)
+        return None if any(k is None for k, _ in held) else held
 
 
 class BehaviorRule:
     """Three-stage behavior: perceive, memorize, decide — invoked in order,
-    exactly once per agent per step."""
+    at most once per agent per step.
+
+    A behavior must be a function of the level states it perceives, of its
+    agent's record and of whatever it reads of `ctx`, and a `memorize` that
+    changes nothing returns `internal_state` itself.  The engine relies on
+    it to replay a quiet call instead of making it again
+    (`produce_influences`): such a step calls no stage at all."""
 
     def perceive(self, percept: Percept, me: AgentRecord):
         return percept
@@ -158,7 +195,11 @@ class BehaviorRule:
 @dataclass(frozen=True)
 class DetectorRule:
     """A distinguished micro-level natural rule permitted to emit emergence
-    influences toward a macro level."""
+    influences toward a macro level.
+
+    Like a behavior, `rule` must be a function of the level states it
+    perceives and of whatever it reads of `ctx`, so that a quiet call can be
+    replayed instead of made again (`produce_influences`)."""
 
     name: str
     level: LevelId
@@ -266,15 +307,37 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
             )
 
 
+def _replayed(producer: str, tick: int, held: tuple) -> list:
+    """The influences of a held quiet call, made again under `tick`'s ids:
+    each keeps its own place `k`, kind, target, class and payload."""
+    return [
+        Influence(f"{producer}@{tick}#{k}", inf.kind, inf.target_level, producer, inf.payload,
+                  inf.klass)
+        for k, inf in held
+    ]
+
+
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
-    """Phase 1: evaluate all producers against the frozen snapshot."""
+    """Phase 1: evaluate all producers against the frozen snapshot.
+
+    A producer whose quiet call the snapshot holds, under the same rule and
+    the same record, is not called again: its held influences are made anew
+    under this tick's ids.  The quiet calls of this tick are left on the
+    snapshot for its successor (`SystemState.successor`)."""
     graph = model.graph
+    decls = model.decls
     tick = state.time
     produced_sets: list[Iterable[Influence]] = [
         level_state.influences for level_state in state.per_level.values()
     ]
     new_internal: dict[str, Any] = {}
     observed: dict = {}  # level set -> the level states its producers perceive
+    # producer -> (rule, record, ((k, influence), ...)) of each quiet call
+    # made on level states that are this snapshot's own, under this graph
+    # and these declarations.
+    held = state.__dict__.get("_production")
+    held = held[2] if held is not None and held[0] is graph and held[1] is decls else {}
+    quiet: dict = {}
 
     def route(levels, requester):
         """(percept, influence targets) of a producer belonging to `levels`."""
@@ -287,13 +350,19 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         return Percept(view, requester=requester), targets
 
     memberships = state.memberships()
-    for agent_id in sorted(state.agents):
-        record = state.agents[agent_id]
-        levels = memberships.get(agent_id)
-        if not levels:
-            continue
+    agents = state.agents
+    for agent_id in sorted(agents):
+        record = agents[agent_id]
         rule = model.behavior_for(record)
-        if rule is None:
+        if held:
+            call = held.get(agent_id)
+            if call is not None and call[0] is rule and call[1] is record:
+                new_internal[agent_id] = record.internal_state
+                produced_sets.append(_replayed(agent_id, tick, call[2]))
+                quiet[agent_id] = call
+                continue
+        levels = memberships.get(agent_id)
+        if not levels or rule is None:
             continue
         percept, targets = route(levels, agent_id)
         ctx = StepContext(tick, agent_id, rng_key=(seed, agent_id, tick))
@@ -305,9 +374,19 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         for inf in out:
             _check_influence(model, inf, targets, desc, levels)
         produced_sets.append(out)
+        if internal is record.internal_state:
+            made = ctx.made_quietly(out)
+            if made is not None:
+                quiet[agent_id] = (rule, record, made)
 
     for name in sorted(model.detectors):
         detector = model.detectors[name]
+        if held:
+            call = held.get(name)
+            if call is not None and call[0] is detector:
+                produced_sets.append(_replayed(name, tick, call[2]))
+                quiet[name] = call
+                continue
         levels = frozenset((detector.level,))
         percept, targets = route(levels, name)
         ctx = StepContext(tick, name, rng_key=(seed, name, tick))
@@ -315,7 +394,11 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         for inf in out:
             _check_influence(model, inf, targets, f"detector {name!r}", levels, detector=name)
         produced_sets.append(out)
+        made = ctx.made_quietly(out)
+        if made is not None:
+            quiet[name] = (detector, None, made)
 
+    state.__dict__["_production"] = (graph, decls, quiet)
     return ProducedStep(
         per_level=group_by_level(state.per_level, produced_sets), new_internal=new_internal
     )
@@ -323,6 +406,9 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
 
 def _by_id(inf: Influence) -> str:
     return inf.id
+
+
+_NO_INFLUENCES: frozenset = frozenset()
 
 
 @dataclass
@@ -410,7 +496,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     quiet = {}  # level -> (filtered set, its echo or None) of a quiet call
     for level in sorted(state.per_level):
         level_state = state.per_level[level]
-        influences = produced.per_level.get(level, frozenset())
+        influences = produced.per_level.get(level, _NO_INFLUENCES)
         filtered, log = apply_constraints(influences)
         inhibitions[level] = log
         rule = model.reactions[level]
@@ -451,14 +537,19 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 model, inf, targets, f"reaction of level {level!r}", {level}
             )
             persisted.append(inf)
-    routed = group_by_level(state.per_level, [persisted])
+    routed = group_by_level(state.per_level, [persisted]) if persisted else {}
 
-    # Agent records: internal-state updates from memorization.
-    agents = dict(state.agents)
-    for agent_id, internal in produced.new_internal.items():
-        record = agents.get(agent_id)
-        if record is not None:
-            agents[agent_id] = AgentRecord(record.id, record.kind, internal)
+    # Agent records: internal-state updates from memorization.  A record
+    # whose `memorize` returned its own internal state is kept, and so is the
+    # agent map when no record changed and nothing spawned or was removed.
+    agents = state.agents
+    renewed = {
+        agent_id: AgentRecord(record.id, record.kind, internal)
+        for agent_id, internal in produced.new_internal.items()
+        if (record := agents.get(agent_id)) is not None and internal is not record.internal_state
+    }
+    if renewed:
+        agents = {**agents, **renewed}
 
     # Spawns and removals, restricted to the reacting level.
     events = []
@@ -469,6 +560,8 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 raise ReactionFault(
                     f"reaction of level {level!r} spawned duplicate agent {record.id!r}"
                 )
+            if agents is state.agents:
+                agents = dict(agents)
             agents[record.id] = record
             events.append((level, "spawn", {"agent": record.id, "kind": record.kind}))
         for agent_id in result.remove:
@@ -483,6 +576,8 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                     f"reaction of level {level!r} removed agent {agent_id!r} "
                     f"with bodies at {foreign}"
                 )
+            if agents is state.agents:
+                agents = dict(agents)
             del agents[agent_id]
             sigmas[level].pop(key, None)
             events.append((level, "dissolve", {"agent": agent_id}))
@@ -490,7 +585,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             events.append((level, name, payload))
 
     per_level = {
-        level: carried_level(level_state, sigmas[level], routed[level])
+        level: carried_level(level_state, sigmas[level], routed.get(level, _NO_INFLUENCES))
         for level, level_state in state.per_level.items()
     }
     # A quiet call on a kept level state is recorded there, so the next tick

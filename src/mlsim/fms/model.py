@@ -295,7 +295,9 @@ class AgvBehavior(BehaviorRule):
     capability when idle, claim right-of-way (repulsion) when on a task.
 
     The internal state holds only the AGV's own body and the cell it wants,
-    never the shared view."""
+    never the shared view; it is kept as is while the body is the same
+    object and the wanted cell the same, so a stalled AGV's call is replayed
+    (`engine`)."""
 
     def __init__(self, sensor: FieldSensor):
         self.sensor = sensor
@@ -312,6 +314,10 @@ class AgvBehavior(BehaviorRule):
             to = desired_move(view, me, ctx.rng)
         else:
             to = view.move(me)
+        # Nothing changed: the held state itself, so the call can be replayed.
+        if internal_state is not None and internal_state["body"] is body \
+                and internal_state["to"] == to:
+            return internal_state
         return {"me": me, "body": body, "to": to}
 
     def decide(self, internal_state, ctx):
@@ -364,6 +370,10 @@ class SolverBehavior(BehaviorRule):
     other AGVs advance one level at a time, together, and stop at the first
     level that holds a valid cell, so a plan costs the distance to its
     answer, not the size of the floor.
+
+    `memorize` returns the held state itself when nothing in it changed: the
+    same phase and plan, and a view of the same floor snapshot with the same
+    members, so a stalled solver's call is replayed (`engine`).
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):
@@ -421,9 +431,16 @@ class SolverBehavior(BehaviorRule):
 
     def memorize(self, perception, internal_state, ctx):
         state = dict(internal_state or {})
-        state["view"] = perception
-        members = sorted(perception["trapped"])
-        agvs = perception["agvs"]
+        # The held view stands for an equal perception of the same floor
+        # snapshot; a state that keeps it is compared with the held one at the
+        # end, and the view is then compared by identity, never body by body.
+        view = state.get("view")
+        kept = (view is not None and view["agvs"] is perception["agvs"]
+                and view["me"] == perception["me"] and view["trapped"] == perception["trapped"])
+        if not kept:
+            view = state["view"] = perception
+        members = sorted(view["trapped"])
+        agvs = view["agvs"]
         phase = state.get("phase", "plan")
 
         if phase in ("plan", "stuck"):
@@ -454,7 +471,7 @@ class SolverBehavior(BehaviorRule):
                         dispersed = False
             if dispersed:
                 state["phase"] = "resolved"
-        return state
+        return internal_state if kept and state == internal_state else state
 
     def decide(self, internal_state, ctx):
         state = internal_state

@@ -9,7 +9,8 @@ format; ``LevelState.bodies()`` runs it once per level state and hands every
 reader the same read-only mapping.  ``SystemState.memberships()`` derives the
 agent -> levels index from those mappings, once per snapshot, so it always
 agrees with what the reactions wrote; a successor that keeps every level
-state of its snapshot holds the same bodies and shares the index.
+state of its snapshot holds the same bodies and shares the index, and the
+record of the snapshot's quiet producer calls with it.
 """
 
 from __future__ import annotations
@@ -183,17 +184,25 @@ class SystemState:
     def successor(self, per_level: dict, agents: dict) -> "SystemState":
         """The next snapshot.  When it keeps every level state of this one,
         it holds the same bodies, so it shares this snapshot's membership
-        index instead of deriving it again."""
+        index instead of deriving it again, and every producer perceives what
+        it perceived here, so it also takes over the record of this
+        snapshot's quiet producer calls (`engine.produce_influences`)."""
         nxt = SystemState(self.time + 1, per_level, agents)
         if per_level.keys() == self.per_level.keys() and all(
             per_level[level] is level_state for level, level_state in self.per_level.items()
         ):
             nxt.__dict__["_memberships"] = self.memberships()
+            production = self.__dict__.get("_production")
+            if production is not None:
+                nxt.__dict__["_production"] = production
         return nxt
 
     def __getstate__(self):
+        # `_production` is the engine's record of quiet producer calls; a
+        # copy starts without one and calls its producers.
         state = dict(self.__dict__)
         state.pop("_memberships", None)
+        state.pop("_production", None)
         return state
 
 

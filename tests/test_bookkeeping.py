@@ -648,3 +648,25 @@ def test_a_stuck_solver_replans_when_an_agv_moves(monkeypatch):
     state = solver.memorize(perception((3, 0)), state, None)
     assert len(calls) == 2  # c moved away: replan, and b can park now
     assert (state["phase"], state["parker"], state["target"]) == ("parking", "b", (2, 0))
+
+
+def test_a_solver_keeps_its_state_while_nothing_in_it_changes():
+    """`memorize` returns the held state itself while the floor snapshot,
+    the members and the plan stay, so the engine can replay the call."""
+    solver = SolverBehavior(GridMap(4, 1), FmsParams())
+    cells = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}  # a and b boxed in by c
+    agvs = {aid: Body(FLOOR, {"type": "agv", "cell": cell, "assigned": None})
+            for aid, cell in cells.items()}
+
+    def perception(trapped=("a", "b"), floor=agvs):
+        return {"me": "s", "trapped": trapped, "agvs": floor}
+
+    held = solver.memorize(perception(), None, None)
+    assert held["phase"] == "stuck"
+    assert solver.memorize(perception(), held, None) is held
+    # An equal floor of another snapshot: a new state that holds the new view.
+    other_floor = dict(agvs)
+    renewed = solver.memorize(perception(floor=other_floor), held, None)
+    assert renewed is not held and renewed["view"]["agvs"] is other_floor
+    # Other members: a new state.
+    assert solver.memorize(perception(trapped=("a",)), held, None) is not held

@@ -13,6 +13,13 @@ next tick replays that call instead of making it when the filtered influences
 echo it again (`engine.react`).  Its oracle is the same run with
 `engine.echo_of` patched to return an echo equal to no other, so every
 reaction is called every tick.
+
+A snapshot that keeps every level state also takes over the record of its
+predecessor's quiet producer calls, and the next tick re-issues their
+influences instead of calling the behaviors and the detector
+(`engine.produce_influences`).  Its oracle is the same run with
+`SystemState.successor` patched to pass no such record on, so every producer
+is called every tick.
 """
 
 import collections
@@ -23,11 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsim import cli, engine
-from mlsim.engine import run, step
+from mlsim.engine import BehaviorRule, run, step
 from mlsim.errors import SafetyViolation
 from mlsim.fms import model as fms_model
 from mlsim.fms.grid import GridMap
 from mlsim.fms.model import (
+    DEADLOCK_DETECTOR,
     FLOOR,
     TASKS,
     SafetyChecker,
@@ -37,7 +45,7 @@ from mlsim.fms.model import (
     fms_metrics,
 )
 from mlsim.scenario import build, parse_scenario_dict
-from mlsim.state import Body, LevelState, body_key
+from mlsim.state import Body, LevelState, SystemState, body_key
 
 from support import influence
 from test_bookkeeping import scanned_memberships
@@ -57,7 +65,18 @@ def never_equal(influences):
     return object()
 
 
-def run_case(raw, carry=True, replay=True):
+def forgetful(successor):
+    """`SystemState.successor` without the replayed production: the next
+    snapshot never holds its predecessor's quiet producer calls."""
+    def forgetting(self, per_level, agents):
+        nxt = successor(self, per_level, agents)
+        nxt.__dict__.pop("_production", None)
+        return nxt
+
+    return forgetting
+
+
+def run_case(raw, carry=True, replay=True, replay_production=True):
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
     with pytest.MonkeyPatch.context() as patch:
@@ -65,6 +84,8 @@ def run_case(raw, carry=True, replay=True):
             patch.setattr(engine, "carried_level", rebuilt_level)
         if not replay:
             patch.setattr(engine, "echo_of", never_equal)
+        if not replay_production:
+            patch.setattr(SystemState, "successor", forgetful(SystemState.successor))
         return run(
             model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
             observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
@@ -105,6 +126,39 @@ def counted_reactions(model):
         return reaction
 
     model.reactions = {level: counted(level, rule) for level, rule in model.reactions.items()}
+    return calls
+
+
+def counted_producers(model):
+    """Wrap every behavior stage and detector of `model` in place; returns
+    (producer, stage) -> calls, a behavior shared by several agents counted
+    under the first of them."""
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    class Counted(BehaviorRule):
+        def __init__(self, rule, name):
+            for stage in ("perceive", "memorize", "decide"):
+                setattr(self, stage, counted((name, stage), getattr(rule, stage)))
+
+    wrapped: dict = {}
+
+    def wrap(name, rule):
+        if id(rule) not in wrapped:
+            wrapped[id(rule)] = Counted(rule, name)
+        return wrapped[id(rule)]
+
+    model.behaviors = {aid: wrap(aid, rule) for aid, rule in model.behaviors.items()}
+    model.dynamic_behaviors = {kind: wrap(kind, rule)
+                               for kind, rule in model.dynamic_behaviors.items()}
+    model.detectors = {name: dataclasses.replace(d, rule=counted((name, "rule"), d.rule))
+                       for name, d in model.detectors.items()}
     return calls
 
 
@@ -335,3 +389,53 @@ def test_the_safety_checker_raises_on_a_new_regressed_table_under_a_kept_floor()
     assert regressed.per_level[FLOOR] is state.per_level[FLOOR]
     with pytest.raises(SafetyViolation, match="task t1 regressed picked -> assigned"):
         checker(2, regressed, None)
+
+
+# --- a stalled tick replays its quiet producers ---------------------------------
+
+@pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
+def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
+    model, seed, state = stalled(name, 60)
+    calls = counted_producers(model)
+    # The calls held so far are the unwrapped rules': the first tick calls
+    # the wrapped ones and holds theirs.
+    state, before = step(model, state, seed)
+    assert calls[DEADLOCK_DETECTOR, "rule"] == 1
+    assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
+    solving = any(record.kind == "solver" for record in state.agents.values())
+    assert (("solver", "decide") in calls) == solving == (name == "walled_trap/on")
+    calls.clear()
+    for _ in range(3):
+        nxt, info = step(model, state, seed)
+        assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
+        assert nxt.agents is state.agents
+        # The tick's influences are the held ones under the tick's ids.
+        ids = {level: {inf.id.replace(f"@{state.time}#", "@#") for inf in infs}
+               for level, infs in info.produced.items()}
+        assert ids == {level: {inf.id.replace(f"@{before.tick}#", "@#") for inf in infs}
+                       for level, infs in before.produced.items()}
+        state = nxt
+    assert calls == {}
+
+    # Without the replay the same ticks call every behavior and the detector.
+    monkeypatch.setattr(SystemState, "successor", forgetful(SystemState.successor))
+    step(model, step(model, state, seed)[0], seed)
+    assert calls[DEADLOCK_DETECTOR, "rule"] == 1
+    assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_fixture_runs_equal_the_runs_without_replayed_production(name, tmp_path):
+    raw = FIXTURE_CASES[name]
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        run_case(raw, replay_production=False), tmp_path, "called"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_floor())
+def test_generated_runs_equal_the_runs_without_replayed_production(tmp_path_factory, raw):
+    tmp_path = tmp_path_factory.mktemp("floor")
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        run_case(raw, replay_production=False), tmp_path, "called"
+    )

@@ -786,6 +786,27 @@ def test_without_jitter_the_agv_reads_the_shared_memo():
     assert sensor.view(percept[FLOOR], percept[TASKS]).move("a1") is internal["to"]
 
 
+def test_the_agv_keeps_its_state_while_its_body_and_move_stay():
+    """`memorize` returns the held state itself while the body is the same
+    object and the wanted cell is equal, so the engine can replay the call."""
+    agv = AgvBehavior(FieldSensor(GridMap(3, 3), FmsParams()))
+    body = agv_body((0, 0))
+
+    class View:  # what `memorize` reads of a FloorView
+        def __init__(self, agvs, to):
+            self.agvs, self.to = agvs, to
+
+        def move(self, agent_id):
+            return tuple(self.to)  # an equal cell, never the same object
+
+    held = agv.memorize(("a1", View({"a1": body}, (1, 0))), None, ctx("a1"))
+    assert agv.memorize(("a1", View({"a1": body}, (1, 0))), held, ctx("a1")) is held
+    moved = agv.memorize(("a1", View({"a1": body}, (0, 1))), held, ctx("a1"))
+    assert moved is not held and moved["to"] == (0, 1) and moved["body"] is body
+    renewed = agv.memorize(("a1", View({"a1": agv_body((0, 0))}, (1, 0))), held, ctx("a1"))
+    assert renewed is not held and renewed == held
+
+
 def test_each_snapshot_gets_one_fresh_view(monkeypatch):
     import mlsim.fms.model as model_mod
 

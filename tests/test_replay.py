@@ -1,16 +1,21 @@
-"""Replayed reactions: the contract a quiet call is replayed under.
+"""Replayed reactions and production: the contracts a quiet call is
+replayed under.
 
 A reaction call is quiet when it returns no persisted influences, spawns,
 removals or events, its context made no influence, seeded no stream and read
 no clock, and its level state is carried over.  The next tick does not call
 the reaction again while the filtered influences echo the quiet call's
 (producer, kind, class, payload in id order).  Each test steps a two-level
-model and reads which ticks called the reaction of `micro`.
+model and reads which ticks called the reaction of `micro`, or, in the last
+part, which ticks called a producer.
 """
+
+import copy
+import pickle
 
 import pytest
 
-from mlsim.engine import BehaviorRule, Model, ReactionResult, echo_of, step
+from mlsim.engine import BehaviorRule, DetectorRule, Model, ReactionResult, echo_of, step
 from mlsim.hierarchy import (
     ConstraintKindDecl,
     Declarations,
@@ -290,3 +295,218 @@ def test_an_echo_is_replayed_only_for_the_reaction_that_made_it():
     _, state = called_ticks(make_model(identity_reaction), state, ticks=2)
     called, _ = called_ticks(make_model(rebinds_a_property), state, ticks=2)
     assert called == [2, 3]
+
+
+# --- replayed production ----------------------------------------------------------
+#
+# A producer call is quiet when its context seeded no stream and read no clock,
+# it returned only influences that context made, and (for an agent) `memorize`
+# returned the record's internal state itself.  While the snapshot keeps every
+# level state, the next tick re-issues a quiet call's influences under its own
+# ids instead of calling the producer again.
+
+class Steady(BehaviorRule):
+    """Emits `script(ctx)` every tick, keeps its internal state, and counts
+    the ticks it was called on (outside the model, as a test's probe)."""
+
+    def __init__(self, script=lambda ctx: [ctx.make("move", "micro", to=1)]):
+        self.script = script
+        self.calls = []
+
+    def memorize(self, perception, internal_state, ctx):
+        self.calls.append(ctx._tick)  # the private value: no clock read
+        return internal_state
+
+    def decide(self, internal_state, ctx):
+        return self.script(ctx)
+
+
+def producer_model(p=None, **changes):
+    """`make_model` with the quiet identity reactions, the clock-reading
+    scripted `q` and `m` silent, and `p` the producer under test."""
+    model = make_model(identity_reaction, **changes)
+    model.behaviors["p"] = p if p is not None else Steady()
+    return model
+
+
+def stepped(model, state=None, ticks=TICKS):
+    """The last state and each tick's produced influences at `micro`."""
+    state = state or initial_state()
+    produced = []
+    for _ in range(ticks):
+        state, info = step(model, state)
+        produced.append(info.produced["micro"])
+    return state, produced
+
+
+def test_a_quiet_producer_is_called_once_and_then_replayed():
+    p = Steady()
+    _, produced = stepped(producer_model(p))
+    assert p.calls == [0]
+    assert [sorted(inf.id for inf in infs) for infs in produced] == [
+        [f"p@{tick}#0"] for tick in range(TICKS)
+    ]
+    first, last = (next(iter(infs)) for infs in (produced[0], produced[-1]))
+    assert (last.kind, last.target_level, last.klass, last.producer) == (
+        first.kind, first.target_level, first.klass, first.producer)
+    assert last.payload is first.payload
+
+
+def test_a_replayed_producer_keeps_its_record_and_the_agent_map():
+    model = producer_model()
+    state = initial_state()
+    first, _ = step(model, state)
+    second, _ = step(model, first)
+    assert second.agents is first.agents
+    assert second.agents["p"] is state.agents["p"]
+
+
+def reads_the_tick(ctx):
+    ctx.tick
+    return [ctx.make("move", "micro", to=1)]
+
+
+def seeds_the_rng(ctx):
+    ctx.rng
+    return [ctx.make("move", "micro", to=1)]
+
+
+def built_by_hand(ctx):
+    return [influence("move", "micro", "p", uid=f"p@hand#{ctx._tick}", to=1)]
+
+
+class KeepsItsFirstInfluence:
+    """Makes one influence on its first call, which reads the clock, and
+    returns that same influence on every later call."""
+
+    def __init__(self):
+        self.kept = None
+
+    def __call__(self, ctx):
+        if self.kept is None:
+            ctx.tick
+            self.kept = ctx.make("move", "micro", to=1)
+        return [self.kept]
+
+
+class RemembersAnEqualCopy(Steady):
+    def memorize(self, perception, internal_state, ctx):
+        super().memorize(perception, internal_state, ctx)
+        return dict(internal_state or {})  # equal to the held state, not it
+
+
+@pytest.mark.parametrize("p", [
+    Steady(reads_the_tick), Steady(seeds_the_rng), Steady(built_by_hand),
+    Steady(KeepsItsFirstInfluence()), RemembersAnEqualCopy(),
+], ids=["reads-tick", "seeds-rng", "built-by-hand", "keeps-an-influence", "equal-copy"])
+def test_a_producer_that_is_not_quiet_is_called_every_tick(p):
+    stepped(producer_model(p))
+    assert p.calls == list(range(TICKS))
+
+
+def test_a_memorize_that_keeps_its_state_is_replayed():
+    p = Steady()
+    state = initial_state()
+    state.agents["p"] = AgentRecord("p", internal_state={"seen": 1})
+    stepped(producer_model(p), state)
+    assert p.calls == [0]
+
+
+def test_a_changed_perceived_level_defeats_the_replay():
+    """`q` nudges micro at tick 2, and micro's reaction rebinds a property on
+    a nudge: the snapshot after tick 2 holds a new micro level state."""
+    def micro_reaction(level, sigma, influences, ctx):
+        if any(inf.kind == "nudge" for inf in influences):
+            sigma["n"] = sigma["n"] + 1
+        return ReactionResult(sigma)
+
+    p = Steady()
+    model = producer_model(p, other_script=lambda tick: [("nudge", "micro", "ordinary", {})]
+                           if tick == 2 else [])
+    model.reactions["micro"] = micro_reaction
+    stepped(model)
+    assert p.calls == [0, 3]
+
+
+def test_a_swapped_rule_is_called_again():
+    p = Steady()
+    model = producer_model(p)
+    state, _ = stepped(model, ticks=2)
+    model.behaviors["p"] = swapped = Steady()
+    stepped(model, state, ticks=3)
+    assert p.calls == [0]
+    assert swapped.calls == [2]
+
+
+def test_a_new_record_is_called_again():
+    """A successor that keeps every level state but gives `p` another record
+    takes the held calls over; `p`'s is not replayed for the new record."""
+    p = Steady()
+    model = producer_model(p)
+    state, _ = stepped(model, ticks=2)
+    renewed = state.successor(state.per_level, {
+        **state.agents, "p": AgentRecord("p", internal_state={"renewed": True})})
+    assert "_production" in renewed.__dict__
+    stepped(model, renewed, ticks=3)
+    assert p.calls == [0, 3]
+
+
+def test_swapped_declarations_defeat_the_replay():
+    p = Steady()
+    model = producer_model(p)
+    state, _ = stepped(model, ticks=2)
+    model.decls = model.decls._replace(couplings=())
+    stepped(model, state, ticks=3)
+    assert p.calls == [0, 2]
+
+
+def test_a_replay_keeps_the_ids_of_the_influences_it_returns():
+    """A producer that makes three influences and returns the first and the
+    last: the replay numbers them #0 and #2, as a call would."""
+    def drops_its_second(ctx):
+        made = [ctx.make("move", "micro", to=k) for k in range(3)]
+        return [made[0], made[2]]
+
+    p = Steady(drops_its_second)
+    _, produced = stepped(producer_model(p))
+    assert p.calls == [0]
+    for tick, infs in enumerate(produced):
+        assert sorted((inf.id, inf.payload["to"]) for inf in infs) == [
+            (f"p@{tick}#0", 0), (f"p@{tick}#2", 2)]
+
+
+def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
+    calls = {"quiet": [], "clock": []}
+
+    def detector(name, reads_clock):
+        def rule(percept, ctx):
+            calls[name].append(ctx._tick)
+            if reads_clock:
+                ctx.tick
+            return [ctx.make("ping", "macro")]
+
+        return DetectorRule(name, "micro", rule)
+
+    model = producer_model()
+    model.detectors = {"quiet": detector("quiet", False), "clock": detector("clock", True)}
+    state = initial_state()
+    for tick in range(TICKS):
+        state, info = step(model, state)
+        assert {inf.id for inf in info.produced["macro"]} == {
+            f"quiet@{tick}#0", f"clock@{tick}#0"}
+    assert calls == {"quiet": [0], "clock": list(range(TICKS))}
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_snapshot_starts_without_the_production_record(clone):
+    p = Steady()
+    model = producer_model(p)
+    state, _ = stepped(model, ticks=2)
+    assert "_production" in state.__dict__
+    twin = clone(state)
+    assert "_production" not in twin.__dict__
+    assert twin == state
+    step(model, twin)
+    assert p.calls == [0, 2]
