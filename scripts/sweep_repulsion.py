@@ -4,7 +4,9 @@
 Shows how the field parameters shift where (and whether) standoffs appear:
 small amplitudes let vehicles approach closely before stalling, larger ones
 stall them further apart, but no amplitude removes the head-on pathology on a
-narrow corridor. That is what the control level is for.
+narrow corridor. That is what the control level is for. The `frozen` column
+is the tick from which the run was frozen (nothing could change any more), or
+`-`: a run that runs out of ticks undelivered without freezing is a livelock.
 
 Each amplitude is applied as the override `params.repulse=<amplitude>` and
 validated like `mlsim run --override`: an invalid one is reported and the
@@ -47,7 +49,8 @@ def main():
             print(issue, file=sys.stderr)
         return EXIT_INVALID
     print(f"scenario={args.scenario} control={args.control}")
-    print(f"{'repulse':>8} {'delivered':>10} {'detected':>9} {'resolved':>9} {'ticks':>6}  stop")
+    print(f"{'repulse':>8} {'delivered':>10} {'detected':>9} {'resolved':>9} {'ticks':>6} "
+          f"{'frozen':>6}  stop")
     for spec in specs:
         amp = spec.params.repulse
         model, state = build(spec)
@@ -61,9 +64,11 @@ def main():
             termination=all_tasks_delivered,
         )
         last = result.records[-1]
+        frozen = "-" if result.frozen_from is None else result.frozen_from
         print(
             f"{amp:>8} {last['tasks_delivered']:>10} {last['deadlocks_detected']:>9} "
-            f"{last['deadlocks_resolved']:>9} {len(result.records):>6}  {result.stop_reason}"
+            f"{last['deadlocks_resolved']:>9} {len(result.records):>6} {frozen:>6}  "
+            f"{result.stop_reason}"
         )
     return 0
 

@@ -4,8 +4,9 @@ Phase 1 (produce): every agent behavior and registered detector is
 evaluated against the same frozen snapshot; outputs are merged with the
 carried-over influence sets and partitioned by target level.  Detectors, the
 micro-level rules that reify emergences, are the only producers that are not
-agents; an agent with no behavior only has bodies and produces nothing.  An influence's payload is the dict of keyword arguments its
-producer passed to `StepContext.make`, read-only from then on.
+agents; an agent with no behavior produces nothing.  An influence's payload
+is the dict of keyword arguments its producer passed to `StepContext.make`,
+read-only from then on.
 
 Phase 2 (react): each level independently filters its produced set through
 apply_constraints and invokes its reaction rule.  Reactions see only their own
@@ -14,48 +15,42 @@ routed by target level after all reactions ran, so the result is invariant
 under level evaluation order.
 
 Everything is deterministic given (model, state, seed): per-producer RNG
-streams are keyed by (seed, producer, tick), so agent iteration order cannot
-leak into results.  A stream is seeded only when its producer first reads
-`ctx.rng`.
-
-Bookkeeping scales with the influences produced, not with producers x levels:
-the graph's route table gives each producer level set its perceived levels
-and influence targets, the snapshot's membership index gives each agent its
-levels, and trace rows are built only when `StepInfo.trace` is read.
+streams are keyed by (seed, producer, tick), and one is seeded only when its
+producer first reads `ctx.rng`.  Bookkeeping scales with the influences
+produced: the graph's route table gives each producer level set its percept
+and targets, the snapshot's membership index gives each agent its levels,
+and trace rows are built only when `StepInfo.trace` is read.
 
 A level whose tick changed nothing is carried over: when its reaction leaves
 every property bound to the very object it held, in the same order, and the
 influences routed to it equal the ones it holds, the next snapshot keeps the
-old `LevelState` itself (`carried_level`).  When every level is carried
-over, the next snapshot also keeps the old membership index.  Every cache
-keyed on a level state (its `bodies()` and `derived` views, and the
-model's own caches keyed on the snapshot objects) then survives the tick.
+old `LevelState` (`carried_level`), and every cache keyed on it survives.
 
-A carried-over level also replays a quiet reaction.  A reaction must be a
-function of its property map, of its influences' producer, kind, class and
-payload in id order (ids serve for ordering only), and of whatever it reads
-of `ctx`; values that compare equal must act the same (`1 == True`).  A call
-is quiet when it returns no persisted influences, spawns, removals or events,
-its `StepContext` made no influence, seeded no stream and read no `tick`, and
-`carried_level` kept the old `LevelState`.  The level state then keeps the
-call's echo (`echo_of` of the filtered influences, with the reaction rule
-itself), and the next tick whose filtered influences have an equal echo does
-not call the reaction: the level is treated as if its reaction returned the
-property map unchanged.  Constraint filtering still runs, so the inhibition
-log and the trace are the same.
+The contracts: a reaction is a function of its property map, of its
+influences' producer, kind, class and payload in id order, and of what it
+reads of `ctx`; a behavior or detector is a function of the level states it
+perceives, of its record and of what it reads of `ctx`; values that compare
+equal act the same (`1 == True`); a `memorize` that changes nothing returns
+`internal_state` itself.  A call is quiet when its `StepContext` seeded no
+stream and read no `tick`; a reaction's also made no influence and returned
+no persisted influences, spawns, removals or events; a producer's returned
+only influences that context made, and `memorize` kept the internal state.
 
-Production is replayed the same way.  A behavior or detector must be a
-function of the level states it perceives, of its record, and of whatever it
-reads of `ctx`, and a `memorize` that changes nothing returns `internal_state`
-itself.  A producer call is quiet when its `StepContext` seeded no stream and
-read no `tick`, every influence it returned was made by that context in that
-call, and, for an agent, `memorize` returned the record's internal state
-itself; `react` then keeps the record.  The snapshot holds each quiet call
-(rule, record, returned influences), and its successor takes the record over
-only when it keeps every level state.  The next tick whose producer has the
-very same rule and record does not call it: each held influence is made
-again under the tick's id, with its own place `k` (`producer@tick#k`), kind,
-target, class and payload, and is not checked again.
+A carried-over level replays a quiet reaction: its level state keeps the
+call's echo (`echo_of` of the filtered influences, with the rule), and the
+next tick whose filtered influences have an equal echo takes the property
+map as returned unchanged instead of calling the reaction.
+
+A frozen tick is replayed whole.  A tick is frozen when every producer call
+was quiet, every reaction was replayed or quiet, and it kept every level
+state (and so the agent map): every later tick repeats it.  Its successor
+holds its step: the model's rules, and per level the produced influences,
+which give each one's producer, `k`, kind, class and payload (a kept level
+carries none of its own, as nothing was persisted), and the inhibition log
+by (producer, `k`).  A tick on a snapshot holding a step under the same
+rules calls no producer and no reaction: it makes each influence again as
+`producer@tick#k`, remaps the log to those ids, and keeps the level states
+and the agent map, holding the step again.
 """
 
 from __future__ import annotations
@@ -78,6 +73,7 @@ from .hierarchy import (
     ConstraintKindDecl,
     Declarations,
     EmergenceKindDecl,
+    InhibitionRecord,
     apply_constraints,
     hierarchy_issues,
 )
@@ -110,13 +106,10 @@ class StepContext:
 
     Pass either `rng` or `rng_key`.  The engine passes `rng_key`: the
     stream `derived_rng(*rng_key)` is seeded the first time `rng` is read,
-    so a producer that draws nothing costs no seeding.  Reads of `tick` are
-    recorded too, and so is every influence `make` makes: `untouched` says
-    whether the holder made no influence, seeded no stream and read no
-    clock, which is what lets the engine replay a quiet reaction (see
-    `react`), and `made_quietly` says which of a producer's returned
-    influences it made, which is what lets it replay a quiet producer (see
-    `produce_influences`).
+    so a producer that draws nothing costs no seeding.  Reads of `tick` and
+    every influence `make` makes are recorded too: `untouched` (of a
+    reaction) and `made_quietly` (of a producer) say whether a call was
+    quiet (see the module doc).
     """
 
     def __init__(self, tick: int, producer: str, rng: random.Random | None = None,
@@ -146,7 +139,6 @@ class StepContext:
 
     def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
         made = self._made
-        # The id `_replayed` gives a held influence too.
         inf = Influence(
             id=f"{self.producer}@{self._tick}#{len(made)}",
             kind=kind,
@@ -158,29 +150,25 @@ class StepContext:
         made.append(inf)
         return inf
 
-    def made_quietly(self, out: list) -> tuple | None:
-        """`((k, influence), ...)` for each influence of `out`, `k` being its
-        place among the ones this context made, when this context made every
-        one of them, seeded no stream and read no clock; None otherwise."""
+    def made_quietly(self, out: list) -> bool:
+        """Whether this context made every influence of `out` and seeded no
+        stream and read no clock."""
         if self._rng is not None or self._tick_read:
-            return None
+            return False
         made = self._made
         if len(out) == len(made) and all(map(is_, out, made)):
-            return tuple(enumerate(out))
-        place = {id(inf): k for k, inf in enumerate(made)}
-        held = tuple((place.get(id(inf)), inf) for inf in out)
-        return None if any(k is None for k, _ in held) else held
+            return True
+        ids = set(map(id, made))
+        return all(id(inf) in ids for inf in out)
 
 
 class BehaviorRule:
     """Three-stage behavior: perceive, memorize, decide — invoked in order,
     at most once per agent per step.
 
-    A behavior must be a function of the level states it perceives, of its
-    agent's record and of whatever it reads of `ctx`, and a `memorize` that
-    changes nothing returns `internal_state` itself.  The engine relies on
-    it to replay a quiet call instead of making it again
-    (`produce_influences`): such a step calls no stage at all."""
+    It must keep the contracts of the module doc: a function of what it
+    perceives, of its record and of what it reads of `ctx`, with a
+    `memorize` that returns `internal_state` itself when nothing changed."""
 
     def perceive(self, percept: Percept, me: AgentRecord):
         return percept
@@ -195,11 +183,8 @@ class BehaviorRule:
 @dataclass(frozen=True)
 class DetectorRule:
     """A distinguished micro-level natural rule permitted to emit emergence
-    influences toward a macro level.
-
-    Like a behavior, `rule` must be a function of the level states it
-    perceives and of whatever it reads of `ctx`, so that a quiet call can be
-    replayed instead of made again (`produce_influences`)."""
+    influences toward a macro level.  Like a behavior, `rule` keeps the
+    contracts of the module doc."""
 
     name: str
     level: LevelId
@@ -215,13 +200,8 @@ class ReactionResult:
     events: tuple = ()  # (name, payload-dict) pairs for observers/trace
 
 
-# Reaction rule signature: (level, sigma: dict, influences: frozenset, ctx) -> ReactionResult
-#
-# A reaction must be a function of its property map, of its influences'
-# producer, kind, class and payload in id order (ids serve for ordering
-# only), and of whatever it reads of `ctx`; values that compare equal must
-# act the same (`1 == True`).  The engine relies on it to replay a quiet
-# call instead of making it again (`react`).
+# Reaction rule signature: (level, sigma: dict, influences: frozenset, ctx) -> ReactionResult,
+# keeping the contracts of the module doc.
 ReactionRule = Callable[[LevelId, dict, frozenset, StepContext], ReactionResult]
 
 
@@ -267,6 +247,8 @@ def validate_model(model: Model) -> list[Issue]:
 class ProducedStep:
     per_level: dict  # LevelId -> frozenset[Influence]
     new_internal: dict  # AgentId -> internal state at t+dt
+    quiet: bool = False  # every producer call was quiet
+    held: tuple | None = None  # the frozen step this production replayed
 
 
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
@@ -307,37 +289,36 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
             )
 
 
-def _replayed(producer: str, tick: int, held: tuple) -> list:
-    """The influences of a held quiet call, made again under `tick`'s ids:
-    each keeps its own place `k`, kind, target, class and payload."""
-    return [
-        Influence(f"{producer}@{tick}#{k}", inf.kind, inf.target_level, producer, inf.payload,
-                  inf.klass)
-        for k, inf in held
-    ]
+def _rules(model: Model) -> tuple:
+    """What a frozen step holds of the model: a held step is replayed only
+    under the same graph, declarations, producers and reactions."""
+    return (model.graph, model.decls, tuple(model.behaviors.items()),
+            tuple(model.dynamic_behaviors.items()), tuple(model.detectors.items()),
+            tuple(model.reactions.items()))
 
 
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
     """Phase 1: evaluate all producers against the frozen snapshot.
 
-    A producer whose quiet call the snapshot holds, under the same rule and
-    the same record, is not called again: its held influences are made anew
-    under this tick's ids.  The quiet calls of this tick are left on the
-    snapshot for its successor (`SystemState.successor`)."""
-    graph = model.graph
-    decls = model.decls
+    A snapshot that holds a frozen step under the same rules calls no
+    producer: each held influence is made again under this tick's id."""
     tick = state.time
+    held = state.__dict__.get("_held_step")
+    if held is not None and held[0] == _rules(model):
+        at = f"@{tick}#"
+        return ProducedStep({
+            level: frozenset([Influence(inf.producer + at + inf.id.rpartition("#")[2], inf.kind,
+                                        level, inf.producer, inf.payload, inf.klass)
+                              for inf in influences])
+            for level, influences in held[1].items()
+        }, {}, held=held)
+    graph = model.graph
     produced_sets: list[Iterable[Influence]] = [
         level_state.influences for level_state in state.per_level.values()
     ]
     new_internal: dict[str, Any] = {}
     observed: dict = {}  # level set -> the level states its producers perceive
-    # producer -> (rule, record, ((k, influence), ...)) of each quiet call
-    # made on level states that are this snapshot's own, under this graph
-    # and these declarations.
-    held = state.__dict__.get("_production")
-    held = held[2] if held is not None and held[0] is graph and held[1] is decls else {}
-    quiet: dict = {}
+    quiet = True  # every call so far was quiet
 
     def route(levels, requester):
         """(percept, influence targets) of a producer belonging to `levels`."""
@@ -354,13 +335,6 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     for agent_id in sorted(agents):
         record = agents[agent_id]
         rule = model.behavior_for(record)
-        if held:
-            call = held.get(agent_id)
-            if call is not None and call[0] is rule and call[1] is record:
-                new_internal[agent_id] = record.internal_state
-                produced_sets.append(_replayed(agent_id, tick, call[2]))
-                quiet[agent_id] = call
-                continue
         levels = memberships.get(agent_id)
         if not levels or rule is None:
             continue
@@ -374,19 +348,11 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         for inf in out:
             _check_influence(model, inf, targets, desc, levels)
         produced_sets.append(out)
-        if internal is record.internal_state:
-            made = ctx.made_quietly(out)
-            if made is not None:
-                quiet[agent_id] = (rule, record, made)
+        if quiet:
+            quiet = internal is record.internal_state and ctx.made_quietly(out)
 
     for name in sorted(model.detectors):
         detector = model.detectors[name]
-        if held:
-            call = held.get(name)
-            if call is not None and call[0] is detector:
-                produced_sets.append(_replayed(name, tick, call[2]))
-                quiet[name] = call
-                continue
         levels = frozenset((detector.level,))
         percept, targets = route(levels, name)
         ctx = StepContext(tick, name, rng_key=(seed, name, tick))
@@ -394,14 +360,16 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         for inf in out:
             _check_influence(model, inf, targets, f"detector {name!r}", levels, detector=name)
         produced_sets.append(out)
-        made = ctx.made_quietly(out)
-        if made is not None:
-            quiet[name] = (detector, None, made)
+        if quiet:
+            quiet = ctx.made_quietly(out)
 
-    state.__dict__["_production"] = (graph, decls, quiet)
-    return ProducedStep(
-        per_level=group_by_level(state.per_level, produced_sets), new_internal=new_internal
-    )
+    return ProducedStep(group_by_level(state.per_level, produced_sets), new_internal, quiet)
+
+
+def _key(inf_id: str) -> tuple:
+    """(producer, k) of the influence id `producer@tick#k`."""
+    head, _, k = inf_id.rpartition("#")
+    return head.rpartition("@")[0], k
 
 
 def _by_id(inf: Influence) -> str:
@@ -417,6 +385,7 @@ class StepInfo:
     inhibitions: dict  # LevelId -> tuple[InhibitionRecord]
     events: tuple  # (level, name, payload) triples
     tick: int  # the time of the snapshot the step started from
+    replayed: bool = False  # the step was a held frozen step, replayed whole
 
     @property
     def trace(self) -> tuple:
@@ -487,9 +456,20 @@ def echo_of(influences: frozenset) -> tuple:
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0):
     """Phase 2: per-level constraint filtering + reaction, then merge.
 
-    A level whose state holds the echo of a quiet call of its reaction, and
-    whose filtered influences have an equal echo, is not called again: the
-    call is replayed as the property map returned unchanged."""
+    A level whose filtered influences echo its held quiet call is not called
+    again, a frozen tick leaves its step on its successor, and a replayed
+    step hands back its held inhibition log under this tick's ids and the
+    snapshot's level states and agent map (see the module doc)."""
+    held = produced.held
+    if held is not None:
+        at = f"@{state.time}#"
+        inhibitions = {
+            level: tuple([InhibitionRecord(p + at + k, tuple([q + at + j for q, j in hits]))
+                          for (p, k), hits in log]) if log else ()
+            for level, log in held[2].items()
+        }
+        info = StepInfo(produced.per_level, inhibitions, (), state.time, replayed=True)
+        return state.successor(state.per_level, state.agents, held), info
     results = {}
     sigmas = {}
     inhibitions = {}
@@ -508,11 +488,8 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 sigmas[level] = level_state.properties
                 continue
         sigma = dict(level_state.properties)
-        ctx = StepContext(
-            state.time,
-            REACTION_PRODUCER_PREFIX + level,
-            rng_key=(seed, "reaction", level, state.time),
-        )
+        ctx = StepContext(state.time, REACTION_PRODUCER_PREFIX + level,
+                          rng_key=(seed, "reaction", level, state.time))
         try:
             result = rule(level, sigma, filtered, ctx)
         except MlsimError:
@@ -533,9 +510,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     for level, result in results.items():
         targets = model.graph.out_influence(level)
         for inf in result.persisted:
-            _check_influence(
-                model, inf, targets, f"reaction of level {level!r}", {level}
-            )
+            _check_influence(model, inf, targets, f"reaction of level {level!r}", {level})
             persisted.append(inf)
     routed = group_by_level(state.per_level, [persisted]) if persisted else {}
 
@@ -596,14 +571,19 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             if echo is None:
                 echo = echo_of(filtered)
             level_state.__dict__["_echo"] = (model.reactions[level], echo)
-    next_state = state.successor(per_level, agents)
-    info = StepInfo(
-        produced=produced.per_level,
-        inhibitions=inhibitions,
-        events=tuple(events),
-        tick=state.time,
-    )
-    return next_state, info
+    frozen_step = None
+    if produced.quiet and len(quiet) == len(results) and all(
+        per_level[level] is level_state for level, level_state in state.per_level.items()
+    ):
+        # A quiet tick kept every record and spawned and removed nothing, so
+        # it kept the agent map too: it is frozen (see the module doc).
+        frozen_step = _rules(model), produced.per_level, {
+            level: tuple([(_key(record.constraint_id), tuple(map(_key, record.inhibited_ids)))
+                          for record in log]) if log else ()
+            for level, log in inhibitions.items()
+        }
+    next_state = state.successor(per_level, agents, frozen_step)
+    return next_state, StepInfo(produced.per_level, inhibitions, tuple(events), state.time)
 
 
 def step(model: Model, state: SystemState, seed: int = 0):
@@ -618,6 +598,7 @@ class RunResult:
     stop_reason: str
     diagnostics: tuple = ()  # (tick, name, payload) triples
     trace: tuple = ()
+    frozen_from: int | None = None  # the tick from which every step was replayed whole
 
 
 DIAGNOSTIC_EVENTS = {"no-escape-path"}
@@ -649,9 +630,14 @@ def run(
     diagnostics = []
     trace: list = []
     stop_reason = "tick-budget"
+    frozen_from = None
     for _ in range(ticks):
         tick = state.time
         state, info = step(model, state, seed)
+        if not info.replayed:
+            frozen_from = None
+        elif frozen_from is None:
+            frozen_from = tick
         for level, name, payload in info.events:
             if name in DIAGNOSTIC_EVENTS:
                 diagnostics.append((tick, name, payload))
@@ -672,4 +658,5 @@ def run(
         stop_reason=stop_reason,
         diagnostics=tuple(diagnostics),
         trace=tuple(trace),
+        frozen_from=frozen_from,
     )

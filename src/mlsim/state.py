@@ -9,8 +9,9 @@ format; ``LevelState.bodies()`` runs it once per level state and hands every
 reader the same read-only mapping.  ``SystemState.memberships()`` derives the
 agent -> levels index from those mappings, once per snapshot, so it always
 agrees with what the reactions wrote; a successor that keeps every level
-state of its snapshot holds the same bodies and shares the index, and the
-record of the snapshot's quiet producer calls with it.
+state of its snapshot holds the same bodies and shares the index.  A
+snapshot after a frozen tick also holds that tick's step, which the engine
+replays instead of stepping (`engine.react`).
 """
 
 from __future__ import annotations
@@ -181,28 +182,27 @@ class SystemState:
             )
         return memberships
 
-    def successor(self, per_level: dict, agents: dict) -> "SystemState":
+    def successor(self, per_level: dict, agents: dict, step: tuple | None = None) -> "SystemState":
         """The next snapshot.  When it keeps every level state of this one,
         it holds the same bodies, so it shares this snapshot's membership
-        index instead of deriving it again, and every producer perceives what
-        it perceived here, so it also takes over the record of this
-        snapshot's quiet producer calls (`engine.produce_influences`)."""
+        index instead of deriving it again.  `step` is the frozen step the
+        engine hands over (`engine.react`): the next snapshot holds it, and
+        its tick replays it instead of calling producers and reactions."""
         nxt = SystemState(self.time + 1, per_level, agents)
         if per_level.keys() == self.per_level.keys() and all(
             per_level[level] is level_state for level, level_state in self.per_level.items()
         ):
             nxt.__dict__["_memberships"] = self.memberships()
-            production = self.__dict__.get("_production")
-            if production is not None:
-                nxt.__dict__["_production"] = production
+        if step is not None:
+            nxt.__dict__["_held_step"] = step
         return nxt
 
     def __getstate__(self):
-        # `_production` is the engine's record of quiet producer calls; a
-        # copy starts without one and calls its producers.
+        # `_held_step` is the engine's record of a frozen tick; a copy starts
+        # without one and steps.
         state = dict(self.__dict__)
         state.pop("_memberships", None)
-        state.pop("_production", None)
+        state.pop("_held_step", None)
         return state
 
 

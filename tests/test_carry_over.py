@@ -14,15 +14,15 @@ echo it again (`engine.react`).  Its oracle is the same run with
 `engine.echo_of` patched to return an echo equal to no other, so every
 reaction is called every tick.
 
-A snapshot that keeps every level state also takes over the record of its
-predecessor's quiet producer calls, and the next tick re-issues their
-influences instead of calling the behaviors and the detector
-(`engine.produce_influences`).  Its oracle is the same run with
-`SystemState.successor` patched to pass no such record on, so every producer
-is called every tick.
+A frozen tick (every producer call quiet, every reaction replayed or quiet,
+every level state and the agent map kept) leaves its step on its successor,
+and the next tick replays that step whole instead of calling the behaviors,
+the detector and the reactions (`engine.react`).  Its oracle is the same run
+with `SystemState.successor` patched to pass no step on, so every tick steps.
 """
 
 import collections
+import copy
 import dataclasses
 
 import pytest
@@ -44,7 +44,7 @@ from mlsim.fms.model import (
     floor_agvs,
     fms_metrics,
 )
-from mlsim.scenario import build, parse_scenario_dict
+from mlsim.scenario import apply_overrides, build, parse_scenario_dict
 from mlsim.state import Body, LevelState, SystemState, body_key
 
 from support import influence
@@ -66,12 +66,10 @@ def never_equal(influences):
 
 
 def forgetful(successor):
-    """`SystemState.successor` without the replayed production: the next
-    snapshot never holds its predecessor's quiet producer calls."""
-    def forgetting(self, per_level, agents):
-        nxt = successor(self, per_level, agents)
-        nxt.__dict__.pop("_production", None)
-        return nxt
+    """`SystemState.successor` without the whole-tick replay: the next
+    snapshot never holds a frozen step."""
+    def forgetting(self, per_level, agents, step=None):
+        return successor(self, per_level, agents)
 
     return forgetting
 
@@ -252,9 +250,10 @@ def test_an_unchanged_tick_makes_no_desired_move_call(monkeypatch):
     assert nxt.per_level[FLOOR] is state.per_level[FLOOR]
     assert calls == []
 
-    # Without the carry-over the same tick senses every AGV again.
+    # Without the carry-over no tick is frozen: from a copy, which holds no
+    # frozen step, the same tick senses every AGV again.
     monkeypatch.setattr(engine, "carried_level", rebuilt_level)
-    step(model, step(model, state, seed)[0], seed)
+    step(model, step(model, copy.copy(state), seed)[0], seed)
     assert calls
 
 
@@ -310,8 +309,8 @@ def test_generated_runs_equal_the_runs_without_carry_over(tmp_path_factory, raw)
 def test_a_stalled_tick_calls_no_reaction(name, monkeypatch):
     model, seed, state = stalled(name, 60)
     calls = counted_reactions(model)
-    # The echoes held so far are the unwrapped reactions': the first tick
-    # calls the wrapped ones and records theirs.
+    # The echoes and the step held so far are the unwrapped reactions': the
+    # first tick calls the wrapped ones and records theirs.
     state, _ = step(model, state, seed)
     assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
     calls.clear()
@@ -322,9 +321,11 @@ def test_a_stalled_tick_calls_no_reaction(name, monkeypatch):
         state = nxt
     assert calls == {}
 
-    # Without the replay the same ticks call every level's reaction.
+    # Without the replays the same ticks call every level's reaction: the
+    # held step is replayed once more, then passed on to no snapshot.
     monkeypatch.setattr(engine, "echo_of", never_equal)
-    step(model, state, seed)
+    monkeypatch.setattr(SystemState, "successor", forgetful(SystemState.successor))
+    step(model, step(model, state, seed)[0], seed)
     assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
 
 
@@ -397,8 +398,8 @@ def test_the_safety_checker_raises_on_a_new_regressed_table_under_a_kept_floor()
 def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
     model, seed, state = stalled(name, 60)
     calls = counted_producers(model)
-    # The calls held so far are the unwrapped rules': the first tick calls
-    # the wrapped ones and holds theirs.
+    # The step held so far was made under the unwrapped rules: the first
+    # tick calls the wrapped ones and holds its own step.
     state, before = step(model, state, seed)
     assert calls[DEADLOCK_DETECTOR, "rule"] == 1
     assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
@@ -417,7 +418,8 @@ def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
         state = nxt
     assert calls == {}
 
-    # Without the replay the same ticks call every behavior and the detector.
+    # Without the replay the same ticks call every behavior and the detector:
+    # the held step is replayed once more, then passed on to no snapshot.
     monkeypatch.setattr(SystemState, "successor", forgetful(SystemState.successor))
     step(model, step(model, state, seed)[0], seed)
     assert calls[DEADLOCK_DETECTOR, "rule"] == 1
@@ -439,3 +441,26 @@ def test_generated_runs_equal_the_runs_without_replayed_production(tmp_path_fact
     assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
         run_case(raw, replay_production=False), tmp_path, "called"
     )
+
+
+# --- the tick a run froze from ----------------------------------------------------
+
+FROZEN_FROM = {"corridor/off": 11, "corridor/on": None, "open_floor/off": None,
+               "open_floor/on": None, "walled_trap/off": 10, "walled_trap/on": 12}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_a_fixture_run_records_the_tick_it_froze_from(name):
+    assert run_case(FIXTURE_CASES[name]).frozen_from == FROZEN_FROM[name]
+    assert run_case(FIXTURE_CASES[name], replay_production=False).frozen_from is None
+
+
+@pytest.mark.parametrize("control, frozen_from, detected", [("off", 13, 2), ("on", None, 110)])
+def test_a_weak_repulsion_freezes_the_corridor_and_livelocks_it_under_control(
+        control, frozen_from, detected):
+    raw = apply_overrides(FIXTURE_CASES[f"corridor/{control}"], {"params.repulse": "1"})
+    result = run_case(raw)
+    assert result.stop_reason == "tick-budget" and len(result.records) == 500
+    assert result.records[-1]["tasks_delivered"] == 0
+    assert result.records[-1]["deadlocks_detected"] == detected
+    assert result.frozen_from == frozen_from

@@ -1,13 +1,16 @@
-"""Replayed reactions and production: the contracts a quiet call is
+"""Replayed reactions and frozen ticks: the contracts a quiet call is
 replayed under.
 
 A reaction call is quiet when it returns no persisted influences, spawns,
 removals or events, its context made no influence, seeded no stream and read
 no clock, and its level state is carried over.  The next tick does not call
 the reaction again while the filtered influences echo the quiet call's
-(producer, kind, class, payload in id order).  Each test steps a two-level
-model and reads which ticks called the reaction of `micro`, or, in the last
-part, which ticks called a producer.
+(producer, kind, class, payload in id order).  A tick whose producer calls
+are all quiet, whose reactions are all replayed or quiet, and which keeps
+every level state and the agent map is frozen: the next tick replays its
+step whole.  Each test steps a two-level model and reads which ticks called
+the reaction of `micro`, or, in the last part, which ticks called a producer
+and which were replayed whole.
 """
 
 import copy
@@ -15,12 +18,14 @@ import pickle
 
 import pytest
 
-from mlsim.engine import BehaviorRule, DetectorRule, Model, ReactionResult, echo_of, step
+from mlsim import engine
+from mlsim.engine import BehaviorRule, DetectorRule, Model, ReactionResult, echo_of, run, step
 from mlsim.hierarchy import (
     ConstraintKindDecl,
     Declarations,
     HierarchicalCoupling,
     InfluenceSelector,
+    InhibitionRecord,
 )
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
@@ -297,13 +302,13 @@ def test_an_echo_is_replayed_only_for_the_reaction_that_made_it():
     assert called == [2, 3]
 
 
-# --- replayed production ----------------------------------------------------------
+# --- frozen ticks -----------------------------------------------------------------
 #
 # A producer call is quiet when its context seeded no stream and read no clock,
 # it returned only influences that context made, and (for an agent) `memorize`
-# returned the record's internal state itself.  While the snapshot keeps every
-# level state, the next tick re-issues a quiet call's influences under its own
-# ids instead of calling the producer again.
+# returned the record's internal state itself.  When every call of a tick is
+# quiet and the tick keeps every level state and the agent map, the next tick
+# re-issues its influences under its own ids instead of calling any producer.
 
 class Steady(BehaviorRule):
     """Emits `script(ctx)` every tick, keeps its internal state, and counts
@@ -321,11 +326,16 @@ class Steady(BehaviorRule):
         return self.script(ctx)
 
 
+def silent(ctx):
+    return []
+
+
 def producer_model(p=None, **changes):
-    """`make_model` with the quiet identity reactions, the clock-reading
-    scripted `q` and `m` silent, and `p` the producer under test."""
+    """`make_model` with the quiet identity reactions, `q` and `m` quiet and
+    silent, and `p` the producer under test."""
     model = make_model(identity_reaction, **changes)
-    model.behaviors["p"] = p if p is not None else Steady()
+    model.behaviors.update(p=p if p is not None else Steady(), q=Steady(silent),
+                           m=Steady(silent))
     return model
 
 
@@ -412,20 +422,32 @@ def test_a_memorize_that_keeps_its_state_is_replayed():
     assert p.calls == [0]
 
 
+class NudgesWhileLow(Steady):
+    """Nudges micro while its property `n` is below 2, without a clock read."""
+
+    def __init__(self):
+        super().__init__(lambda ctx: [ctx.make("nudge", "micro")] if self.low else [])
+
+    def perceive(self, percept, me):
+        self.low = percept["micro"].properties["n"] < 2
+        return percept
+
+
 def test_a_changed_perceived_level_defeats_the_replay():
-    """`q` nudges micro at tick 2, and micro's reaction rebinds a property on
-    a nudge: the snapshot after tick 2 holds a new micro level state."""
+    """`q` nudges micro while `n` is below 2, and micro's reaction rebinds
+    `n` on a nudge: the snapshots after ticks 0 and 1 hold a new micro level
+    state, so ticks 1 and 2 step and tick 2 is the first frozen one."""
     def micro_reaction(level, sigma, influences, ctx):
         if any(inf.kind == "nudge" for inf in influences):
             sigma["n"] = sigma["n"] + 1
         return ReactionResult(sigma)
 
     p = Steady()
-    model = producer_model(p, other_script=lambda tick: [("nudge", "micro", "ordinary", {})]
-                           if tick == 2 else [])
+    model = producer_model(p)
+    model.behaviors["q"] = NudgesWhileLow()
     model.reactions["micro"] = micro_reaction
-    stepped(model)
-    assert p.calls == [0, 3]
+    assert replayed_ticks(model) == [3, 4]
+    assert p.calls == [0, 1, 2]
 
 
 def test_a_swapped_rule_is_called_again():
@@ -440,13 +462,13 @@ def test_a_swapped_rule_is_called_again():
 
 def test_a_new_record_is_called_again():
     """A successor that keeps every level state but gives `p` another record
-    takes the held calls over; `p`'s is not replayed for the new record."""
+    does not hold the frozen step: `p` is called for the new record."""
     p = Steady()
     model = producer_model(p)
     state, _ = stepped(model, ticks=2)
     renewed = state.successor(state.per_level, {
         **state.agents, "p": AgentRecord("p", internal_state={"renewed": True})})
-    assert "_production" in renewed.__dict__
+    assert "_held_step" in state.__dict__ and "_held_step" not in renewed.__dict__
     stepped(model, renewed, ticks=3)
     assert p.calls == [0, 3]
 
@@ -476,6 +498,8 @@ def test_a_replay_keeps_the_ids_of_the_influences_it_returns():
 
 
 def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
+    """A clock-reading detector keeps every tick from freezing, so the quiet
+    detector beside it is called every tick too."""
     calls = {"quiet": [], "clock": []}
 
     def detector(name, reads_clock):
@@ -487,14 +511,15 @@ def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
 
         return DetectorRule(name, "micro", rule)
 
-    model = producer_model()
-    model.detectors = {"quiet": detector("quiet", False), "clock": detector("clock", True)}
-    state = initial_state()
-    for tick in range(TICKS):
-        state, info = step(model, state)
-        assert {inf.id for inf in info.produced["macro"]} == {
-            f"quiet@{tick}#0", f"clock@{tick}#0"}
-    assert calls == {"quiet": [0], "clock": list(range(TICKS))}
+    for names in (["quiet"], ["quiet", "clock"]):
+        model = producer_model()
+        model.detectors = {name: detector(name, name == "clock") for name in names}
+        state = initial_state()
+        for tick in range(TICKS):
+            state, info = step(model, state)
+            assert {inf.id for inf in info.produced["macro"]} == {
+                f"{name}@{tick}#0" for name in names}
+    assert calls == {"quiet": [0] + list(range(TICKS)), "clock": list(range(TICKS))}
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
@@ -504,9 +529,152 @@ def test_a_copied_snapshot_starts_without_the_production_record(clone):
     p = Steady()
     model = producer_model(p)
     state, _ = stepped(model, ticks=2)
-    assert "_production" in state.__dict__
+    assert "_held_step" in state.__dict__
     twin = clone(state)
-    assert "_production" not in twin.__dict__
+    assert "_held_step" not in twin.__dict__
     assert twin == state
-    step(model, twin)
+    assert not step(model, twin)[1].replayed
     assert p.calls == [0, 2]
+
+
+# --- a frozen tick is replayed whole ------------------------------------------------
+
+def replayed_ticks(model, state=None, ticks=TICKS):
+    """The ticks whose step was a held frozen step, replayed whole."""
+    state = state or initial_state()
+    replayed = []
+    for _ in range(ticks):
+        tick = state.time
+        state, info = step(model, state)
+        if info.replayed:
+            replayed.append(tick)
+    return replayed
+
+
+def test_a_replayed_tick_runs_no_producer_reaction_or_filter(monkeypatch):
+    model = producer_model()
+    reactions = []
+    for level, rule in model.reactions.items():
+        model.reactions[level] = lambda *args, rule=rule: reactions.append(args[0]) or rule(*args)
+    state, _ = stepped(model, ticks=2)
+    held = state.__dict__["_held_step"]
+
+    def never(*args):
+        raise AssertionError("called on a replayed tick")
+
+    for name in ("apply_constraints", "echo_of", "carried_level", "group_by_level",
+                 "_check_influence"):
+        monkeypatch.setattr(engine, name, never)
+    for _ in range(3):
+        nxt, info = step(model, state)
+        assert info.replayed and not info.events
+        assert nxt.per_level is state.per_level and nxt.agents is state.agents
+        assert nxt.memberships() is state.memberships()
+        assert nxt.__dict__["_held_step"] is held
+        state = nxt
+    assert [rule.calls for rule in model.behaviors.values()] == [[0], [0], [0]]
+    assert sorted(reactions) == ["macro", "micro"]  # tick 0 only
+
+
+def with_behavior(make):
+    def setup(model):
+        model.behaviors["p"] = make()
+
+    return setup
+
+
+def with_detector(make_script):
+    def setup(model):
+        script = make_script()
+        model.detectors["watch"] = DetectorRule("watch", "micro",
+                                                lambda percept, ctx: script(ctx))
+
+    return setup
+
+
+def with_reaction(make):
+    def setup(model):
+        model.reactions["micro"] = make()
+
+    return setup
+
+
+def persists_a_kept_influence():
+    kept = influence("ping", "macro", "reaction:micro", uid="reaction:micro@0#0")
+    return counting_reaction(lambda n: {"persisted": (kept,)})
+
+
+NEVER_FROZEN = {
+    "behavior-reads-tick": with_behavior(lambda: Steady(reads_the_tick)),
+    "behavior-seeds-rng": with_behavior(lambda: Steady(seeds_the_rng)),
+    "behavior-built-by-hand": with_behavior(lambda: Steady(built_by_hand)),
+    "behavior-keeps-an-influence": with_behavior(lambda: Steady(KeepsItsFirstInfluence())),
+    "behavior-equal-copy": with_behavior(RemembersAnEqualCopy),
+    "detector-reads-tick": with_detector(lambda: reads_the_tick),
+    "detector-seeds-rng": with_detector(lambda: seeds_the_rng),
+    "detector-built-by-hand": with_detector(lambda: built_by_hand),
+    "detector-keeps-an-influence": with_detector(KeepsItsFirstInfluence),
+    "reaction-reads-tick": with_reaction(lambda: reads_the_clock),
+    "reaction-seeds-rng": with_reaction(lambda: seeds_the_stream),
+    "reaction-makes-an-influence": with_reaction(lambda: makes_an_influence),
+    "reaction-persists": with_reaction(lambda: counting_reaction(lambda n: {
+        "persisted": (influence("ping", "macro", "reaction:micro", uid=f"reaction:micro#{n}"),),
+    })),
+    "reaction-persists-a-kept-influence": with_reaction(persists_a_kept_influence),
+    "reaction-spawns": with_reaction(
+        lambda: counting_reaction(lambda n: {"spawn": (AgentRecord(f"s{n}"),)})),
+    "reaction-removes": with_reaction(lambda: counting_reaction(lambda n: {"remove": (f"x{n}",)})),
+    "reaction-emits": with_reaction(lambda: emits_an_event),
+}
+
+
+@pytest.mark.parametrize("setup", NEVER_FROZEN.values(), ids=NEVER_FROZEN.keys())
+def test_a_tick_with_a_call_that_is_not_quiet_is_never_replayed_whole(setup):
+    def replayed(setup):
+        model = producer_model()
+        model.detectors = {"quiet": DetectorRule("quiet", "micro", lambda percept, ctx: [])}
+        setup(model)
+        return replayed_ticks(model, initial_state(agents=[f"x{n}" for n in range(TICKS)]))
+
+    assert replayed(lambda model: None) == list(range(1, TICKS))  # all quiet: frozen at once
+    assert replayed(setup) == []
+
+
+@pytest.mark.parametrize("holder", ["m", "m@0#1"])
+def test_a_replayed_tick_keeps_each_k_and_remaps_the_inhibition_log(holder):
+    """`p` makes three moves and returns its #0 and #2, and the macro agent
+    `holder` (its id may hold `@` and `#`) holds `p`'s moves: a replayed tick
+    holds the same influences and the same log under its own ids, as
+    stepping the same snapshot without its held step does."""
+    def drops_its_second(ctx):
+        made = [ctx.make("move", "micro", to=k) for k in range(3)]
+        return [made[0], made[2]]
+
+    model = producer_model(Steady(drops_its_second))
+    del model.behaviors["m"]
+    model.behaviors[holder] = Steady(lambda ctx: [
+        ctx.make("hold", "micro", klass=CONSTRAINT, selector=InfluenceSelector("move", "p"))])
+    state = initial_state()
+    agents = {aid: record for aid, record in state.agents.items() if aid != "m"}
+    state = SystemState(per_level={**state.per_level, "macro": LevelState(
+        "macro", {body_key(holder): Body("macro")})}, agents={**agents, holder: AgentRecord(holder)})
+    for tick in range(TICKS):
+        stepped_info = step(model, copy.copy(state))[1]
+        state, info = step(model, state)
+        assert info.replayed == (tick > 0)
+        assert not stepped_info.replayed
+        assert sorted(inf.id for inf in info.produced["micro"]) == sorted([
+            f"{holder}@{tick}#0", f"p@{tick}#0", f"p@{tick}#2"])
+        assert info.inhibitions == stepped_info.inhibitions == {
+            "macro": (),
+            "micro": (InhibitionRecord(f"{holder}@{tick}#0", (f"p@{tick}#0", f"p@{tick}#2")),),
+        }
+        assert info.produced == stepped_info.produced
+        assert info.trace == stepped_info.trace
+
+
+def test_the_run_records_the_tick_it_froze_from():
+    model = producer_model()
+    assert run(model, initial_state(), ticks=TICKS).frozen_from == 1
+    model.behaviors["p"] = Steady(reads_the_tick)
+    assert run(model, initial_state(), ticks=TICKS).frozen_from is None

@@ -566,6 +566,8 @@ def test_scripts_run(script):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     if script == "sweep_repulsion.py":
+        assert done.stdout.splitlines()[1].split() == [
+            "repulse", "delivered", "detected", "resolved", "ticks", "frozen", "stop"]
         # An amplitude is validated like `mlsim run --override params.repulse=...`.
         done = run_script("--amplitudes=2,-3")
         assert done.returncode == EXIT_INVALID, done.stdout
