@@ -1,16 +1,18 @@
 """Command-line runner: validate / run / compare.
 
 Exit codes: 0 success, 1 contract violation during a run, 2 run completed
-with an unresolvable-deadlock diagnostic, 3 invalid scenario.
+with an unresolvable-deadlock diagnostic, 3 invalid scenario or an output
+file that cannot be written.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .engine import run as engine_run
-from .errors import MlsimError, ScenarioError
+from .errors import Issue, MlsimError, ScenarioError
 from .fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from .scenario import (
     ScenarioSpec,
@@ -89,13 +91,15 @@ def _summary(spec: ScenarioSpec, result, overrides=None) -> dict:
 
 
 def write_metrics(path, records):
+    """The metrics CSV: the fixed header, then each record's columns in
+    header order (a record missing one raises `KeyError`)."""
     import csv  # the library path imports this module for its writers only
+    from operator import itemgetter
 
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
-        writer.writeheader()
-        for row in records:
-            writer.writerow({col: row[col] for col in METRIC_COLUMNS})
+        writer = csv.writer(fh)
+        writer.writerow(METRIC_COLUMNS)
+        writer.writerows(map(itemgetter(*METRIC_COLUMNS), records))
 
 
 class _EncodedScalars(dict):
@@ -111,17 +115,41 @@ class _EncodedScalars(dict):
         return text
 
 
+def _shaped(payload):
+    """The JSON text of an influence payload (exactly the keys class, id,
+    kind and producer, each an exact `str`) or an inhibition payload
+    (exactly constraint, an exact `str`, and inhibited, a `list` of exact
+    `str`), built without an encoder; None for any other payload.  A dict of
+    n keys whose n wanted values are found holds exactly those keys."""
+    if type(payload) is not dict:
+        return None
+    get = payload.get
+    if len(payload) == 4:
+        klass, id_, kind, producer = get("class"), get("id"), get("kind"), get("producer")
+        if str is type(klass) is type(id_) is type(kind) is type(producer):
+            return (f'{{"class": {_quote(klass)}, "id": {_quote(id_)}, '
+                    f'"kind": {_quote(kind)}, "producer": {_quote(producer)}}}')
+    elif len(payload) == 2:
+        constraint, inhibited = get("constraint"), get("inhibited")
+        if (type(constraint) is str and type(inhibited) is list
+                and all(type(i) is str for i in inhibited)):
+            return (f'{{"constraint": {_quote(constraint)}, '
+                    f'"inhibited": [{", ".join(map(_quote, inhibited))}]}}')
+    return None
+
+
 def write_trace(path, trace):
     """One JSON line per trace row, with sorted keys, ordered by (tick, level,
     influence id, event, payload).  Each payload is encoded once, for both
-    its sort key and its line; each distinct tick, level and event once per
-    file.  The file is written in one call."""
+    its sort key and its line: an influence or inhibition payload by its
+    shape, any other by the encoder.  Each distinct tick, level and event is
+    encoded once per file.  The file is written in one call."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
     keyed = []
     for row in trace:
         payload = row["payload"]
         keyed.append((row["tick"], row["level"], str(payload.get("id", "")), row["event"],
-                      encode(payload)))
+                      _shaped(payload) or encode(payload)))
     keyed.sort()
     scalar = _EncodedScalars(encode)
     lines = [
@@ -129,6 +157,7 @@ def write_trace(path, trace):
         f'"payload": {payload}, "tick": {scalar[type(tick), tick]}}}\n'
         for tick, level, _, event, payload in keyed
     ]
+    del keyed  # the payload texts are in the lines now
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -157,10 +186,15 @@ def cmd_run(args) -> int:
     except MlsimError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    if args.metrics_out:
-        write_metrics(args.metrics_out, result.records)
-    if args.trace_out:
-        write_trace(args.trace_out, result.trace)
+    for path, write, rows in ((args.metrics_out, write_metrics, result.records),
+                              (args.trace_out, write_trace, result.trace)):
+        if path:
+            try:
+                write(path, rows)
+            except OSError as exc:
+                print(Issue("output", f"cannot write {path}: {exc.strerror or exc}"),
+                      file=sys.stderr)
+                return EXIT_INVALID
     print(json.dumps(_summary(spec, result, overrides), indent=2, sort_keys=True))
     return EXIT_NO_ESCAPE if result.diagnostics else EXIT_OK
 

@@ -383,7 +383,7 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
 
     run = data.get("run", {})
     if not _is_int(run.get("ticks")) or run["ticks"] < 1:
-        issues.append(Issue("reference", f"run.ticks must be a positive integer, got {run.get('ticks')!r}"))
+        issues.append(Issue("value", f"run.ticks must be a positive integer, got {run.get('ticks')!r}"))
     if run.get("termination") not in TERMINATION_PREDICATES:
         issues.append(
             Issue("reference", f"unknown termination predicate {run.get('termination')!r}")

@@ -4,10 +4,12 @@ maps, id hashing against structural equality, the lazily built trace against
 an eager row builder, the constraint fast path against the full filter, the
 one-pass grouping against merge-then-partition, the route table against the
 neighborhood unions, the trace writer against per-row `json.dumps`, the
-copy-on-write task reaction against a full rebuild, and the stuck solver's
-skipped replans against planning every tick."""
+metrics writer against `csv.DictWriter`, the copy-on-write task reaction
+against a full rebuild, and the stuck solver's skipped replans against
+planning every tick."""
 
 import copy
+import csv
 import dataclasses
 import json
 import pickle
@@ -426,19 +428,55 @@ def dumped_trace(trace):
     return "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows)
 
 
+class Text(str):
+    """A str subclass: the encoder writes it as a string, and the trace
+    writer's shaped path must leave it to the encoder."""
+
+
+texts = st.text("aé\"\\\n", max_size=3)
 payload_values = st.one_of(
-    st.none(), st.integers(-3, 3), st.text("aé\"\\", max_size=3),
+    st.none(), st.integers(-3, 3), texts,
     st.lists(st.integers(0, 2), max_size=2), st.tuples(st.integers(0, 2)),
     st.builds(InfluenceSelector, st.just("move")),
 )
+# The two shapes `cli.write_trace` builds as text, keyed in the engine's order.
+influence_payloads = st.fixed_dictionaries(
+    {"id": texts, "kind": texts, "class": texts, "producer": texts})
+inhibition_payloads = st.fixed_dictionaries(
+    {"constraint": texts, "inhibited": st.lists(texts, max_size=3)})
+misfits = st.one_of(st.none(), st.integers(0, 2), texts.map(Text), st.tuples(texts))
+
+
+@st.composite
+def near_misses(draw):
+    """A payload one change away from a shaped one, which the writer must
+    leave to the encoder: a value that is not an exact `str`, a key dropped
+    or added, or `inhibited` as a tuple or holding an int."""
+    payload = dict(draw(st.one_of(influence_payloads, inhibition_payloads)))
+    change = draw(st.sampled_from(["value", "drop", "add", "tuple", "int-item"]))
+    if change in ("tuple", "int-item") and "inhibited" in payload:
+        inhibited = payload["inhibited"]
+        payload["inhibited"] = tuple(inhibited) if change == "tuple" else [*inhibited, 1]
+    elif change == "drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif change == "add":
+        payload["agent"] = draw(texts)
+    else:
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(misfits)
+    return payload
+
+
 trace_rows = st.fixed_dictionaries({
     # True and 1.0 equal 1 but encode apart, so the writer must not share
     # one encoding between them.
     "tick": st.one_of(st.integers(0, 3), st.sampled_from([True, 1.0])),
     "level": st.sampled_from(["floor", "tasks", "contröl"]),
-    "event": st.sampled_from(["influence", "spawn", "assigned"]),
-    "payload": st.dictionaries(st.sampled_from(["id", "agent", "task", "z"]), payload_values,
-                               max_size=3),
+    "event": st.sampled_from(["influence", "inhibition", "spawn", "assigned"]),
+    "payload": st.one_of(
+        st.dictionaries(st.sampled_from(["id", "agent", "task", "z"]), payload_values,
+                        max_size=3),
+        influence_payloads, inhibition_payloads, near_misses(),
+    ),
 })
 
 
@@ -448,6 +486,35 @@ def test_write_trace_equals_json_dumps_per_row(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     cli.write_trace(path, rows)
     assert path.read_text() == dumped_trace(rows)
+
+
+metric_values = st.sampled_from([
+    0, 7, True, False, 0.1, 1e-07, 1e16, -0.0, float("nan"), float("inf"), None,
+    "a,b", 'say "x"', "two\nlines", "",
+])
+metric_records = st.fixed_dictionaries({col: metric_values for col in cli.METRIC_COLUMNS},
+                                       optional={"extra": metric_values})
+
+
+@settings(deadline=None)
+@given(st.lists(metric_records, max_size=5))
+def test_write_metrics_equals_dict_writer(tmp_path_factory, records):
+    """The metrics writer against the `csv.DictWriter` it replaced: the
+    same bytes, an extra key ignored."""
+    folder = tmp_path_factory.mktemp("metrics")
+    cli.write_metrics(folder / "m.csv", records)
+    with open(folder / "dict.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cli.METRIC_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(records)
+    assert (folder / "m.csv").read_bytes() == (folder / "dict.csv").read_bytes()
+
+
+def test_write_metrics_raises_on_a_missing_column(tmp_path):
+    record = dict.fromkeys(cli.METRIC_COLUMNS, 0)
+    del record["active_constraints"]
+    with pytest.raises(KeyError):
+        cli.write_metrics(tmp_path / "m.csv", [record])
 
 
 # --- copy-on-write task bookkeeping -----------------------------------------

@@ -208,6 +208,9 @@ def test_run_exit_three_on_invalid_scenario(capsys):
         "run.seed=abc",
         "params.attract=true",  # a bool is not an int
         "control=5",
+        "run.ticks=0",  # what --ticks 0 sets
+        "run.ticks=1e3",
+        "run.ticks=true",
     ],
 )
 def test_run_exit_three_on_malformed_value(override, capsys):
@@ -215,6 +218,26 @@ def test_run_exit_three_on_malformed_value(override, capsys):
     assert rc == EXIT_INVALID
     err = capsys.readouterr().err
     assert f"[value] {override.split('=')[0]} must be" in err
+
+
+def test_an_unknown_termination_predicate_stays_a_reference_issue(capsys):
+    rc = main(["run", "--scenario", str(SCENARIOS / "corridor.json"),
+               "--override", "run.termination=never"])
+    assert rc == EXIT_INVALID
+    assert "[reference] unknown termination predicate 'never'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_run_exit_three_on_an_unwritable_output(flag, where, tmp_path, capsys):
+    path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    rc = main(["run", "--scenario", str(SCENARIOS / "corridor.json"), "--ticks", "5",
+               flag, str(path)])
+    assert rc == EXIT_INVALID
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"[output] cannot write {path}: ")
+    assert "Traceback" not in out.err
 
 
 def test_run_exit_three_on_one_element_cell(tmp_path, capsys):
