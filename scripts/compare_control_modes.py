@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the off/on control comparison over every bundled scenario fixture.
 
+Every file is validated before any is run: an invalid one is reported (its
+path, then its coded issues) and the script exits 3.
+
 Usage: python3 scripts/compare_control_modes.py [--scenario-dir scenarios]
 """
 
@@ -9,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from mlsim.cli import compare_report
-from mlsim.scenario import apply_overrides, parse_scenario, parse_scenario_dict
+from mlsim.cli import EXIT_INVALID, _with_control, compare_report
+from mlsim.errors import ScenarioError
+from mlsim.scenario import parse_scenario
 
 
 def main():
@@ -25,10 +29,21 @@ def main():
         print(f"no scenario files under {args.scenario_dir}", file=sys.stderr)
         return 1
 
+    cases = []
+    invalid = False
     for path in fixtures:
-        base = parse_scenario(path)
-        off = parse_scenario_dict(apply_overrides(base.data, {"control": "false"}))
-        on = parse_scenario_dict(apply_overrides(base.data, {"control": "true"}))
+        try:
+            base = parse_scenario(path)
+            cases.append((base, _with_control(base, "false"), _with_control(base, "true")))
+        except ScenarioError as exc:
+            invalid = True
+            print(path, file=sys.stderr)
+            for issue in exc.errors:
+                print(issue, file=sys.stderr)
+    if invalid:
+        return EXIT_INVALID
+
+    for base, off, on in cases:
         report = compare_report(off, on)
         print(f"== {base.name} ==")
         print(f"verdict: {report['verdict']}")

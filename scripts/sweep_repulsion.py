@@ -10,7 +10,8 @@ is the tick from which the run was frozen (nothing could change any more), or
 
 Each amplitude is applied as the override `params.repulse=<amplitude>` and
 validated like `mlsim run --override`: an invalid one is reported and the
-script exits 3.
+script exits 3.  Each run is the one `mlsim run` makes, so it stops as the
+scenario's `run.termination` says.
 
 Usage: python3 scripts/sweep_repulsion.py [--scenario scenarios/corridor.json]
        [--amplitudes 0,2,4,8] [--control on|off]
@@ -20,11 +21,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from mlsim.cli import EXIT_INVALID
-from mlsim.engine import run
+from mlsim.cli import EXIT_INVALID, _execute
 from mlsim.errors import ScenarioError
-from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
-from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
+from mlsim.scenario import apply_overrides, parse_scenario, parse_scenario_dict
 
 
 def main():
@@ -53,16 +52,7 @@ def main():
           f"{'frozen':>6}  stop")
     for spec in specs:
         amp = spec.params.repulse
-        model, state = build(spec)
-        result = run(
-            model,
-            state,
-            ticks=spec.run_params["ticks"],
-            seed=spec.run_params["seed"],
-            observers=(SafetyChecker(spec.grid),),
-            metrics=fms_metrics,
-            termination=all_tasks_delivered,
-        )
+        result = _execute(spec, collect_trace=False)
         last = result.records[-1]
         frozen = "-" if result.frozen_from is None else result.frozen_from
         print(

@@ -43,7 +43,7 @@ map as returned unchanged instead of calling the reaction.
 
 A frozen tick is replayed whole.  A tick is frozen when every producer call
 was quiet, every reaction was replayed or quiet, and it kept every level
-state (and so the agent map): every later tick repeats it.  Its successor
+state (and so every agent record): every later tick repeats it.  Its successor
 holds its step: the model's rules, and per level the produced influences,
 which give each one's producer, `k`, kind, class and payload (a kept level
 carries none of its own, as nothing was persisted), and the inhibition log
@@ -515,16 +515,12 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     routed = group_by_level(state.per_level, [persisted]) if persisted else {}
 
     # Agent records: internal-state updates from memorization.  A record
-    # whose `memorize` returned its own internal state is kept, and so is the
-    # agent map when no record changed and nothing spawned or was removed.
-    agents = state.agents
-    renewed = {
-        agent_id: AgentRecord(record.id, record.kind, internal)
-        for agent_id, internal in produced.new_internal.items()
-        if (record := agents.get(agent_id)) is not None and internal is not record.internal_state
-    }
-    if renewed:
-        agents = {**agents, **renewed}
+    # whose `memorize` returned its own internal state is kept.
+    agents = dict(state.agents)
+    for agent_id, internal in produced.new_internal.items():
+        record = agents[agent_id]
+        if internal is not record.internal_state:
+            agents[agent_id] = AgentRecord(record.id, record.kind, internal)
 
     # Spawns and removals, restricted to the reacting level.
     events = []
@@ -535,8 +531,6 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 raise ReactionFault(
                     f"reaction of level {level!r} spawned duplicate agent {record.id!r}"
                 )
-            if agents is state.agents:
-                agents = dict(agents)
             agents[record.id] = record
             events.append((level, "spawn", {"agent": record.id, "kind": record.kind}))
         for agent_id in result.remove:
@@ -551,8 +545,6 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                     f"reaction of level {level!r} removed agent {agent_id!r} "
                     f"with bodies at {foreign}"
                 )
-            if agents is state.agents:
-                agents = dict(agents)
             del agents[agent_id]
             sigmas[level].pop(key, None)
             events.append((level, "dissolve", {"agent": agent_id}))
@@ -575,8 +567,8 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     if produced.quiet and len(quiet) == len(results) and all(
         per_level[level] is level_state for level, level_state in state.per_level.items()
     ):
-        # A quiet tick kept every record and spawned and removed nothing, so
-        # it kept the agent map too: it is frozen (see the module doc).
+        # A quiet tick kept every record and spawned and removed nothing:
+        # it is frozen (see the module doc).
         frozen_step = _rules(model), produced.per_level, {
             level: tuple([(_key(record.constraint_id), tuple(map(_key, record.inhibited_ids)))
                           for record in log]) if log else ()

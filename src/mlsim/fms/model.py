@@ -296,8 +296,8 @@ class AgvBehavior(BehaviorRule):
 
     The internal state holds only the AGV's own body and the cell it wants,
     never the shared view; it is kept as is while the body is the same
-    object and the wanted cell the same, so a stalled AGV's call is replayed
-    (`engine`)."""
+    object and the wanted cell the same, so a tick on which every AGV stalls
+    can freeze and be replayed whole (`engine`)."""
 
     def __init__(self, sensor: FieldSensor):
         self.sensor = sensor
@@ -314,7 +314,7 @@ class AgvBehavior(BehaviorRule):
             to = desired_move(view, me, ctx.rng)
         else:
             to = view.move(me)
-        # Nothing changed: the held state itself, so the call can be replayed.
+        # Nothing changed: the held state itself, so the tick can freeze.
         if internal_state is not None and internal_state["body"] is body \
                 and internal_state["to"] == to:
             return internal_state
@@ -373,7 +373,9 @@ class SolverBehavior(BehaviorRule):
 
     `memorize` returns the held state itself when nothing in it changed: the
     same phase and plan, and a view of the same floor snapshot with the same
-    members, so a stalled solver's call is replayed (`engine`).
+    members, so a tick on which the solver stalls can freeze and be replayed
+    whole (`engine`).  Until then a planning or stuck solver plans on every
+    call.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):
@@ -444,19 +446,12 @@ class SolverBehavior(BehaviorRule):
         phase = state.get("phase", "plan")
 
         if phase in ("plan", "stuck"):
-            # `_plan` reads only the members and every AGV's cell and goal:
-            # while those stay the same, a stuck solver stays stuck.
-            key = (tuple(members), tuple(
-                (aid, b.get("cell"), agv_goal(b)) for aid, b in agvs.items()
-            ))
-            if phase == "plan" or state.get("plan_key") != key:
-                state["plan_key"] = key
-                plan = self._plan(members, agvs)
-                if plan is None:
-                    state["phase"] = "stuck"
-                else:
-                    state["phase"] = "parking"
-                    state["parker"], state["target"] = plan
+            plan = self._plan(members, agvs)
+            if plan is None:
+                state["phase"] = "stuck"
+            else:
+                state["phase"] = "parking"
+                state["parker"], state["target"] = plan
         if state.get("phase") == "parking":
             parker_body = agvs.get(state["parker"])
             if parker_body is not None and parker_body.get("cell") == state["target"]:
@@ -561,21 +556,16 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
     Desired moves come from the shared view with the `min` tie-break, even
     when the AGVs themselves jitter.
 
-    The trapped groups are a function of the view and the control level
-    state, so they are found once per such pair; a carried-over snapshot
-    reuses them, and only the tick's `deadlock` influences are made anew.
+    A tick that repeats a frozen one does not call the detector: the engine
+    replays its `deadlock` influences under the tick's ids.
     """
     grid, params = sensor.grid, sensor.params
-    last = [None, None, []]  # the view, the control level state, their groups
 
     def rule(percept, ctx):
         view = sensor.view(percept[FLOOR], percept[TASKS])
-        control = percept[CONTROL]
-        if last[0] is not view or last[1] is not control:
-            last[:] = view, control, trapped_groups(view, control)
         return [
             ctx.make(K_DEADLOCK, CONTROL, klass=EMERGENCE, trapped=group)
-            for group in last[2]
+            for group in trapped_groups(view, percept[CONTROL])
         ]
 
     def trapped_groups(view, control):

@@ -191,12 +191,15 @@ SECTION_KEYS = {key: frozenset(default_scenario_dict()[key]) for key in ("grid",
 
 def _structure_issues(data: dict) -> list[Issue]:
     """Shape checks every other check relies on: each section of the right
-    JSON type, each list item an object, each compared name a string."""
+    JSON type, each list item an object, each compared name and the
+    scenario's own name a string."""
     issues = []
 
     def expect(path, what, value):
         issues.append(Issue("value", f"{path} must be {what}, got {value!r}"))
 
+    if not isinstance(data.get("name"), str):
+        expect("name", "a string", data.get("name"))
     for key in OBJECT_SECTIONS:
         if not isinstance(data.get(key), dict):
             expect(key, "an object", data.get(key))

@@ -8,10 +8,9 @@ level's reaction can change it.  ``bodies_of`` is the one reader of that key
 format; ``LevelState.bodies()`` runs it once per level state and hands every
 reader the same read-only mapping.  ``SystemState.memberships()`` derives the
 agent -> levels index from those mappings, once per snapshot, so it always
-agrees with what the reactions wrote; a successor that keeps every level
-state of its snapshot holds the same bodies and shares the index.  A
-snapshot after a frozen tick also holds that tick's step, which the engine
-replays instead of stepping (`engine.react`).
+agrees with what the reactions wrote.  A snapshot after a frozen tick also
+holds that tick's step, which the engine replays instead of stepping
+(`engine.react`); a replayed tick reads no membership index.
 """
 
 from __future__ import annotations
@@ -183,16 +182,10 @@ class SystemState:
         return memberships
 
     def successor(self, per_level: dict, agents: dict, step: tuple | None = None) -> "SystemState":
-        """The next snapshot.  When it keeps every level state of this one,
-        it holds the same bodies, so it shares this snapshot's membership
-        index instead of deriving it again.  `step` is the frozen step the
-        engine hands over (`engine.react`): the next snapshot holds it, and
-        its tick replays it instead of calling producers and reactions."""
+        """The next snapshot.  `step` is the frozen step the engine hands
+        over (`engine.react`): the next snapshot holds it, and its tick
+        replays it instead of calling producers and reactions."""
         nxt = SystemState(self.time + 1, per_level, agents)
-        if per_level.keys() == self.per_level.keys() and all(
-            per_level[level] is level_state for level, level_state in self.per_level.items()
-        ):
-            nxt.__dict__["_memberships"] = self.memberships()
         if step is not None:
             nxt.__dict__["_held_step"] = step
         return nxt

@@ -4,9 +4,8 @@ maps, id hashing against structural equality, the lazily built trace against
 an eager row builder, the constraint fast path against the full filter, the
 one-pass grouping against merge-then-partition, the route table against the
 neighborhood unions, the trace writer against per-row `json.dumps`, the
-metrics writer against `csv.DictWriter`, the copy-on-write task reaction
-against a full rebuild, and the stuck solver's skipped replans against
-planning every tick."""
+metrics writer against `csv.DictWriter`, and the copy-on-write task reaction
+against a full rebuild."""
 
 import copy
 import csv
@@ -667,38 +666,9 @@ def test_tasks_reaction_equals_the_full_rebuild_and_copies_only_what_changed(sna
             assert new is old
 
 
-# --- stuck solvers replan only when their inputs change ---------------------
+# --- a stuck solver plans again once it can park -----------------------------
 
-def count_plans(monkeypatch):
-    calls = []
-    plan = SolverBehavior._plan
-
-    def counted(self, members, agvs):
-        calls.append(tuple(members))
-        return plan(self, members, agvs)
-
-    monkeypatch.setattr(SolverBehavior, "_plan", counted)
-    return calls
-
-
-def test_a_stuck_solver_plans_once_per_stuck_spell(monkeypatch):
-    calls = count_plans(monkeypatch)
-    spec = parse_scenario(ROOT / "scenarios" / "walled_trap.json")
-    spec.data["control"] = True
-    model, state = build(spec)
-    result = run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
-                 observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
-                 termination=all_tasks_delivered, collect_trace=True)
-    stuck_ticks = sum(
-        1 for row in result.trace
-        if row["event"] == "influence" and row["payload"]["kind"] == "deadlock-unresolvable"
-    )
-    assert stuck_ticks > 100  # the trapped pair never gets out
-    assert calls == [("agv-1", "agv-2")]  # one spell, one plan
-
-
-def test_a_stuck_solver_replans_when_an_agv_moves(monkeypatch):
-    calls = count_plans(monkeypatch)
+def test_a_stuck_solver_replans_when_an_agv_moves():
     solver = SolverBehavior(GridMap(4, 1), FmsParams())
 
     def perception(c_cell):
@@ -709,11 +679,11 @@ def test_a_stuck_solver_replans_when_an_agv_moves(monkeypatch):
         return {"me": "s", "trapped": ("a", "b"), "agvs": agvs}
 
     state = solver.memorize(perception((2, 0)), None, None)
-    assert state["phase"] == "stuck" and len(calls) == 1
+    assert state["phase"] == "stuck"
     state = solver.memorize(perception((2, 0)), state, None)
-    assert state["phase"] == "stuck" and len(calls) == 1  # same inputs: no replan
+    assert state["phase"] == "stuck"  # c still blocks
     state = solver.memorize(perception((3, 0)), state, None)
-    assert len(calls) == 2  # c moved away: replan, and b can park now
+    # c moved away: b can park now
     assert (state["phase"], state["parker"], state["target"]) == ("parking", "b", (2, 0))
 
 

@@ -2,9 +2,8 @@
 
 When a level's reaction leaves every property bound to the object it held and
 the influences routed to it equal the ones it holds, the engine keeps the old
-`LevelState` (`engine.carried_level`), and when every level is kept the new
-snapshot keeps the old membership index.  Every cache keyed on a snapshot
-object then survives the tick.  The oracle is the same run with
+`LevelState` (`engine.carried_level`).  Every cache keyed on a level state
+then survives the tick.  The oracle is the same run with
 `carried_level` patched to build a new level state every tick, as the engine
 did before; metrics, trace, diagnostics and final state must be equal.
 
@@ -15,7 +14,7 @@ echo it again (`engine.react`).  Its oracle is the same run with
 reaction is called every tick.
 
 A frozen tick (every producer call quiet, every reaction replayed or quiet,
-every level state and the agent map kept) leaves its step on its successor,
+every level state and agent record kept) leaves its step on its successor,
 and the next tick replays that step whole instead of calling the behaviors,
 the detector and the reactions (`engine.react`).  Its oracle is the same run
 with `SystemState.successor` patched to pass no step on, so every tick steps.
@@ -195,14 +194,13 @@ def test_a_level_is_carried_only_when_nothing_was_rebound():
 
 
 @pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
-def test_an_unchanged_tick_returns_the_same_level_states_and_memberships(name):
+def test_an_unchanged_tick_returns_the_same_level_states(name):
     model, seed, state = stalled(name, 60)
     for _ in range(3):
         nxt, info = step(model, state, seed)
         assert nxt.time == state.time + 1
         for level, level_state in state.per_level.items():
             assert nxt.per_level[level] is level_state
-        assert nxt.memberships() is state.memberships()
         assert floor_agvs(nxt.per_level[FLOOR]) is floor_agvs(state.per_level[FLOOR])
         assert info.produced  # the tick still produced its influences
         state = nxt
@@ -255,25 +253,6 @@ def test_an_unchanged_tick_makes_no_desired_move_call(monkeypatch):
     monkeypatch.setattr(engine, "carried_level", rebuilt_level)
     step(model, step(model, copy.copy(state), seed)[0], seed)
     assert calls
-
-
-def test_the_detector_groups_once_per_view_and_control_state(monkeypatch):
-    calls = []
-    original = fms_model.wait_cycles
-    monkeypatch.setattr(fms_model, "wait_cycles", lambda waits: calls.append(1) or original(waits))
-    model, seed, state = stalled("corridor/off", 60)
-    state, before = step(model, state, seed)
-    calls.clear()
-    nxt, info = step(model, state, seed)
-    assert calls == []
-
-    # The groups are reused, the influences are the tick's own.
-    def deadlocks(step_info):
-        return sorted((inf.id, inf.payload["trapped"]) for inf in step_info.produced["control"]
-                      if inf.kind == "deadlock")
-
-    assert deadlocks(info) and [t for _, t in deadlocks(info)] == [t for _, t in deadlocks(before)]
-    assert deadlocks(info)[0][0] == f"deadlock-detector@{state.time}#0"
 
 
 # --- the carried-over run equals the rebuilt one -------------------------------------
@@ -394,6 +373,11 @@ def test_the_safety_checker_raises_on_a_new_regressed_table_under_a_kept_floor()
 
 # --- a stalled tick replays its quiet producers ---------------------------------
 
+def deadlock_groups(step_info):
+    return sorted(inf.payload["trapped"] for inf in step_info.produced["control"]
+                  if inf.kind == "deadlock")
+
+
 @pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
 def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
     model, seed, state = stalled(name, 60)
@@ -405,6 +389,8 @@ def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
     assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
     solving = any(record.kind == "solver" for record in state.agents.values())
     assert (("solver", "decide") in calls) == solving == (name == "walled_trap/on")
+    # The pair stays flagged until a solver governs it.
+    assert deadlock_groups(before) == ([] if solving else [("agv-1", "agv-2")])
     calls.clear()
     for _ in range(3):
         nxt, info = step(model, state, seed)
@@ -415,6 +401,7 @@ def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
                for level, infs in info.produced.items()}
         assert ids == {level: {inf.id.replace(f"@{before.tick}#", "@#") for inf in infs}
                        for level, infs in before.produced.items()}
+        assert deadlock_groups(info) == deadlock_groups(before)
         state = nxt
     assert calls == {}
 

@@ -211,6 +211,9 @@ def test_run_exit_three_on_invalid_scenario(capsys):
         "run.ticks=0",  # what --ticks 0 sets
         "run.ticks=1e3",
         "run.ticks=true",
+        "name=5",
+        "name=null",
+        "name=[1]",
     ],
 )
 def test_run_exit_three_on_malformed_value(override, capsys):
@@ -576,7 +579,7 @@ def test_accepted_declaration_mutations_build_and_run(mutations):
 
 
 @pytest.mark.parametrize("script", ["compare_control_modes.py", "sweep_repulsion.py"])
-def test_scripts_run(script):
+def test_scripts_run(script, tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
     def run_script(*args):
@@ -596,6 +599,28 @@ def test_scripts_run(script):
         assert done.returncode == EXIT_INVALID, done.stdout
         assert done.stderr == "[value] params.repulse must be an integer >= 0, got -3\n"
         assert done.stdout == ""
+        # A run stops as the scenario's `run.termination` says, as `mlsim run` does.
+        corridor = json.loads((SCENARIOS / "corridor.json").read_text())
+        corridor["run"]["termination"] = "none"
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor))
+        done = run_script("--scenario", str(path), "--control", "on", "--amplitudes", "4")
+        assert done.returncode == 0, done.stderr
+        *_, ticks, _, stop = done.stdout.splitlines()[2].split()
+        assert main(["run", "--scenario", str(path), "--control", "on",
+                     "--override", "params.repulse=4"]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert (int(ticks), stop) == (summary["ticks_run"], summary["stop_reason"])
+        assert stop == "tick-budget"
+    else:
+        # Every file is validated first: an invalid one is reported, nothing runs.
+        (tmp_path / "corridor.json").write_text((SCENARIOS / "corridor.json").read_text())
+        (tmp_path / "empty.json").write_text((NEGATIVE / "neg_empty_levels.json").read_text())
+        done = run_script("--scenario-dir", str(tmp_path))
+        assert done.returncode == EXIT_INVALID, done.stdout
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"{tmp_path / 'empty.json'}\n[")
+        assert "Traceback" not in done.stderr
 
 
 # --- unknown keys ------------------------------------------------------------
