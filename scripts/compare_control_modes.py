@@ -2,7 +2,8 @@
 """Run the off/on control comparison over every bundled scenario fixture.
 
 Every file is validated before any is run: an invalid one is reported (its
-path, then its coded issues) and the script exits 3.
+path, then its coded issues) and the script exits 3, as it does when the
+directory is missing or holds no scenario file.
 
 Usage: python3 scripts/compare_control_modes.py [--scenario-dir scenarios]
 """
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from mlsim.cli import EXIT_INVALID, _with_control, compare_report
-from mlsim.errors import ScenarioError
+from mlsim.errors import Issue, ScenarioError
 from mlsim.scenario import parse_scenario
 
 
@@ -26,8 +27,8 @@ def main():
 
     fixtures = sorted(Path(args.scenario_dir).glob("*.json"))
     if not fixtures:
-        print(f"no scenario files under {args.scenario_dir}", file=sys.stderr)
-        return 1
+        print(Issue("parse", f"no scenario files under {args.scenario_dir}"), file=sys.stderr)
+        return EXIT_INVALID
 
     cases = []
     invalid = False

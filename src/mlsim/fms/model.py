@@ -168,16 +168,14 @@ def floor_agvs(level_state: LevelState):
 class FloorView:
     """What the field law reads from one (floor, tasks) snapshot pair.
 
-    The field's emitters are gathered once per snapshot, not once per AGV:
-    the idle attraction (the summed field of every emitting shop, kept in
-    the sensor's one-entry `idle_fields` table keyed by the emitting cells
-    and filled per cell on first ask) and the AGVs with repulsion on, each
-    with its reach, the cells its field can touch.
+    The AGVs with repulsion on are gathered once per snapshot, not once per
+    AGV, each with its reach, the cells its field can touch.
 
-    An AGV's net potential is its attraction (the idle field or its goal's
-    field) minus the repulsion of the other AGVs whose reach meets its cell
-    or candidates; the rest add nothing there.  Every term is an integer, so
-    the values equal the per-AGV sums exactly, in any order.
+    An AGV's net potential is its attraction (every emitting shop's field
+    while idle, its goal's field while assigned) minus the repulsion of the
+    other AGVs whose reach meets its cell or candidates; the rest add
+    nothing there.  Every term is an integer, so the values equal the
+    per-AGV sums exactly, in any order.
 
     Every producer that senses the same snapshot shares one view, which also
     memoizes each AGV's jitter-free desired move.  The memos cache pure
@@ -185,45 +183,15 @@ class FloorView:
     reports.
     """
 
-    def __init__(self, grid: GridMap, params: FmsParams, idle_fields: dict,
+    def __init__(self, grid: GridMap, params: FmsParams,
                  floor: LevelState, tasks: LevelState):
         self.grid = grid
         self.params = params
         self.floor = floor
         self.tasks = tasks
         self.agvs = floor_agvs(floor)
-        self._idle_fields = idle_fields
-        self._emitting: tuple | None = None
         self._repulsors: list | None = None
         self._moves: dict = {}
-
-    def emitting(self) -> tuple:
-        """The cells of the shops that emit attraction, in body order,
-        gathered on the first call."""
-        cells = self._emitting
-        if cells is None:
-            cells = self._emitting = tuple(
-                b.get("cell")
-                for b in self.tasks.bodies().values()
-                if b.get("type") == "shop" and b.get("emitting")
-            )
-        return cells
-
-    def idle_attraction(self, cells):
-        """Every emitting shop's field, at least at `cells`.  Each cell is
-        summed once per emitting set, on first ask."""
-        emitting = self.emitting()
-        field = self._idle_fields.get(emitting)
-        if field is None:
-            self._idle_fields.clear()
-            field = self._idle_fields[emitting] = {}
-        missing = [c for c in cells if c not in field]
-        if missing:
-            amplitude = self.params.attract
-            field.update(compute_fields(
-                self.grid, [(c, amplitude) for c in emitting], (), missing
-            ))
-        return field
 
     def repulsors(self):
         """(agent id, emitter, reach) of every AGV with repulsion on."""
@@ -239,19 +207,18 @@ class FloorView:
         return found
 
     def potential(self, agent_id, cells):
-        """One AGV's net potential, by cell, at least at `cells` (its
-        candidates and its own cell)."""
+        """One AGV's net potential at `cells` (its candidates and its own
+        cell)."""
         body = self.agvs[agent_id]
         near = [emitter for other, emitter, reach in self.repulsors()
                 if other != agent_id and not reach.isdisjoint(cells)]
+        amplitude = self.params.attract
         if body.get("assigned") is None:
-            idle = self.idle_attraction(cells)
-            if not near:
-                return idle
-            repulsion = compute_fields(self.grid, (), near, cells)
-            return {c: idle[c] + repulsion[c] for c in cells}
-        goal = agv_goal(body)
-        attract = [(goal, self.params.attract)] if goal is not None else ()
+            attract = [(b.get("cell"), amplitude) for b in self.tasks.bodies().values()
+                       if b.get("type") == "shop" and b.get("emitting")]
+        else:
+            goal = agv_goal(body)
+            attract = [(goal, amplitude)] if goal is not None else ()
         return compute_fields(self.grid, attract, near, cells)
 
     def move(self, agent_id):
@@ -268,23 +235,18 @@ class FieldSensor:
     A view is keyed by the identity of its (floor, tasks) level states: a
     snapshot is never mutated, so a changed level state gets a fresh view,
     and a tick that carries both level states over keeps the view with its
-    repulsors and memoized moves.  The idle attraction outlives its
-    view: the sensor keeps the latest one, keyed by its emitting cells, and
-    every view reuses it while the emitting cells stay the same.
+    repulsors and memoized moves.  Nothing else outlives a view.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):
         self.grid = grid
         self.params = params
-        self._idle_fields: dict = {}
         self._view: FloorView | None = None
 
     def view(self, floor: LevelState, tasks: LevelState) -> FloorView:
         view = self._view
         if view is None or view.floor is not floor or view.tasks is not tasks:
-            view = self._view = FloorView(
-                self.grid, self.params, self._idle_fields, floor, tasks
-            )
+            view = self._view = FloorView(self.grid, self.params, floor, tasks)
         return view
 
 

@@ -192,7 +192,7 @@ SECTION_KEYS = {key: frozenset(default_scenario_dict()[key]) for key in ("grid",
 def _structure_issues(data: dict) -> list[Issue]:
     """Shape checks every other check relies on: each section of the right
     JSON type, each list item an object, each compared name and the
-    scenario's own name a string."""
+    scenario's own name a string, each level edge between two levels."""
     issues = []
 
     def expect(path, what, value):
@@ -215,6 +215,10 @@ def _structure_issues(data: dict) -> list[Issue]:
         edges = data.get(key)
         if not (isinstance(edges, list) and all(_is_str_list(e) and len(e) == 2 for e in edges)):
             expect(key, "a list of [from, to] level-name pairs", edges)
+            continue
+        for edge in edges:
+            if edge[0] == edge[1]:
+                expect(key, "pairs of two different levels", edge)
     for key, names in OBJECT_LISTS.items():
         items = data.get(key)
         if not isinstance(items, list):

@@ -7,10 +7,11 @@ a level is an entry of that level's property map, stored under
 level's reaction can change it.  ``bodies_of`` is the one reader of that key
 format; ``LevelState.bodies()`` runs it once per level state and hands every
 reader the same read-only mapping.  ``SystemState.memberships()`` derives the
-agent -> levels index from those mappings, once per snapshot, so it always
-agrees with what the reactions wrote.  A snapshot after a frozen tick also
-holds that tick's step, which the engine replays instead of stepping
-(`engine.react`); a replayed tick reads no membership index.
+agent -> levels index from those mappings on each call, so it always agrees
+with what the reactions wrote; a stepped tick reads it once.  A snapshot
+after a frozen tick also holds that tick's step, which the engine replays
+instead of stepping (`engine.react`); a replayed tick reads no membership
+index.
 """
 
 from __future__ import annotations
@@ -167,19 +168,13 @@ class SystemState:
 
     def memberships(self) -> Mapping[AgentId, frozenset]:
         """Agent id -> the levels whose property map holds a body of it, for
-        every body in the snapshot.  Built from the levels' `bodies()` on the
-        first call, then the same read-only mapping for every reader; an
-        agent with no body is absent."""
-        memberships = self.__dict__.get("_memberships")
-        if memberships is None:
-            found: dict[AgentId, list] = {}
-            for level, level_state in self.per_level.items():
-                for agent_id in level_state.bodies():
-                    found.setdefault(agent_id, []).append(level)
-            memberships = self.__dict__["_memberships"] = MappingProxyType(
-                {agent_id: frozenset(levels) for agent_id, levels in found.items()}
-            )
-        return memberships
+        every body in the snapshot, built from the levels' `bodies()` on each
+        call; an agent with no body is absent."""
+        found: dict[AgentId, list] = {}
+        for level, level_state in self.per_level.items():
+            for agent_id in level_state.bodies():
+                found.setdefault(agent_id, []).append(level)
+        return {agent_id: frozenset(levels) for agent_id, levels in found.items()}
 
     def successor(self, per_level: dict, agents: dict, step: tuple | None = None) -> "SystemState":
         """The next snapshot.  `step` is the frozen step the engine hands
@@ -194,7 +189,6 @@ class SystemState:
         # `_held_step` is the engine's record of a frozen tick; a copy starts
         # without one and steps.
         state = dict(self.__dict__)
-        state.pop("_memberships", None)
         state.pop("_held_step", None)
         return state
 

@@ -134,7 +134,6 @@ def test_membership_index_equals_a_scan_of_the_level_maps(data):
         state, _ = step(model, state)
         scanned = scanned_memberships(state)
         assert dict(state.memberships()) == scanned
-        assert state.memberships() is state.memberships()
         for agent in AGENTS:
             if agent in state.agents:
                 assert member_levels(state, agent) == scanned.get(agent, frozenset())

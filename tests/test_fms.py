@@ -263,8 +263,8 @@ def test_a_field_that_reaches_only_a_candidate_still_counts():
 
 
 def test_the_idle_field_follows_the_emitting_shops():
-    # One sensor across snapshots: the idle field it keeps must follow each
-    # shop that starts or stops emitting.
+    # One sensor across snapshots: an idle AGV's field must follow each shop
+    # that starts or stops emitting.
     grid = GridMap(7, 1)
     sensor = FieldSensor(grid, FmsParams())
     bodies = {"a1": agv_body((3, 0))}

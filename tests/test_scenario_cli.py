@@ -214,6 +214,9 @@ def test_run_exit_three_on_invalid_scenario(capsys):
         "name=5",
         "name=null",
         "name=[1]",
+        # a self-loop level edge (the library's `levels.validate` drops it)
+        'influence_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","floor"]]',
+        'perception_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","floor"]]',
     ],
 )
 def test_run_exit_three_on_malformed_value(override, capsys):
@@ -621,6 +624,13 @@ def test_scripts_run(script, tmp_path, capsys):
         assert done.stdout == ""
         assert done.stderr.startswith(f"{tmp_path / 'empty.json'}\n[")
         assert "Traceback" not in done.stderr
+        # A directory that is missing or holds no scenario file is a coded issue.
+        (tmp_path / "none").mkdir()
+        for where in (tmp_path / "none", tmp_path / "missing"):
+            done = run_script("--scenario-dir", str(where))
+            assert done.returncode == EXIT_INVALID, done.stdout
+            assert done.stdout == ""
+            assert done.stderr == f"[parse] no scenario files under {where}\n"
 
 
 # --- unknown keys ------------------------------------------------------------
