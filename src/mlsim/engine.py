@@ -36,10 +36,9 @@ stream and read no `tick`; a reaction's also made no influence and returned
 no persisted influences, spawns, removals or events; a producer's returned
 only influences that context made, and `memorize` kept the internal state.
 
-A carried-over level replays a quiet reaction: its level state keeps the
-call's echo (`echo_of` of the filtered influences, with the rule), and the
-next tick whose filtered influences have an equal echo takes the property
-map as returned unchanged instead of calling the reaction.
+A carried-over level replays a quiet reaction that saw no influences: its
+level state records the rule (`quiet_rule`), and a tick that again filters
+none for it, under the same rule, keeps the property map without a call.
 
 A frozen tick is replayed whole.  A tick is frozen when every producer call
 was quiet, every reaction was replayed or quiet, and it kept every level
@@ -445,21 +444,19 @@ def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelS
     return LevelState(old.level, sigma, influences)
 
 
-def echo_of(influences: frozenset) -> tuple:
-    """What a reaction may read of its influences: the producer, kind, class
-    and payload of each, in id order."""
-    return tuple(
-        (inf.producer, inf.kind, inf.klass, inf.payload) for inf in sorted(influences, key=_by_id)
-    )
+def quiet_rule(level_state: LevelState):
+    """The reaction whose quiet call on `level_state` saw no influences, or
+    None: the one place the record is read."""
+    return level_state.__dict__.get("_quiet_rule")
 
 
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0):
     """Phase 2: per-level constraint filtering + reaction, then merge.
 
-    A level whose filtered influences echo its held quiet call is not called
-    again, a frozen tick leaves its step on its successor, and a replayed
-    step hands back its held inhibition log under this tick's ids and the
-    snapshot's level states and agent map (see the module doc)."""
+    A quiet call on no influences is replayed while the level gets none, a
+    frozen tick leaves its step on its successor, and a replayed step hands
+    back its held inhibition log under this tick's ids and the snapshot's
+    level states and agent map (see the module doc)."""
     held = produced.held
     if held is not None:
         at = f"@{state.time}#"
@@ -473,20 +470,16 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     results = {}
     sigmas = {}
     inhibitions = {}
-    quiet = {}  # level -> (filtered set, its echo or None) of a quiet call
+    quiet = {}  # level -> whether its quiet call saw no influences
     for level in sorted(state.per_level):
         level_state = state.per_level[level]
         influences = produced.per_level.get(level, _NO_INFLUENCES)
         filtered, log = apply_constraints(influences)
         inhibitions[level] = log
         rule = model.reactions[level]
-        held = level_state.__dict__.get("_echo")
-        echo = None
-        if held is not None and held[0] is rule:
-            echo = echo_of(filtered)
-            if echo == held[1]:
-                sigmas[level] = level_state.properties
-                continue
+        if not filtered and quiet_rule(level_state) is rule:
+            sigmas[level] = level_state.properties
+            continue
         sigma = dict(level_state.properties)
         ctx = StepContext(state.time, REACTION_PRODUCER_PREFIX + level,
                           rng_key=(seed, "reaction", level, state.time))
@@ -503,7 +496,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         if ctx.untouched and not (
             result.persisted or result.spawn or result.remove or result.events
         ):
-            quiet[level] = (filtered, echo)
+            quiet[level] = not filtered
 
     # Validate and collect persisted influences.
     persisted: list[Influence] = []
@@ -555,14 +548,11 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         level: carried_level(level_state, sigmas[level], routed.get(level, _NO_INFLUENCES))
         for level, level_state in state.per_level.items()
     }
-    # A quiet call on a kept level state is recorded there, so the next tick
-    # can replay it; a new level state starts without an echo.
-    for level, (filtered, echo) in quiet.items():
-        level_state = state.per_level[level]
-        if per_level[level] is level_state:
-            if echo is None:
-                echo = echo_of(filtered)
-            level_state.__dict__["_echo"] = (model.reactions[level], echo)
+    # A quiet call on no influences and a kept level state is recorded there,
+    # so the next tick can replay it; a new level state starts without one.
+    for level, saw_nothing in quiet.items():
+        if saw_nothing and per_level[level] is state.per_level[level]:
+            per_level[level].__dict__["_quiet_rule"] = model.reactions[level]
     frozen_step = None
     if produced.quiet and len(quiet) == len(results) and all(
         per_level[level] is level_state for level, level_state in state.per_level.items()

@@ -209,8 +209,9 @@ def _structure_issues(data: dict) -> list[Issue]:
         lists = spec.values() if isinstance(spec, dict) else [None]
         if not all(map(_is_str_list, lists)):
             expect(f"kinds.{lvl}", "an object of kind-name lists", spec)
-    if not _is_str_list(data.get("levels")):
-        expect("levels", "a list of level names", data.get("levels"))
+    levels = data.get("levels")
+    if not _is_str_list(levels) or len(set(levels)) < len(levels):
+        expect("levels", "a list of distinct level names", levels)
     for key in ("influence_edges", "perception_edges"):
         edges = data.get(key)
         if not (isinstance(edges, list) and all(_is_str_list(e) and len(e) == 2 for e in edges)):
@@ -322,6 +323,12 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
     decls = parts["decls"] = _declarations(data)
     issues += hierarchy_issues(graph.levels, graph.influence_edges, decls, DETECTORS)
     # The kind classes exist only in the scenario format.
+    for level, spec in data["kinds"].items():
+        for kind in sorted(set().union(*spec.values())):
+            classes = [cls for cls in KIND_CLASSES if kind in spec.get(cls, ())]
+            if len(classes) > 1:
+                message = f"kinds.{level} must list {kind!r} under one class, got {classes}"
+                issues.append(Issue("kind-discipline", message))
     listed = [(d.kind, d.macro_level, "emergence") for d in decls.emergences]
     listed += [(d.kind, d.micro_level, "constraint") for d in decls.constraints]
     for kind, level, klass in listed:

@@ -141,12 +141,10 @@ class LevelState:
 
     def __getstate__(self):
         # The caches are rebuilt on demand; a mapping proxy cannot be copied.
-        # `_echo` is the engine's record of a quiet reaction call
-        # (`engine.react`); a copy starts without one and calls its reaction.
+        # A copy drops `engine.quiet_rule`'s record too: it calls its reaction.
         state = dict(self.__dict__)
-        state.pop("_bodies", None)
-        state.pop("_derived", None)
-        state.pop("_echo", None)
+        for cache in ("_bodies", "_derived", "_quiet_rule"):
+            state.pop(cache, None)
         return state
 
 

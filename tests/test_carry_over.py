@@ -7,11 +7,11 @@ then survives the tick.  The oracle is the same run with
 `carried_level` patched to build a new level state every tick, as the engine
 did before; metrics, trace, diagnostics and final state must be equal.
 
-A kept level state also remembers the echo of a quiet reaction call, and the
-next tick replays that call instead of making it when the filtered influences
-echo it again (`engine.react`).  Its oracle is the same run with
-`engine.echo_of` patched to return an echo equal to no other, so every
-reaction is called every tick.
+A kept level state also records a quiet reaction call that saw no filtered
+influences, and the next tick replays that call instead of making it while
+the level receives none (`engine.react`).  Its oracle is the same run with
+`engine.quiet_rule` patched to read no record, so every reaction is called on
+every stepped tick.
 
 A frozen tick (every producer call quiet, every reaction replayed or quiet,
 every level state and agent record kept) leaves its step on its successor,
@@ -59,9 +59,9 @@ def rebuilt_level(old, sigma, influences):
     return LevelState(old.level, sigma, influences)
 
 
-def never_equal(influences):
-    """`echo_of` without the replay: an echo equal to no other."""
-    return object()
+def no_record(level_state):
+    """`quiet_rule` without the replay: no level state holds a record."""
+    return None
 
 
 def forgetful(successor):
@@ -76,18 +76,25 @@ def forgetful(successor):
 def run_case(raw, carry=True, replay=True, replay_production=True):
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
+    calls = None if replay else counted_reactions(model)
     with pytest.MonkeyPatch.context() as patch:
         if not carry:
             patch.setattr(engine, "carried_level", rebuilt_level)
         if not replay:
-            patch.setattr(engine, "echo_of", never_equal)
+            patch.setattr(engine, "quiet_rule", no_record)
         if not replay_production:
             patch.setattr(SystemState, "successor", forgetful(SystemState.successor))
-        return run(
+        result = run(
             model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
             observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
             termination=all_tasks_delivered, collect_trace=True,
         )
+    if not replay:
+        # The oracle calls every reaction on every stepped tick: every tick
+        # before the run froze, since a frozen run stays frozen.
+        stepped = result.final_state.time if result.frozen_from is None else result.frozen_from
+        assert calls == dict.fromkeys(model.reactions, stepped)
+    return result
 
 
 def outputs(result, tmp_path, tag):
@@ -287,7 +294,7 @@ def test_generated_runs_equal_the_runs_without_carry_over(tmp_path_factory, raw)
 def test_a_stalled_tick_calls_no_reaction(name, monkeypatch):
     model, seed, state = stalled(name, 60)
     calls = counted_reactions(model)
-    # The echoes and the step held so far are the unwrapped reactions': the
+    # The records and the step held so far are the unwrapped reactions': the
     # first tick calls the wrapped ones and records theirs.
     state, _ = step(model, state, seed)
     assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
@@ -301,7 +308,7 @@ def test_a_stalled_tick_calls_no_reaction(name, monkeypatch):
 
     # Without the replays the same ticks call every level's reaction: the
     # held step is replayed once more, then passed on to no snapshot.
-    monkeypatch.setattr(engine, "echo_of", never_equal)
+    monkeypatch.setattr(engine, "quiet_rule", no_record)
     monkeypatch.setattr(SystemState, "successor", forgetful(SystemState.successor))
     step(model, step(model, state, seed)[0], seed)
     assert calls == {FLOOR: 1, TASKS: 1, "control": 1}

@@ -3,9 +3,9 @@ replayed under.
 
 A reaction call is quiet when it returns no persisted influences, spawns,
 removals or events, its context made no influence, seeded no stream and read
-no clock, and its level state is carried over.  The next tick does not call
-the reaction again while the filtered influences echo the quiet call's
-(producer, kind, class, payload in id order).  A tick whose producer calls
+no clock, and its level state is carried over.  After a quiet call on no
+filtered influences, the next tick does not call the reaction again while the
+level receives none and its rule is the same.  A tick whose producer calls
 are all quiet, whose reactions are all replayed or quiet, and which keeps
 every level state and the agent map is frozen: the next tick replays its
 step whole.  Each test steps a two-level model and reads which ticks called
@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from mlsim import engine
-from mlsim.engine import BehaviorRule, DetectorRule, Model, ReactionResult, echo_of, run, step
+from mlsim.engine import BehaviorRule, DetectorRule, Model, ReactionResult, run, step
 from mlsim.hierarchy import (
     ConstraintKindDecl,
     Declarations,
@@ -30,7 +30,6 @@ from mlsim.hierarchy import (
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     CONSTRAINT,
-    EMERGENCE,
     AgentRecord,
     Body,
     LevelState,
@@ -58,12 +57,12 @@ def move(**payload):
     return ("move", "micro", "ordinary", payload)
 
 
-def make_model(micro_reaction, micro_script=lambda tick: [move(to=1)],
+def make_model(micro_reaction, micro_script=lambda tick: [],
                macro_script=lambda tick: [], macro_reaction=identity_reaction,
                other_script=lambda tick: []):
     """micro <-> macro, agents `p` and `q` at micro and agent `m` at macro.
     Macro may hold micro's moves with a `hold` constraint and poke its own
-    level."""
+    level.  Every agent reads the clock, so no tick is frozen."""
     graph = validate(LevelGraphSpec.make(
         ["micro", "macro"],
         influence_edges=[("micro", "macro"), ("macro", "micro")],
@@ -123,12 +122,13 @@ def test_a_quiet_reaction_is_called_once_and_then_replayed():
 
 
 def test_a_replayed_tick_keeps_the_level_state_and_its_trace():
-    model = make_model(identity_reaction)
+    poke = ("poke", "macro", "ordinary", {})
+    model = make_model(identity_reaction, macro_script=lambda tick: [poke])
     state = initial_state()
     first, _ = step(model, state)
     second, info = step(model, first)
     assert second.per_level["micro"] is first.per_level["micro"] is state.per_level["micro"]
-    assert [row["event"] for row in info.trace if row["level"] == "micro"] == ["influence"]
+    assert [(row["level"], row["event"]) for row in info.trace] == [("macro", "influence")]
 
 
 # --- a call that is not quiet is called again ---------------------------------------
@@ -214,71 +214,50 @@ def test_the_call_after_a_spawn_is_quiet_and_then_replayed():
     assert called == [0, 1]
 
 
-# --- influences that do not echo the quiet call defeat the replay ---------------
+# --- a level that receives an influence is called --------------------------------
 
-def test_the_echo_reads_producer_kind_class_and_payload_in_id_order():
-    def echo(*specs):
-        return echo_of(frozenset(influence(kind, "micro", producer, uid, klass, **payload)
-                                 for uid, producer, kind, klass, payload in specs))
-
-    base = echo(("a@0#0", "p", "move", "ordinary", {"to": 1}),
-                ("b@0#0", "q", "move", "ordinary", {"to": 2}))
-    # Other ids in the same order echo the same.
-    assert base == echo(("a@7#0", "p", "move", "ordinary", {"to": 1}),
-                        ("b@7#0", "q", "move", "ordinary", {"to": 2}))
-    assert base == (("p", "move", "ordinary", {"to": 1}), ("q", "move", "ordinary", {"to": 2}))
-    for changed in [
-        (("a", "q", "move", "ordinary", {"to": 1}), ("b", "q", "move", "ordinary", {"to": 2})),
-        (("a", "p", "hold", "ordinary", {"to": 1}), ("b", "q", "move", "ordinary", {"to": 2})),
-        (("a", "p", "move", EMERGENCE, {"to": 1}), ("b", "q", "move", "ordinary", {"to": 2})),
-        (("a", "p", "move", "ordinary", {"to": 3}), ("b", "q", "move", "ordinary", {"to": 2})),
-        (("b", "p", "move", "ordinary", {"to": 1}), ("a", "q", "move", "ordinary", {"to": 2})),
-    ]:
-        assert echo(*changed) != base
-
-
-def test_another_producer_defeats_the_replay():
+def test_a_quiet_call_on_no_influences_is_replayed_while_the_level_receives_none():
+    """Tick 0 sees a move and records nothing; tick 1 sees none and records
+    its quiet call, which ticks 2 and 4 replay.  The call on tick 3's move
+    keeps the level state and so the record."""
     called, _ = called_ticks(make_model(
-        identity_reaction,
-        micro_script=lambda tick: [move(to=1)] if tick < 2 else [],
+        identity_reaction, micro_script=lambda tick: [move(to=1)] if tick in (0, 3) else []))
+    assert called == [0, 1, 3]
+
+
+# Influences that are the same on every tick, or that differ from tick to tick.
+SCRIPTS = {
+    "same-move": lambda tick: [move(to=1)],
+    "another-producer": lambda tick: [move(to=1)] if tick < 2 else [],
+    "changed-payload": lambda tick: [move(to=[1, 1, 2, 2, 2][tick])],
+    "equal-payloads": lambda tick: [move(to=[1, True, 1.0, 1, True][tick])],
+    "added-or-dropped": lambda tick: [move(to=i) for i in range([1, 1, 2, 2, 1][tick])],
+    "another-kind": lambda tick: [(["move", "move", "nudge", "nudge", "move"][tick], "micro",
+                                   "ordinary", {"to": 1})],
+}
+
+
+@pytest.mark.parametrize("script", SCRIPTS.values(), ids=SCRIPTS.keys())
+def test_any_filtered_influence_calls_the_reaction(script):
+    """`p` sends `script`, and `q` sends a move from tick 2 on: micro
+    receives an influence on every tick."""
+    called, _ = called_ticks(make_model(
+        identity_reaction, micro_script=script,
         other_script=lambda tick: [move(to=1)] if tick >= 2 else []))
-    assert called == [0, 2]
+    assert called == list(range(TICKS))
 
 
-def test_a_changed_payload_defeats_the_replay():
-    values = [1, 1, 2, 2, 2]
-    called, _ = called_ticks(make_model(
-        identity_reaction, micro_script=lambda tick: [move(to=values[tick])]))
-    assert called == [0, 2]
-
-
-def test_equal_payloads_are_replayed():
-    values = [1, True, 1.0, 1, True]  # all equal, as the contract says
-    called, _ = called_ticks(make_model(
-        identity_reaction, micro_script=lambda tick: [move(to=values[tick])]))
-    assert called == [0]
-
-
-def test_an_added_or_dropped_influence_defeats_the_replay():
-    counts = [1, 1, 2, 2, 1]
-    called, _ = called_ticks(make_model(
-        identity_reaction, micro_script=lambda tick: [move(to=i) for i in range(counts[tick])]))
-    assert called == [0, 2, 4]
-
-
-def test_another_kind_defeats_the_replay():
-    kinds = ["move", "move", "nudge", "nudge", "move"]
-    called, _ = called_ticks(make_model(
-        identity_reaction,
-        micro_script=lambda tick: [(kinds[tick], "micro", "ordinary", {"to": 1})]))
-    assert called == [0, 2, 4]
-
-
-def test_a_newly_inhibited_influence_defeats_the_replay():
+def test_a_level_whose_every_influence_is_inhibited_is_replayed():
+    """Macro holds `p`'s moves from tick 1 on: tick 1 filters them all out
+    and records its call, which the later ticks replay with the same log."""
     hold = ("hold", "micro", CONSTRAINT, {"selector": InfluenceSelector("move", "p")})
-    model = make_model(identity_reaction, macro_script=lambda tick: [hold] if tick >= 2 else [])
-    called, _ = called_ticks(model)
-    assert called == [0, 2]
+    model = make_model(identity_reaction, micro_script=lambda tick: [move(to=1)],
+                       macro_script=lambda tick: [hold] if tick >= 1 else [])
+    called, state = called_ticks(model)
+    assert called == [0, 1]
+    _, info = step(model, state)
+    tick = state.time
+    assert info.inhibitions["micro"] == (InhibitionRecord(f"m@{tick}#0", (f"p@{tick}#0",)),)
 
 
 def test_a_persisted_influence_routed_into_a_quiet_level_defeats_the_replay():
@@ -295,7 +274,7 @@ def test_a_persisted_influence_routed_into_a_quiet_level_defeats_the_replay():
     assert called == [0, 2, 3]
 
 
-def test_an_echo_is_replayed_only_for_the_reaction_that_made_it():
+def test_a_swapped_reaction_is_called():
     state = initial_state()
     _, state = called_ticks(make_model(identity_reaction), state, ticks=2)
     called, _ = called_ticks(make_model(rebinds_a_property), state, ticks=2)
@@ -562,7 +541,7 @@ def test_a_replayed_tick_runs_no_producer_reaction_or_filter(monkeypatch):
     def never(*args):
         raise AssertionError("called on a replayed tick")
 
-    for name in ("apply_constraints", "echo_of", "carried_level", "group_by_level",
+    for name in ("apply_constraints", "quiet_rule", "carried_level", "group_by_level",
                  "_check_influence"):
         monkeypatch.setattr(engine, name, never)
     monkeypatch.setattr(SystemState, "memberships", never)

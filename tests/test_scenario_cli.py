@@ -198,6 +198,18 @@ def test_run_exit_three_on_invalid_scenario(capsys):
     assert rc == EXIT_INVALID
 
 
+# A kind listed under two classes at one level (the declarations would hold
+# it once), with the issue it must raise.
+KIND_IN_TWO_CLASSES = {
+    'kinds.floor.ordinary=["assign-task","emit-repulsion","forced-move","move","inhibit-move"]':
+        "[kind-discipline] kinds.floor must list 'inhibit-move' under one class, "
+        "got ['ordinary', 'constraint']",
+    'kinds.control.ordinary=["deadlock-resolved","deadlock-unresolvable","deadlock"]':
+        "[kind-discipline] kinds.control must list 'deadlock' under one class, "
+        "got ['ordinary', 'emergence']",
+}
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -217,13 +229,15 @@ def test_run_exit_three_on_invalid_scenario(capsys):
         # a self-loop level edge (the library's `levels.validate` drops it)
         'influence_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","floor"]]',
         'perception_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","floor"]]',
+        'levels=["floor","floor","tasks","control"]',
+        *KIND_IN_TWO_CLASSES,
     ],
 )
 def test_run_exit_three_on_malformed_value(override, capsys):
     rc = main(["run", "--scenario", str(SCENARIOS / "corridor.json"), "--override", override])
     assert rc == EXIT_INVALID
     err = capsys.readouterr().err
-    assert f"[value] {override.split('=')[0]} must be" in err
+    assert KIND_IN_TWO_CLASSES.get(override, f"[value] {override.split('=')[0]} must be") in err
 
 
 def test_an_unknown_termination_predicate_stays_a_reference_issue(capsys):

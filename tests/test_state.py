@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from mlsim.engine import Model, ReactionResult, step
+from mlsim.engine import Model, ReactionResult, quiet_rule, step
 from mlsim.errors import IllegalPerception, UnknownAgent
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
@@ -172,14 +172,15 @@ def test_a_copied_snapshot_rebuilds_its_caches_and_agrees(clone):
     micro = state.per_level["micro"]
     bodies, memberships = micro.bodies(), state.memberships()
     assert micro.derived(body_count) == 1
-    assert "_echo" in micro.__dict__  # the quiet reaction call of the step
+    assert quiet_rule(micro) is identity_reaction  # the quiet reaction call of the step
 
     twin = clone(state)
     assert twin.memberships() == memberships == {"a1": {"micro"}, "a2": {"macro"}}
 
     copied = clone(micro)
-    for cache in ("_bodies", "_derived", "_echo"):
+    for cache in ("_bodies", "_derived"):
         assert cache not in copied.__dict__
+    assert quiet_rule(copied) is None  # the copy's next tick calls its reaction
     assert copied.bodies() == bodies and copied.bodies() is copied.bodies()
     assert copied.derived(body_count) == 1
 
