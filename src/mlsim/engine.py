@@ -36,20 +36,22 @@ stream and read no `tick`; a reaction's also made no influence and returned
 no persisted influences, spawns, removals or events; a producer's returned
 only influences that context made, and `memorize` kept the internal state.
 
-A carried-over level replays a quiet reaction that saw no influences: its
-level state records the rule (`quiet_rule`), and a tick that again filters
-none for it, under the same rule, keeps the property map without a call.
+A run keeps what these contracts let it skip in one `ReplayMemory` (one
+model, one seed); without one, `step` and `react` replay nothing.  A quiet
+reaction call that saw no influences is replayed: the memory records the
+level state it kept, and a tick that again filters none for it keeps its
+property map without a call.
 
 A frozen tick is replayed whole.  A tick is frozen when every producer call
 was quiet, every reaction was replayed or quiet, and it kept every level
-state (and so every agent record): every later tick repeats it.  Its successor
-holds its step: the model's rules, and per level the produced influences,
-which give each one's producer, `k`, kind, class and payload (a kept level
-carries none of its own, as nothing was persisted), and the inhibition log
-by (producer, `k`).  A tick on a snapshot holding a step under the same
-rules calls no producer and no reaction: it makes each influence again as
-`producer@tick#k`, remaps the log to those ids, and keeps the level states
-and the agent map, holding the step again.
+state (and so every agent record): every later tick repeats it.  The memory
+holds its step for its successor: per level, the produced influences, which
+give each one's producer, `k`, kind, class and payload (a kept level carries
+none of its own, as nothing was persisted), and the inhibition log by
+(producer, `k`).  A tick on that successor calls no producer and no
+reaction: it makes each influence again as `producer@tick#k`, remaps the log
+to those ids, and keeps the level states and the agent map, holding the step
+for its own successor.
 """
 
 from __future__ import annotations
@@ -247,7 +249,6 @@ class ProducedStep:
     per_level: dict  # LevelId -> frozenset[Influence]
     new_internal: dict  # AgentId -> internal state at t+dt
     quiet: bool = False  # every producer call was quiet
-    held: tuple | None = None  # the frozen step this production replayed
 
 
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
@@ -288,29 +289,9 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
             )
 
 
-def _rules(model: Model) -> tuple:
-    """What a frozen step holds of the model: a held step is replayed only
-    under the same graph, declarations, producers and reactions."""
-    return (model.graph, model.decls, tuple(model.behaviors.items()),
-            tuple(model.dynamic_behaviors.items()), tuple(model.detectors.items()),
-            tuple(model.reactions.items()))
-
-
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
-    """Phase 1: evaluate all producers against the frozen snapshot.
-
-    A snapshot that holds a frozen step under the same rules calls no
-    producer: each held influence is made again under this tick's id."""
+    """Phase 1: evaluate all producers against the frozen snapshot."""
     tick = state.time
-    held = state.__dict__.get("_held_step")
-    if held is not None and held[0] == _rules(model):
-        at = f"@{tick}#"
-        return ProducedStep({
-            level: frozenset([Influence(inf.producer + at + inf.id.rpartition("#")[2], inf.kind,
-                                        level, inf.producer, inf.payload, inf.klass)
-                              for inf in influences])
-            for level, influences in held[1].items()
-        }, {}, held=held)
     graph = model.graph
     produced_sets: list[Iterable[Influence]] = [
         level_state.influences for level_state in state.per_level.values()
@@ -444,29 +425,55 @@ def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelS
     return LevelState(old.level, sigma, influences)
 
 
-def quiet_rule(level_state: LevelState):
-    """The reaction whose quiet call on `level_state` saw no influences, or
-    None: the one place the record is read."""
-    return level_state.__dict__.get("_quiet_rule")
+class ReplayMemory:
+    """What one run remembers to skip repeated calls (see the module doc): by
+    level, the level state whose quiet reaction call saw no influences, and
+    the step of the last frozen tick, held for the snapshot it repeats on.
+    The held step's format is written and read here only."""
 
+    def __init__(self):
+        self.quiet: dict = {}  # LevelId -> LevelState
+        self._held: tuple | None = None  # (snapshot, influences, log), by level
 
-def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0):
-    """Phase 2: per-level constraint filtering + reaction, then merge.
+    def hold(self, successor: SystemState, produced: dict, inhibitions: dict) -> None:
+        """Hold the step of a frozen tick for the tick on its `successor`."""
+        self._held = successor, produced, {
+            level: tuple([(_key(record.constraint_id), tuple(map(_key, record.inhibited_ids)))
+                          for record in log]) if log else ()
+            for level, log in inhibitions.items()
+        }
 
-    A quiet call on no influences is replayed while the level gets none, a
-    frozen tick leaves its step on its successor, and a replayed step hands
-    back its held inhibition log under this tick's ids and the snapshot's
-    level states and agent map (see the module doc)."""
-    held = produced.held
-    if held is not None:
+    def replay(self, state: SystemState):
+        """(next snapshot, StepInfo) of the tick on `state` when the held step
+        repeats on it, else None."""
+        if self._held is None or self._held[0] is not state:
+            return None
+        _, influences, log = self._held
         at = f"@{state.time}#"
+        produced = {
+            level: frozenset([Influence(inf.producer + at + inf.id.rpartition("#")[2], inf.kind,
+                                        level, inf.producer, inf.payload, inf.klass)
+                              for inf in made])
+            for level, made in influences.items()
+        }
         inhibitions = {
             level: tuple([InhibitionRecord(p + at + k, tuple([q + at + j for q, j in hits]))
-                          for (p, k), hits in log]) if log else ()
-            for level, log in held[2].items()
+                          for (p, k), hits in records]) if records else ()
+            for level, records in log.items()
         }
-        info = StepInfo(produced.per_level, inhibitions, (), state.time, replayed=True)
-        return state.successor(state.per_level, state.agents, held), info
+        successor = SystemState(state.time + 1, state.per_level, state.agents)
+        self._held = successor, influences, log
+        return successor, StepInfo(produced, inhibitions, (), state.time, replayed=True)
+
+
+def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0,
+          memory: ReplayMemory | None = None):
+    """Phase 2: per-level constraint filtering + reaction, then merge.
+
+    With a run's `memory`, a quiet call on no influences is replayed while
+    the level gets none, and a frozen tick's step is held for its successor
+    (see the module doc); without one, every reaction is called."""
+    recorded = memory.quiet if memory is not None else {}
     results = {}
     sigmas = {}
     inhibitions = {}
@@ -476,10 +483,10 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         influences = produced.per_level.get(level, _NO_INFLUENCES)
         filtered, log = apply_constraints(influences)
         inhibitions[level] = log
-        rule = model.reactions[level]
-        if not filtered and quiet_rule(level_state) is rule:
+        if not filtered and recorded.get(level) is level_state:
             sigmas[level] = level_state.properties
             continue
+        rule = model.reactions[level]
         sigma = dict(level_state.properties)
         ctx = StepContext(state.time, REACTION_PRODUCER_PREFIX + level,
                           rng_key=(seed, "reaction", level, state.time))
@@ -548,29 +555,28 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         level: carried_level(level_state, sigmas[level], routed.get(level, _NO_INFLUENCES))
         for level, level_state in state.per_level.items()
     }
-    # A quiet call on no influences and a kept level state is recorded there,
-    # so the next tick can replay it; a new level state starts without one.
-    for level, saw_nothing in quiet.items():
-        if saw_nothing and per_level[level] is state.per_level[level]:
-            per_level[level].__dict__["_quiet_rule"] = model.reactions[level]
-    frozen_step = None
-    if produced.quiet and len(quiet) == len(results) and all(
-        per_level[level] is level_state for level, level_state in state.per_level.items()
-    ):
-        # A quiet tick kept every record and spawned and removed nothing:
-        # it is frozen (see the module doc).
-        frozen_step = _rules(model), produced.per_level, {
-            level: tuple([(_key(record.constraint_id), tuple(map(_key, record.inhibited_ids)))
-                          for record in log]) if log else ()
-            for level, log in inhibitions.items()
-        }
-    next_state = state.successor(per_level, agents, frozen_step)
+    next_state = SystemState(state.time + 1, per_level, agents)
+    if memory is not None:
+        for level, saw_nothing in quiet.items():
+            if saw_nothing and per_level[level] is state.per_level[level]:
+                recorded[level] = per_level[level]
+        if produced.quiet and len(quiet) == len(results) and all(
+            per_level[level] is level_state for level, level_state in state.per_level.items()
+        ):
+            # A quiet tick kept every record and spawned and removed nothing:
+            # it is frozen (see the module doc).
+            memory.hold(next_state, produced.per_level, inhibitions)
     return next_state, StepInfo(produced.per_level, inhibitions, tuple(events), state.time)
 
 
-def step(model: Model, state: SystemState, seed: int = 0):
+def step(model: Model, state: SystemState, seed: int = 0, memory: ReplayMemory | None = None):
+    """One tick: (next snapshot, StepInfo), replayed as the run's `memory` allows."""
+    if memory is not None:
+        replayed = memory.replay(state)
+        if replayed is not None:
+            return replayed
     produced = produce_influences(model, state, seed)
-    return react(model, state, produced, seed)
+    return react(model, state, produced, seed, memory)
 
 
 @dataclass
@@ -613,9 +619,10 @@ def run(
     trace: list = []
     stop_reason = "tick-budget"
     frozen_from = None
+    memory = ReplayMemory()
     for _ in range(ticks):
         tick = state.time
-        state, info = step(model, state, seed)
+        state, info = step(model, state, seed, memory)
         if not info.replayed:
             frozen_from = None
         elif frozen_from is None:

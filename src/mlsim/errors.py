@@ -37,6 +37,10 @@ class UnknownLevelEndpoint(MlsimError):
     pass
 
 
+class SelfLoopEdge(MlsimError):
+    """A level edge from a level to itself; intra-level relations are implicit."""
+
+
 class UnknownLevel(MlsimError):
     pass
 

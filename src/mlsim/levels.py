@@ -2,15 +2,15 @@
 
 Levels are opaque strings.  The influence relation and the perception relation
 are directed graphs over the level set; intra-level relations are implicit, so
-self-loop edges are dropped during normalization (with a warning) rather than
-stored.  All four neighborhood functions are reflexive by definition.
+a self-loop edge is an error rather than stored.  All four neighborhood
+functions are reflexive by definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyLevelSet, UnknownLevel, UnknownLevelEndpoint
+from .errors import EmptyLevelSet, SelfLoopEdge, UnknownLevel, UnknownLevelEndpoint
 
 LevelId = str
 Edge = tuple[LevelId, LevelId]
@@ -48,14 +48,13 @@ def _neighborhoods(levels, edges):
 
 @dataclass(frozen=True)
 class ValidatedLevelGraph:
-    """Normalized level graph with precomputed neighborhood tables.
+    """Validated level graph with precomputed neighborhood tables.
 
     Immutable after construction.  `routes` memoizes a pure function of the
     graph per level set; the memo only ever gains entries.
     """
 
     spec: LevelGraphSpec
-    warnings: tuple[str, ...]
     _in_influence: dict = field(repr=False, compare=False, default=None)
     _out_influence: dict = field(repr=False, compare=False, default=None)
     _in_perception: dict = field(repr=False, compare=False, default=None)
@@ -101,45 +100,32 @@ class ValidatedLevelGraph:
 
 
 def validate(spec: LevelGraphSpec) -> ValidatedLevelGraph:
-    """Normalize and validate a raw spec.
+    """Validate a raw spec.
 
-    Self-loops are dropped (warning recorded), duplicates disappear through
-    set semantics.  Dangling edge endpoints and an empty level set are hard
-    errors.
+    An empty level set, a dangling edge endpoint and a self-loop edge are
+    hard errors; duplicates disappear through set semantics.
     """
     if not spec.levels:
         raise EmptyLevelSet("a level graph needs at least one level")
-
-    def normalize(edges, relation):
-        kept = set()
-        warnings = []
+    relations = {"influence": spec.influence_edges, "perception": spec.perception_edges}
+    for relation, edges in relations.items():
         for a, b in edges:
             for endpoint in (a, b):
                 if endpoint not in spec.levels:
                     raise UnknownLevelEndpoint(
                         f"{relation} edge ({a}, {b}) references unknown level {endpoint!r}"
                     )
-            if a == b:
-                warnings.append(
-                    f"dropped self-loop ({a}, {b}) in {relation}: intra-level "
-                    "relations are implicit"
-                )
-            else:
-                kept.add((a, b))
-        return frozenset(kept), warnings
+    loops = sorted(f"{relation} edge ({a}, {b})"
+                   for relation, edges in relations.items() for a, b in edges if a == b)
+    if loops:
+        raise SelfLoopEdge(f"{', '.join(loops)}: intra-level relations are implicit")
 
-    influence, warn_i = normalize(spec.influence_edges, "influence")
-    perception, warn_p = normalize(spec.perception_edges, "perception")
-    normalized = LevelGraphSpec(spec.levels, influence, perception)
-
-    in_i, out_i = _neighborhoods(spec.levels, influence)
-    in_p, out_p = _neighborhoods(spec.levels, perception)
+    in_i, out_i = _neighborhoods(spec.levels, spec.influence_edges)
+    in_p, out_p = _neighborhoods(spec.levels, spec.perception_edges)
     return ValidatedLevelGraph(
-        spec=normalized,
-        warnings=tuple(sorted(warn_i + warn_p)),
+        spec=spec,
         _in_influence=in_i,
         _out_influence=out_i,
         _in_perception=in_p,
         _out_perception=out_p,
     )
-

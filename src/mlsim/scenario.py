@@ -192,7 +192,9 @@ SECTION_KEYS = {key: frozenset(default_scenario_dict()[key]) for key in ("grid",
 def _structure_issues(data: dict) -> list[Issue]:
     """Shape checks every other check relies on: each section of the right
     JSON type, each list item an object, each compared name and the
-    scenario's own name a string, each level edge between two levels."""
+    scenario's own name a string, each level edge between two levels, and
+    no level, kind, edge or declaration listed twice (the model would hold
+    it once)."""
     issues = []
 
     def expect(path, what, value):
@@ -209,6 +211,10 @@ def _structure_issues(data: dict) -> list[Issue]:
         lists = spec.values() if isinstance(spec, dict) else [None]
         if not all(map(_is_str_list, lists)):
             expect(f"kinds.{lvl}", "an object of kind-name lists", spec)
+            continue
+        for cls, names in spec.items():
+            if len(set(names)) < len(names):
+                expect(f"kinds.{lvl}.{cls}", "a list of distinct kind names", names)
     levels = data.get("levels")
     if not _is_str_list(levels) or len(set(levels)) < len(levels):
         expect("levels", "a list of distinct level names", levels)
@@ -220,6 +226,8 @@ def _structure_issues(data: dict) -> list[Issue]:
         for edge in edges:
             if edge[0] == edge[1]:
                 expect(key, "pairs of two different levels", edge)
+        if len(set(map(tuple, edges))) < len(edges):
+            expect(key, "a list of distinct level edges", edges)
     for key, names in OBJECT_LISTS.items():
         items = data.get(key)
         if not isinstance(items, list):
@@ -235,6 +243,8 @@ def _structure_issues(data: dict) -> list[Issue]:
                 value = item.get(name)
                 if not isinstance(value, str) and (value is not None or name == "id"):
                     expect(f"{key}[{i}].{name}", "a string", value)
+        if key in DECLARATION_LISTS and any(item in items[:i] for i, item in enumerate(items)):
+            expect(key, "a list of distinct declarations", items)
     return issues
 
 
@@ -314,7 +324,6 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
     graph = _graph_spec(data)
     try:
         parts["graph"] = validate_graph(graph)
-        graph = parts["graph"].spec  # normalized as the model's graph will be
     except EmptyLevelSet as exc:
         issues.append(Issue("empty-level-set", str(exc)))
     except UnknownLevelEndpoint as exc:

@@ -8,10 +8,8 @@ level's reaction can change it.  ``bodies_of`` is the one reader of that key
 format; ``LevelState.bodies()`` runs it once per level state and hands every
 reader the same read-only mapping.  ``SystemState.memberships()`` derives the
 agent -> levels index from those mappings on each call, so it always agrees
-with what the reactions wrote; a stepped tick reads it once.  A snapshot
-after a frozen tick also holds that tick's step, which the engine replays
-instead of stepping (`engine.react`); a replayed tick reads no membership
-index.
+with what the reactions wrote; a stepped tick reads it once.  Snapshots are
+plain values: what a run skips by is kept in the run (`engine.ReplayMemory`).
 """
 
 from __future__ import annotations
@@ -141,9 +139,8 @@ class LevelState:
 
     def __getstate__(self):
         # The caches are rebuilt on demand; a mapping proxy cannot be copied.
-        # A copy drops `engine.quiet_rule`'s record too: it calls its reaction.
         state = dict(self.__dict__)
-        for cache in ("_bodies", "_derived", "_quiet_rule"):
+        for cache in ("_bodies", "_derived"):
             state.pop(cache, None)
         return state
 
@@ -173,22 +170,6 @@ class SystemState:
             for agent_id in level_state.bodies():
                 found.setdefault(agent_id, []).append(level)
         return {agent_id: frozenset(levels) for agent_id, levels in found.items()}
-
-    def successor(self, per_level: dict, agents: dict, step: tuple | None = None) -> "SystemState":
-        """The next snapshot.  `step` is the frozen step the engine hands
-        over (`engine.react`): the next snapshot holds it, and its tick
-        replays it instead of calling producers and reactions."""
-        nxt = SystemState(self.time + 1, per_level, agents)
-        if step is not None:
-            nxt.__dict__["_held_step"] = step
-        return nxt
-
-    def __getstate__(self):
-        # `_held_step` is the engine's record of a frozen tick; a copy starts
-        # without one and steps.
-        state = dict(self.__dict__)
-        state.pop("_held_step", None)
-        return state
 
 
 class Percept:

@@ -1,27 +1,23 @@
-"""Carried-over levels: a tick that changes nothing keeps its level states.
+"""Carried-over levels, replayed reactions and frozen ticks, against one
+oracle.
 
 When a level's reaction leaves every property bound to the object it held and
 the influences routed to it equal the ones it holds, the engine keeps the old
 `LevelState` (`engine.carried_level`).  Every cache keyed on a level state
-then survives the tick.  The oracle is the same run with
-`carried_level` patched to build a new level state every tick, as the engine
-did before; metrics, trace, diagnostics and final state must be equal.
+then survives the tick.  A run also replays a quiet reaction call that saw no
+filtered influences while the level receives none, and replays a frozen tick
+(every producer call quiet, every reaction replayed or quiet, every level
+state and agent record kept) whole; both are kept in the run's
+`engine.ReplayMemory`.
 
-A kept level state also records a quiet reaction call that saw no filtered
-influences, and the next tick replays that call instead of making it while
-the level receives none (`engine.react`).  Its oracle is the same run with
-`engine.quiet_rule` patched to read no record, so every reaction is called on
-every stepped tick.
-
-A frozen tick (every producer call quiet, every reaction replayed or quiet,
-every level state and agent record kept) leaves its step on its successor,
-and the next tick replays that step whole instead of calling the behaviors,
-the detector and the reactions (`engine.react`).  Its oracle is the same run
-with `SystemState.successor` patched to pass no step on, so every tick steps.
+The oracle runs the same case one tick at a time, each tick a `run` of one
+tick from a snapshot whose level states are fresh shells: no cache keyed on a
+level state survives a tick, and no memory lives long enough to replay one,
+so every producer and every reaction is called on every tick.  Metrics,
+trace, stop reason, diagnostics and final state must be equal.
 """
 
 import collections
-import copy
 import dataclasses
 
 import pytest
@@ -29,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsim import cli, engine
-from mlsim.engine import BehaviorRule, run, step
+from mlsim.engine import BehaviorRule, ReplayMemory, RunResult, run, step
 from mlsim.errors import SafetyViolation
 from mlsim.fms import model as fms_model
 from mlsim.fms.grid import GridMap
@@ -54,47 +50,54 @@ from test_static_geometry import generated_floors
 FIXTURE_CASES = dict(episode("fixtures", 0, index, ROOT) for index in range(6))
 
 
-def rebuilt_level(old, sigma, influences):
-    """`carried_level` without the carry-over: a new level state every tick."""
-    return LevelState(old.level, sigma, influences)
+def run_options(spec):
+    """What `mlsim run` hands `engine.run` besides the model and the state."""
+    return {"seed": spec.run_params["seed"], "observers": (SafetyChecker(spec.grid),),
+            "metrics": fms_metrics, "termination": all_tasks_delivered, "collect_trace": True}
 
 
-def no_record(level_state):
-    """`quiet_rule` without the replay: no level state holds a record."""
-    return None
-
-
-def forgetful(successor):
-    """`SystemState.successor` without the whole-tick replay: the next
-    snapshot never holds a frozen step."""
-    def forgetting(self, per_level, agents, step=None):
-        return successor(self, per_level, agents)
-
-    return forgetting
-
-
-def run_case(raw, carry=True, replay=True, replay_production=True):
+def run_case(raw):
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
-    calls = None if replay else counted_reactions(model)
-    with pytest.MonkeyPatch.context() as patch:
-        if not carry:
-            patch.setattr(engine, "carried_level", rebuilt_level)
-        if not replay:
-            patch.setattr(engine, "quiet_rule", no_record)
-        if not replay_production:
-            patch.setattr(SystemState, "successor", forgetful(SystemState.successor))
-        result = run(
-            model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
-            observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
-            termination=all_tasks_delivered, collect_trace=True,
-        )
-    if not replay:
-        # The oracle calls every reaction on every stepped tick: every tick
-        # before the run froze, since a frozen run stays frozen.
-        stepped = result.final_state.time if result.frozen_from is None else result.frozen_from
-        assert calls == dict.fromkeys(model.reactions, stepped)
-    return result
+    return run(model, state, ticks=spec.run_params["ticks"], **run_options(spec))
+
+
+def shelled(state):
+    """`state` with each level state a fresh `LevelState` of the same values."""
+    return SystemState(state.time, {
+        level: LevelState(level, ls.properties, ls.influences)
+        for level, ls in state.per_level.items()
+    }, state.agents)
+
+
+def oracle_case(raw):
+    """`run_case` one tick at a time, each from a `shelled` snapshot: every
+    producer and every reaction is called on every tick (asserted)."""
+    spec = parse_scenario_dict(raw)
+    model, state = build(spec)
+    reactions, producers = counted_reactions(model), counted_producers(model)
+    options = run_options(spec)
+    agent_ticks = 0  # the behavior calls of a tick that calls every producer
+    records, trace, diagnostics = [], [], []
+    for _ in range(spec.run_params["ticks"]):
+        memberships = state.memberships()
+        agent_ticks += sum(1 for agent_id, record in state.agents.items()
+                           if memberships.get(agent_id)
+                           and model.behavior_for(record) is not None)
+        result = run(model, shelled(state), ticks=1, **options)
+        records += result.records
+        trace += result.trace
+        diagnostics += result.diagnostics
+        state = result.final_state
+        if result.stop_reason != "tick-budget":
+            break
+    assert reactions == dict.fromkeys(model.reactions, state.time)
+    stages = collections.Counter()
+    for (_, stage), calls in producers.items():
+        stages[stage] += calls
+    assert stages == {"perceive": agent_ticks, "memorize": agent_ticks, "decide": agent_ticks,
+                      "rule": state.time * len(model.detectors)}
+    return RunResult(state, records, result.stop_reason, tuple(diagnostics), tuple(trace))
 
 
 def outputs(result, tmp_path, tag):
@@ -166,14 +169,18 @@ def counted_producers(model):
     return calls
 
 
-def stalled(name, ticks):
-    """(model, seed, snapshot) of a fixture case after `ticks` steps."""
+def stalled(name, ticks, count=lambda model: None):
+    """(model, seed, snapshot, memory, calls) of a fixture case after `ticks`
+    steps under one memory; `count` wraps the model's calls first and
+    returns their counts."""
     spec = parse_scenario_dict(FIXTURE_CASES[name])
     model, state = build(spec)
+    calls = count(model)
     seed = spec.run_params["seed"]
+    memory = ReplayMemory()
     for _ in range(ticks):
-        state, _ = step(model, state, seed)
-    return model, seed, state
+        state, _ = step(model, state, seed, memory)
+    return model, seed, state, memory, calls
 
 
 # --- carry-over -------------------------------------------------------------------
@@ -202,7 +209,8 @@ def test_a_level_is_carried_only_when_nothing_was_rebound():
 
 @pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
 def test_an_unchanged_tick_returns_the_same_level_states(name):
-    model, seed, state = stalled(name, 60)
+    """Stepped without the memory, so every producer and reaction is called."""
+    model, seed, state, _, _ = stalled(name, 60)
     for _ in range(3):
         nxt, info = step(model, state, seed)
         assert nxt.time == state.time + 1
@@ -247,27 +255,25 @@ def test_an_unchanged_tick_makes_no_desired_move_call(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fms_model, "desired_move", counted)
-    model, seed, state = stalled("corridor/off", 60)
-    state, _ = step(model, state, seed)
+    model, seed, state, memory, _ = stalled("corridor/off", 60)
     calls.clear()
-    nxt, _ = step(model, state, seed)
+    nxt, _ = step(model, state, seed, memory)
     assert nxt.per_level[FLOOR] is state.per_level[FLOOR]
     assert calls == []
 
-    # Without the carry-over no tick is frozen: from a copy, which holds no
-    # frozen step, the same tick senses every AGV again.
-    monkeypatch.setattr(engine, "carried_level", rebuilt_level)
-    step(model, step(model, copy.copy(state), seed)[0], seed)
+    # Without the memory and the carried-over caches the same tick senses
+    # every AGV again.
+    step(model, shelled(state), seed)
     assert calls
 
 
-# --- the carried-over run equals the rebuilt one -------------------------------------
+# --- every run equals its oracle --------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
-def test_fixture_runs_equal_the_runs_without_carry_over(name, tmp_path):
+def test_fixture_runs_equal_the_runs_without_replay(name, tmp_path):
     raw = FIXTURE_CASES[name]
-    assert outputs(run_case(raw), tmp_path, "carried") == outputs(
-        run_case(raw, carry=False), tmp_path, "rebuilt"
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        oracle_case(raw), tmp_path, "called"
     )
 
 
@@ -281,54 +287,63 @@ def any_floor(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(any_floor())
-def test_generated_runs_equal_the_runs_without_carry_over(tmp_path_factory, raw):
+def test_generated_runs_equal_the_runs_without_replay(tmp_path_factory, raw):
     tmp_path = tmp_path_factory.mktemp("floor")
-    assert outputs(run_case(raw), tmp_path, "carried") == outputs(
-        run_case(raw, carry=False), tmp_path, "rebuilt"
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        oracle_case(raw), tmp_path, "called"
     )
 
 
-# --- a stalled tick replays its quiet reactions ---------------------------------
+# --- a stalled tick replays its quiet reactions and producers ----------------------
 
 @pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
-def test_a_stalled_tick_calls_no_reaction(name, monkeypatch):
-    model, seed, state = stalled(name, 60)
-    calls = counted_reactions(model)
-    # The records and the step held so far are the unwrapped reactions': the
-    # first tick calls the wrapped ones and records theirs.
-    state, _ = step(model, state, seed)
+def test_a_stalled_tick_calls_no_reaction(name):
+    model, seed, state, memory, calls = stalled(name, 60, counted_reactions)
+    calls.clear()
+    # Without the memory the tick calls every level's reaction.
+    step(model, state, seed)
     assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
     calls.clear()
     for _ in range(3):
-        nxt, info = step(model, state, seed)
+        nxt, info = step(model, state, seed, memory)
+        assert info.replayed
         assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
         assert info.produced and info.trace  # the tick still produced and traced
         state = nxt
     assert calls == {}
 
-    # Without the replays the same ticks call every level's reaction: the
-    # held step is replayed once more, then passed on to no snapshot.
-    monkeypatch.setattr(engine, "quiet_rule", no_record)
-    monkeypatch.setattr(SystemState, "successor", forgetful(SystemState.successor))
-    step(model, step(model, state, seed)[0], seed)
-    assert calls == {FLOOR: 1, TASKS: 1, "control": 1}
+
+def deadlock_groups(step_info):
+    return sorted(inf.payload["trapped"] for inf in step_info.produced["control"]
+                  if inf.kind == "deadlock")
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
-def test_fixture_runs_equal_the_runs_without_replay(name, tmp_path):
-    raw = FIXTURE_CASES[name]
-    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
-        run_case(raw, replay=False), tmp_path, "called"
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(any_floor())
-def test_generated_runs_equal_the_runs_without_replay(tmp_path_factory, raw):
-    tmp_path = tmp_path_factory.mktemp("floor")
-    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
-        run_case(raw, replay=False), tmp_path, "called"
-    )
+@pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
+def test_a_stalled_tick_calls_no_behavior_and_no_detector(name):
+    model, seed, state, memory, calls = stalled(name, 60, counted_producers)
+    calls.clear()
+    # Without the memory the tick calls every behavior and the detector.
+    before = step(model, state, seed)[1]
+    assert calls[DEADLOCK_DETECTOR, "rule"] == 1
+    assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
+    solving = any(record.kind == "solver" for record in state.agents.values())
+    assert (("solver", "decide") in calls) == solving == (name == "walled_trap/on")
+    # The pair stays flagged until a solver governs it.
+    assert deadlock_groups(before) == ([] if solving else [("agv-1", "agv-2")])
+    calls.clear()
+    for _ in range(3):
+        nxt, info = step(model, state, seed, memory)
+        assert info.replayed
+        assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
+        assert nxt.agents is state.agents
+        # The tick's influences are the stepped ones under the tick's ids.
+        ids = {level: {inf.id.replace(f"@{state.time}#", "@#") for inf in infs}
+               for level, infs in info.produced.items()}
+        assert ids == {level: {inf.id.replace(f"@{before.tick}#", "@#") for inf in infs}
+                       for level, infs in before.produced.items()}
+        assert deadlock_groups(info) == deadlock_groups(before)
+        state = nxt
+    assert calls == {}
 
 
 # --- the safety checker skips only what it has checked -------------------------
@@ -377,65 +392,6 @@ def test_the_safety_checker_raises_on_a_new_regressed_table_under_a_kept_floor()
         checker(2, regressed, None)
 
 
-# --- a stalled tick replays its quiet producers ---------------------------------
-
-def deadlock_groups(step_info):
-    return sorted(inf.payload["trapped"] for inf in step_info.produced["control"]
-                  if inf.kind == "deadlock")
-
-
-@pytest.mark.parametrize("name", ["corridor/off", "walled_trap/off", "walled_trap/on"])
-def test_a_stalled_tick_calls_no_behavior_and_no_detector(name, monkeypatch):
-    model, seed, state = stalled(name, 60)
-    calls = counted_producers(model)
-    # The step held so far was made under the unwrapped rules: the first
-    # tick calls the wrapped ones and holds its own step.
-    state, before = step(model, state, seed)
-    assert calls[DEADLOCK_DETECTOR, "rule"] == 1
-    assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
-    solving = any(record.kind == "solver" for record in state.agents.values())
-    assert (("solver", "decide") in calls) == solving == (name == "walled_trap/on")
-    # The pair stays flagged until a solver governs it.
-    assert deadlock_groups(before) == ([] if solving else [("agv-1", "agv-2")])
-    calls.clear()
-    for _ in range(3):
-        nxt, info = step(model, state, seed)
-        assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
-        assert nxt.agents is state.agents
-        # The tick's influences are the held ones under the tick's ids.
-        ids = {level: {inf.id.replace(f"@{state.time}#", "@#") for inf in infs}
-               for level, infs in info.produced.items()}
-        assert ids == {level: {inf.id.replace(f"@{before.tick}#", "@#") for inf in infs}
-                       for level, infs in before.produced.items()}
-        assert deadlock_groups(info) == deadlock_groups(before)
-        state = nxt
-    assert calls == {}
-
-    # Without the replay the same ticks call every behavior and the detector:
-    # the held step is replayed once more, then passed on to no snapshot.
-    monkeypatch.setattr(SystemState, "successor", forgetful(SystemState.successor))
-    step(model, step(model, state, seed)[0], seed)
-    assert calls[DEADLOCK_DETECTOR, "rule"] == 1
-    assert {stage for (_, stage) in calls} == {"perceive", "memorize", "decide", "rule"}
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
-def test_fixture_runs_equal_the_runs_without_replayed_production(name, tmp_path):
-    raw = FIXTURE_CASES[name]
-    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
-        run_case(raw, replay_production=False), tmp_path, "called"
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(any_floor())
-def test_generated_runs_equal_the_runs_without_replayed_production(tmp_path_factory, raw):
-    tmp_path = tmp_path_factory.mktemp("floor")
-    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
-        run_case(raw, replay_production=False), tmp_path, "called"
-    )
-
-
 # --- the tick a run froze from ----------------------------------------------------
 
 FROZEN_FROM = {"corridor/off": 11, "corridor/on": None, "open_floor/off": None,
@@ -445,7 +401,6 @@ FROZEN_FROM = {"corridor/off": 11, "corridor/on": None, "open_floor/off": None,
 @pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
 def test_a_fixture_run_records_the_tick_it_froze_from(name):
     assert run_case(FIXTURE_CASES[name]).frozen_from == FROZEN_FROM[name]
-    assert run_case(FIXTURE_CASES[name], replay_production=False).frozen_from is None
 
 
 @pytest.mark.parametrize("control, frozen_from, detected", [("off", 13, 2), ("on", None, 110)])

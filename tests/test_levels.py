@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsim.errors import EmptyLevelSet, UnknownLevel, UnknownLevelEndpoint
+from mlsim.errors import EmptyLevelSet, SelfLoopEdge, UnknownLevel, UnknownLevelEndpoint
 from mlsim.levels import LevelGraphSpec, validate
 
 
@@ -27,16 +27,16 @@ def oracle_in(levels, edges, l):
 
 def test_perception_edge_valid_no_warnings():
     g = validate(LevelGraphSpec.make(["l", "lp"], perception_edges=[("l", "lp")]))
-    assert g.warnings == ()
     assert g.out_perception("l") == {"l", "lp"}
     assert g.out_perception("lp") == {"lp"}
 
 
-def test_self_loop_dropped_with_warning():
-    g = validate(LevelGraphSpec.make(["l"], influence_edges=[("l", "l")]))
-    assert len(g.warnings) == 1
-    assert "self-loop" in g.warnings[0]
-    assert g.out_influence("l") == {"l"}
+@pytest.mark.parametrize("edges", [{"influence_edges": [("l", "l")]},
+                                   {"perception_edges": [("l", "lp"), ("lp", "lp")]}],
+                         ids=["influence", "perception"])
+def test_self_loop_rejected(edges):
+    with pytest.raises(SelfLoopEdge, match="intra-level relations are implicit"):
+        validate(LevelGraphSpec.make(["l", "lp"], **edges))
 
 
 def test_dangling_endpoint_rejected():
@@ -134,7 +134,6 @@ def test_normalization_idempotent(graph):
     once = validate(LevelGraphSpec.make(levels, e_i, e_p))
     twice = validate(once.spec)
     assert twice.spec == once.spec
-    assert twice.warnings == ()
 
 
 def test_random_large_graphs_against_oracle():

@@ -5,12 +5,12 @@ A reaction call is quiet when it returns no persisted influences, spawns,
 removals or events, its context made no influence, seeded no stream and read
 no clock, and its level state is carried over.  After a quiet call on no
 filtered influences, the next tick does not call the reaction again while the
-level receives none and its rule is the same.  A tick whose producer calls
-are all quiet, whose reactions are all replayed or quiet, and which keeps
-every level state and the agent map is frozen: the next tick replays its
-step whole.  Each test steps a two-level model and reads which ticks called
-the reaction of `micro`, or, in the last part, which ticks called a producer
-and which were replayed whole.
+level receives none.  A tick whose producer calls are all quiet, whose
+reactions are all replayed or quiet, and which keeps every level state and
+the agent map is frozen: the next tick replays its step whole.  Each test
+steps a two-level model under one `ReplayMemory`, as `run` does, and reads
+which ticks called the reaction of `micro`, or, in the last part, which ticks
+called a producer and which were replayed whole.
 """
 
 import copy
@@ -19,7 +19,15 @@ import pickle
 import pytest
 
 from mlsim import engine
-from mlsim.engine import BehaviorRule, DetectorRule, Model, ReactionResult, run, step
+from mlsim.engine import (
+    BehaviorRule,
+    DetectorRule,
+    Model,
+    ReactionResult,
+    ReplayMemory,
+    run,
+    step,
+)
 from mlsim.hierarchy import (
     ConstraintKindDecl,
     Declarations,
@@ -93,7 +101,8 @@ def initial_state(agents=()):
 
 
 def called_ticks(model, state=None, ticks=TICKS):
-    """The ticks on which `micro`'s reaction was called, and the last state."""
+    """The ticks on which `micro`'s reaction was called under one memory,
+    and the last state."""
     reaction = model.reactions["micro"]
     calls = []
 
@@ -103,11 +112,12 @@ def called_ticks(model, state=None, ticks=TICKS):
 
     model.reactions["micro"] = recorded
     state = state or initial_state()
+    memory = ReplayMemory()
     called = []
     for _ in range(ticks):
         before = len(calls)
         tick = state.time
-        state, _ = step(model, state)
+        state, _ = step(model, state, memory=memory)
         if len(calls) > before:
             called.append(tick)
     return called, state
@@ -124,9 +134,9 @@ def test_a_quiet_reaction_is_called_once_and_then_replayed():
 def test_a_replayed_tick_keeps_the_level_state_and_its_trace():
     poke = ("poke", "macro", "ordinary", {})
     model = make_model(identity_reaction, macro_script=lambda tick: [poke])
-    state = initial_state()
-    first, _ = step(model, state)
-    second, info = step(model, first)
+    state, memory = initial_state(), ReplayMemory()
+    first, _ = step(model, state, memory=memory)
+    second, info = step(model, first, memory=memory)
     assert second.per_level["micro"] is first.per_level["micro"] is state.per_level["micro"]
     assert [(row["level"], row["event"]) for row in info.trace] == [("macro", "influence")]
 
@@ -274,13 +284,6 @@ def test_a_persisted_influence_routed_into_a_quiet_level_defeats_the_replay():
     assert called == [0, 2, 3]
 
 
-def test_a_swapped_reaction_is_called():
-    state = initial_state()
-    _, state = called_ticks(make_model(identity_reaction), state, ticks=2)
-    called, _ = called_ticks(make_model(rebinds_a_property), state, ticks=2)
-    assert called == [2, 3]
-
-
 # --- frozen ticks -----------------------------------------------------------------
 #
 # A producer call is quiet when its context seeded no stream and read no clock,
@@ -318,12 +321,14 @@ def producer_model(p=None, **changes):
     return model
 
 
-def stepped(model, state=None, ticks=TICKS):
-    """The last state and each tick's produced influences at `micro`."""
+def stepped(model, state=None, ticks=TICKS, memory=None):
+    """The last state and each tick's produced influences at `micro`, under
+    `memory` or a new one."""
     state = state or initial_state()
+    memory = memory if memory is not None else ReplayMemory()
     produced = []
     for _ in range(ticks):
-        state, info = step(model, state)
+        state, info = step(model, state, memory=memory)
         produced.append(info.produced["micro"])
     return state, produced
 
@@ -343,9 +348,9 @@ def test_a_quiet_producer_is_called_once_and_then_replayed():
 
 def test_a_replayed_producer_keeps_its_record_and_the_agent_map():
     model = producer_model()
-    state = initial_state()
-    first, _ = step(model, state)
-    second, _ = step(model, first)
+    state, memory = initial_state(), ReplayMemory()
+    first, _ = step(model, state, memory=memory)
+    second, _ = step(model, first, memory=memory)
     assert second.agents is first.agents
     assert second.agents["p"] is state.agents["p"]
 
@@ -429,38 +434,6 @@ def test_a_changed_perceived_level_defeats_the_replay():
     assert p.calls == [0, 1, 2]
 
 
-def test_a_swapped_rule_is_called_again():
-    p = Steady()
-    model = producer_model(p)
-    state, _ = stepped(model, ticks=2)
-    model.behaviors["p"] = swapped = Steady()
-    stepped(model, state, ticks=3)
-    assert p.calls == [0]
-    assert swapped.calls == [2]
-
-
-def test_a_new_record_is_called_again():
-    """A successor that keeps every level state but gives `p` another record
-    does not hold the frozen step: `p` is called for the new record."""
-    p = Steady()
-    model = producer_model(p)
-    state, _ = stepped(model, ticks=2)
-    renewed = state.successor(state.per_level, {
-        **state.agents, "p": AgentRecord("p", internal_state={"renewed": True})})
-    assert "_held_step" in state.__dict__ and "_held_step" not in renewed.__dict__
-    stepped(model, renewed, ticks=3)
-    assert p.calls == [0, 3]
-
-
-def test_swapped_declarations_defeat_the_replay():
-    p = Steady()
-    model = producer_model(p)
-    state, _ = stepped(model, ticks=2)
-    model.decls = model.decls._replace(couplings=())
-    stepped(model, state, ticks=3)
-    assert p.calls == [0, 2]
-
-
 def test_a_replay_keeps_the_ids_of_the_influences_it_returns():
     """A producer that makes three influences and returns the first and the
     last: the replay numbers them #0 and #2, as a call would."""
@@ -493,9 +466,9 @@ def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
     for names in (["quiet"], ["quiet", "clock"]):
         model = producer_model()
         model.detectors = {name: detector(name, name == "clock") for name in names}
-        state = initial_state()
+        state, memory = initial_state(), ReplayMemory()
         for tick in range(TICKS):
-            state, info = step(model, state)
+            state, info = step(model, state, memory=memory)
             assert {inf.id for inf in info.produced["macro"]} == {
                 f"{name}@{tick}#0" for name in names}
     assert calls == {"quiet": [0] + list(range(TICKS)), "clock": list(range(TICKS))}
@@ -505,26 +478,30 @@ def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
                                    lambda obj: pickle.loads(pickle.dumps(obj))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_a_copied_snapshot_starts_without_the_production_record(clone):
+    """The memory holds a frozen step for the very snapshot that follows it:
+    a copy, equal as it is, is stepped."""
     p = Steady()
     model = producer_model(p)
-    state, _ = stepped(model, ticks=2)
-    assert "_held_step" in state.__dict__
+    memory = ReplayMemory()
+    state, _ = stepped(model, ticks=2, memory=memory)
+    assert p.calls == [0]
     twin = clone(state)
-    assert "_held_step" not in twin.__dict__
     assert twin == state
-    assert not step(model, twin)[1].replayed
+    assert not step(model, twin, memory=memory)[1].replayed
     assert p.calls == [0, 2]
 
 
 # --- a frozen tick is replayed whole ------------------------------------------------
 
 def replayed_ticks(model, state=None, ticks=TICKS):
-    """The ticks whose step was a held frozen step, replayed whole."""
+    """The ticks whose step was a held frozen step, replayed whole, under one
+    memory."""
     state = state or initial_state()
+    memory = ReplayMemory()
     replayed = []
     for _ in range(ticks):
         tick = state.time
-        state, info = step(model, state)
+        state, info = step(model, state, memory=memory)
         if info.replayed:
             replayed.append(tick)
     return replayed
@@ -535,21 +512,20 @@ def test_a_replayed_tick_runs_no_producer_reaction_or_filter(monkeypatch):
     reactions = []
     for level, rule in model.reactions.items():
         model.reactions[level] = lambda *args, rule=rule: reactions.append(args[0]) or rule(*args)
-    state, _ = stepped(model, ticks=2)
-    held = state.__dict__["_held_step"]
+    memory = ReplayMemory()
+    state, _ = stepped(model, ticks=2, memory=memory)
 
     def never(*args):
         raise AssertionError("called on a replayed tick")
 
-    for name in ("apply_constraints", "quiet_rule", "carried_level", "group_by_level",
-                 "_check_influence"):
+    for name in ("produce_influences", "react", "apply_constraints", "carried_level",
+                 "group_by_level", "_check_influence"):
         monkeypatch.setattr(engine, name, never)
     monkeypatch.setattr(SystemState, "memberships", never)
     for _ in range(3):
-        nxt, info = step(model, state)
+        nxt, info = step(model, state, memory=memory)
         assert info.replayed and not info.events
         assert nxt.per_level is state.per_level and nxt.agents is state.agents
-        assert nxt.__dict__["_held_step"] is held
         state = nxt
     assert [rule.calls for rule in model.behaviors.values()] == [[0], [0], [0]]
     assert sorted(reactions) == ["macro", "micro"]  # tick 0 only
@@ -624,7 +600,7 @@ def test_a_replayed_tick_keeps_each_k_and_remaps_the_inhibition_log(holder):
     """`p` makes three moves and returns its #0 and #2, and the macro agent
     `holder` (its id may hold `@` and `#`) holds `p`'s moves: a replayed tick
     holds the same influences and the same log under its own ids, as
-    stepping the same snapshot without its held step does."""
+    stepping the same snapshot without the memory does."""
     def drops_its_second(ctx):
         made = [ctx.make("move", "micro", to=k) for k in range(3)]
         return [made[0], made[2]]
@@ -637,9 +613,10 @@ def test_a_replayed_tick_keeps_each_k_and_remaps_the_inhibition_log(holder):
     agents = {aid: record for aid, record in state.agents.items() if aid != "m"}
     state = SystemState(per_level={**state.per_level, "macro": LevelState(
         "macro", {body_key(holder): Body("macro")})}, agents={**agents, holder: AgentRecord(holder)})
+    memory = ReplayMemory()
     for tick in range(TICKS):
-        stepped_info = step(model, copy.copy(state))[1]
-        state, info = step(model, state)
+        stepped_info = step(model, state)[1]
+        state, info = step(model, state, memory=memory)
         assert info.replayed == (tick > 0)
         assert not stepped_info.replayed
         assert sorted(inf.id for inf in info.produced["micro"]) == sorted([

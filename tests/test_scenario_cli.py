@@ -230,6 +230,13 @@ KIND_IN_TWO_CLASSES = {
         'influence_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","floor"]]',
         'perception_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","floor"]]',
         'levels=["floor","floor","tasks","control"]',
+        # a kind, an edge or a declaration listed twice (the model would hold it once)
+        'kinds.floor.ordinary=["assign-task","emit-repulsion","forced-move","move","move"]',
+        'influence_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"],["floor","tasks"]]',
+        'perception_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],["floor","control"],["control","floor"]]',
+        'couplings=[{"micro":"floor","macro":"control"},{"micro":"floor","macro":"control"},{"micro":"floor","macro":"tasks"}]',
+        'emergences=[{"kind":"deadlock","macro_level":"control","detector":"deadlock-detector"},{"kind":"deadlock","macro_level":"control","detector":"deadlock-detector"}]',
+        'constraints=[{"kind":"inhibit-move","micro_level":"floor","inhibits":"move"},{"kind":"inhibit-repulsion","micro_level":"floor","inhibits":"emit-repulsion"},{"kind":"inhibit-move","micro_level":"floor","inhibits":"move"}]',
         *KIND_IN_TWO_CLASSES,
     ],
 )
