@@ -1,5 +1,5 @@
-"""Carried-over levels, replayed reactions and frozen ticks, against one
-oracle.
+"""Carried-over levels, replayed reactions and frozen ticks, against three
+oracles.
 
 When a level's reaction leaves every property bound to the object it held and
 the influences routed to it equal the ones it holds, the engine keeps the old
@@ -10,11 +10,17 @@ filtered influences while the level receives none, and replays a frozen tick
 state and agent record kept) whole; both are kept in the run's
 `engine.ReplayMemory`.
 
-The oracle runs the same case one tick at a time, each tick a `run` of one
-tick from a snapshot whose level states are fresh shells: no cache keyed on a
-level state survives a tick, and no memory lives long enough to replay one,
-so every producer and every reaction is called on every tick.  Metrics,
-trace, stop reason, diagnostics and final state must be equal.
+Each oracle switches skips off without patching the engine.  Without
+carry-over, the case runs one tick at a time, each tick a `run` of one tick
+from a snapshot whose level states are fresh shells: no cache keyed on a
+level state survives a tick.  Without replay, each one-tick `run` starts on
+the snapshot itself: the caches survive, but no memory lives long enough to
+replay a reaction or a tick.  Both call every producer and every reaction on
+every tick.  Without replayed production, the case is stepped under one
+memory, each tick from a new snapshot of the same level states and agents:
+the quiet reactions are still replayed, but a held step repeats only on the
+snapshot it was held for, so every producer is called on every tick.
+Metrics, trace, stop reason, diagnostics and final state must be equal.
 """
 
 import collections
@@ -70,21 +76,35 @@ def shelled(state):
     }, state.agents)
 
 
-def oracle_case(raw):
-    """`run_case` one tick at a time, each from a `shelled` snapshot: every
-    producer and every reaction is called on every tick (asserted)."""
+def acting(model, state):
+    """The agents whose behavior a stepped tick on `state` calls."""
+    memberships = state.memberships()
+    return sum(1 for agent_id, record in state.agents.items()
+               if memberships.get(agent_id) and model.behavior_for(record) is not None)
+
+
+def assert_every_producer_called(model, producers, agent_ticks, ticks):
+    stages = collections.Counter()
+    for (_, stage), calls in producers.items():
+        stages[stage] += calls
+    assert stages == {"perceive": agent_ticks, "memorize": agent_ticks, "decide": agent_ticks,
+                      "rule": ticks * len(model.detectors)}
+
+
+def oracle_case(raw, fresh):
+    """`run_case` one tick at a time, each a `run` of one tick from
+    `fresh(state)`: no memory lives long enough to replay a reaction or a
+    tick, so every producer and every reaction is called on every tick
+    (asserted)."""
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
     reactions, producers = counted_reactions(model), counted_producers(model)
     options = run_options(spec)
-    agent_ticks = 0  # the behavior calls of a tick that calls every producer
+    agent_ticks = 0
     records, trace, diagnostics = [], [], []
     for _ in range(spec.run_params["ticks"]):
-        memberships = state.memberships()
-        agent_ticks += sum(1 for agent_id, record in state.agents.items()
-                           if memberships.get(agent_id)
-                           and model.behavior_for(record) is not None)
-        result = run(model, shelled(state), ticks=1, **options)
+        agent_ticks += acting(model, state)
+        result = run(model, fresh(state), ticks=1, **options)
         records += result.records
         trace += result.trace
         diagnostics += result.diagnostics
@@ -92,12 +112,40 @@ def oracle_case(raw):
         if result.stop_reason != "tick-budget":
             break
     assert reactions == dict.fromkeys(model.reactions, state.time)
-    stages = collections.Counter()
-    for (_, stage), calls in producers.items():
-        stages[stage] += calls
-    assert stages == {"perceive": agent_ticks, "memorize": agent_ticks, "decide": agent_ticks,
-                      "rule": state.time * len(model.detectors)}
+    assert_every_producer_called(model, producers, agent_ticks, state.time)
     return RunResult(state, records, result.stop_reason, tuple(diagnostics), tuple(trace))
+
+
+def unheld_case(raw):
+    """`run_case` stepped as `run` steps it, under one memory, but each tick
+    from a new snapshot of the same level states and agents: a held step
+    repeats only on the snapshot it was held for, so no tick is replayed
+    whole and every producer is called on every tick (asserted), while the
+    carried level states and the quiet reaction replay stay."""
+    spec = parse_scenario_dict(raw)
+    model, state = build(spec)
+    producers = counted_producers(model)
+    options = run_options(spec)
+    memory = ReplayMemory()
+    agent_ticks = 0
+    records, trace, diagnostics, stop = [], [], [], "tick-budget"
+    for _ in range(spec.run_params["ticks"]):
+        tick = state.time
+        agent_ticks += acting(model, state)
+        state, info = step(model, SystemState(tick, state.per_level, state.agents),
+                           options["seed"], memory)
+        assert not info.replayed
+        diagnostics += [(tick, name, payload) for _, name, payload in info.events
+                        if name in engine.DIAGNOSTIC_EVENTS]
+        trace += info.trace
+        for observer in options["observers"]:
+            observer(tick, state, info)
+        records.append(options["metrics"](tick, state, info))
+        if options["termination"](state):
+            stop = f"termination:{options['termination'].__name__}"
+            break
+    assert_every_producer_called(model, producers, agent_ticks, state.time)
+    return RunResult(state, records, stop, tuple(diagnostics), tuple(trace))
 
 
 def outputs(result, tmp_path, tag):
@@ -267,13 +315,13 @@ def test_an_unchanged_tick_makes_no_desired_move_call(monkeypatch):
     assert calls
 
 
-# --- every run equals its oracle --------------------------------------------------
+# --- every run equals its oracles -------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
-def test_fixture_runs_equal_the_runs_without_replay(name, tmp_path):
+def test_fixture_runs_equal_the_runs_without_carry_over(name, tmp_path):
     raw = FIXTURE_CASES[name]
-    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
-        oracle_case(raw), tmp_path, "called"
+    assert outputs(run_case(raw), tmp_path, "carried") == outputs(
+        oracle_case(raw, shelled), tmp_path, "rebuilt"
     )
 
 
@@ -287,10 +335,48 @@ def any_floor(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(any_floor())
+def test_generated_runs_equal_the_runs_without_carry_over(tmp_path_factory, raw):
+    tmp_path = tmp_path_factory.mktemp("floor")
+    assert outputs(run_case(raw), tmp_path, "carried") == outputs(
+        oracle_case(raw, shelled), tmp_path, "rebuilt"
+    )
+
+
+def kept(state):
+    return state
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_fixture_runs_equal_the_runs_without_replay(name, tmp_path):
+    raw = FIXTURE_CASES[name]
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        oracle_case(raw, kept), tmp_path, "called"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_floor())
 def test_generated_runs_equal_the_runs_without_replay(tmp_path_factory, raw):
     tmp_path = tmp_path_factory.mktemp("floor")
     assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
-        oracle_case(raw), tmp_path, "called"
+        oracle_case(raw, kept), tmp_path, "called"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_fixture_runs_equal_the_runs_without_replayed_production(name, tmp_path):
+    raw = FIXTURE_CASES[name]
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        unheld_case(raw), tmp_path, "called"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_floor())
+def test_generated_runs_equal_the_runs_without_replayed_production(tmp_path_factory, raw):
+    tmp_path = tmp_path_factory.mktemp("floor")
+    assert outputs(run_case(raw), tmp_path, "replayed") == outputs(
+        unheld_case(raw), tmp_path, "called"
     )
 
 
