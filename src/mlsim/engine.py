@@ -45,13 +45,16 @@ property map without a call.
 A frozen tick is replayed whole.  A tick is frozen when every producer call
 was quiet, every reaction was replayed or quiet, and it kept every level
 state (and so every agent record): every later tick repeats it.  The memory
-holds its step for its successor: per level, the produced influences, which
-give each one's producer, `k`, kind, class and payload (a kept level carries
-none of its own, as nothing was persisted), and the inhibition log by
-(producer, `k`).  A tick on that successor calls no producer and no
-reaction: it makes each influence again as `producer@tick#k`, remaps the log
-to those ids, and keeps the level states and the agent map, holding the step
-for its own successor.
+holds its step for its successor once, as templates in id order: per level,
+each produced influence as the text of its id before and after the tick
+(`producer@`, `#k`), kind, class, producer and payload (a kept level carries
+none of its own, as nothing was persisted), and the inhibition log with its
+ids split the same way.  A tick on that successor calls no producer and no
+reaction: it stamps its own tick into the log's ids, keeps the level states
+and the agent map, and holds the step for its own successor.  Its
+`StepInfo` builds the trace rows from the templates and makes the influences
+again, as `producer@tick#k`, only when `produced` is read.  A step whose ids
+could sort in another order on a later tick is not held (`ReplayMemory.hold`).
 """
 
 from __future__ import annotations
@@ -346,12 +349,6 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     return ProducedStep(group_by_level(state.per_level, produced_sets), new_internal, quiet)
 
 
-def _key(inf_id: str) -> tuple:
-    """(producer, k) of the influence id `producer@tick#k`."""
-    head, _, k = inf_id.rpartition("#")
-    return head.rpartition("@")[0], k
-
-
 def _by_id(inf: Influence) -> str:
     return inf.id
 
@@ -359,13 +356,39 @@ def _by_id(inf: Influence) -> str:
 _NO_INFLUENCES: frozenset = frozenset()
 
 
-@dataclass
 class StepInfo:
-    produced: dict  # LevelId -> frozenset (pre-filter)
-    inhibitions: dict  # LevelId -> tuple[InhibitionRecord]
-    events: tuple  # (level, name, payload) triples
-    tick: int  # the time of the snapshot the step started from
-    replayed: bool = False  # the step was a held frozen step, replayed whole
+    """What one step did: `produced` (LevelId -> frozenset of the influences
+    produced, before filtering), `inhibitions` (LevelId -> tuple of
+    `InhibitionRecord`), `events` ((level, name, payload) triples) and
+    `tick`, the time of the snapshot the step started from.
+
+    A step replayed whole (`replayed`) is given the held step's influence
+    templates instead of `produced` (see `ReplayMemory`): its trace rows
+    are built from them, and `produced` is made from them on its first
+    read only."""
+
+    __slots__ = ("_produced", "_held", "inhibitions", "events", "tick", "replayed")
+
+    def __init__(self, produced, inhibitions, events, tick, held=None):
+        self._produced = produced
+        self._held = held  # (level, influence templates in id order), by level
+        self.inhibitions = inhibitions
+        self.events = events
+        self.tick = tick
+        self.replayed = held is not None
+
+    @property
+    def produced(self) -> dict:
+        produced = self._produced
+        if produced is None:
+            stamp = str(self.tick)
+            produced = self._produced = {
+                level: frozenset([Influence(head + stamp + tail, kind, level, producer, payload,
+                                            klass)
+                                  for head, tail, kind, klass, producer, payload in templates])
+                for level, templates in self._held
+            }
+        return produced
 
     @property
     def trace(self) -> tuple:
@@ -373,20 +396,25 @@ class StepInfo:
         influence by level and id, then every inhibition by level, then
         the reaction events in order."""
         tick = self.tick
+        held = self._held
+        if held is None:
+            produced = self.produced
+            influences = [(level, inf.id, inf.kind, inf.klass, inf.producer)
+                          for level in sorted(produced)
+                          for inf in sorted(produced[level], key=_by_id)]
+        else:
+            stamp = str(tick)
+            influences = [(level, head + stamp + tail, kind, klass, producer)
+                          for level, templates in held
+                          for head, tail, kind, klass, producer, _ in templates]
         rows = [
             {
                 "tick": tick,
                 "level": level,
                 "event": "influence",
-                "payload": {
-                    "id": inf.id,
-                    "kind": inf.kind,
-                    "class": inf.klass,
-                    "producer": inf.producer,
-                },
+                "payload": {"id": inf_id, "kind": kind, "class": klass, "producer": producer},
             }
-            for level in sorted(self.produced)
-            for inf in sorted(self.produced[level], key=_by_id)
+            for level, inf_id, kind, klass, producer in influences
         ]
         rows += [
             {
@@ -425,45 +453,61 @@ def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelS
     return LevelState(old.level, sigma, influences)
 
 
+def _split(inf_id: str) -> tuple:
+    """(`producer@`, `#k`): the influence id `producer@tick#k` around its tick."""
+    return inf_id[:inf_id.rindex("@") + 1], inf_id[inf_id.rindex("#"):]
+
+
 class ReplayMemory:
     """What one run remembers to skip repeated calls (see the module doc): by
     level, the level state whose quiet reaction call saw no influences, and
     the step of the last frozen tick, held for the snapshot it repeats on.
-    The held step's format is written and read here only."""
+    Only this class and `StepInfo` know the held step's format."""
 
     def __init__(self):
         self.quiet: dict = {}  # LevelId -> LevelState
-        self._held: tuple | None = None  # (snapshot, influences, log), by level
+        self._held: tuple | None = None  # (snapshot, influence templates, log), by level
 
     def hold(self, successor: SystemState, produced: dict, inhibitions: dict) -> None:
-        """Hold the step of a frozen tick for the tick on its `successor`."""
-        self._held = successor, produced, {
-            level: tuple([(_key(record.constraint_id), tuple(map(_key, record.inhibited_ids)))
-                          for record in log]) if log else ()
-            for level, log in inhibitions.items()
-        }
+        """Hold the step of a frozen tick for the tick on its `successor`:
+        by level, each influence as a template (the text of its id before
+        and after the tick, kind, class, producer, payload) in id order, and
+        the inhibition log with each id split the same way.  The ids of one
+        tick sort alike on every tick unless a producer's name is another's
+        followed by `@`; such a step is not held, and its successor steps."""
+        producers = {inf.producer for made in produced.values() for inf in made}
+        if any(name.startswith(other + "@") for name in producers for other in producers):
+            self._held = None
+            return
+        influences = tuple(
+            (level, tuple([(*_split(inf.id), inf.kind, inf.klass, inf.producer, inf.payload)
+                           for inf in sorted(produced[level], key=_by_id)]))
+            for level in sorted(produced)
+        )
+        log = tuple(
+            (level, tuple([(_split(record.constraint_id), tuple(map(_split, record.inhibited_ids)))
+                           for record in records]))
+            for level, records in inhibitions.items()
+        )
+        self._held = successor, influences, log
 
     def replay(self, state: SystemState):
         """(next snapshot, StepInfo) of the tick on `state` when the held step
         repeats on it, else None."""
-        if self._held is None or self._held[0] is not state:
+        held = self._held
+        if held is None or held[0] is not state:
             return None
-        _, influences, log = self._held
-        at = f"@{state.time}#"
-        produced = {
-            level: frozenset([Influence(inf.producer + at + inf.id.rpartition("#")[2], inf.kind,
-                                        level, inf.producer, inf.payload, inf.klass)
-                              for inf in made])
-            for level, made in influences.items()
-        }
+        _, influences, log = held
+        stamp = str(state.time)
         inhibitions = {
-            level: tuple([InhibitionRecord(p + at + k, tuple([q + at + j for q, j in hits]))
-                          for (p, k), hits in records]) if records else ()
-            for level, records in log.items()
+            level: tuple([InhibitionRecord(head + stamp + tail,
+                                           tuple([h + stamp + t for h, t in hits]))
+                          for (head, tail), hits in records]) if records else ()
+            for level, records in log
         }
         successor = SystemState(state.time + 1, state.per_level, state.agents)
         self._held = successor, influences, log
-        return successor, StepInfo(produced, inhibitions, (), state.time, replayed=True)
+        return successor, StepInfo(None, inhibitions, (), state.time, held=influences)
 
 
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0,

@@ -34,6 +34,7 @@ from ..engine import (
     Model,
     ReactionResult,
 )
+from ..errors import SafetyViolation
 from ..hierarchy import (
     ConstraintKindDecl,
     Declarations,
@@ -984,12 +985,9 @@ def fms_metrics(tick, state: SystemState, info) -> dict:
     """One metrics row.  The delivered count and the idle ratio are read
     through `LevelState.derived`, once per level state."""
     control = state.per_level[CONTROL].properties
-    active_constraints = sum(
-        1
-        for group in info.produced.values()
-        for inf in group
-        if inf.klass == CONSTRAINT
-    )
+    # `apply_constraints` logs one record per constraint influence of a
+    # level, so the logs count them without reading `info.produced`.
+    active_constraints = sum(map(len, info.inhibitions.values()))
     return {
         "tick": tick,
         "tasks_delivered": state.per_level[TASKS].derived(_delivered),
@@ -1015,8 +1013,6 @@ class SafetyChecker:
         self._checked_tasks = None
 
     def __call__(self, tick, state: SystemState, info):
-        from ..errors import SafetyViolation
-
         floor = state.per_level[FLOOR]
         if floor is not self._checked_floor:
             agvs = floor_agvs(floor)

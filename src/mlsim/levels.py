@@ -103,18 +103,21 @@ def validate(spec: LevelGraphSpec) -> ValidatedLevelGraph:
     """Validate a raw spec.
 
     An empty level set, a dangling edge endpoint and a self-loop edge are
-    hard errors; duplicates disappear through set semantics.
+    hard errors; duplicates disappear through set semantics.  Every dangling
+    edge is named in one message, the edges in sorted order.
     """
     if not spec.levels:
         raise EmptyLevelSet("a level graph needs at least one level")
     relations = {"influence": spec.influence_edges, "perception": spec.perception_edges}
+    dangling = []
     for relation, edges in relations.items():
-        for a, b in edges:
-            for endpoint in (a, b):
-                if endpoint not in spec.levels:
-                    raise UnknownLevelEndpoint(
-                        f"{relation} edge ({a}, {b}) references unknown level {endpoint!r}"
-                    )
+        for a, b in sorted(edges):
+            unknown = [endpoint for endpoint in (a, b) if endpoint not in spec.levels]
+            if unknown:
+                dangling.append(f"{relation} edge ({a}, {b}) references unknown "
+                                f"level{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
+    if dangling:
+        raise UnknownLevelEndpoint("; ".join(dangling))
     loops = sorted(f"{relation} edge ({a}, {b})"
                    for relation, edges in relations.items() for a, b in edges if a == b)
     if loops:

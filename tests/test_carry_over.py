@@ -21,6 +21,8 @@ memory, each tick from a new snapshot of the same level states and agents:
 the quiet reactions are still replayed, but a held step repeats only on the
 snapshot it was held for, so every producer is called on every tick.
 Metrics, trace, stop reason, diagnostics and final state must be equal.
+A tick replayed whole is also checked against the same snapshot stepped
+without a memory: its influences, inhibition log and trace rows.
 """
 
 import collections
@@ -46,11 +48,12 @@ from mlsim.fms.model import (
     fms_metrics,
 )
 from mlsim.scenario import apply_overrides, build, parse_scenario_dict
-from mlsim.state import Body, LevelState, SystemState, body_key
+from mlsim.state import CONSTRAINT, Body, Influence, LevelState, SystemState, body_key
 
 from support import influence
 from test_bookkeeping import scanned_memberships
 from test_golden_digests import ROOT, episode, state_sha256
+from test_replay import Steady, initial_state, producer_model
 from test_static_geometry import generated_floors
 
 FIXTURE_CASES = dict(episode("fixtures", 0, index, ROOT) for index in range(6))
@@ -430,6 +433,105 @@ def test_a_stalled_tick_calls_no_behavior_and_no_detector(name):
         assert deadlock_groups(info) == deadlock_groups(before)
         state = nxt
     assert calls == {}
+
+
+# --- a replayed tick re-stamps the held step -----------------------------------------
+
+# Ticks replayed whole at seed 0; the other three cases never freeze.
+REPLAYED = {"corridor/off": 489, "walled_trap/off": 190, "walled_trap/on": 188}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_every_replayed_tick_equals_the_tick_stepped_without_a_memory(name):
+    spec = parse_scenario_dict(FIXTURE_CASES[name])
+    model, state = build(spec)
+    seed, memory = spec.run_params["seed"], ReplayMemory()
+    replayed = 0
+    for _ in range(spec.run_params["ticks"]):
+        nxt, info = step(model, state, seed, memory)
+        if info.replayed:
+            replayed += 1
+            oracle_next, oracle = step(model, state, seed)
+            assert not oracle.replayed
+            # The trace first: its rows come from the held templates, not `produced`.
+            assert info.trace == oracle.trace
+            assert info.inhibitions == oracle.inhibitions
+            assert info.produced == oracle.produced
+            assert info.events == oracle.events == ()
+            assert nxt.per_level == oracle_next.per_level and nxt.agents == oracle_next.agents
+        state = nxt
+    assert replayed == REPLAYED[name]
+
+
+def test_a_replayed_tick_makes_no_influence_until_produced_is_read(monkeypatch):
+    """A replayed tick, with what `run` reads of it (its trace, the safety
+    checker, the metrics row), makes no `Influence`; `produced` makes each
+    one once."""
+    made = []
+    init = Influence.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Influence, "__init__", counted)
+    spec = parse_scenario_dict(FIXTURE_CASES["walled_trap/on"])
+    model, state = build(spec)
+    checker, memory = SafetyChecker(spec.grid), ReplayMemory()
+    replayed = 0
+    for _ in range(spec.run_params["ticks"]):
+        before = len(made)
+        state, info = step(model, state, spec.run_params["seed"], memory)
+        assert info.trace
+        checker(info.tick, state, info)
+        active = fms_metrics(info.tick, state, info)["active_constraints"]
+        if info.replayed:
+            replayed += 1
+            assert len(made) == before
+            assert active == 4
+    assert replayed == REPLAYED["walled_trap/on"]
+    made.clear()
+    produced = info.produced
+    assert len(made) == sum(map(len, produced.values())) > 0
+    assert info.produced is produced
+    assert len(made) == len(set(map(id, made)))
+
+
+def test_a_step_whose_id_order_moves_with_the_tick_is_not_held():
+    """`p@1@t#0` sorts after `p@t#0` on tick 0 and before it on tick 2: the
+    frozen step of `p` and `p@1` is stepped again on every tick."""
+    model = producer_model()
+    model.behaviors["p@1"] = Steady()
+    state = initial_state(agents=["p@1"])
+    micro = state.per_level["micro"]
+    state = SystemState(per_level={**state.per_level, "micro": LevelState(
+        "micro", {**micro.properties, body_key("p@1"): Body("micro")})}, agents=state.agents)
+    memory = ReplayMemory()
+    for tick in range(4):
+        stepped = step(model, state)[1]
+        state, info = step(model, state, memory=memory)
+        assert not info.replayed
+        assert info.trace == stepped.trace
+    assert [row["payload"]["id"] for row in info.trace] == ["p@1@3#0", "p@3#0"]
+    assert run(model, initial_state(), ticks=4).frozen_from == 1  # `p` alone is held
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_active_constraints_counts_the_produced_constraints(name):
+    spec = parse_scenario_dict(FIXTURE_CASES[name])
+    model, state = build(spec)
+    counts = []
+
+    def metrics(tick, state, info):
+        row = fms_metrics(tick, state, info)
+        produced = sum(inf.klass == CONSTRAINT for infs in info.produced.values() for inf in infs)
+        counts.append((row["active_constraints"], produced))
+        return row
+
+    run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+        observers=(SafetyChecker(spec.grid),), metrics=metrics, termination=all_tasks_delivered)
+    assert all(active == produced for active, produced in counts)
+    assert any(active for active, _ in counts) == (name in ("corridor/on", "walled_trap/on"))
 
 
 # --- the safety checker skips only what it has checked -------------------------

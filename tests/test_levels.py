@@ -44,6 +44,18 @@ def test_dangling_endpoint_rejected():
         validate(LevelGraphSpec.make(["l"], influence_edges=[("l", "x")]))
 
 
+def test_every_dangling_edge_is_named_in_sorted_order():
+    spec = LevelGraphSpec.make(["a", "b"], influence_edges=[("y", "a"), ("a", "b"), ("b", "z")],
+                               perception_edges=[("x", "w")])
+    with pytest.raises(UnknownLevelEndpoint) as exc:
+        validate(spec)
+    assert str(exc.value) == (
+        "influence edge (b, z) references unknown level 'z'; "
+        "influence edge (y, a) references unknown level 'y'; "
+        "perception edge (x, w) references unknown levels 'x', 'w'"
+    )
+
+
 def test_empty_level_set_rejected():
     with pytest.raises(EmptyLevelSet):
         validate(LevelGraphSpec.make([]))

@@ -558,24 +558,41 @@ def test_generated_floors_keep_the_safety_invariants(raw):
 
 # --- determinism across processes --------------------------------------------
 
+# Two dangling influence edges: both are named, in sorted order.
+DANGLING_EDGES = ('influence_edges=[["floor","tasks"],["tasks","floor"],["floor","control"],'
+                  '["control","floor"],["floor","x"],["y","floor"]]')
+
+
 def test_cli_run_is_byte_identical_across_hash_seeds(tmp_path):
+    """corridor/on never freezes; corridor/off and walled_trap/on freeze and
+    replay their held step; the dangling-edge override exits 3 and writes
+    nothing."""
     src = str(Path(mlsim.__file__).resolve().parent.parent)
-    outputs = []
-    for seed in ("0", "1", "2"):
-        metrics = tmp_path / f"metrics-{seed}.csv"
-        trace = tmp_path / f"trace-{seed}.jsonl"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "mlsim.cli", "run",
-             "--scenario", str(SCENARIOS / "corridor.json"), "--control", "on",
-             "--metrics-out", str(metrics), "--trace-out", str(trace)],
-            env=env, capture_output=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        outputs.append((proc.stdout, metrics.read_bytes(), trace.read_bytes()))
-    assert outputs[0][1] and outputs[0][2]
-    for a, b in itertools.pairwise(outputs):
-        assert a == b
+    cases = [("corridor.json", "on", (), 0), ("corridor.json", "off", (), 0),
+             ("walled_trap.json", "on", (), 2),
+             ("corridor.json", "on", ("--override", DANGLING_EDGES), 3)]
+    for scenario, control, extra, exit_code in cases:
+        outputs = []
+        for seed in ("0", "1", "2"):
+            metrics = tmp_path / f"{scenario}-{control}-{exit_code}-{seed}.csv"
+            trace = tmp_path / f"{scenario}-{control}-{exit_code}-{seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "mlsim.cli", "run",
+                 "--scenario", str(SCENARIOS / scenario), "--control", control, *extra,
+                 "--metrics-out", str(metrics), "--trace-out", str(trace)],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert proc.returncode == exit_code, proc.stderr.decode()
+            written = [path.read_bytes() for path in (metrics, trace) if path.exists()]
+            assert len(written) == (0 if exit_code == 3 else 2)
+            outputs.append((proc.stdout, proc.stderr, written))
+        assert all(outputs[0][2]) and bool(outputs[0][0]) == (exit_code != 3)
+        for a, b in itertools.pairwise(outputs):
+            assert a == b
+    assert outputs[0][1].decode() == (
+        "[unknown-level-endpoint] influence edge (floor, x) references unknown level 'x'; "
+        "influence edge (y, floor) references unknown level 'y'\n")
