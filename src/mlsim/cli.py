@@ -1,8 +1,8 @@
 """Command-line runner: validate / run / compare.
 
 Exit codes: 0 success, 1 contract violation during a run, 2 run completed
-with an unresolvable-deadlock diagnostic, 3 invalid scenario or an output
-file that cannot be written.
+with an unresolvable-deadlock diagnostic, 3 invalid scenario, an output file
+that cannot be written, or a command line argparse cannot parse.
 """
 
 from __future__ import annotations
@@ -246,7 +246,17 @@ def cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # only the command line parses arguments
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        """A usage error is a coded `usage` issue and exit 3, not argparse's
+        exit 2, which the exit codes give to a diagnosed deadlock.  The
+        subcommands' parsers are of the same class."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(Issue("usage", f"{self.prog}: {message}"), file=sys.stderr)
+            sys.exit(EXIT_INVALID)
+
+    parser = Parser(
         prog="mlsim",
         description="Multi-level influence/reaction simulator with an AGV fleet reference model",
     )

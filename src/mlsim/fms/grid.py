@@ -176,14 +176,15 @@ def emitter_reach(grid: GridMap, cell: Cell, amplitude: int) -> dict[Cell, int]:
     return grid.distances_below(cell, amplitude)
 
 
-def compute_fields(grid: GridMap, attractors, repulsors, cells=None) -> dict[Cell, float]:
+def compute_fields(grid: GridMap, attractors, repulsors, cells=None) -> dict[Cell, int]:
     """Net potential per free cell, or only at `cells` when given.
 
     attractors / repulsors: iterables of (cell, amplitude).  Raises
-    EmitterOnBlockedCell for any emitter outside the free cell set.
+    EmitterOnBlockedCell for any emitter outside the free cell set.  The
+    sums are Python ints, exact at any amplitude.
     """
-    field = dict.fromkeys(grid.free_cells() if cells is None else cells, 0.0)
-    for sign, emitters in ((1.0, attractors), (-1.0, repulsors)):
+    field = dict.fromkeys(grid.free_cells() if cells is None else cells, 0)
+    for sign, emitters in ((1, attractors), (-1, repulsors)):
         for cell, amplitude in emitters:
             dist = emitter_reach(grid, cell, amplitude)
             for target in field:

@@ -54,7 +54,7 @@ from ..state import (
     bodies_of,
     body_key,
 )
-from .grid import GridMap, bfs_path, compute_fields, emitter_reach
+from .grid import GridMap, bfs_path, emitter_reach
 
 FLOOR = "floor"
 TASKS = "tasks"
@@ -138,20 +138,19 @@ def desired_move(view, agent_id, rng=None):
 
     Candidates are the wall-free 4-neighbors; occupancy is *not* considered
     here - capacity conflicts are the floor reaction's business.  Moves only
-    happen toward a strictly larger net potential, read off the snapshot's
-    shared emitters in `view`.
+    happen toward a strictly larger net potential.  The AGV's cell and its
+    tied best candidates are read off `view.sense()`, the one pass that
+    senses every AGV of the snapshot; the first call on a view makes it.
+    The AGV keeps its cell when no candidate is strictly better, and
+    otherwise takes the least tie, or with jitter on a draw of `rng` among
+    the ties in sorted order.
     """
-    cell = view.agvs[agent_id].get("cell")
-    candidates = view.grid.adjacency[cell]
-    values = view.potential(agent_id, candidates + (cell,))
-    here = values[cell]
-    best = max(map(values.__getitem__, candidates), default=here)
-    if best <= here:
+    cell, ties = view.sense()[agent_id]
+    if not ties:
         return cell
-    ties = [c for c in candidates if values[c] == best]
-    if view.params.jitter and rng is not None and len(ties) > 1:
-        return rng.choice(sorted(ties))
-    return min(ties)
+    if len(ties) > 1 and rng is not None and view.params.jitter:
+        return rng.choice(ties)
+    return ties[0]
 
 
 def _agv_bodies(level_state: LevelState):
@@ -169,14 +168,15 @@ def floor_agvs(level_state: LevelState):
 class FloorView:
     """What the field law reads from one (floor, tasks) snapshot pair.
 
-    The AGVs with repulsion on are gathered once per snapshot, not once per
-    AGV, each with its reach, the cells its field can touch.
-
-    An AGV's net potential is its attraction (every emitting shop's field
-    while idle, its goal's field while assigned) minus the repulsion of the
-    other AGVs whose reach meets its cell or candidates; the rest add
-    nothing there.  Every term is an integer, so the values equal the
-    per-AGV sums exactly, in any order.
+    `sense` evaluates the field law for every AGV of the snapshot in one
+    pass: the rows of the AGVs with repulsion on are read once, the emitting
+    shops' rows once and only when some AGV is idle, and an assigned AGV's
+    goal row once.  An AGV's net potential at its cell and candidates is its
+    attraction (every emitting shop's field while idle, its goal's field
+    while assigned) minus the repulsion of the other AGVs whose reach meets
+    those cells; the rest add nothing there.  Every term is a Python int, so
+    the values equal the per-AGV sums of `compute_fields` exactly, at any
+    amplitude and in any order.
 
     Every producer that senses the same snapshot shares one view, which also
     memoizes each AGV's jitter-free desired move.  The memos cache pure
@@ -191,36 +191,60 @@ class FloorView:
         self.floor = floor
         self.tasks = tasks
         self.agvs = floor_agvs(floor)
-        self._repulsors: list | None = None
+        self._sensed: dict | None = None
         self._moves: dict = {}
 
-    def repulsors(self):
-        """(agent id, emitter, reach) of every AGV with repulsion on."""
-        found = self._repulsors
-        if found is None:
-            amplitude = self.params.repulse
-            found = self._repulsors = [
-                (aid, (b.get("cell"), amplitude),
-                 emitter_reach(self.grid, b.get("cell"), amplitude).keys())
-                for aid, b in self.agvs.items()
-                if b.get("repulsion_on")
-            ]
-        return found
-
-    def potential(self, agent_id, cells):
-        """One AGV's net potential at `cells` (its candidates and its own
-        cell)."""
-        body = self.agvs[agent_id]
-        near = [emitter for other, emitter, reach in self.repulsors()
-                if other != agent_id and not reach.isdisjoint(cells)]
-        amplitude = self.params.attract
-        if body.get("assigned") is None:
-            attract = [(b.get("cell"), amplitude) for b in self.tasks.bodies().values()
-                       if b.get("type") == "shop" and b.get("emitting")]
-        else:
-            goal = agv_goal(body)
-            attract = [(goal, amplitude)] if goal is not None else ()
-        return compute_fields(self.grid, attract, near, cells)
+    def sense(self):
+        """Agent id -> (cell, ties) of every AGV: its cell and, in sorted
+        order, the candidates of the largest net potential when it is
+        strictly larger than the cell's own, else no ties."""
+        sensed = self._sensed
+        if sensed is not None:
+            return sensed
+        grid, agvs = self.grid, self.agvs
+        adjacency = grid.adjacency
+        attract, repulse = self.params.attract, self.params.repulse
+        repulsors = []
+        for aid, body in agvs.items():
+            if body.get("repulsion_on"):
+                row = emitter_reach(grid, body.get("cell"), repulse)
+                repulsors.append((aid, row, row.keys()))
+        shops = None
+        sensed = {}
+        for aid, body in agvs.items():
+            cell = body.get("cell")
+            candidates = adjacency[cell]
+            cells = candidates + (cell,)
+            if body.get("assigned") is None:
+                if shops is None:
+                    shops = [emitter_reach(grid, b.get("cell"), attract)
+                             for b in self.tasks.bodies().values()
+                             if b.get("type") == "shop" and b.get("emitting")]
+                pull = shops
+            else:
+                goal = agv_goal(body)
+                pull = () if goal is None else (emitter_reach(grid, goal, attract),)
+            push = [row for other, row, reach in repulsors
+                    if other != aid and not reach.isdisjoint(cells)]
+            # A cell missing from a row reads the amplitude: it adds nothing.
+            values = []
+            for c in cells:
+                value = 0
+                for row in pull:
+                    d = row.get(c, attract)
+                    if d < attract:
+                        value += attract - d
+                for row in push:
+                    d = row.get(c, repulse)
+                    if d < repulse:
+                        value -= repulse - d
+                values.append(value)
+            here = values.pop()
+            best = max(values, default=here)
+            sensed[aid] = (cell, [c for c, v in zip(candidates, values) if v == best]
+                           if best > here else ())
+        self._sensed = sensed
+        return sensed
 
     def move(self, agent_id):
         """`desired_move` of one AGV with the `min` tie-break."""
@@ -236,7 +260,7 @@ class FieldSensor:
     A view is keyed by the identity of its (floor, tasks) level states: a
     snapshot is never mutated, so a changed level state gets a fresh view,
     and a tick that carries both level states over keeps the view with its
-    repulsors and memoized moves.  Nothing else outlives a view.
+    sensed fields and memoized moves.  Nothing else outlives a view.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mlsim.engine import StepContext, produce_influences, react, run, step
 from mlsim.errors import EmitterOnBlockedCell, SafetyViolation
+from mlsim.fms import model as fms_model
 from mlsim.fms.grid import GridMap, bfs_distances, bfs_path, compute_fields
 from mlsim.fms.model import (
     CONTROL,
@@ -110,8 +111,8 @@ def test_bfs_path_none_when_enclosed():
 def brute_force_field(grid, attractors, repulsors):
     out = {}
     for cell in grid.free_cells():
-        total = 0.0
-        for sign, emitters in ((1.0, attractors), (-1.0, repulsors)):
+        total = 0
+        for sign, emitters in ((1, attractors), (-1, repulsors)):
             for source, amp in emitters:
                 d = bfs_distances(grid, source).get(cell)
                 if d is not None and amp - d > 0:
@@ -176,6 +177,35 @@ def test_fields_match_brute_force(data):
         filled.distances(cell)
     assert compute_fields(filled, attract, repulse) == expected
     assert all(limit == math.inf for limit, _ in filled._rows.values())
+
+
+# Amplitudes from 0 to `top`, or as far above 2**53 or 10**400: a float sum
+# of such terms rounds them (2**53 + 1 is no float) or overflows.
+def amplitudes(top):
+    return (st.integers(0, top) | st.integers(2**53, 2**53 + top)
+            | st.integers(10**400, 10**400 + top))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_fields_are_exact_at_any_amplitude(data):
+    w = data.draw(st.integers(1, 6))
+    h = data.draw(st.integers(1, 6))
+    grid = GridMap(w, h)
+    emitters = data.draw(st.lists(
+        st.tuples(st.sampled_from(grid.free_cells()), amplitudes(8)), min_size=1, max_size=4))
+    split = data.draw(st.integers(0, len(emitters)))
+    attract, repulse = emitters[:split], emitters[split:]
+    field = compute_fields(grid, attract, repulse)
+    assert field == brute_force_field(grid, attract, repulse)
+    assert all(type(value) is int for value in field.values())
+
+
+def test_the_field_keeps_unit_steps_above_2_to_the_53():
+    # As a float, 2**53 + 1 rounds to 2**53, the value one step away.
+    grid = GridMap(3, 1)
+    field = compute_fields(grid, [((0, 0), 2**53 + 1)], [((2, 0), 2)])
+    assert field == {(0, 0): 2**53 + 1, (1, 0): 2**53 - 1, (2, 0): 2**53 - 3}
 
 
 # --- gradient movement -------------------------------------------------------
@@ -341,7 +371,7 @@ def floor_snapshots(draw):
     free = grid.free_cells()
     assume(len(free) >= 2)
     shops = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
-    params = FmsParams(attract=draw(st.integers(0, 9)), repulse=draw(st.integers(0, 6)),
+    params = FmsParams(attract=draw(amplitudes(9)), repulse=draw(amplitudes(6)),
                        jitter=draw(st.booleans()))
     snapshots = []
     for _ in range(draw(st.integers(1, 4))):
@@ -379,6 +409,44 @@ def test_the_shared_view_moves_each_agv_as_it_moved_alone(case):
                 grid, params, aid, body, bodies, emitting, expected
             )
             assert drawn.offered == expected.offered
+
+
+def test_the_first_desired_move_on_a_view_reads_every_row_once(monkeypatch):
+    read = []
+    original = fms_model.emitter_reach
+
+    def counted(grid, cell, amplitude):
+        read.append((cell, amplitude))
+        return original(grid, cell, amplitude)
+
+    monkeypatch.setattr(fms_model, "emitter_reach", counted)
+    grid = GridMap(6, 4)
+    sensor = FieldSensor(grid, FmsParams(attract=9, repulse=3))
+    bodies = {
+        "a1": agv_body((0, 0), assigned="t1", source=(5, 3), dest=(0, 3), repulsion_on=True),
+        "a2": agv_body((2, 1), assigned="t2", source=(5, 0), dest=(0, 3), carrying="t2",
+                       repulsion_on=True),
+        "a3": agv_body((3, 3)),
+        "a4": agv_body((4, 1)),
+    }
+    shops = [((5, 3), True), ((5, 0), False), ((0, 3), True)]
+    view = sensor.view(*snapshot(bodies, shops))
+    desired_move(view, "a3")
+    # The repulsors' rows, a1's and a2's goal rows, and the emitting shops'
+    # rows once for both idle AGVs.
+    assert sorted(read) == sorted([((0, 0), 3), ((2, 1), 3), ((5, 3), 9), ((0, 3), 9),
+                                   ((5, 3), 9), ((0, 3), 9)])
+    read.clear()
+    for aid in bodies:
+        desired_move(view, aid)
+        view.move(aid)
+    assert read == []
+
+    # With no AGV idle, no shop row is read.
+    busy = {aid: b for aid, b in bodies.items() if b.get("assigned") is not None}
+    view = sensor.view(*snapshot(busy, shops))
+    view.move("a1")
+    assert sorted(read) == sorted([((0, 0), 3), ((2, 1), 3), ((5, 3), 9), ((0, 3), 9)])
 
 
 def test_agv_goal_is_the_end_of_the_task_the_agv_serves():

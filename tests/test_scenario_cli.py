@@ -198,6 +198,62 @@ def test_run_exit_three_on_invalid_scenario(capsys):
     assert rc == EXIT_INVALID
 
 
+CORRIDOR_PATH = str(SCENARIOS / "corridor.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--scenario", CORRIDOR_PATH, "--seed", "abc"],
+     "[usage] mlsim run: argument --seed: invalid int value: 'abc'"),
+    (["run", "--scenario", CORRIDOR_PATH, "--control", "maybe"],
+     "[usage] mlsim run: argument --control: invalid choice: 'maybe'"),
+    (["run"], "[usage] mlsim run: the following arguments are required: --scenario"),
+    (["compare", "--scenario", CORRIDOR_PATH, "--ticks", "1.5"],
+     "[usage] mlsim compare: argument --ticks: invalid int value: '1.5'"),
+    (["validate"], "[usage] mlsim validate: the following arguments are required: --scenario"),
+    ([], "[usage] mlsim: the following arguments are required: command"),
+])
+def test_a_usage_error_is_a_coded_issue_and_exit_three(argv, message, capsys):
+    # argparse's own exit 2 would read as a diagnosed deadlock.
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == EXIT_INVALID
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err.splitlines()[-1]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--help"])
+    assert exited.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: mlsim run")
+
+
+def test_python_dash_m_mlsim_exits_three_on_a_bad_argument():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mlsim", "run", "--scenario", CORRIDOR_PATH, "--seed", "abc"],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert done.returncode == EXIT_INVALID
+    assert done.stdout == ""
+    assert "[usage] mlsim run: argument --seed: invalid int value: 'abc'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("attract", [2**60, 10**400], ids=["2**60", "10**400"])
+def test_the_field_law_is_exact_at_any_amplitude(attract, capsys):
+    # As floats, 2**60 - d rounds to 2**60 for small d, which flattens the
+    # field (0 of 2 tasks in 500 ticks), and 10**400 overflows.
+    rc = main(["run", "--scenario", CORRIDOR_PATH, "--control", "on",
+               "--override", f"params.attract={attract}"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr()
+    summary = json.loads(out.out)
+    assert (summary["tasks_delivered"], summary["ticks_run"]) == (2, 44)
+    assert out.err == ""
+
+
 # A kind listed under two classes at one level (the declarations would hold
 # it once), with the issue it must raise.
 KIND_IN_TWO_CLASSES = {
