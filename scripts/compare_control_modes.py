@@ -3,12 +3,12 @@
 
 Every file is validated before any is run: an invalid one is reported (its
 path, then its coded issues) and the script exits 3, as it does when the
-directory is missing or holds no scenario file.
+directory is missing or holds no scenario file, or an argument cannot be
+parsed (a `usage` issue).
 
 Usage: python3 scripts/compare_control_modes.py [--scenario-dir scenarios]
 """
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -16,10 +16,11 @@ from pathlib import Path
 from mlsim.cli import EXIT_INVALID, _with_control, compare_report
 from mlsim.errors import Issue, ScenarioError
 from mlsim.scenario import parse_scenario
+from mlsim.usage import UsageParser
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = UsageParser(description=__doc__)
     parser.add_argument(
         "--scenario-dir", default=Path(__file__).resolve().parent.parent / "scenarios"
     )

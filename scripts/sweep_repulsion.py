@@ -10,25 +10,26 @@ is the tick from which the run was frozen (nothing could change any more), or
 
 Each amplitude is applied as the override `params.repulse=<amplitude>` and
 validated like `mlsim run --override`: an invalid one is reported and the
-script exits 3.  Each run is the one `mlsim run` makes, so it stops as the
+script exits 3, as it does on an argument it cannot parse (a `usage`
+issue).  Each run is the one `mlsim run` makes, so it stops as the
 scenario's `run.termination` says.
 
 Usage: python3 scripts/sweep_repulsion.py [--scenario scenarios/corridor.json]
        [--amplitudes 0,2,4,8] [--control on|off]
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 from mlsim.cli import EXIT_INVALID, _execute
 from mlsim.errors import ScenarioError
 from mlsim.scenario import apply_overrides, parse_scenario, parse_scenario_dict
+from mlsim.usage import UsageParser
 
 
 def main():
     root = Path(__file__).resolve().parent.parent
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = UsageParser(description=__doc__)
     parser.add_argument("--scenario", default=root / "scenarios" / "corridor.json")
     parser.add_argument("--amplitudes", default="0,2,4,8")
     parser.add_argument("--control", choices=["on", "off"], default="off")

@@ -11,7 +11,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .engine import run as engine_run
+from .engine import FrozenSpan, Trace, run as engine_run
 from .errors import Issue, MlsimError, ScenarioError
 from .fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from .scenario import (
@@ -138,26 +138,88 @@ def _shaped(payload):
     return None
 
 
-def write_trace(path, trace):
-    """One JSON line per trace row, with sorted keys, ordered by (tick, level,
-    influence id, event, payload).  Each payload is encoded once, for both
-    its sort key and its line: an influence or inhibition payload by its
-    shape, any other by the encoder.  Each distinct tick, level and event is
-    encoded once per file.  The file is written in one call."""
-    encode = json.JSONEncoder(sort_keys=True, default=str).encode
+def _row_lines(rows, encode, scalar) -> list:
+    """The lines of `rows`, sorted by (tick, level, influence id, event,
+    payload).  Each payload is encoded once, for both its sort key and its
+    line: an influence or inhibition payload by its shape, any other by the
+    encoder."""
     keyed = []
-    for row in trace:
+    for row in rows:
         payload = row["payload"]
         keyed.append((row["tick"], row["level"], str(payload.get("id", "")), row["event"],
                       _shaped(payload) or encode(payload)))
     keyed.sort()
-    scalar = _EncodedScalars(encode)
-    lines = [
+    return [
         f'{{"event": {scalar[type(event), event]}, "level": {scalar[type(level), level]}, '
         f'"payload": {payload}, "tick": {scalar[type(tick), tick]}}}\n'
         for tick, level, _, event, payload in keyed
     ]
-    del keyed  # the payload texts are in the lines now
+
+
+# Marks each place a span's tick goes in its line templates.  The ASCII-only
+# encoder escapes every non-ASCII character, so no encoded value holds it.
+_STAMP = "\N{SECTION SIGN}"
+
+
+def _stamped(head, tail) -> str:
+    """The JSON text of the id `head + tick + tail`, `_STAMP` for the tick."""
+    return f"{_quote(head)[:-1]}{_STAMP}{_quote(tail)[1:]}"
+
+
+def _span_lines(span, scalar) -> list | None:
+    """The lines of a `FrozenSpan`, one text per tick, read from its held
+    step (see `engine.HeldStep`); None when a held value is not an exact
+    `str` or the first tick not an exact int.  Each held row is encoded
+    once, as a line template with `_STAMP` in each tick slot.  The templates
+    are sorted once, by their key at the span's first tick: the ids of one
+    tick sort alike on every tick (`ReplayMemory.hold`), so each tick's rows
+    sort as the rows of the first.  A tick's text is its number joining the
+    pieces between the slots."""
+    held, first = span.held, span.first
+    if type(first) is not int:
+        return None
+    at = str(first)
+    keyed = []
+    for level, templates in held.influences:
+        for head, tail, kind, klass, producer, _ in templates:
+            if not str is type(level) is type(head) is type(tail) is type(kind) is type(
+                    klass) is type(producer):
+                return None
+            keyed.append((level, head + at + tail, "influence",
+                          f'{{"class": {_quote(klass)}, "id": {_stamped(head, tail)}, '
+                          f'"kind": {_quote(kind)}, "producer": {_quote(producer)}}}'))
+    for level, records in held.log:
+        for (head, tail), hits in records:
+            if not (str is type(level) is type(head) is type(tail)
+                    and all(str is type(h) is type(t) for h, t in hits)):
+                return None
+            inhibited = ", ".join([_stamped(h, t) for h, t in hits])
+            keyed.append((level, "", "inhibition",
+                          f'{{"constraint": {_stamped(head, tail)}, "inhibited": [{inhibited}]}}'))
+    keyed.sort(key=lambda row: (*row[:3], row[3].replace(_STAMP, at)))
+    pieces = "".join([
+        f'{{"event": {scalar[str, event]}, "level": {scalar[str, level]}, '
+        f'"payload": {payload}, "tick": {_STAMP}}}\n'
+        for level, _, event, payload in keyed
+    ]).split(_STAMP)
+    return [str(tick).join(pieces) for tick in range(first, span.end)]
+
+
+def write_trace(path, trace):
+    """One JSON line per trace row, with sorted keys, ordered by (tick, level,
+    influence id, event, payload), written in one call.  Each distinct
+    tick, level and event is encoded once per file.
+
+    Any iterable of rows is sorted and encoded row by row.  A run's `Trace`
+    is written segment by segment, in tick order: its stepped rows as any
+    rows, and each frozen span from one encoding of its held rows, with no
+    row built (`_span_lines`)."""
+    encode = json.JSONEncoder(sort_keys=True, default=str).encode
+    scalar = _EncodedScalars(encode)
+    lines = []
+    for segment in trace.segments if isinstance(trace, Trace) else (trace,):
+        span = _span_lines(segment, scalar) if isinstance(segment, FrozenSpan) else None
+        lines += span if span is not None else _row_lines(segment, encode, scalar)
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -244,19 +306,9 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse  # only the command line parses arguments
+    from .usage import UsageParser  # only the command line parses arguments
 
-    class Parser(argparse.ArgumentParser):
-        """A usage error is a coded `usage` issue and exit 3, not argparse's
-        exit 2, which the exit codes give to a diagnosed deadlock.  The
-        subcommands' parsers are of the same class."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            print(Issue("usage", f"{self.prog}: {message}"), file=sys.stderr)
-            sys.exit(EXIT_INVALID)
-
-    parser = Parser(
+    parser = UsageParser(
         prog="mlsim",
         description="Multi-level influence/reaction simulator with an AGV fleet reference model",
     )

@@ -19,7 +19,7 @@ streams are keyed by (seed, producer, tick), and one is seeded only when its
 producer first reads `ctx.rng`.  Bookkeeping scales with the influences
 produced: the graph's route table gives each producer level set its percept
 and targets, the snapshot's membership index gives each agent its levels,
-and trace rows are built only when `StepInfo.trace` is read.
+and a step's trace rows are built only when `StepInfo.trace` is read.
 
 A level whose tick changed nothing is carried over: when its reaction leaves
 every property bound to the very object it held, in the same order, and the
@@ -45,22 +45,31 @@ property map without a call.
 A frozen tick is replayed whole.  A tick is frozen when every producer call
 was quiet, every reaction was replayed or quiet, and it kept every level
 state (and so every agent record): every later tick repeats it.  The memory
-holds its step for its successor once, as templates in id order: per level,
-each produced influence as the text of its id before and after the tick
-(`producer@`, `#k`), kind, class, producer and payload (a kept level carries
-none of its own, as nothing was persisted), and the inhibition log with its
-ids split the same way.  A tick on that successor calls no producer and no
-reaction: it stamps its own tick into the log's ids, keeps the level states
-and the agent map, and holds the step for its own successor.  Its
-`StepInfo` builds the trace rows from the templates and makes the influences
-again, as `producer@tick#k`, only when `produced` is read.  A step whose ids
-could sort in another order on a later tick is not held (`ReplayMemory.hold`).
+holds its step for its successor once, as a `HeldStep`: per level, each
+produced influence as a template in id order, with the text of its id before
+and after the tick (`producer@`, `#k`), and the inhibition log with its ids
+split the same way (a kept level carries no influences of its own, as
+nothing was persisted).  A tick on that successor calls no producer and no
+reaction: it keeps the level states and the agent map, and holds the step
+for its own successor.  Its `StepInfo` carries the held step, and makes the
+influences (`producer@tick#k`) and the inhibition records from it only when
+`produced` or `inhibitions` is read.  A step whose ids could sort in another
+order on a later tick is not held (`ReplayMemory.hold`).
+
+`run(collect_trace=True)` returns the trace as a `Trace`, a read-only
+sequence of the rows every tick's `StepInfo.trace` gives: consecutive
+stepped ticks' rows in one list, and each run of ticks replaying one held
+step as a `FrozenSpan` of (held step, first tick, end), whose rows are built
+only when read.  The held step's layout is read outside this module only by
+`cli.write_trace`, which writes a span from one encoding of its templates.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import is_
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
@@ -356,23 +365,109 @@ def _by_id(inf: Influence) -> str:
 _NO_INFLUENCES: frozenset = frozenset()
 
 
+def _trace_rows(tick, influences, inhibitions, events) -> tuple:
+    """One step's trace rows: an influence row per (level, id, kind, class,
+    producer), an inhibition row per (level, constraint id, inhibited ids),
+    then a row per reaction event, in the order given."""
+    rows = [
+        {
+            "tick": tick,
+            "level": level,
+            "event": "influence",
+            "payload": {"id": inf_id, "kind": kind, "class": klass, "producer": producer},
+        }
+        for level, inf_id, kind, klass, producer in influences
+    ]
+    rows += [
+        {
+            "tick": tick,
+            "level": level,
+            "event": "inhibition",
+            "payload": {"constraint": constraint_id, "inhibited": inhibited},
+        }
+        for level, constraint_id, inhibited in inhibitions
+    ]
+    rows += [
+        {"tick": tick, "level": level, "event": name, "payload": payload}
+        for level, name, payload in events
+    ]
+    return tuple(rows)
+
+
+class HeldStep:
+    """The step of a frozen tick, held once for every tick that repeats it
+    (see the module doc).  Its layout, which only this module and
+    `cli.write_trace` (through a `FrozenSpan`) read:
+
+    - `influences`: `(level, templates)` by level in level order, with one
+      template per produced influence in id order: `(head, tail, kind,
+      klass, producer, payload)`, where the influence's id on tick `t` is
+      `head + str(t) + tail` (`producer@` and `#k`);
+    - `log`: `(level, records)` by level in level order, every level of the
+      snapshot, with one record per constraint applied, in the log's order:
+      `((head, tail), hits)`, the constraint's id and the ids it inhibited,
+      each split around the tick the same way;
+    - `constraints`: the number of records in `log`, and `row_count` the
+      number of trace rows of one tick (a frozen tick emits no event).
+
+    `rows`, `produced` and `inhibitions` build what a tick `t` repeating it
+    reports; they equal what stepping its snapshot would report."""
+
+    __slots__ = ("influences", "log", "constraints", "row_count")
+
+    def __init__(self, influences: tuple, log: tuple):
+        self.influences = influences
+        self.log = log
+        self.constraints = sum(len(records) for _, records in log)
+        self.row_count = sum(len(templates) for _, templates in influences) + self.constraints
+
+    def rows(self, tick) -> tuple:
+        stamp = str(tick)
+        return _trace_rows(
+            tick,
+            [(level, head + stamp + tail, kind, klass, producer)
+             for level, templates in self.influences
+             for head, tail, kind, klass, producer, _ in templates],
+            [(level, head + stamp + tail, [h + stamp + t for h, t in hits])
+             for level, records in self.log for (head, tail), hits in records],
+            (),
+        )
+
+    def produced(self, tick) -> dict:
+        stamp = str(tick)
+        return {
+            level: frozenset([Influence(head + stamp + tail, kind, level, producer, payload, klass)
+                              for head, tail, kind, klass, producer, payload in templates])
+            for level, templates in self.influences
+        }
+
+    def inhibitions(self, tick) -> dict:
+        stamp = str(tick)
+        return {
+            level: tuple([InhibitionRecord(head + stamp + tail,
+                                           tuple([h + stamp + t for h, t in hits]))
+                          for (head, tail), hits in records])
+            for level, records in self.log
+        }
+
+
 class StepInfo:
     """What one step did: `produced` (LevelId -> frozenset of the influences
     produced, before filtering), `inhibitions` (LevelId -> tuple of
-    `InhibitionRecord`), `events` ((level, name, payload) triples) and
-    `tick`, the time of the snapshot the step started from.
+    `InhibitionRecord`), `constraints` (the number of constraint influences
+    applied, one per inhibition record), `events` ((level, name, payload)
+    triples) and `tick`, the time of the snapshot the step started from.
 
-    A step replayed whole (`replayed`) is given the held step's influence
-    templates instead of `produced` (see `ReplayMemory`): its trace rows
-    are built from them, and `produced` is made from them on its first
-    read only."""
+    A step replayed whole (`replayed`) carries the `HeldStep` it repeats as
+    `held`, and `produced` and `inhibitions` are made from it on their first
+    read only; `constraints` is read off the held log."""
 
-    __slots__ = ("_produced", "_held", "inhibitions", "events", "tick", "replayed")
+    __slots__ = ("_produced", "_inhibitions", "held", "events", "tick", "replayed")
 
-    def __init__(self, produced, inhibitions, events, tick, held=None):
+    def __init__(self, produced, inhibitions, events, tick, held: HeldStep | None = None):
         self._produced = produced
-        self._held = held  # (level, influence templates in id order), by level
-        self.inhibitions = inhibitions
+        self._inhibitions = inhibitions
+        self.held = held
         self.events = events
         self.tick = tick
         self.replayed = held is not None
@@ -381,59 +476,38 @@ class StepInfo:
     def produced(self) -> dict:
         produced = self._produced
         if produced is None:
-            stamp = str(self.tick)
-            produced = self._produced = {
-                level: frozenset([Influence(head + stamp + tail, kind, level, producer, payload,
-                                            klass)
-                                  for head, tail, kind, klass, producer, payload in templates])
-                for level, templates in self._held
-            }
+            produced = self._produced = self.held.produced(self.tick)
         return produced
+
+    @property
+    def inhibitions(self) -> dict:
+        inhibitions = self._inhibitions
+        if inhibitions is None:
+            inhibitions = self._inhibitions = self.held.inhibitions(self.tick)
+        return inhibitions
+
+    @property
+    def constraints(self) -> int:
+        if self.held is not None:
+            return self.held.constraints
+        return sum(map(len, self._inhibitions.values()))
 
     @property
     def trace(self) -> tuple:
         """The step's trace rows, built on each read: every produced
         influence by level and id, then every inhibition by level, then
         the reaction events in order."""
-        tick = self.tick
-        held = self._held
-        if held is None:
-            produced = self.produced
-            influences = [(level, inf.id, inf.kind, inf.klass, inf.producer)
-                          for level in sorted(produced)
-                          for inf in sorted(produced[level], key=_by_id)]
-        else:
-            stamp = str(tick)
-            influences = [(level, head + stamp + tail, kind, klass, producer)
-                          for level, templates in held
-                          for head, tail, kind, klass, producer, _ in templates]
-        rows = [
-            {
-                "tick": tick,
-                "level": level,
-                "event": "influence",
-                "payload": {"id": inf_id, "kind": kind, "class": klass, "producer": producer},
-            }
-            for level, inf_id, kind, klass, producer in influences
-        ]
-        rows += [
-            {
-                "tick": tick,
-                "level": level,
-                "event": "inhibition",
-                "payload": {
-                    "constraint": record.constraint_id,
-                    "inhibited": list(record.inhibited_ids),
-                },
-            }
-            for level in sorted(self.inhibitions)
-            for record in self.inhibitions[level]
-        ]
-        rows += [
-            {"tick": tick, "level": level, "event": name, "payload": payload}
-            for level, name, payload in self.events
-        ]
-        return tuple(rows)
+        if self.held is not None:
+            return self.held.rows(self.tick)
+        produced, inhibitions = self._produced, self._inhibitions
+        return _trace_rows(
+            self.tick,
+            [(level, inf.id, inf.kind, inf.klass, inf.producer)
+             for level in sorted(produced) for inf in sorted(produced[level], key=_by_id)],
+            [(level, record.constraint_id, list(record.inhibited_ids))
+             for level in sorted(inhibitions) for record in inhibitions[level]],
+            self.events,
+        )
 
 
 def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelState:
@@ -461,20 +535,18 @@ def _split(inf_id: str) -> tuple:
 class ReplayMemory:
     """What one run remembers to skip repeated calls (see the module doc): by
     level, the level state whose quiet reaction call saw no influences, and
-    the step of the last frozen tick, held for the snapshot it repeats on.
-    Only this class and `StepInfo` know the held step's format."""
+    the `HeldStep` of the last frozen tick, held for the snapshot it repeats
+    on."""
 
     def __init__(self):
         self.quiet: dict = {}  # LevelId -> LevelState
-        self._held: tuple | None = None  # (snapshot, influence templates, log), by level
+        self._held: tuple | None = None  # (snapshot, HeldStep)
 
     def hold(self, successor: SystemState, produced: dict, inhibitions: dict) -> None:
-        """Hold the step of a frozen tick for the tick on its `successor`:
-        by level, each influence as a template (the text of its id before
-        and after the tick, kind, class, producer, payload) in id order, and
-        the inhibition log with each id split the same way.  The ids of one
-        tick sort alike on every tick unless a producer's name is another's
-        followed by `@`; such a step is not held, and its successor steps."""
+        """Hold the step of a frozen tick for the tick on its `successor`.
+        The ids of one tick sort alike on every tick unless a producer's
+        name is another's followed by `@`; such a step is not held, and its
+        successor steps."""
         producers = {inf.producer for made in produced.values() for inf in made}
         if any(name.startswith(other + "@") for name in producers for other in producers):
             self._held = None
@@ -489,7 +561,7 @@ class ReplayMemory:
                            for record in records]))
             for level, records in inhibitions.items()
         )
-        self._held = successor, influences, log
+        self._held = successor, HeldStep(influences, log)
 
     def replay(self, state: SystemState):
         """(next snapshot, StepInfo) of the tick on `state` when the held step
@@ -497,17 +569,9 @@ class ReplayMemory:
         held = self._held
         if held is None or held[0] is not state:
             return None
-        _, influences, log = held
-        stamp = str(state.time)
-        inhibitions = {
-            level: tuple([InhibitionRecord(head + stamp + tail,
-                                           tuple([h + stamp + t for h, t in hits]))
-                          for (head, tail), hits in records]) if records else ()
-            for level, records in log
-        }
         successor = SystemState(state.time + 1, state.per_level, state.agents)
-        self._held = successor, influences, log
-        return successor, StepInfo(None, inhibitions, (), state.time, held=influences)
+        self._held = successor, held[1]
+        return successor, StepInfo(None, None, (), state.time, held=held[1])
 
 
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0,
@@ -623,13 +687,68 @@ def step(model: Model, state: SystemState, seed: int = 0, memory: ReplayMemory |
     return react(model, state, produced, seed, memory)
 
 
+class FrozenSpan(Sequence):
+    """The trace rows of ticks `first` to `end - 1` of a run, each a replay
+    of the one `held` step (a `HeldStep`, whose docstring gives the layout),
+    built on read by `HeldStep.rows`."""
+
+    __slots__ = ("held", "first", "end")
+
+    def __init__(self, held: HeldStep, first: int, end: int):
+        self.held = held
+        self.first = first
+        self.end = end
+
+    def __len__(self) -> int:
+        return (self.end - self.first) * self.held.row_count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        ticks, k = divmod(range(len(self))[index], self.held.row_count)
+        return self.held.rows(self.first + ticks)[k]
+
+    def __iter__(self):
+        rows = self.held.rows
+        for tick in range(self.first, self.end):
+            yield from rows(tick)
+
+
+class Trace(Sequence):
+    """A run's trace rows, read-only, in the order each tick's
+    `StepInfo.trace` gives them.  They are kept as `segments` in tick order:
+    the rows of consecutive stepped ticks in one list, and each run of ticks
+    that replayed one held step as a `FrozenSpan`, whose rows are built only
+    when read.  `len` counts rows without building them."""
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments):
+        self.segments = tuple(segments)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.segments))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = range(len(self))[index]
+        for segment in self.segments:
+            if index < len(segment):
+                return segment[index]
+            index -= len(segment)
+
+    def __iter__(self):
+        return chain.from_iterable(self.segments)
+
+
 @dataclass
 class RunResult:
     final_state: SystemState
     records: list  # one metrics dict per executed tick
     stop_reason: str
     diagnostics: tuple = ()  # (tick, name, payload) triples
-    trace: tuple = ()
+    trace: Sequence = ()  # a `Trace` from `run`; empty unless it collected one
     frozen_from: int | None = None  # the tick from which every step was replayed whole
 
 
@@ -660,7 +779,8 @@ def run(
 
     records = []
     diagnostics = []
-    trace: list = []
+    segments: list = []  # of the trace: stepped rows lists and `FrozenSpan`s, in tick order
+    rows = span = None  # the open segment, stepped rows or a span; the other is None
     stop_reason = "tick-budget"
     frozen_from = None
     memory = ReplayMemory()
@@ -675,7 +795,17 @@ def run(
             if name in DIAGNOSTIC_EVENTS:
                 diagnostics.append((tick, name, payload))
         if collect_trace:
-            trace.extend(info.trace)
+            held = info.held
+            if held is None:
+                if rows is None:
+                    rows, span = [], None
+                    segments.append(rows)
+                rows += info.trace
+            elif span is not None and span.held is held:
+                span.end = tick + 1  # the held step repeated on the next tick
+            else:
+                rows, span = None, FrozenSpan(held, tick, tick + 1)
+                segments.append(span)
         for observer in observers:
             observer(tick, state, info)
         if metrics is not None:
@@ -690,6 +820,6 @@ def run(
         records=records,
         stop_reason=stop_reason,
         diagnostics=tuple(diagnostics),
-        trace=tuple(trace),
+        trace=Trace(segments),
         frozen_from=frozen_from,
     )

@@ -1007,17 +1007,16 @@ all_tasks_delivered.__name__ = "all-delivered"
 
 def fms_metrics(tick, state: SystemState, info) -> dict:
     """One metrics row.  The delivered count and the idle ratio are read
-    through `LevelState.derived`, once per level state."""
+    through `LevelState.derived`, once per level state; the active
+    constraints are `info.constraints`, which a replayed tick answers
+    without making its influences or inhibition records."""
     control = state.per_level[CONTROL].properties
-    # `apply_constraints` logs one record per constraint influence of a
-    # level, so the logs count them without reading `info.produced`.
-    active_constraints = sum(map(len, info.inhibitions.values()))
     return {
         "tick": tick,
         "tasks_delivered": state.per_level[TASKS].derived(_delivered),
         "deadlocks_detected": control.get("deadlocks_detected", 0),
         "deadlocks_resolved": control.get("deadlocks_resolved", 0),
-        "active_constraints": active_constraints,
+        "active_constraints": info.constraints,
         "agv_idle_ratio": state.per_level[FLOOR].derived(_idle_ratio),
     }
 

@@ -40,7 +40,14 @@ from mlsim.fms.model import (
     fms_metrics,
     make_tasks_reaction,
 )
-from mlsim.hierarchy import InfluenceSelector, InhibitionRecord, apply_constraints
+from mlsim.hierarchy import (
+    ConstraintKindDecl,
+    Declarations,
+    HierarchicalCoupling,
+    InfluenceSelector,
+    InhibitionRecord,
+    apply_constraints,
+)
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.scenario import build, parse_scenario
 from mlsim.state import (
@@ -59,8 +66,9 @@ from mlsim.state import (
     member_levels,
 )
 
-from support import influence
+from support import identity_reaction, influence
 from test_golden_digests import ROOT
+from test_replay import Steady
 
 LEVELS = ("micro", "macro")
 AGENTS = ("a", "b", "c", "d")
@@ -362,6 +370,9 @@ def test_fixture_step_traces_equal_the_eager_rows():
 
 @pytest.mark.parametrize("collect", [False, True])
 def test_trace_rows_are_built_only_when_collected(collect, monkeypatch):
+    """With collection off, no tick's `StepInfo.trace` is read; with it on,
+    exactly the stepped ticks' are: a replayed tick's rows stay in the held
+    step the run's trace keeps for its span."""
     reads = []
     eager = StepInfo.trace
 
@@ -372,9 +383,17 @@ def test_trace_rows_are_built_only_when_collected(collect, monkeypatch):
     monkeypatch.setattr(StepInfo, "trace", property(counted))
     spec = parse_scenario(ROOT / "scenarios" / "corridor.json")
     model, state = build(spec)
-    result = run(model, state, ticks=60, seed=0, observers=(SafetyChecker(spec.grid),),
-                 metrics=fms_metrics, termination=all_tasks_delivered, collect_trace=collect)
-    assert reads == (list(range(len(result.records))) if collect else [])
+    stepped = []
+
+    def stepped_ticks(tick, state, info):
+        if not info.replayed:
+            stepped.append(tick)
+
+    result = run(model, state, ticks=60, seed=0,
+                 observers=(SafetyChecker(spec.grid), stepped_ticks), metrics=fms_metrics,
+                 termination=all_tasks_delivered, collect_trace=collect)
+    assert 0 < len(stepped) < len(result.records) == 60  # the corridor freezes
+    assert reads == (stepped if collect else [])
     assert bool(result.trace) == collect
 
 
@@ -486,6 +505,80 @@ def test_write_trace_equals_json_dumps_per_row(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     cli.write_trace(path, rows)
     assert path.read_text() == dumped_trace(rows)
+
+
+# Names that trouble a tick stamp: digits and the tick's own digits, the id
+# separators `@` and `#`, what JSON escapes, and non-ASCII, the section sign
+# (the trace writer's stamp) among it.
+hostile_names = st.one_of(
+    st.text("09@#\"\\é\N{SECTION SIGN}", min_size=1, max_size=4),
+    st.sampled_from(["96", "99", "100", "101", "@100#", "#0"]),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(hostile_names, min_size=5, max_size=5, unique=True), st.integers(1, 3),
+       st.booleans(), st.booleans())
+def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_producer,
+                                              subclassed):
+    """A toy model frozen from its second tick, started at tick 95 so that
+    the tick gains a digit in mid-span, with hostile level, kind and producer
+    names: `p` makes `made` moves and `m` holds them.  The run's trace is
+    its ticks' stepped rows, and the file written from it equals the file
+    written row by row and per-row `json.dumps`.  A kind that is not an
+    exact `str` leaves the span to the row path."""
+    micro, macro, p, m, move = names
+    hold = move + "!"
+    if subclassed:
+        move = Text(move)
+    graph = validate(LevelGraphSpec.make([micro, macro], [(micro, macro), (macro, micro)],
+                                         [(micro, macro), (macro, micro)]))
+    selector = InfluenceSelector(move, p if by_producer else None)
+    model = Model(
+        graph=graph,
+        behaviors={p: Steady(lambda ctx: [ctx.make(move, micro, to=k) for k in range(made)]),
+                   m: Steady(lambda ctx: [ctx.make(hold, micro, klass=CONSTRAINT,
+                                                   selector=selector)])},
+        reactions={micro: identity_reaction, macro: identity_reaction},
+        decls=Declarations({micro: frozenset({move, hold}), macro: frozenset()},
+                           couplings=(HierarchicalCoupling(micro, macro),),
+                           constraints=(ConstraintKindDecl(hold, micro, move),)),
+    )
+    state = SystemState(time=95, per_level={
+        micro: LevelState(micro, {body_key(p): Body(micro)}),
+        macro: LevelState(macro, {body_key(m): Body(macro)}),
+    }, agents={p: AgentRecord(p), m: AgentRecord(m)})
+    result = run(model, state, ticks=8, collect_trace=True)
+    # A name that is the other's followed by `@` sorts with the tick: not held.
+    held = not (m.startswith(p + "@") or p.startswith(m + "@"))
+    assert result.frozen_from == (96 if held else None)
+    stepped = []
+    for _ in range(8):
+        state, info = step(model, state)
+        stepped += info.trace
+    rows = list(result.trace)
+    assert rows == stepped
+    assert len(result.trace) == len(rows)
+    folder = tmp_path_factory.mktemp("span")
+    cli.write_trace(folder / "span.jsonl", result.trace)
+    cli.write_trace(folder / "rows.jsonl", rows)
+    assert (folder / "span.jsonl").read_text() == (folder / "rows.jsonl").read_text() == (
+        dumped_trace(rows))
+
+
+def test_a_long_frozen_run_keeps_one_span(tmp_path):
+    """5,000 corridor ticks with control off: one stepped segment, then one
+    span to the end, written as its rows are."""
+    spec = parse_scenario(ROOT / "scenarios" / "corridor.json")
+    model, state = build(spec)
+    result = run(model, state, ticks=5000, seed=0, observers=(SafetyChecker(spec.grid),),
+                 metrics=fms_metrics, collect_trace=True)
+    stepped, span = result.trace.segments
+    assert (span.first, span.end) == (result.frozen_from, 5000)
+    assert len(result.trace) == len(stepped) + len(span)
+    cli.write_trace(tmp_path / "span.jsonl", result.trace)
+    cli.write_trace(tmp_path / "rows.jsonl", list(result.trace))
+    assert (tmp_path / "span.jsonl").read_bytes() == (tmp_path / "rows.jsonl").read_bytes()
 
 
 metric_values = st.sampled_from([

@@ -47,6 +47,7 @@ from mlsim.fms.model import (
     floor_agvs,
     fms_metrics,
 )
+from mlsim.hierarchy import InhibitionRecord
 from mlsim.scenario import apply_overrides, build, parse_scenario_dict
 from mlsim.state import CONSTRAINT, Body, Influence, LevelState, SystemState, body_key
 
@@ -494,6 +495,45 @@ def test_a_replayed_tick_makes_no_influence_until_produced_is_read(monkeypatch):
     produced = info.produced
     assert len(made) == sum(map(len, produced.values())) > 0
     assert info.produced is produced
+    assert len(made) == len(set(map(id, made)))
+
+
+def test_a_replayed_tick_makes_no_inhibition_record_until_inhibitions_is_read(
+        monkeypatch, tmp_path):
+    """Under `run`, with the safety checker, the metrics row and the trace
+    (collected and written), a replayed tick makes no `InhibitionRecord`:
+    `active_constraints` is the held log's count.  `inhibitions` makes each
+    record once."""
+    made = []
+    init = InhibitionRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InhibitionRecord, "__init__", counted)
+    spec = parse_scenario_dict(FIXTURE_CASES["walled_trap/on"])
+    model, state = build(spec)
+    infos, made_by_tick = [], []
+
+    def probe(tick, state, info):
+        infos.append(info)
+        made_by_tick.append(len(made))
+
+    options = run_options(spec)
+    options["observers"] += (probe,)
+    result = run(model, state, ticks=spec.run_params["ticks"], **options)
+    replayed = [tick for tick, info in enumerate(infos) if info.replayed]
+    assert len(replayed) == REPLAYED["walled_trap/on"]
+    assert all(made_by_tick[tick] == made_by_tick[tick - 1] for tick in replayed)
+    assert {result.records[tick]["active_constraints"] for tick in replayed} == {4}
+    before = len(made)
+    cli.write_trace(tmp_path / "trace.jsonl", result.trace)
+    assert len(made) == before
+    made.clear()
+    inhibitions = infos[-1].inhibitions
+    assert len(made) == sum(map(len, inhibitions.values())) == 4
+    assert infos[-1].inhibitions is inhibitions
     assert len(made) == len(set(map(id, made)))
 
 

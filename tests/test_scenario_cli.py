@@ -710,6 +710,29 @@ def test_scripts_run(script, tmp_path, capsys):
             assert done.stderr == f"[parse] no scenario files under {where}\n"
 
 
+@pytest.mark.parametrize("script, args, message", [
+    ("sweep_repulsion.py", ["--control", "maybe"],
+     "[usage] sweep_repulsion.py: argument --control: invalid choice: 'maybe'"),
+    ("compare_control_modes.py", ["--bogus"],
+     "[usage] compare_control_modes.py: unrecognized arguments: --bogus"),
+])
+def test_a_script_exits_three_on_a_bad_argument(script, args, message):
+    """As `mlsim` does: argparse's own exit 2 would read as a diagnosed
+    deadlock.  `--help` still exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    path = str(ROOT / "scripts" / script)
+    done = subprocess.run([sys.executable, path, *args], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60)
+    assert done.returncode == EXIT_INVALID
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1].startswith(message)
+    assert "Traceback" not in done.stderr
+    done = subprocess.run([sys.executable, path, "--help"], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith(f"usage: {script}")
+
+
 # --- unknown keys ------------------------------------------------------------
 
 @pytest.mark.parametrize("path, value", [

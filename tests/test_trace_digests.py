@@ -5,7 +5,9 @@ The two traced workloads are the six fixture cases and the eight
 aisle-standoffs floors; each is run at seed 0 through parse -> build -> run
 with `collect_trace=True`, written with `cli.write_trace`, and its sha256
 compared with the pin below.  A change to how trace rows are built, ordered
-or encoded shows up here.
+or encoded shows up here.  The file written from the run's trace, whose
+frozen spans are written from their held step, must equal the file written
+from its rows one by one.
 """
 
 import hashlib
@@ -50,6 +52,9 @@ EPISODES = traced_episodes()
 
 
 def trace_sha256(raw, tmp_path):
+    """The sha256 of the episode's trace file.  The run's trace is written
+    by spans; it must give the bytes of its rows written one by one, and
+    count them without building them."""
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
     result = run(
@@ -57,8 +62,12 @@ def trace_sha256(raw, tmp_path):
         observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
         termination=all_tasks_delivered, collect_trace=True,
     )
-    path = tmp_path / "trace.jsonl"
+    path, rows_path = tmp_path / "trace.jsonl", tmp_path / "rows.jsonl"
     cli.write_trace(path, result.trace)
+    rows = list(result.trace)
+    cli.write_trace(rows_path, rows)
+    assert path.read_bytes() == rows_path.read_bytes()
+    assert len(result.trace) == len(rows)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
