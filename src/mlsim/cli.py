@@ -11,7 +11,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .engine import FrozenSpan, Trace, run as engine_run
+from .engine import Trace, run as engine_run
 from .errors import Issue, MlsimError, ScenarioError
 from .fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from .scenario import (
@@ -166,16 +166,17 @@ def _stamped(head, tail) -> str:
     return f"{_quote(head)[:-1]}{_STAMP}{_quote(tail)[1:]}"
 
 
-def _span_lines(span, scalar) -> list | None:
-    """The lines of a `FrozenSpan`, one text per tick, read from its held
-    step (see `engine.HeldStep`); None when a held value is not an exact
-    `str` or the first tick not an exact int.  Each held row is encoded
-    once, as a line template with `_STAMP` in each tick slot.  The templates
-    are sorted once, by their key at the span's first tick: the ids of one
-    tick sort alike on every tick (`ReplayMemory.hold`), so each tick's rows
-    sort as the rows of the first.  A tick's text is its number joining the
-    pieces between the slots."""
-    held, first = span.held, span.first
+def _span_lines(held, end, scalar) -> list | None:
+    """The lines of a run's frozen tail, ticks `held.first` to `end - 1`,
+    one text per tick, read from its held step (see `engine.HeldStep`);
+    None when a held value is not an exact `str` or the first tick not an
+    exact int.  Each held row is encoded once, as a line template with
+    `_STAMP` in each tick slot.  The templates are sorted once, by their key
+    at the first tick: the ids of one tick sort alike on every tick
+    (`ReplayMemory.hold`), so each tick's rows sort as the rows of the
+    first.  A tick's text is its number joining the pieces between the
+    slots."""
+    first = held.first
     if type(first) is not int:
         return None
     at = str(first)
@@ -202,7 +203,7 @@ def _span_lines(span, scalar) -> list | None:
         f'"payload": {payload}, "tick": {_STAMP}}}\n'
         for level, _, event, payload in keyed
     ]).split(_STAMP)
-    return [str(tick).join(pieces) for tick in range(first, span.end)]
+    return [str(tick).join(pieces) for tick in range(first, end)]
 
 
 def write_trace(path, trace):
@@ -211,15 +212,16 @@ def write_trace(path, trace):
     tick, level and event is encoded once per file.
 
     Any iterable of rows is sorted and encoded row by row.  A run's `Trace`
-    is written segment by segment, in tick order: its stepped rows as any
-    rows, and each frozen span from one encoding of its held rows, with no
-    row built (`_span_lines`)."""
+    is written as its stepped rows, then its frozen tail, whose ticks follow
+    them, from one encoding of its held rows with no row built
+    (`_span_lines`), or from the tail's rows when that gives None."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
     scalar = _EncodedScalars(encode)
-    lines = []
-    for segment in trace.segments if isinstance(trace, Trace) else (trace,):
-        span = _span_lines(segment, scalar) if isinstance(segment, FrozenSpan) else None
-        lines += span if span is not None else _row_lines(segment, encode, scalar)
+    held = trace.held if isinstance(trace, Trace) else None
+    lines = _row_lines(trace if held is None else trace.rows, encode, scalar)
+    if held is not None:
+        tail = _span_lines(held, trace.end, scalar)
+        lines += tail if tail is not None else _row_lines(trace.tail(), encode, scalar)
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -305,7 +307,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The `mlsim` command line's parser, a `usage.UsageParser`."""
     from .usage import UsageParser  # only the command line parses arguments
 
     parser = UsageParser(

@@ -56,20 +56,20 @@ influences (`producer@tick#k`) and the inhibition records from it only when
 `produced` or `inhibitions` is read.  A step whose ids could sort in another
 order on a later tick is not held (`ReplayMemory.hold`).
 
-`run(collect_trace=True)` returns the trace as a `Trace`, a read-only
-sequence of the rows every tick's `StepInfo.trace` gives: consecutive
-stepped ticks' rows in one list, and each run of ticks replaying one held
-step as a `FrozenSpan` of (held step, first tick, end), whose rows are built
-only when read.  The held step's layout is read outside this module only by
-`cli.write_trace`, which writes a span from one encoding of its templates.
+So once a run replays a tick, it replays every later one: a run has at most
+one frozen tail, from the first tick on the held step's successor
+(`HeldStep.first`, `RunResult.frozen_from`) to its end.
+`run(collect_trace=True)` returns the trace as a `Trace` of the rows every
+tick's `StepInfo.trace` gives: the stepped ticks' rows in one list, then the
+tail as its held step and end, whose rows are built only when read.  The
+held step's layout is read outside this module only by `cli.write_trace`,
+which writes the tail from one encoding of its templates.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import is_
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
@@ -397,7 +397,7 @@ def _trace_rows(tick, influences, inhibitions, events) -> tuple:
 class HeldStep:
     """The step of a frozen tick, held once for every tick that repeats it
     (see the module doc).  Its layout, which only this module and
-    `cli.write_trace` (through a `FrozenSpan`) read:
+    `cli.write_trace` (through a `Trace`) read:
 
     - `influences`: `(level, templates)` by level in level order, with one
       template per produced influence in id order: `(head, tail, kind,
@@ -407,17 +407,20 @@ class HeldStep:
       snapshot, with one record per constraint applied, in the log's order:
       `((head, tail), hits)`, the constraint's id and the ids it inhibited,
       each split around the tick the same way;
+    - `first`: the first tick that repeats it, the time of the snapshot
+      it is held for;
     - `constraints`: the number of records in `log`, and `row_count` the
       number of trace rows of one tick (a frozen tick emits no event).
 
     `rows`, `produced` and `inhibitions` build what a tick `t` repeating it
     reports; they equal what stepping its snapshot would report."""
 
-    __slots__ = ("influences", "log", "constraints", "row_count")
+    __slots__ = ("influences", "log", "first", "constraints", "row_count")
 
-    def __init__(self, influences: tuple, log: tuple):
+    def __init__(self, influences: tuple, log: tuple, first: int):
         self.influences = influences
         self.log = log
+        self.first = first
         self.constraints = sum(len(records) for _, records in log)
         self.row_count = sum(len(templates) for _, templates in influences) + self.constraints
 
@@ -536,17 +539,17 @@ class ReplayMemory:
     """What one run remembers to skip repeated calls (see the module doc): by
     level, the level state whose quiet reaction call saw no influences, and
     the `HeldStep` of the last frozen tick, held for the snapshot it repeats
-    on."""
+    on and, once it repeats, for each successor in turn."""
 
     def __init__(self):
         self.quiet: dict = {}  # LevelId -> LevelState
         self._held: tuple | None = None  # (snapshot, HeldStep)
 
     def hold(self, successor: SystemState, produced: dict, inhibitions: dict) -> None:
-        """Hold the step of a frozen tick for the tick on its `successor`.
-        The ids of one tick sort alike on every tick unless a producer's
-        name is another's followed by `@`; such a step is not held, and its
-        successor steps."""
+        """Hold the step of a frozen tick for the tick on its `successor`,
+        whose time is the held step's `first`.  The ids of one tick sort
+        alike on every tick unless a producer's name is another's followed
+        by `@`; such a step is not held, and its successor steps."""
         producers = {inf.producer for made in produced.values() for inf in made}
         if any(name.startswith(other + "@") for name in producers for other in producers):
             self._held = None
@@ -561,7 +564,7 @@ class ReplayMemory:
                            for record in records]))
             for level, records in inhibitions.items()
         )
-        self._held = successor, HeldStep(influences, log)
+        self._held = successor, HeldStep(influences, log, successor.time)
 
     def replay(self, state: SystemState):
         """(next snapshot, StepInfo) of the tick on `state` when the held step
@@ -687,59 +690,35 @@ def step(model: Model, state: SystemState, seed: int = 0, memory: ReplayMemory |
     return react(model, state, produced, seed, memory)
 
 
-class FrozenSpan(Sequence):
-    """The trace rows of ticks `first` to `end - 1` of a run, each a replay
-    of the one `held` step (a `HeldStep`, whose docstring gives the layout),
-    built on read by `HeldStep.rows`."""
+class Trace:
+    """A run's trace rows, in the order each tick's `StepInfo.trace` gives
+    them: `rows`, the stepped ticks' rows in one list, then, when `held` is
+    a `HeldStep`, the run's frozen tail: ticks `held.first` to `end - 1`,
+    each a replay of `held`, whose rows are built only when read (`tail`).
+    `len` counts rows without building them; there is no random access."""
 
-    __slots__ = ("held", "first", "end")
+    __slots__ = ("rows", "held", "end")
 
-    def __init__(self, held: HeldStep, first: int, end: int):
+    def __init__(self, rows: list, held: HeldStep | None, end: int):
+        self.rows = rows
         self.held = held
-        self.first = first
         self.end = end
 
     def __len__(self) -> int:
-        return (self.end - self.first) * self.held.row_count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        ticks, k = divmod(range(len(self))[index], self.held.row_count)
-        return self.held.rows(self.first + ticks)[k]
+        held = self.held
+        tail = 0 if held is None else (self.end - held.first) * held.row_count
+        return len(self.rows) + tail
 
     def __iter__(self):
-        rows = self.held.rows
-        for tick in range(self.first, self.end):
-            yield from rows(tick)
+        yield from self.rows
+        yield from self.tail()
 
-
-class Trace(Sequence):
-    """A run's trace rows, read-only, in the order each tick's
-    `StepInfo.trace` gives them.  They are kept as `segments` in tick order:
-    the rows of consecutive stepped ticks in one list, and each run of ticks
-    that replayed one held step as a `FrozenSpan`, whose rows are built only
-    when read.  `len` counts rows without building them."""
-
-    __slots__ = ("segments",)
-
-    def __init__(self, segments):
-        self.segments = tuple(segments)
-
-    def __len__(self) -> int:
-        return sum(map(len, self.segments))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index = range(len(self))[index]
-        for segment in self.segments:
-            if index < len(segment):
-                return segment[index]
-            index -= len(segment)
-
-    def __iter__(self):
-        return chain.from_iterable(self.segments)
+    def tail(self):
+        """The frozen tail's rows, tick by tick, from `HeldStep.rows`."""
+        held = self.held
+        if held is not None:
+            for tick in range(held.first, self.end):
+                yield from held.rows(tick)
 
 
 @dataclass
@@ -748,8 +727,8 @@ class RunResult:
     records: list  # one metrics dict per executed tick
     stop_reason: str
     diagnostics: tuple = ()  # (tick, name, payload) triples
-    trace: Sequence = ()  # a `Trace` from `run`; empty unless it collected one
-    frozen_from: int | None = None  # the tick from which every step was replayed whole
+    trace: Iterable = ()  # a `Trace` from `run`; empty unless it collected one
+    frozen_from: int | None = None  # the first tick of the frozen tail, its `held.first`
 
 
 DIAGNOSTIC_EVENTS = {"no-escape-path"}
@@ -779,33 +758,17 @@ def run(
 
     records = []
     diagnostics = []
-    segments: list = []  # of the trace: stepped rows lists and `FrozenSpan`s, in tick order
-    rows = span = None  # the open segment, stepped rows or a span; the other is None
+    rows: list = []  # the stepped ticks' trace rows
     stop_reason = "tick-budget"
-    frozen_from = None
     memory = ReplayMemory()
     for _ in range(ticks):
         tick = state.time
         state, info = step(model, state, seed, memory)
-        if not info.replayed:
-            frozen_from = None
-        elif frozen_from is None:
-            frozen_from = tick
         for level, name, payload in info.events:
             if name in DIAGNOSTIC_EVENTS:
                 diagnostics.append((tick, name, payload))
-        if collect_trace:
-            held = info.held
-            if held is None:
-                if rows is None:
-                    rows, span = [], None
-                    segments.append(rows)
-                rows += info.trace
-            elif span is not None and span.held is held:
-                span.end = tick + 1  # the held step repeated on the next tick
-            else:
-                rows, span = None, FrozenSpan(held, tick, tick + 1)
-                segments.append(span)
+        if collect_trace and info.held is None:
+            rows += info.trace
         for observer in observers:
             observer(tick, state, info)
         if metrics is not None:
@@ -815,11 +778,14 @@ def run(
         if termination is not None and termination(state):
             stop_reason = f"termination:{getattr(termination, '__name__', 'predicate')}"
             break
+    # A replayed tick holds its step for its successor, so every tick after
+    # the first replayed one is a replay of the same step: the run's tail.
+    held = info.held
     return RunResult(
         final_state=state,
         records=records,
         stop_reason=stop_reason,
         diagnostics=tuple(diagnostics),
-        trace=Trace(segments),
-        frozen_from=frozen_from,
+        trace=Trace(rows, held if collect_trace else None, state.time),
+        frozen_from=None if held is None else held.first,
     )

@@ -178,10 +178,9 @@ class FloorView:
     the values equal the per-AGV sums of `compute_fields` exactly, at any
     amplitude and in any order.
 
-    Every producer that senses the same snapshot shares one view, which also
-    memoizes each AGV's jitter-free desired move.  The memos cache pure
-    functions of the snapshot, so filling them never changes what the view
-    reports.
+    Every producer that senses the same snapshot shares one view, and so
+    the one pass: it is a pure function of the snapshot, so making it never
+    changes what the view reports.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams,
@@ -192,7 +191,6 @@ class FloorView:
         self.tasks = tasks
         self.agvs = floor_agvs(floor)
         self._sensed: dict | None = None
-        self._moves: dict = {}
 
     def sense(self):
         """Agent id -> (cell, ties) of every AGV: its cell and, in sorted
@@ -246,13 +244,6 @@ class FloorView:
         self._sensed = sensed
         return sensed
 
-    def move(self, agent_id):
-        """`desired_move` of one AGV with the `min` tie-break."""
-        to = self._moves.get(agent_id)
-        if to is None:
-            to = self._moves[agent_id] = desired_move(self, agent_id)
-        return to
-
 
 class FieldSensor:
     """Hands every producer of one tick the same FloorView.
@@ -260,7 +251,7 @@ class FieldSensor:
     A view is keyed by the identity of its (floor, tasks) level states: a
     snapshot is never mutated, so a changed level state gets a fresh view,
     and a tick that carries both level states over keeps the view with its
-    sensed fields and memoized moves.  Nothing else outlives a view.
+    sensed fields.  Nothing else outlives a view.
     """
 
     def __init__(self, grid: GridMap, params: FmsParams):
@@ -297,10 +288,8 @@ class AgvBehavior(BehaviorRule):
         body = view.agvs.get(me)
         if body is None:
             to = None
-        elif self.sensor.params.jitter:
-            to = desired_move(view, me, ctx.rng)
         else:
-            to = view.move(me)
+            to = desired_move(view, me, ctx.rng if self.sensor.params.jitter else None)
         # Nothing changed: the held state itself, so the tick can freeze.
         if internal_state is not None and internal_state["body"] is body \
                 and internal_state["to"] == to:
@@ -569,14 +558,14 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
             body = agvs[aid]
             if body.get("assigned") is None or aid in governed:
                 continue
-            candidates[aid] = view.move(aid)
+            candidates[aid] = desired_move(view, aid)
 
         waits = {}
         for aid, to in candidates.items():
             if to == agvs[aid].get("cell"):
                 continue
             blocker = occupant.get(to)
-            if blocker is not None and blocker != aid:
+            if blocker is not None:
                 waits[aid] = blocker
 
         in_cycle = wait_cycles(waits)
@@ -591,15 +580,15 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
         if not flagged:
             return []
 
-        # Group flagged AGVs: wait-for adjacency or field-range proximity.
+        # Group flagged AGVs within field range.  An AGV waits only on the
+        # occupant of a free neighbor, at distance 1, so waiting pairs are
+        # near too.
         radius = max(2, params.repulse)
         links = [{a} for a in flagged]
         for i, a in enumerate(flagged):
             dist = grid.distances_below(agvs[a].get("cell"), radius + 1)
             for b in flagged[i + 1:]:
-                near = dist.get(agvs[b].get("cell"), radius + 1) <= radius
-                waiting = waits.get(a) == b or waits.get(b) == a
-                if near or waiting:
+                if dist.get(agvs[b].get("cell"), radius + 1) <= radius:
                     links.append({a, b})
 
         return [tuple(sorted(group)) for group in merge_trapped_groups(links)]

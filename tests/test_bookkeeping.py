@@ -567,15 +567,15 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
 
 
 def test_a_long_frozen_run_keeps_one_span(tmp_path):
-    """5,000 corridor ticks with control off: one stepped segment, then one
-    span to the end, written as its rows are."""
+    """5,000 corridor ticks with control off: the stepped rows, then one
+    frozen tail to the end, written as its rows are."""
     spec = parse_scenario(ROOT / "scenarios" / "corridor.json")
     model, state = build(spec)
     result = run(model, state, ticks=5000, seed=0, observers=(SafetyChecker(spec.grid),),
                  metrics=fms_metrics, collect_trace=True)
-    stepped, span = result.trace.segments
-    assert (span.first, span.end) == (result.frozen_from, 5000)
-    assert len(result.trace) == len(stepped) + len(span)
+    trace = result.trace
+    assert (trace.held.first, trace.end) == (result.frozen_from, 5000)
+    assert len(trace) == len(trace.rows) + (5000 - trace.held.first) * trace.held.row_count
     cli.write_trace(tmp_path / "span.jsonl", result.trace)
     cli.write_trace(tmp_path / "rows.jsonl", list(result.trace))
     assert (tmp_path / "span.jsonl").read_bytes() == (tmp_path / "rows.jsonl").read_bytes()

@@ -27,6 +27,9 @@ without a memory: its influences, inhibition log and trace rows.
 
 import collections
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +51,7 @@ from mlsim.fms.model import (
     fms_metrics,
 )
 from mlsim.hierarchy import InhibitionRecord
-from mlsim.scenario import apply_overrides, build, parse_scenario_dict
+from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 from mlsim.state import CONSTRAINT, Body, Influence, LevelState, SystemState, body_key
 
 from support import influence
@@ -640,3 +643,78 @@ def test_a_weak_repulsion_freezes_the_corridor_and_livelocks_it_under_control(
     assert result.records[-1]["tasks_delivered"] == 0
     assert result.records[-1]["deadlocks_detected"] == detected
     assert result.frozen_from == frozen_from
+
+
+def replayed_ticks(raw):
+    """The case run as `run_case` runs it, with a probe observer: (result,
+    the ticks the observer saw, the replayed ones among them, the rows of
+    the stepped ticks and of the replayed ticks, each as `StepInfo.trace`
+    gives them)."""
+    spec = parse_scenario_dict(raw)
+    model, state = build(spec)
+    seen, replayed, stepped_rows, replayed_rows = [], [], [], []
+
+    def probe(tick, state, info):
+        seen.append(tick)
+        if info.replayed:
+            replayed.append(tick)
+            replayed_rows.extend(info.trace)
+        else:
+            stepped_rows.extend(info.trace)
+
+    options = run_options(spec)
+    options["observers"] += (probe,)
+    result = run(model, state, ticks=spec.run_params["ticks"], **options)
+    return result, seen, replayed, stepped_rows, replayed_rows
+
+
+def assert_the_replayed_ticks_are_the_tail(raw):
+    """Once a run replays a tick, it replays every later one: the replayed
+    ticks are a suffix of the run, from `frozen_from`, and the trace's
+    frozen tail holds exactly their rows."""
+    result, seen, replayed, stepped_rows, replayed_rows = replayed_ticks(raw)
+    trace = result.trace
+    assert replayed == seen[len(seen) - len(replayed):]
+    assert result.frozen_from == (replayed[0] if replayed else None)
+    assert trace.rows == stepped_rows
+    assert list(trace.tail()) == replayed_rows
+    if replayed:
+        assert (trace.held.first, trace.end) == (replayed[0], seen[-1] + 1)
+    else:
+        assert trace.held is None
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_CASES))
+def test_a_fixture_run_replays_only_its_tail(name):
+    assert_the_replayed_ticks_are_the_tail(FIXTURE_CASES[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_floor())
+def test_a_generated_run_replays_only_its_tail(raw):
+    assert_the_replayed_ticks_are_the_tail(raw)
+
+
+def test_the_repulsion_sweep_reports_the_tick_each_run_froze_from():
+    """The `frozen` column of `scripts/sweep_repulsion.py`, run with its
+    defaults (the corridor, control off), against the first replayed tick
+    of each run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_repulsion.py")],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()[1:]
+    frozen = header.split().index("frozen")
+    column = {}
+    for line in lines:
+        cells = line.split()
+        column[cells[0]] = None if cells[frozen] == "-" else int(cells[frozen])
+    base = parse_scenario(ROOT / "scenarios" / "corridor.json").data
+    expected = {}
+    for amplitude in ("0", "2", "4", "8"):
+        raw = apply_overrides(base, {"params.repulse": amplitude, "control": "false"})
+        result, _, replayed, _, _ = replayed_ticks(raw)
+        assert result.frozen_from == (replayed[0] if replayed else None)
+        expected[amplitude] = result.frozen_from
+    assert column == expected
+    assert None not in column.values()  # every amplitude freezes the corridor

@@ -300,7 +300,7 @@ def test_the_idle_field_follows_the_emitting_shops():
     bodies = {"a1": agv_body((3, 0))}
     west, east = (0, 0), (6, 0)
     moves = [
-        sensor.view(*snapshot(bodies, [(west, w), (east, e)])).move("a1")
+        desired_move(sensor.view(*snapshot(bodies, [(west, w), (east, e)])), "a1")
         for w, e in [(False, True), (True, False), (True, True), (False, True), (False, False)]
     ]
     assert moves == [(4, 0), (2, 0), (3, 0), (4, 0), (3, 0)]
@@ -401,7 +401,7 @@ def test_the_shared_view_moves_each_agv_as_it_moved_alone(case):
         view = sensor.view(*snapshot(bodies, shops))
         emitting = [cell for cell, on in shops if on]
         for aid, body in bodies.items():
-            assert view.move(aid) == per_agv_desired_move(
+            assert desired_move(view, aid) == per_agv_desired_move(
                 grid, params, aid, body, bodies, emitting
             )
             drawn, expected = RecordingRng(pick), RecordingRng(pick)
@@ -439,13 +439,12 @@ def test_the_first_desired_move_on_a_view_reads_every_row_once(monkeypatch):
     read.clear()
     for aid in bodies:
         desired_move(view, aid)
-        view.move(aid)
     assert read == []
 
     # With no AGV idle, no shop row is read.
     busy = {aid: b for aid, b in bodies.items() if b.get("assigned") is not None}
     view = sensor.view(*snapshot(busy, shops))
-    view.move("a1")
+    desired_move(view, "a1")
     assert sorted(read) == sorted([((0, 0), 3), ((2, 1), 3), ((5, 3), 9), ((0, 3), 9)])
 
 
@@ -835,7 +834,7 @@ def test_jitter_tie_break_stays_apart_from_the_detectors():
     out = detector.rule(percept, ctx("deadlock-detector"))
     assert [i.payload["trapped"] for i in out] == [("a1", "a2")]
     view = sensor.view(percept[FLOOR], percept[TASKS])
-    assert view.move("a1") == (1, 2)
+    assert desired_move(view, "a1") == (1, 2)
 
 
 def test_without_jitter_the_agv_reads_the_shared_memo():
@@ -851,7 +850,7 @@ def test_without_jitter_the_agv_reads_the_shared_memo():
     agv_ctx = StepContext(0, "a1", NoRng())
     internal = agv.memorize(agv.perceive(percept, AgentRecord("a1", "agv")), None, agv_ctx)
     assert internal["to"] == (1, 2)
-    assert sensor.view(percept[FLOOR], percept[TASKS]).move("a1") is internal["to"]
+    assert desired_move(sensor.view(percept[FLOOR], percept[TASKS]), "a1") is internal["to"]
 
 
 def test_the_agv_keeps_its_state_while_its_body_and_move_stay():
@@ -864,8 +863,8 @@ def test_the_agv_keeps_its_state_while_its_body_and_move_stay():
         def __init__(self, agvs, to):
             self.agvs, self.to = agvs, to
 
-        def move(self, agent_id):
-            return tuple(self.to)  # an equal cell, never the same object
+        def sense(self):  # one tie: an equal cell, never the same object
+            return {aid: (body.get("cell"), [tuple(self.to)]) for aid, body in self.agvs.items()}
 
     held = agv.memorize(("a1", View({"a1": body}, (1, 0))), None, ctx("a1"))
     assert agv.memorize(("a1", View({"a1": body}, (1, 0))), held, ctx("a1")) is held

@@ -506,6 +506,81 @@ def test_a_jitter_off_run_does_not_import_hashlib():
     assert before == "True" or after == "False"
 
 
+LIBRARY_RUN = """
+import sys
+from pathlib import Path
+before = "argparse" in sys.modules
+from mlsim import cli
+from mlsim.engine import run
+from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
+from mlsim.scenario import build, parse_scenario
+spec = parse_scenario(sys.argv[1])
+model, state = build(spec)
+result = run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+             observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
+             termination=all_tasks_delivered, collect_trace=True)
+out = Path(sys.argv[2])
+cli.write_metrics(out / "m.csv", result.records)
+cli.write_trace(out / "t.jsonl", result.trace)
+print(before, "argparse" in sys.modules)
+"""
+
+
+def test_the_library_path_does_not_import_argparse(tmp_path):
+    # Only a command line parses arguments (`mlsim.usage`).
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", LIBRARY_RUN, str(SCENARIOS / "corridor.json"), str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "m.csv").stat().st_size and (tmp_path / "t.jsonl").stat().st_size
+    before, after = done.stdout.split()
+    assert before == "True" or after == "False"
+
+
+def mlsim_annotated():
+    """(qualified name, object) of every class, function and method,
+    property getters included, defined in a module of `mlsim` (but
+    `mlsim.__main__`, which runs the command line when imported)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import mlsim
+
+    for info in pkgutil.walk_packages(mlsim.__path__, "mlsim."):
+        if info.name == "mlsim.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != info.name:
+                continue
+            if inspect.isfunction(value) or inspect.isclass(value):
+                yield f"{info.name}.{name}", value
+            if inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    member = getattr(member, "fget", getattr(member, "__func__", member))
+                    # A NamedTuple's `__new__` is made in a namespace of its own.
+                    if inspect.isfunction(member) and member.__module__ == info.name:
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_every_annotation_in_mlsim_resolves():
+    import typing
+
+    unresolved = []
+    checked = 0
+    for name, annotated in mlsim_annotated():
+        checked += 1
+        try:
+            typing.get_type_hints(annotated)
+        except Exception as exc:  # noqa: BLE001 - collected by name
+            unresolved.append((name, repr(exc)))
+    assert checked > 100
+    assert unresolved == []
+
+
 # --- the scenario's hierarchy declarations are the model's --------------------
 
 ALL_EDGES = '[["floor","tasks"],["tasks","floor"],["floor","control"],["control","floor"]'
