@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
-from .engine import Trace, run as engine_run
+from .engine import Trace, record_rows, run as engine_run
 from .errors import Issue, MlsimError, ScenarioError
 from .fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from .scenario import (
@@ -94,7 +96,6 @@ def write_metrics(path, records):
     """The metrics CSV: the fixed header, then each record's columns in
     header order (a record missing one raises `KeyError`)."""
     import csv  # the library path imports this module for its writers only
-    from operator import itemgetter
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -156,6 +157,67 @@ def _row_lines(rows, encode, scalar) -> list:
     ]
 
 
+_level = itemgetter(0)  # of a record's influence
+
+
+def _step_lines(record, templates, encode, scalar) -> list | None:
+    """The lines of one stepped tick, from its record (`engine.StepInfo.
+    record`, whose influence ids are unique); None when an influence id is
+    not an exact `str`, or an event payload is not a `dict` or has an `id`
+    key (such a row sorts among the influences).
+
+    An influence line is its id joined into the line template of its
+    (level, kind, class, producer), made once per file in `templates`, and
+    None when one of those four is not an exact `str` (a `str` subclass
+    equal to a template's key takes that template: both encode alike).  A
+    record lists its influences in level and id order, which is the order
+    of their lines.  Inhibition and event payloads are encoded by `_shaped`
+    or the encoder.  Their rows have no id, so they sort by (level, event,
+    payload) ahead of their level's influences, where they are merged in;
+    an influence whose id is empty too ties with them, and gives None."""
+    tick, influences, inhibitions, events = record
+    stamp = f"{scalar[type(tick), tick]}}}\n"
+    lines = []
+    for level, inf_id, kind, klass, producer in influences:
+        template = templates.get((level, kind, klass, producer))
+        if template is None:
+            if not str is type(level) is type(kind) is type(klass) is type(producer):
+                return None
+            template = templates[level, kind, klass, producer] = (
+                f'{{"event": {scalar[str, "influence"]}, "level": {scalar[str, level]}, '
+                f'"payload": {{"class": {_quote(klass)}, "id": ',
+                f', "kind": {_quote(kind)}, "producer": {_quote(producer)}}}, "tick": ')
+        if type(inf_id) is not str:
+            return None
+        lines.append(f"{template[0]}{_quote(inf_id)}{template[1]}{stamp}")
+    if not (inhibitions or events):
+        return lines
+    rows = [(level, "inhibition", {"constraint": constraint_id, "inhibited": list(inhibited)})
+            for level, constraint_id, inhibited in inhibitions]
+    for level, event, payload in events:
+        if type(payload) is not dict or "id" in payload:
+            return None
+        rows.append((level, event, payload))
+    keyed = []
+    for level, event, payload in rows:
+        text = _shaped(payload) or encode(payload)
+        keyed.append((level, event, text,
+                      f'{{"event": {scalar[type(event), event]}, '
+                      f'"level": {scalar[type(level), level]}, "payload": {text}, "tick": {stamp}'))
+    keyed.sort()
+    merged = []
+    start = 0
+    for level, _, _, line in keyed:
+        at = bisect_left(influences, level, start, key=_level)
+        if at < len(influences) and influences[at][0] == level and not influences[at][1]:
+            return None
+        merged += lines[start:at]
+        merged.append(line)
+        start = at
+    merged += lines[start:]
+    return merged
+
+
 # Marks each place a span's tick goes in its line templates.  The ASCII-only
 # encoder escapes every non-ASCII character, so no encoded value holds it.
 _STAMP = "\N{SECTION SIGN}"
@@ -211,17 +273,28 @@ def write_trace(path, trace):
     influence id, event, payload), written in one call.  Each distinct
     tick, level and event is encoded once per file.
 
-    Any iterable of rows is sorted and encoded row by row.  A run's `Trace`
-    is written as its stepped rows, then its frozen tail, whose ticks follow
-    them, from one encoding of its held rows with no row built
-    (`_span_lines`), or from the tail's rows when that gives None."""
+    Any iterable of rows is sorted and encoded row by row (`_row_lines`).
+    A run's `Trace` is written in three encodings, none of which builds a
+    row: each stepped tick from its record, its influence lines from line
+    templates made once per file (`_step_lines`); then the frozen tail, whose
+    ticks follow them, from one template per held row (`_span_lines`).  A
+    tick or tail that either declines is written from its rows.  The
+    records come in tick order, so writing each tick in turn orders the
+    lines as one sort of all the rows would."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
     scalar = _EncodedScalars(encode)
-    held = trace.held if isinstance(trace, Trace) else None
-    lines = _row_lines(trace if held is None else trace.rows, encode, scalar)
-    if held is not None:
-        tail = _span_lines(held, trace.end, scalar)
-        lines += tail if tail is not None else _row_lines(trace.tail(), encode, scalar)
+    if not isinstance(trace, Trace):
+        lines = _row_lines(trace, encode, scalar)
+    else:
+        lines = []
+        templates: dict = {}
+        for record in trace.steps:
+            step = _step_lines(record, templates, encode, scalar)
+            lines += step if step is not None else _row_lines(record_rows(record), encode, scalar)
+        held = trace.held
+        if held is not None:
+            tail = _span_lines(held, trace.end, scalar)
+            lines += tail if tail is not None else _row_lines(trace.tail(), encode, scalar)
     with open(path, "w") as fh:
         fh.write("".join(lines))
 

@@ -60,17 +60,19 @@ So once a run replays a tick, it replays every later one: a run has at most
 one frozen tail, from the first tick on the held step's successor
 (`HeldStep.first`, `RunResult.frozen_from`) to its end.
 `run(collect_trace=True)` returns the trace as a `Trace` of the rows every
-tick's `StepInfo.trace` gives: the stepped ticks' rows in one list, then the
-tail as its held step and end, whose rows are built only when read.  The
-held step's layout is read outside this module only by `cli.write_trace`,
-which writes the tail from one encoding of its templates.
+tick's `StepInfo.trace` gives, without reading it: one compact record per
+stepped tick (`StepInfo.record`, tuples of the rows' values, no row dict),
+then the tail as its held step and end.  Rows are built from either only
+when read.  The record and held step layouts are read outside this module
+only by `cli.write_trace`, which writes a stepped tick from line templates
+of its record and the tail from one encoding of its held step's templates.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import is_
+from operator import attrgetter, is_
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
@@ -125,6 +127,8 @@ class StepContext:
     quiet (see the module doc).
     """
 
+    __slots__ = ("_tick", "_tick_read", "producer", "_rng", "_rng_key", "_made")
+
     def __init__(self, tick: int, producer: str, rng: random.Random | None = None,
                  rng_key: tuple = ()):
         self._tick = tick
@@ -152,14 +156,9 @@ class StepContext:
 
     def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
         made = self._made
-        inf = Influence(
-            id=f"{self.producer}@{self._tick}#{len(made)}",
-            kind=kind,
-            target_level=target_level,
-            producer=self.producer,
-            payload=payload,
-            klass=klass,
-        )
+        producer = self.producer
+        inf = Influence(f"{producer}@{self._tick}#{len(made)}", kind, target_level, producer,
+                        payload, klass)
         made.append(inf)
         return inf
 
@@ -230,6 +229,8 @@ class Model:
     decls: Declarations = field(default_factory=lambda: Declarations({}))
 
     def behavior_for(self, record: AgentRecord) -> BehaviorRule | None:
+        """The rule that produces for `record`: its own, else its kind's.
+        `produce_influences` inlines this lookup."""
         rule = self.behaviors.get(record.id)
         if rule is None:
             rule = self.dynamic_behaviors.get(record.kind)
@@ -302,73 +303,88 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
 
 
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
-    """Phase 1: evaluate all producers against the frozen snapshot."""
+    """Phase 1: evaluate all producers against the frozen snapshot.
+
+    Producers that belong to the same level set share one read-only view
+    of the level states they perceive and one set of influence targets,
+    made on the first such producer of the tick.  An ordinary influence
+    of a producible kind into an allowed target is legal as it is; only
+    another one goes through `_check_influence`."""
     tick = state.time
     graph = model.graph
+    per_level = state.per_level
+    producible = model.decls.producible_kinds
     produced_sets: list[Iterable[Influence]] = [
-        level_state.influences for level_state in state.per_level.values()
+        level_state.influences for level_state in per_level.values()
     ]
     new_internal: dict[str, Any] = {}
-    observed: dict = {}  # level set -> the level states its producers perceive
+    routes: dict = {}  # level set -> (view of the levels it perceives, influence targets)
     quiet = True  # every call so far was quiet
 
-    def route(levels, requester):
-        """(percept, influence targets) of a producer belonging to `levels`."""
-        perceived, targets = graph.routes(levels)
-        view = observed.get(levels)
-        if view is None:
-            view = observed[levels] = MappingProxyType(
-                {level: state.per_level[level] for level in perceived}
-            )
-        return Percept(view, requester=requester), targets
-
+    producers = []  # (name, levels, rule, record or None for a detector)
     memberships = state.memberships()
     agents = state.agents
+    behaviors, dynamic = model.behaviors, model.dynamic_behaviors
     for agent_id in sorted(agents):
-        record = agents[agent_id]
-        rule = model.behavior_for(record)
         levels = memberships.get(agent_id)
-        if not levels or rule is None:
+        if not levels:
             continue
-        percept, targets = route(levels, agent_id)
-        ctx = StepContext(tick, agent_id, rng_key=(seed, agent_id, tick))
-        perception = rule.perceive(percept, record)
-        internal = rule.memorize(perception, record.internal_state, ctx)
-        new_internal[agent_id] = internal
-        out = list(rule.decide(internal, ctx))
-        desc = f"agent {agent_id!r}"
+        record = agents[agent_id]
+        rule = behaviors.get(agent_id)
+        if rule is None:
+            rule = dynamic.get(record.kind)
+            if rule is None:
+                continue
+        producers.append((agent_id, levels, rule, record))
+    detectors = model.detectors
+    for name in sorted(detectors):
+        detector = detectors[name]
+        producers.append((name, frozenset((detector.level,)), detector.rule, None))
+
+    for name, levels, rule, record in producers:
+        route = routes.get(levels)
+        if route is None:
+            perceived, targets = graph.routes(levels)
+            route = routes[levels] = (
+                MappingProxyType({level: per_level[level] for level in perceived}), targets)
+        view, targets = route
+        ctx = StepContext(tick, name, None, (seed, name, tick))
+        if record is None:
+            out = list(rule(Percept(view, name), ctx))
+        else:
+            internal = rule.memorize(rule.perceive(Percept(view, name), record),
+                                     record.internal_state, ctx)
+            new_internal[name] = internal
+            out = list(rule.decide(internal, ctx))
         for inf in out:
-            _check_influence(model, inf, targets, desc, levels)
+            target = inf.target_level
+            if (inf.klass != ORDINARY or target not in targets
+                    or inf.kind not in producible.get(target, ())):
+                if record is None:
+                    _check_influence(model, inf, targets, f"detector {name!r}", levels,
+                                     detector=name)
+                else:
+                    _check_influence(model, inf, targets, f"agent {name!r}", levels)
         produced_sets.append(out)
         if quiet:
-            quiet = internal is record.internal_state and ctx.made_quietly(out)
+            quiet = ctx.made_quietly(out) and (
+                record is None or internal is record.internal_state)
 
-    for name in sorted(model.detectors):
-        detector = model.detectors[name]
-        levels = frozenset((detector.level,))
-        percept, targets = route(levels, name)
-        ctx = StepContext(tick, name, rng_key=(seed, name, tick))
-        out = list(detector.rule(percept, ctx))
-        for inf in out:
-            _check_influence(model, inf, targets, f"detector {name!r}", levels, detector=name)
-        produced_sets.append(out)
-        if quiet:
-            quiet = ctx.made_quietly(out)
-
-    return ProducedStep(group_by_level(state.per_level, produced_sets), new_internal, quiet)
+    return ProducedStep(group_by_level(per_level, produced_sets), new_internal, quiet)
 
 
-def _by_id(inf: Influence) -> str:
-    return inf.id
+_by_id = attrgetter("id")
 
 
 _NO_INFLUENCES: frozenset = frozenset()
 
 
-def _trace_rows(tick, influences, inhibitions, events) -> tuple:
-    """One step's trace rows: an influence row per (level, id, kind, class,
-    producer), an inhibition row per (level, constraint id, inhibited ids),
-    then a row per reaction event, in the order given."""
+def record_rows(record: tuple) -> tuple:
+    """One step's trace rows, from its record `(tick, influences,
+    inhibitions, events)` (`StepInfo.record`): an influence row per (level,
+    id, kind, class, producer), an inhibition row per (level, constraint id,
+    inhibited ids), then a row per reaction event, in the order given."""
+    tick, influences, inhibitions, events = record
     rows = [
         {
             "tick": tick,
@@ -383,7 +399,7 @@ def _trace_rows(tick, influences, inhibitions, events) -> tuple:
             "tick": tick,
             "level": level,
             "event": "inhibition",
-            "payload": {"constraint": constraint_id, "inhibited": inhibited},
+            "payload": {"constraint": constraint_id, "inhibited": list(inhibited)},
         }
         for level, constraint_id, inhibited in inhibitions
     ]
@@ -426,7 +442,7 @@ class HeldStep:
 
     def rows(self, tick) -> tuple:
         stamp = str(tick)
-        return _trace_rows(
+        return record_rows((
             tick,
             [(level, head + stamp + tail, kind, klass, producer)
              for level, templates in self.influences
@@ -434,7 +450,7 @@ class HeldStep:
             [(level, head + stamp + tail, [h + stamp + t for h, t in hits])
              for level, records in self.log for (head, tail), hits in records],
             (),
-        )
+        ))
 
     def produced(self, tick) -> dict:
         stamp = str(tick)
@@ -495,6 +511,22 @@ class StepInfo:
             return self.held.constraints
         return sum(map(len, self._inhibitions.values()))
 
+    def record(self) -> tuple:
+        """The step's compact trace record, `(tick, influences, inhibitions,
+        events)`: a `(level, id, kind, class, producer)` per produced
+        influence in level then id order, a `(level, constraint id, inhibited
+        ids)` per inhibition record in level then log order, and the events.
+        It holds no row: `record_rows` builds them."""
+        produced, inhibitions = self.produced, self.inhibitions
+        return (
+            self.tick,
+            [(level, inf.id, inf.kind, inf.klass, inf.producer)
+             for level in sorted(produced) for inf in sorted(produced[level], key=_by_id)],
+            [(level, record.constraint_id, record.inhibited_ids)
+             for level in sorted(inhibitions) for record in inhibitions[level]],
+            self.events,
+        )
+
     @property
     def trace(self) -> tuple:
         """The step's trace rows, built on each read: every produced
@@ -502,15 +534,7 @@ class StepInfo:
         the reaction events in order."""
         if self.held is not None:
             return self.held.rows(self.tick)
-        produced, inhibitions = self._produced, self._inhibitions
-        return _trace_rows(
-            self.tick,
-            [(level, inf.id, inf.kind, inf.klass, inf.producer)
-             for level in sorted(produced) for inf in sorted(produced[level], key=_by_id)],
-            [(level, record.constraint_id, list(record.inhibited_ids))
-             for level in sorted(inhibitions) for record in inhibitions[level]],
-            self.events,
-        )
+        return record_rows(self.record())
 
 
 def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelState:
@@ -592,7 +616,8 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     for level in sorted(state.per_level):
         level_state = state.per_level[level]
         influences = produced.per_level.get(level, _NO_INFLUENCES)
-        filtered, log = apply_constraints(influences)
+        # A level that got no influence has nothing to filter.
+        filtered, log = apply_constraints(influences) if influences else (influences, ())
         inhibitions[level] = log
         if not filtered and recorded.get(level) is level_state:
             sigmas[level] = level_state.properties
@@ -692,25 +717,33 @@ def step(model: Model, state: SystemState, seed: int = 0, memory: ReplayMemory |
 
 class Trace:
     """A run's trace rows, in the order each tick's `StepInfo.trace` gives
-    them: `rows`, the stepped ticks' rows in one list, then, when `held` is
-    a `HeldStep`, the run's frozen tail: ticks `held.first` to `end - 1`,
-    each a replay of `held`, whose rows are built only when read (`tail`).
-    `len` counts rows without building them; there is no random access."""
+    them: `steps`, one `StepInfo.record` per stepped tick in tick order, then,
+    when `held` is a `HeldStep`, the run's frozen tail: ticks `held.first` to
+    `end - 1`, each a replay of `held`.  Rows are built only when read
+    (`rows`, iteration, `tail`); `len` counts them without building any.
+    There is no random access."""
 
-    __slots__ = ("rows", "held", "end")
+    __slots__ = ("steps", "held", "end")
 
-    def __init__(self, rows: list, held: HeldStep | None, end: int):
-        self.rows = rows
+    def __init__(self, steps: list, held: HeldStep | None, end: int):
+        self.steps = steps
         self.held = held
         self.end = end
+
+    @property
+    def rows(self) -> list:
+        """The stepped ticks' rows, in one list built on each read."""
+        return [row for record in self.steps for row in record_rows(record)]
 
     def __len__(self) -> int:
         held = self.held
         tail = 0 if held is None else (self.end - held.first) * held.row_count
-        return len(self.rows) + tail
+        return sum([len(influences) + len(inhibitions) + len(events)
+                    for _, influences, inhibitions, events in self.steps]) + tail
 
     def __iter__(self):
-        yield from self.rows
+        for record in self.steps:
+            yield from record_rows(record)
         yield from self.tail()
 
     def tail(self):
@@ -758,7 +791,7 @@ def run(
 
     records = []
     diagnostics = []
-    rows: list = []  # the stepped ticks' trace rows
+    steps: list = []  # the stepped ticks' trace records
     stop_reason = "tick-budget"
     memory = ReplayMemory()
     for _ in range(ticks):
@@ -768,7 +801,7 @@ def run(
             if name in DIAGNOSTIC_EVENTS:
                 diagnostics.append((tick, name, payload))
         if collect_trace and info.held is None:
-            rows += info.trace
+            steps.append(info.record())
         for observer in observers:
             observer(tick, state, info)
         if metrics is not None:
@@ -786,6 +819,6 @@ def run(
         records=records,
         stop_reason=stop_reason,
         diagnostics=tuple(diagnostics),
-        trace=Trace(rows, held if collect_trace else None, state.time),
+        trace=Trace(steps, held if collect_trace else None, state.time),
         frozen_from=None if held is None else held.first,
     )

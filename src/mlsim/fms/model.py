@@ -26,6 +26,7 @@ enabled per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 from ..engine import (
@@ -614,9 +615,13 @@ def resolve_moves(current: dict, desired: dict) -> dict:
             if desired[a] in stay_cells:
                 movers.discard(a)
                 changed = True
-        for a in sorted(movers):
-            for b in sorted(movers):
-                if a < b and desired[a] == current[b] and desired[b] == current[a]:
+        # One order for the whole scan; `b in movers` skips a mover that an
+        # earlier swap of this scan dropped, as re-sorting for each `a` did.
+        order = sorted(movers)
+        for a in order:
+            for b in order:
+                if (a < b and desired[a] == current[b] and desired[b] == current[a]
+                        and b in movers):
                     movers.discard(a)
                     movers.discard(b)
                     changed = True
@@ -630,17 +635,20 @@ def resolve_moves(current: dict, desired: dict) -> dict:
     return {a: (desired[a] if a in movers else current[a]) for a in current}
 
 
+_by_id = attrgetter("id")
+
+
 def by_kind(influences) -> dict:
     """Kind -> that kind's influences in id order, from one sort of the set."""
     out: dict = {}
-    for inf in sorted(influences, key=lambda i: i.id):
+    for inf in sorted(influences, key=_by_id):
         out.setdefault(inf.kind, []).append(inf)
     return out
 
 
 def make_floor_reaction(grid: GridMap, params: FmsParams):
     def floor_reaction(level, sigma, influences, ctx):
-        agvs = {aid: b for aid, b in bodies_of(sigma).items() if b.get("type") == "agv"}
+        agvs = bodies_of(sigma, "agv")
         persisted = []
         events = []
         kinds = by_kind(influences)
@@ -726,7 +734,7 @@ def make_tasks_reaction(grid: GridMap):
             changed.add(tid)
 
         offers = {}
-        for inf in sorted(influences, key=lambda i: i.id):
+        for inf in sorted(influences, key=_by_id):
             kind = inf.kind
             if kind == K_SERVE:
                 offers[inf.payload["agent"]] = tuple(inf.payload["cell"])
@@ -819,9 +827,7 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
         events = []
         spawn = []
         remove = []
-        solver_bodies = {
-            sid: b for sid, b in bodies_of(sigma).items() if b.get("type") == "solver"
-        }
+        solver_bodies = bodies_of(sigma, "solver")
 
         kinds = by_kind(influences)
         removed = set()
@@ -1031,8 +1037,9 @@ class SafetyChecker:
             cells = [b.get("cell") for b in agvs.values()]
             if len(cells) != len(set(cells)):
                 raise SafetyViolation(f"tick {tick}: two AGVs share a cell ({cells})")
+            free = self.grid.adjacency  # keyed by the free cells
             for aid, b in agvs.items():
-                if not self.grid.is_free(b.get("cell")):
+                if b.get("cell") not in free:
                     raise SafetyViolation(f"tick {tick}: {aid} on blocked cell {b.get('cell')}")
             self._checked_floor = floor
         tasks = state.per_level[TASKS].properties.get("tasks", {})

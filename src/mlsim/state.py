@@ -37,12 +37,21 @@ def body_key(agent_id: AgentId) -> str:
     return BODY_KEY_PREFIX + agent_id
 
 
-def bodies_of(properties: Mapping[str, Any]) -> dict[AgentId, Body]:
-    """The bodies held in one level property map, by agent id."""
+def bodies_of(properties: Mapping[str, Any], body_type=None) -> dict[AgentId, Body]:
+    """The bodies held in one level property map, by agent id; with
+    `body_type`, only those whose `type` attribute equals it, from the same
+    one scan of the map."""
+    start = len(BODY_KEY_PREFIX)
+    if body_type is None:
+        return {
+            key[start:]: value
+            for key, value in properties.items()
+            if key.startswith(BODY_KEY_PREFIX)
+        }
     return {
-        key[len(BODY_KEY_PREFIX):]: value
+        key[start:]: value
         for key, value in properties.items()
-        if key.startswith(BODY_KEY_PREFIX)
+        if key.startswith(BODY_KEY_PREFIX) and value.get("type") == body_type
     }
 
 
@@ -109,13 +118,19 @@ class Body:
         return Body(self.level, attrs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelState:
     """Per-level dynamic state: property map plus influence set."""
 
     level: LevelId
     properties: dict = field(default_factory=dict)
     influences: frozenset = frozenset()
+
+    def __init__(self, level, properties=None, influences=frozenset()):
+        if properties is None:
+            properties = {}
+        # One dict update, as for `Influence`; assignment still raises.
+        self.__dict__.update(level=level, properties=properties, influences=influences)
 
     def bodies(self) -> Mapping[AgentId, Body]:
         """The level's bodies by agent id: built on the first call, then the
@@ -130,7 +145,9 @@ class LevelState:
         returned as is after that, like `bodies()`: a read-only view of the
         snapshot that several readers share.  `fn` is the cache key, so pass
         the same (module-level) function every time."""
-        cache = self.__dict__.setdefault("_derived", {})
+        cache = self.__dict__.get("_derived")
+        if cache is None:
+            cache = self.__dict__["_derived"] = {}
         try:
             return cache[fn]
         except KeyError:
@@ -155,11 +172,19 @@ class AgentRecord:
         self.__dict__.update(id=id, kind=kind, internal_state=internal_state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SystemState:
     time: int = 0
     per_level: dict = field(default_factory=dict)  # LevelId -> LevelState
     agents: dict = field(default_factory=dict)  # AgentId -> AgentRecord
+
+    def __init__(self, time=0, per_level=None, agents=None):
+        if per_level is None:
+            per_level = {}
+        if agents is None:
+            agents = {}
+        # One dict update, as for `Influence`; assignment still raises.
+        self.__dict__.update(time=time, per_level=per_level, agents=agents)
 
     def memberships(self) -> Mapping[AgentId, frozenset]:
         """Agent id -> the levels whose property map holds a body of it, for

@@ -12,13 +12,23 @@ import csv
 import dataclasses
 import json
 import pickle
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsim import cli
-from mlsim.engine import Model, ReactionResult, StepContext, StepInfo, run, step
+from mlsim.engine import (
+    Model,
+    ReactionResult,
+    StepContext,
+    StepInfo,
+    Trace,
+    record_rows,
+    run,
+    step,
+)
 from mlsim.errors import UnknownAgent
 from mlsim.fms.grid import GridMap
 from mlsim.fms.model import (
@@ -238,6 +248,86 @@ def test_an_agent_record_is_built_in_one_step_and_stays_frozen():
         assert twin == record and twin.internal_state is not record.internal_state
 
 
+def property_count(level_state):
+    return len(level_state.properties)
+
+
+def level_name(level_state):
+    return level_state.level
+
+
+def test_a_level_state_is_built_in_one_step_and_stays_frozen():
+    floor = LevelState(FLOOR, {"k": 1}, frozenset({influence("move", FLOOR, "p", uid="p@0#0")}))
+    assert [f.name for f in dataclasses.fields(floor)] == ["level", "properties", "influences"]
+    assert LevelState(FLOOR).properties == {} and LevelState(FLOOR).influences == frozenset()
+    assert LevelState(FLOOR).properties is not LevelState(FLOOR).properties
+    assert floor == LevelState(level=FLOOR, properties={"k": 1}, influences=floor.influences)
+    assert floor != LevelState(FLOOR, {"k": 2}, floor.influences)
+    assert repr(LevelState(FLOOR, {"k": 1})) == (
+        "LevelState(level='floor', properties={'k': 1}, influences=frozenset())")
+    moved = dataclasses.replace(floor, properties={"k": 2})
+    assert moved.properties == {"k": 2} and moved.influences is floor.influences
+    for attr in ("level", "properties", "influences", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(floor, attr, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del floor.properties
+    assert floor.derived(property_count) == 1 and floor.derived(property_count) == 1
+    floor.bodies()
+    for twin in (copy.deepcopy(floor), pickle.loads(pickle.dumps(floor))):
+        assert twin == floor and twin.properties is not floor.properties
+        assert set(twin.__dict__) == {"level", "properties", "influences"}  # caches dropped
+        assert twin.derived(property_count) == 1
+
+
+def test_derived_values_share_one_cache_per_level_state():
+    floor = LevelState(FLOOR, {"k": 1})
+    assert "_derived" not in floor.__dict__
+    floor.derived(property_count)
+    cache = floor.__dict__["_derived"]
+    floor.derived(property_count)
+    floor.derived(level_name)
+    assert floor.__dict__["_derived"] is cache
+    assert cache == {property_count: 1, level_name: FLOOR}
+
+
+def test_a_system_state_is_built_in_one_step_and_stays_frozen():
+    floor = LevelState(FLOOR, {body_key("a"): Body(FLOOR)})
+    state = SystemState(3, {FLOOR: floor}, {"a": AgentRecord("a")})
+    assert [f.name for f in dataclasses.fields(state)] == ["time", "per_level", "agents"]
+    empty = SystemState()
+    assert (empty.time, empty.per_level, empty.agents) == (0, {}, {})
+    assert SystemState().agents is not SystemState().agents
+    assert state == SystemState(time=3, per_level={FLOOR: floor}, agents={"a": AgentRecord("a")})
+    assert state != dataclasses.replace(state, time=4)
+    assert dataclasses.replace(state, time=4).per_level is state.per_level
+    assert repr(SystemState(1)) == "SystemState(time=1, per_level={}, agents={})"
+    for attr in ("time", "per_level", "agents", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, attr, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del state.time
+    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert twin == state and twin.per_level is not state.per_level
+        assert twin.memberships() == {"a": frozenset({FLOOR})}
+
+
+def test_a_slotted_context_seeds_its_stream_on_the_first_rng_read(monkeypatch):
+    import mlsim.engine as engine
+
+    seeded = []
+    monkeypatch.setattr(engine, "derived_rng", lambda *key: seeded.append(key) or key)
+    ctx = StepContext(3, "p", rng_key=(7, "p", 3))
+    assert not hasattr(ctx, "__dict__")
+    with pytest.raises(AttributeError):
+        ctx.other = 1
+    made = ctx.make("move", "micro", klass=EMERGENCE, to=1)
+    assert made == Influence("p@3#0", "move", "micro", "p", {"to": 1}, EMERGENCE)
+    assert seeded == [] and ctx.untouched is False
+    assert ctx.rng is ctx.rng == (7, "p", 3)
+    assert seeded == [(7, "p", 3)]
+
+
 def merge_influences(sets):
     """Set union with id-based deduplication: the first influence of each id."""
     merged = {}
@@ -370,9 +460,10 @@ def test_fixture_step_traces_equal_the_eager_rows():
 
 @pytest.mark.parametrize("collect", [False, True])
 def test_trace_rows_are_built_only_when_collected(collect, monkeypatch):
-    """With collection off, no tick's `StepInfo.trace` is read; with it on,
-    exactly the stepped ticks' are: a replayed tick's rows stay in the held
-    step the run's trace keeps for its span."""
+    """`run` reads no tick's `StepInfo.trace`, collecting or not: with
+    collection on it keeps one record per stepped tick, and a replayed
+    tick's rows stay in the held step the run's trace keeps for its tail.
+    The trace is non-empty only when collected."""
     reads = []
     eager = StepInfo.trace
 
@@ -393,8 +484,10 @@ def test_trace_rows_are_built_only_when_collected(collect, monkeypatch):
                  observers=(SafetyChecker(spec.grid), stepped_ticks), metrics=fms_metrics,
                  termination=all_tasks_delivered, collect_trace=collect)
     assert 0 < len(stepped) < len(result.records) == 60  # the corridor freezes
-    assert reads == (stepped if collect else [])
+    assert reads == []
     assert bool(result.trace) == collect
+    if collect:
+        assert [record[0] for record in result.trace.steps] == stepped
 
 
 # --- route table -------------------------------------------------------------
@@ -564,6 +657,114 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
     cli.write_trace(folder / "rows.jsonl", rows)
     assert (folder / "span.jsonl").read_text() == (folder / "rows.jsonl").read_text() == (
         dumped_trace(rows))
+
+
+event_names = st.sampled_from(["influence", "inhibition", "spawn"]) | hostile_names
+event_payloads = st.dictionaries(st.sampled_from(["id", "agent", "z"]), payload_values, max_size=2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(hostile_names, min_size=5, max_size=5, unique=True), st.integers(0, 3),
+       st.one_of(st.integers(-3, 300), texts.map(Text), texts, hostile_names),
+       st.lists(st.tuples(event_names, event_payloads), max_size=3))
+def test_stepped_ticks_are_written_as_their_rows(tmp_path_factory, names, made, odd_id, events):
+    """A toy model that never freezes, started at tick 95, with hostile
+    names: `p` makes `made` moves into `micro`, which `m`'s constraint
+    inhibits, and one influence into `macro` built by hand with `odd_id` as
+    its id (an int, a `str` subclass, or a string that may be empty).  Both
+    reactions read the clock and emit `events`; on odd ticks without their
+    `id` keys, so those ticks are written from templates, and on even ticks
+    with them plus one event whose `id` sorts among `p`'s influences, so
+    those ticks take the row path.  The run's trace is its stepped rows, and
+    the file written from it equals the file written row by row and
+    per-row `json.dumps`."""
+    micro, macro, p, m, move = names
+    hold, other = move + "!", move + "?"
+    graph = validate(LevelGraphSpec.make([micro, macro], [(micro, macro), (macro, micro)],
+                                         [(micro, macro), (macro, micro)]))
+
+    def script(ctx):
+        return [ctx.make(move, micro, to=k) for k in range(made)] + [
+            Influence(odd_id, other, macro, p, {})]
+
+    def chatty(level, sigma, influences, ctx):
+        tick = ctx.tick
+        if tick % 2:
+            made_events = [(name, {k: v for k, v in payload.items() if k != "id"})
+                           for name, payload in events]
+        else:
+            made_events = events + [("seen", {"id": f"{p}@{tick}#1", "at": level})]
+        return ReactionResult(sigma, events=tuple(made_events))
+
+    model = Model(
+        graph=graph,
+        behaviors={p: Steady(script),
+                   m: Steady(lambda ctx: [ctx.make(hold, micro, klass=CONSTRAINT,
+                                                   selector=InfluenceSelector(move))])},
+        reactions={micro: chatty, macro: chatty},
+        decls=Declarations({micro: frozenset({move, hold}), macro: frozenset({other})},
+                           couplings=(HierarchicalCoupling(micro, macro),),
+                           constraints=(ConstraintKindDecl(hold, micro, move),)),
+    )
+    state = SystemState(time=95, per_level={
+        micro: LevelState(micro, {body_key(p): Body(micro)}),
+        macro: LevelState(macro, {body_key(m): Body(macro)}),
+    }, agents={p: AgentRecord(p), m: AgentRecord(m)})
+    result = run(model, state, ticks=6, collect_trace=True)
+    assert result.frozen_from is None and len(result.trace.steps) == 6
+    stepped = []
+    for _ in range(6):
+        state, info = step(model, state)
+        assert info.trace == record_rows(info.record())
+        stepped += info.trace
+    assert any(event == "inhibition" for event in map(itemgetter("event"), stepped))
+    rows = list(result.trace)
+    assert rows == stepped == result.trace.rows
+    assert len(result.trace) == len(rows)
+    folder = tmp_path_factory.mktemp("stepped")
+    cli.write_trace(folder / "trace.jsonl", result.trace)
+    cli.write_trace(folder / "rows.jsonl", rows)
+    assert (folder / "trace.jsonl").read_text() == (folder / "rows.jsonl").read_text() == (
+        dumped_trace(rows))
+
+
+influence_records = st.tuples(
+    st.sampled_from(["floor", "tasks", "contröl", ""]), st.one_of(texts, texts.map(Text)),
+    st.sampled_from(["move", "", "a\"b"]), st.sampled_from(["ordinary", "emergence"]),
+    st.sampled_from(["agv-1", "é"]))
+inhibition_records_ = st.tuples(
+    st.sampled_from(["floor", "tasks", ""]), st.one_of(texts, texts.map(Text)),
+    st.lists(st.one_of(texts, st.integers(0, 2)), max_size=2).map(tuple))
+record_events = st.tuples(st.sampled_from(["floor", "tasks", ""]), event_names,
+                          st.one_of(event_payloads, st.none()))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.lists(st.tuples(
+    st.lists(influence_records, max_size=5, unique_by=itemgetter(1)),
+    st.lists(inhibition_records_, max_size=3), st.lists(record_events, max_size=3)),
+    min_size=1, max_size=3))
+def test_step_records_are_written_as_their_rows(tmp_path_factory, first, steps):
+    """Records as `StepInfo.record` makes them (influence ids unique, in
+    level and id order) of consecutive ticks, with empty ids and `str`
+    subclasses among the influences, inhibitions with odd ids and events
+    of any name, with or without an `id` key or a dict payload: the trace
+    file equals per-row `json.dumps` of their rows."""
+    records = [
+        (first + k, sorted(influences, key=itemgetter(0, 1)),
+         sorted(inhibitions, key=itemgetter(0)), tuple(events))
+        for k, (influences, inhibitions, events) in enumerate(steps)
+    ]
+    rows = [row for record in records for row in record_rows(record)]
+    trace = Trace(records, None, first + len(records))
+    path = tmp_path_factory.mktemp("records") / "trace.jsonl"
+    if any(not isinstance(row["payload"], dict) for row in rows):
+        for written in (rows, trace):  # `_row_lines` reads `payload.get`
+            with pytest.raises(AttributeError):
+                cli.write_trace(path, written)
+        return
+    cli.write_trace(path, trace)
+    assert path.read_text() == dumped_trace(rows)
 
 
 def test_a_long_frozen_run_keeps_one_span(tmp_path):

@@ -505,6 +505,44 @@ def test_resolution_is_safe(data):
         assert final[a] in (current[a], desired[a])
 
 
+def rescanning_resolve_moves(current, desired):
+    """`resolve_moves` as it was written first: the swap scan sorts the
+    movers again for every `a`."""
+    movers = {a for a in current if desired[a] != current[a]}
+    changed = True
+    while changed:
+        changed = False
+        stay_cells = {current[a] for a in current if a not in movers}
+        for a in sorted(movers):
+            if desired[a] in stay_cells:
+                movers.discard(a)
+                changed = True
+        for a in sorted(movers):
+            for b in sorted(movers):
+                if a < b and desired[a] == current[b] and desired[b] == current[a]:
+                    movers.discard(a)
+                    movers.discard(b)
+                    changed = True
+        by_target = {}
+        for a in sorted(movers):
+            by_target.setdefault(desired[a], []).append(a)
+        for group in by_target.values():
+            for a in group[1:]:
+                movers.discard(a)
+                changed = True
+    return {a: (desired[a] if a in movers else current[a]) for a in current}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([f"a{i}" for i in range(7)]),
+                       st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1))
+def test_resolution_equals_the_rescanning_swap_scan(pairs):
+    """On any current and desired cells, shared ones included."""
+    current = {a: (x, 0) for a, (x, _) in pairs.items()}
+    desired = {a: (y, 0) for a, (_, y) in pairs.items()}
+    assert resolve_moves(current, desired) == rescanning_resolve_moves(current, desired)
+
+
 # --- floor reaction ----------------------------------------------------------
 
 def floor_sigma(bodies):

@@ -127,6 +127,15 @@ def test_bodies_of_reads_only_body_keys():
     assert LevelState("micro", properties).bodies() == bodies_of(properties)
 
 
+def test_bodies_of_a_type_are_the_bodies_whose_type_matches():
+    agv, shop = Body("floor", {"type": "agv"}), Body("floor", {"type": "shop"})
+    properties = {body_key("a1"): agv, body_key("s1"): shop, body_key("x"): Body("floor"),
+                  "agv": {"type": "agv"}}
+    assert bodies_of(properties, "agv") == {"a1": agv}
+    assert bodies_of(properties, "shop") == {"s1": shop}
+    assert bodies_of(properties, "solver") == {}
+
+
 def test_level_bodies_are_built_once_and_read_only():
     level_state = make_state([("a1", "micro")]).per_level["micro"]
     bodies = level_state.bodies()
