@@ -116,65 +116,44 @@ class _EncodedScalars(dict):
         return text
 
 
-def _shaped(payload):
-    """The JSON text of an influence payload (exactly the keys class, id,
-    kind and producer, each an exact `str`) or an inhibition payload
-    (exactly constraint, an exact `str`, and inhibited, a `list` of exact
-    `str`), built without an encoder; None for any other payload.  A dict of
-    n keys whose n wanted values are found holds exactly those keys."""
-    if type(payload) is not dict:
-        return None
-    get = payload.get
-    if len(payload) == 4:
-        klass, id_, kind, producer = get("class"), get("id"), get("kind"), get("producer")
-        if str is type(klass) is type(id_) is type(kind) is type(producer):
-            return (f'{{"class": {_quote(klass)}, "id": {_quote(id_)}, '
-                    f'"kind": {_quote(kind)}, "producer": {_quote(producer)}}}')
-    elif len(payload) == 2:
-        constraint, inhibited = get("constraint"), get("inhibited")
-        if (type(constraint) is str and type(inhibited) is list
-                and all(type(i) is str for i in inhibited)):
-            return (f'{{"constraint": {_quote(constraint)}, '
-                    f'"inhibited": [{", ".join(map(_quote, inhibited))}]}}')
-    return None
+def _shaped(constraint_id, inhibited, encode) -> str:
+    """The JSON text of the inhibition payload of `constraint_id` and its
+    `inhibited` ids, built without the encoder when each id is an exact
+    `str`."""
+    if type(constraint_id) is str and all(type(i) is str for i in inhibited):
+        return (f'{{"constraint": {_quote(constraint_id)}, '
+                f'"inhibited": [{", ".join(map(_quote, inhibited))}]}}')
+    return encode({"constraint": constraint_id, "inhibited": list(inhibited)})
 
 
-def _row_lines(rows, encode, scalar) -> list:
-    """The lines of `rows`, sorted by (tick, level, influence id, event,
-    payload).  Each payload is encoded once, for both its sort key and its
-    line: an influence or inhibition payload by its shape, any other by the
-    encoder."""
-    keyed = []
-    for row in rows:
-        payload = row["payload"]
-        keyed.append((row["tick"], row["level"], str(payload.get("id", "")), row["event"],
-                      _shaped(payload) or encode(payload)))
-    keyed.sort()
-    return [
-        f'{{"event": {scalar[type(event), event]}, "level": {scalar[type(level), level]}, '
-        f'"payload": {payload}, "tick": {scalar[type(tick), tick]}}}\n'
-        for tick, level, _, event, payload in keyed
-    ]
+def _row_lines(rows, encode) -> list:
+    """The lines of `rows`, each row encoded whole, sorted by (tick, level,
+    influence id, event, payload)."""
+    rows = sorted(rows, key=lambda row: (
+        row["tick"], row["level"], str(row["payload"].get("id", "")), row["event"],
+        encode(row["payload"])))
+    return [f"{encode(row)}\n" for row in rows]
 
 
 _level = itemgetter(0)  # of a record's influence
 
 
 def _step_lines(record, templates, encode, scalar) -> list | None:
-    """The lines of one stepped tick, from its record (`engine.StepInfo.
-    record`, whose influence ids are unique); None when an influence id is
-    not an exact `str`, or an event payload is not a `dict` or has an `id`
-    key (such a row sorts among the influences).
+    """The lines of one tick, from its record (`engine.StepInfo.record`,
+    whose influence ids are unique); None when an influence id is not an
+    exact `str`, or an event payload is not a `dict` or has an `id` key
+    (such a row sorts among the influences).
 
     An influence line is its id joined into the line template of its
     (level, kind, class, producer), made once per file in `templates`, and
     None when one of those four is not an exact `str` (a `str` subclass
     equal to a template's key takes that template: both encode alike).  A
     record lists its influences in level and id order, which is the order
-    of their lines.  Inhibition and event payloads are encoded by `_shaped`
-    or the encoder.  Their rows have no id, so they sort by (level, event,
-    payload) ahead of their level's influences, where they are merged in;
-    an influence whose id is empty too ties with them, and gives None."""
+    of their lines.  Inhibition payloads are encoded by `_shaped`, event
+    payloads by the encoder.  Their rows have no id, so they sort by
+    (level, event, payload) ahead of their level's influences, where they
+    are merged in; an influence whose id is empty too ties with them, and
+    gives None."""
     tick, influences, inhibitions, events = record
     stamp = f"{scalar[type(tick), tick]}}}\n"
     lines = []
@@ -192,109 +171,79 @@ def _step_lines(record, templates, encode, scalar) -> list | None:
         lines.append(f"{template[0]}{_quote(inf_id)}{template[1]}{stamp}")
     if not (inhibitions or events):
         return lines
-    rows = [(level, "inhibition", {"constraint": constraint_id, "inhibited": list(inhibited)})
-            for level, constraint_id, inhibited in inhibitions]
+    extras = [(level, "inhibition", _shaped(constraint_id, inhibited, encode))
+              for level, constraint_id, inhibited in inhibitions]
     for level, event, payload in events:
         if type(payload) is not dict or "id" in payload:
             return None
-        rows.append((level, event, payload))
-    keyed = []
-    for level, event, payload in rows:
-        text = _shaped(payload) or encode(payload)
-        keyed.append((level, event, text,
-                      f'{{"event": {scalar[type(event), event]}, '
-                      f'"level": {scalar[type(level), level]}, "payload": {text}, "tick": {stamp}'))
-    keyed.sort()
+        extras.append((level, event, encode(payload)))
+    extras.sort()
     merged = []
     start = 0
-    for level, _, _, line in keyed:
+    for level, event, text in extras:
         at = bisect_left(influences, level, start, key=_level)
         if at < len(influences) and influences[at][0] == level and not influences[at][1]:
             return None
         merged += lines[start:at]
-        merged.append(line)
+        merged.append(f'{{"event": {scalar[type(event), event]}, '
+                      f'"level": {scalar[type(level), level]}, "payload": {text}, "tick": {stamp}')
         start = at
     merged += lines[start:]
     return merged
 
 
-# Marks each place a span's tick goes in its line templates.  The ASCII-only
-# encoder escapes every non-ASCII character, so no encoded value holds it.
-_STAMP = "\N{SECTION SIGN}"
+# Marks each tick slot of a frozen tail's text.  The encoder writes it as
+# itself and makes it of no other character, so the text holds it only in
+# the slots, unless a held value holds it.
+_MARK = "~"
 
 
-def _stamped(head, tail) -> str:
-    """The JSON text of the id `head + tick + tail`, `_STAMP` for the tick."""
-    return f"{_quote(head)[:-1]}{_STAMP}{_quote(tail)[1:]}"
-
-
-def _span_lines(held, end, scalar) -> list | None:
+def _span_lines(held, end, encode) -> list | None:
     """The lines of a run's frozen tail, ticks `held.first` to `end - 1`,
-    one text per tick, read from its held step (see `engine.HeldStep`);
-    None when a held value is not an exact `str` or the first tick not an
-    exact int.  Each held row is encoded once, as a line template with
-    `_STAMP` in each tick slot.  The templates are sorted once, by their key
-    at the first tick: the ids of one tick sort alike on every tick
-    (`ReplayMemory.hold`), so each tick's rows sort as the rows of the
-    first.  A tick's text is its number joining the pieces between the
-    slots."""
-    first = held.first
-    if type(first) is not int:
+    one text per tick; None when `_step_lines` declines its record or a
+    held value holds `_MARK`.  The held step's record (`engine.HeldStep.
+    record`) is written once by `_step_lines`, with `_MARK` for the tick,
+    and the text split at the mark: a tick's text is its number joining the
+    pieces.  The ids of one tick sort alike on every tick (`ReplayMemory.
+    hold`), so lines sorted at the mark are sorted at every tick."""
+    scalar = _EncodedScalars(encode)
+    scalar[str, _MARK] = _MARK  # the tick field, bare as a tick's number
+    record = held.record(_MARK)
+    lines = _step_lines(record, {}, encode, scalar)
+    if lines is None:
         return None
-    at = str(first)
-    keyed = []
-    for level, templates in held.influences:
-        for head, tail, kind, klass, producer, _ in templates:
-            if not str is type(level) is type(head) is type(tail) is type(kind) is type(
-                    klass) is type(producer):
-                return None
-            keyed.append((level, head + at + tail, "influence",
-                          f'{{"class": {_quote(klass)}, "id": {_stamped(head, tail)}, '
-                          f'"kind": {_quote(kind)}, "producer": {_quote(producer)}}}'))
-    for level, records in held.log:
-        for (head, tail), hits in records:
-            if not (str is type(level) is type(head) is type(tail)
-                    and all(str is type(h) is type(t) for h, t in hits)):
-                return None
-            inhibited = ", ".join([_stamped(h, t) for h, t in hits])
-            keyed.append((level, "", "inhibition",
-                          f'{{"constraint": {_stamped(head, tail)}, "inhibited": [{inhibited}]}}'))
-    keyed.sort(key=lambda row: (*row[:3], row[3].replace(_STAMP, at)))
-    pieces = "".join([
-        f'{{"event": {scalar[str, event]}, "level": {scalar[str, level]}, '
-        f'"payload": {payload}, "tick": {_STAMP}}}\n'
-        for level, _, event, payload in keyed
-    ]).split(_STAMP)
-    return [str(tick).join(pieces) for tick in range(first, end)]
+    pieces = "".join(lines).split(_MARK)
+    slots = len(lines) + len(record[1]) + sum([1 + len(hits) for _, _, hits in record[2]])
+    if len(pieces) != slots + 1:
+        return None
+    return [str(tick).join(pieces) for tick in range(held.first, end)]
 
 
 def write_trace(path, trace):
     """One JSON line per trace row, with sorted keys, ordered by (tick, level,
-    influence id, event, payload), written in one call.  Each distinct
-    tick, level and event is encoded once per file.
+    influence id, event, payload), written in one call.
 
-    Any iterable of rows is sorted and encoded row by row (`_row_lines`).
-    A run's `Trace` is written in three encodings, none of which builds a
-    row: each stepped tick from its record, its influence lines from line
-    templates made once per file (`_step_lines`); then the frozen tail, whose
-    ticks follow them, from one template per held row (`_span_lines`).  A
-    tick or tail that either declines is written from its rows.  The
-    records come in tick order, so writing each tick in turn orders the
-    lines as one sort of all the rows would."""
+    A run's `Trace` is written from its records, none of which builds a
+    row: each stepped tick's (`_step_lines`, whose influence line templates
+    are made once per file), then the frozen tail's, whose ticks follow
+    them, encoded once for every tick (`_span_lines`).  The records come in
+    tick order, so writing each in turn orders the lines as one sort of all
+    the rows would.  Any other iterable of rows, and a record that either
+    declines, is written row by row (`_row_lines`)."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
-    scalar = _EncodedScalars(encode)
     if not isinstance(trace, Trace):
-        lines = _row_lines(trace, encode, scalar)
+        lines = _row_lines(trace, encode)
     else:
+        scalar = _EncodedScalars(encode)
         lines = []
         templates: dict = {}
         for record in trace.steps:
             step = _step_lines(record, templates, encode, scalar)
-            lines += step if step is not None else _row_lines(record_rows(record), encode, scalar)
+            lines += step if step is not None else _row_lines(record_rows(record), encode)
         held = trace.held
         if held is not None:
-            tail = _span_lines(held, trace.end, scalar)
-            lines += tail if tail is not None else _row_lines(trace.tail(), encode, scalar)
+            tail = _span_lines(held, trace.end, encode)
+            lines += tail if tail is not None else _row_lines(trace.tail(), encode)
     with open(path, "w") as fh:
         fh.write("".join(lines))
 

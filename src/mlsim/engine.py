@@ -62,10 +62,11 @@ one frozen tail, from the first tick on the held step's successor
 `run(collect_trace=True)` returns the trace as a `Trace` of the rows every
 tick's `StepInfo.trace` gives, without reading it: one compact record per
 stepped tick (`StepInfo.record`, tuples of the rows' values, no row dict),
-then the tail as its held step and end.  Rows are built from either only
-when read.  The record and held step layouts are read outside this module
-only by `cli.write_trace`, which writes a stepped tick from line templates
-of its record and the tail from one encoding of its held step's templates.
+then the tail as its held step and end.  A tail tick's record is its held
+step's (`HeldStep.record`), in the same layout, and rows are built from a
+record (`record_rows`) only when read.  Outside this module only
+`cli.write_trace` reads records, writing every one from line templates,
+the tail's once for all its ticks.
 """
 
 from __future__ import annotations
@@ -227,14 +228,6 @@ class Model:
     # The hierarchy declarations, read-only by contract: swap them with
     # `_replace`, never write into them.
     decls: Declarations = field(default_factory=lambda: Declarations({}))
-
-    def behavior_for(self, record: AgentRecord) -> BehaviorRule | None:
-        """The rule that produces for `record`: its own, else its kind's.
-        `produce_influences` inlines this lookup."""
-        rule = self.behaviors.get(record.id)
-        if rule is None:
-            rule = self.dynamic_behaviors.get(record.kind)
-        return rule
 
     def constraint_decl(self, kind: str) -> ConstraintKindDecl | None:
         return next((d for d in self.decls.constraints if d.kind == kind), None)
@@ -428,8 +421,9 @@ class HeldStep:
     - `constraints`: the number of records in `log`, and `row_count` the
       number of trace rows of one tick (a frozen tick emits no event).
 
-    `rows`, `produced` and `inhibitions` build what a tick `t` repeating it
-    reports; they equal what stepping its snapshot would report."""
+    `record` (in `StepInfo.record`'s layout), `produced` and `inhibitions`
+    build what a tick `t` repeating it reports, its ids made with `str(t)`;
+    they equal what stepping its snapshot would report."""
 
     __slots__ = ("influences", "log", "first", "constraints", "row_count")
 
@@ -440,17 +434,17 @@ class HeldStep:
         self.constraints = sum(len(records) for _, records in log)
         self.row_count = sum(len(templates) for _, templates in influences) + self.constraints
 
-    def rows(self, tick) -> tuple:
+    def record(self, tick) -> tuple:
         stamp = str(tick)
-        return record_rows((
+        return (
             tick,
             [(level, head + stamp + tail, kind, klass, producer)
              for level, templates in self.influences
              for head, tail, kind, klass, producer, _ in templates],
-            [(level, head + stamp + tail, [h + stamp + t for h, t in hits])
+            [(level, head + stamp + tail, tuple([h + stamp + t for h, t in hits]))
              for level, records in self.log for (head, tail), hits in records],
             (),
-        ))
+        )
 
     def produced(self, tick) -> dict:
         stamp = str(tick)
@@ -479,7 +473,8 @@ class StepInfo:
 
     A step replayed whole (`replayed`) carries the `HeldStep` it repeats as
     `held`, and `produced` and `inhibitions` are made from it on their first
-    read only; `constraints` is read off the held log."""
+    read only; `constraints` is read off the held log, and `record` and
+    `trace` from the held record."""
 
     __slots__ = ("_produced", "_inhibitions", "held", "events", "tick", "replayed")
 
@@ -516,7 +511,10 @@ class StepInfo:
         events)`: a `(level, id, kind, class, producer)` per produced
         influence in level then id order, a `(level, constraint id, inhibited
         ids)` per inhibition record in level then log order, and the events.
-        It holds no row: `record_rows` builds them."""
+        It holds no row: `record_rows` builds them.  A replayed step's is its
+        held step's (`HeldStep.record`)."""
+        if self.held is not None:
+            return self.held.record(self.tick)
         produced, inhibitions = self.produced, self.inhibitions
         return (
             self.tick,
@@ -532,8 +530,6 @@ class StepInfo:
         """The step's trace rows, built on each read: every produced
         influence by level and id, then every inhibition by level, then
         the reaction events in order."""
-        if self.held is not None:
-            return self.held.rows(self.tick)
         return record_rows(self.record())
 
 
@@ -720,8 +716,8 @@ class Trace:
     them: `steps`, one `StepInfo.record` per stepped tick in tick order, then,
     when `held` is a `HeldStep`, the run's frozen tail: ticks `held.first` to
     `end - 1`, each a replay of `held`.  Rows are built only when read
-    (`rows`, iteration, `tail`); `len` counts them without building any.
-    There is no random access."""
+    (`rows`, iteration, `tail`), from each tick's record by `record_rows`;
+    `len` counts them without building any.  There is no random access."""
 
     __slots__ = ("steps", "held", "end")
 
@@ -747,11 +743,11 @@ class Trace:
         yield from self.tail()
 
     def tail(self):
-        """The frozen tail's rows, tick by tick, from `HeldStep.rows`."""
+        """The frozen tail's rows, tick by tick, from `HeldStep.record`."""
         held = self.held
         if held is not None:
             for tick in range(held.first, self.end):
-                yield from held.rows(tick)
+                yield from record_rows(held.record(tick))
 
 
 @dataclass

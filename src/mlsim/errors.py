@@ -45,12 +45,6 @@ class UnknownLevel(MlsimError):
     pass
 
 
-# --- state ---
-
-class UnknownAgent(MlsimError):
-    pass
-
-
 # --- engine contracts ---
 
 class IllegalInfluenceTarget(MlsimError):

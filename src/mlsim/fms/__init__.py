@@ -1,11 +1,10 @@
-from .grid import GridMap, bfs_distances, bfs_path, compute_fields
+from .grid import GridMap, bfs_distances, bfs_path
 from .model import FmsParams, build_fms_model, build_initial_state
 
 __all__ = [
     "GridMap",
     "bfs_distances",
     "bfs_path",
-    "compute_fields",
     "FmsParams",
     "build_fms_model",
     "build_initial_state",

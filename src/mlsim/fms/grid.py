@@ -1,9 +1,9 @@
-"""4-connected grid world, BFS geometry, and scalar field superposition.
+"""4-connected grid world, BFS geometry, and the reach of field emitters.
 
-The field law is linear decay over BFS distance on free cells:
-an emitter of amplitude A contributes max(0, A - d) at distance d, attraction
-positive, repulsion negative, superposition additive.  Unreachable cells get
-no contribution.
+The field law, which `model.FloorView.sense` evaluates, is linear decay over
+BFS distance on free cells: an emitter of amplitude A contributes
+max(0, A - d) at distance d, attraction positive, repulsion negative,
+superposition additive.  Unreachable cells get no contribution.
 
 Walls never move, so each `GridMap` owns its static geometry: a sorted
 adjacency table and one per-source table of wall-only BFS distances, each
@@ -174,21 +174,3 @@ def emitter_reach(grid: GridMap, cell: Cell, amplitude: int) -> dict[Cell, int]:
     if cell not in grid.adjacency:
         raise EmitterOnBlockedCell(f"emitter at {cell} is blocked or out of bounds")
     return grid.distances_below(cell, amplitude)
-
-
-def compute_fields(grid: GridMap, attractors, repulsors, cells=None) -> dict[Cell, int]:
-    """Net potential per free cell, or only at `cells` when given.
-
-    attractors / repulsors: iterables of (cell, amplitude).  Raises
-    EmitterOnBlockedCell for any emitter outside the free cell set.  The
-    sums are Python ints, exact at any amplitude.
-    """
-    field = dict.fromkeys(grid.free_cells() if cells is None else cells, 0)
-    for sign, emitters in ((1, attractors), (-1, repulsors)):
-        for cell, amplitude in emitters:
-            dist = emitter_reach(grid, cell, amplitude)
-            for target in field:
-                d = dist.get(target)
-                if d is not None and amplitude - d > 0:
-                    field[target] += sign * (amplitude - d)
-    return field

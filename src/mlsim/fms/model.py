@@ -176,8 +176,8 @@ class FloorView:
     attraction (every emitting shop's field while idle, its goal's field
     while assigned) minus the repulsion of the other AGVs whose reach meets
     those cells; the rest add nothing there.  Every term is a Python int, so
-    the values equal the per-AGV sums of `compute_fields` exactly, at any
-    amplitude and in any order.
+    the values equal the law's per-cell sums exactly, at any amplitude and
+    in any order.
 
     Every producer that senses the same snapshot shares one view, and so
     the one pass: it is a pure function of the snapshot, so making it never

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import IllegalPerception, UnknownAgent
+from .errors import IllegalPerception
 from .levels import LevelId
 
 ORDINARY = "ordinary"
@@ -223,18 +223,8 @@ class Percept:
     def __contains__(self, level: LevelId) -> bool:
         return level in self._observed
 
-    def levels(self) -> frozenset:
-        return frozenset(self._observed)
-
 
 # --- operations ---
-
-def member_levels(state: SystemState, agent_id: AgentId) -> frozenset:
-    """Levels whose property map holds a body of the agent."""
-    if agent_id not in state.agents:
-        raise UnknownAgent(agent_id)
-    return state.memberships().get(agent_id, frozenset())
-
 
 def group_by_level(levels: Iterable[LevelId], sets: Iterable[Iterable[Influence]]) -> dict:
     """The union of `sets`, partitioned by target level: level -> frozenset

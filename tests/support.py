@@ -1,7 +1,8 @@
 """Helpers several test modules share; the program itself has no use for them."""
 
 from mlsim.engine import ReactionResult
-from mlsim.state import ORDINARY, Influence
+from mlsim.fms.model import FLOOR, TASKS, FloorView, FmsParams
+from mlsim.state import ORDINARY, Body, Influence, LevelState, body_key
 
 
 def influence(kind, target_level, producer, uid, klass=ORDINARY, **payload) -> Influence:
@@ -20,3 +21,35 @@ def influence(kind, target_level, producer, uid, klass=ORDINARY, **payload) -> I
 def identity_reaction(level, sigma, influences, ctx) -> ReactionResult:
     """Keep the properties, persist nothing."""
     return ReactionResult(sigma=sigma)
+
+
+def sensed_ties(grid, shops, attract, repulsors=(), repulse=0) -> dict:
+    """Free cell -> what `FloorView.sense` gives an idle AGV with repulsion
+    off standing there, (cell, ties): the field law read at every free cell,
+    with an emitting shop pulling at `attract` on each cell of `shops` and
+    an AGV with repulsion on pushing at `repulse` on each of `repulsors`."""
+    agvs = {f"pushing{i}": (cell, True) for i, cell in enumerate(repulsors)}
+    agvs.update({f"probe{cell}": (cell, False) for cell in grid.free_cells()})
+    floor = LevelState(FLOOR, {
+        body_key(aid): Body(FLOOR, {"type": "agv", "cell": cell, "assigned": None,
+                                    "repulsion_on": on})
+        for aid, (cell, on) in agvs.items()
+    })
+    tasks = LevelState(TASKS, {
+        body_key(f"shop{i}"): Body(TASKS, {"type": "shop", "cell": cell, "emitting": True})
+        for i, cell in enumerate(shops)
+    })
+    sensed = FloorView(grid, FmsParams(attract=attract, repulse=repulse), floor, tasks).sense()
+    return {cell: sensed[f"probe{cell}"] for cell in grid.free_cells()}
+
+
+def field_ties(grid, field) -> dict:
+    """Free cell -> (cell, ties) of a field of values by free cell: the
+    neighbors of the largest value, in sorted order, when it is larger than
+    the cell's own, else no ties."""
+    out = {}
+    for cell, candidates in grid.adjacency.items():
+        best = max((field[c] for c in candidates), default=field[cell])
+        out[cell] = (cell, [c for c in candidates if field[c] == best]
+                     if best > field[cell] else ())
+    return out

@@ -20,7 +20,7 @@ from mlsim.engine import (
     run,
     step,
 )
-from mlsim.fms.grid import GridMap, bfs_distances, compute_fields
+from mlsim.fms.grid import GridMap, bfs_distances
 from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from mlsim.hierarchy import Declarations, InfluenceSelector, apply_constraints
 from mlsim.levels import LevelGraphSpec, validate
@@ -34,7 +34,7 @@ from mlsim.state import (
     body_key,
 )
 
-from support import influence
+from support import field_ties, influence, sensed_ties
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -319,6 +319,12 @@ def brute_force_field(grid, attractors, repulsors):
     return out
 
 
+def sensed_as_brute_force(grid, shops, attract, repulsors, repulse):
+    field = brute_force_field(grid, [(c, attract) for c in shops],
+                              [(c, repulse) for c in repulsors])
+    return sensed_ties(grid, shops, attract, repulsors, repulse) == field_ties(grid, field)
+
+
 def test_criterion_5_field_oracle():
     ok = True
     rng = random.Random(5)
@@ -327,9 +333,9 @@ def test_criterion_5_field_oracle():
         bundled.append(parse_scenario(SCENARIOS / name).grid)
     for grid in bundled:
         free = grid.free_cells()
-        emitters = [(c, rng.randint(1, 16)) for c in rng.sample(free, min(4, len(free)))]
-        attract, repulse = emitters[:2], emitters[2:]
-        if compute_fields(grid, attract, repulse) != brute_force_field(grid, attract, repulse):
+        emitters = rng.sample(free, min(4, len(free)))
+        if not sensed_as_brute_force(grid, emitters[:2], rng.randint(1, 16),
+                                     emitters[2:], rng.randint(1, 16)):
             ok = False
     for _ in range(200):
         w, h = rng.randint(1, 10), rng.randint(1, 10)
@@ -340,15 +346,13 @@ def test_criterion_5_field_oracle():
         free = grid.free_cells()
         if not free:
             continue
-        emitters = [
-            (rng.choice(free), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))
-        ]
+        emitters = [rng.choice(free) for _ in range(rng.randint(0, 5))]
         split = rng.randint(0, len(emitters))
-        attract, repulse = emitters[:split], emitters[split:]
-        if compute_fields(grid, attract, repulse) != brute_force_field(grid, attract, repulse):
+        if not sensed_as_brute_force(grid, emitters[:split], rng.randint(1, 12),
+                                     emitters[split:], rng.randint(1, 12)):
             ok = False
             break
-    report(5, "compute_fields equals brute-force per-cell decay summation", ok)
+    report(5, "FloorView.sense reads the brute-force per-cell decay summation", ok)
 
 
 # --- criterion 6: case-study behavioral claim ----------------------------------

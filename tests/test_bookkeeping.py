@@ -13,9 +13,10 @@ import dataclasses
 import json
 import pickle
 from operator import itemgetter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsim import cli
@@ -29,7 +30,6 @@ from mlsim.engine import (
     run,
     step,
 )
-from mlsim.errors import UnknownAgent
 from mlsim.fms.grid import GridMap
 from mlsim.fms.model import (
     FLOOR,
@@ -59,7 +59,7 @@ from mlsim.hierarchy import (
     apply_constraints,
 )
 from mlsim.levels import LevelGraphSpec, validate
-from mlsim.scenario import build, parse_scenario
+from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 from mlsim.state import (
     CONSTRAINT,
     EMERGENCE,
@@ -73,7 +73,6 @@ from mlsim.state import (
     bodies_of,
     body_key,
     group_by_level,
-    member_levels,
 )
 
 from support import identity_reaction, influence
@@ -152,12 +151,6 @@ def test_membership_index_equals_a_scan_of_the_level_maps(data):
         state, _ = step(model, state)
         scanned = scanned_memberships(state)
         assert dict(state.memberships()) == scanned
-        for agent in AGENTS:
-            if agent in state.agents:
-                assert member_levels(state, agent) == scanned.get(agent, frozenset())
-            else:
-                with pytest.raises(UnknownAgent):
-                    member_levels(state, agent)
 
 
 # --- id-hashed influences ----------------------------------------------------
@@ -541,8 +534,8 @@ def dumped_trace(trace):
 
 
 class Text(str):
-    """A str subclass: the encoder writes it as a string, and the trace
-    writer's shaped path must leave it to the encoder."""
+    """A str subclass, which the encoder writes as a string: the trace
+    writer's exact-`str` checks must not trip over it."""
 
 
 texts = st.text("aé\"\\\n", max_size=3)
@@ -551,7 +544,7 @@ payload_values = st.one_of(
     st.lists(st.integers(0, 2), max_size=2), st.tuples(st.integers(0, 2)),
     st.builds(InfluenceSelector, st.just("move")),
 )
-# The two shapes `cli.write_trace` builds as text, keyed in the engine's order.
+# The engine's two payload shapes, keyed in its order.
 influence_payloads = st.fixed_dictionaries(
     {"id": texts, "kind": texts, "class": texts, "producer": texts})
 inhibition_payloads = st.fixed_dictionaries(
@@ -561,9 +554,9 @@ misfits = st.one_of(st.none(), st.integers(0, 2), texts.map(Text), st.tuples(tex
 
 @st.composite
 def near_misses(draw):
-    """A payload one change away from a shaped one, which the writer must
-    leave to the encoder: a value that is not an exact `str`, a key dropped
-    or added, or `inhibited` as a tuple or holding an int."""
+    """A payload one change away from one of the engine's shapes: a value
+    that is not an exact `str`, a key dropped or added, or `inhibited` as a
+    tuple or holding an int."""
     payload = dict(draw(st.one_of(influence_payloads, inhibition_payloads)))
     change = draw(st.sampled_from(["value", "drop", "add", "tuple", "int-item"]))
     if change in ("tuple", "int-item") and "inhibited" in payload:
@@ -601,17 +594,19 @@ def test_write_trace_equals_json_dumps_per_row(tmp_path_factory, rows):
 
 
 # Names that trouble a tick stamp: digits and the tick's own digits, the id
-# separators `@` and `#`, what JSON escapes, and non-ASCII, the section sign
-# (the trace writer's stamp) among it.
+# separators `@` and `#`, what JSON escapes, non-ASCII, and the trace
+# writer's tick mark, which sends a frozen tail that holds it to the row path.
 hostile_names = st.one_of(
-    st.text("09@#\"\\é\N{SECTION SIGN}", min_size=1, max_size=4),
-    st.sampled_from(["96", "99", "100", "101", "@100#", "#0"]),
+    st.text("09@#\"\\é\N{SECTION SIGN}" + cli._MARK, min_size=1, max_size=4),
+    st.sampled_from(["96", "99", "100", "101", "@100#", "#0", f"9{cli._MARK}"]),
 )
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(hostile_names, min_size=5, max_size=5, unique=True), st.integers(1, 3),
        st.booleans(), st.booleans())
+@example(names=["micro", "macro", f"p{cli._MARK}", "m", "move"], made=2, by_producer=True,
+         subclassed=False)
 def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_producer,
                                               subclassed):
     """A toy model frozen from its second tick, started at tick 95 so that
@@ -619,7 +614,8 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
     names: `p` makes `made` moves and `m` holds them.  The run's trace is
     its ticks' stepped rows, and the file written from it equals the file
     written row by row and per-row `json.dumps`.  A kind that is not an
-    exact `str` leaves the span to the row path."""
+    exact `str` leaves every tick to the row path, and a held name that
+    holds the tick mark leaves the tail to it."""
     micro, macro, p, m, move = names
     hold = move + "!"
     if subclassed:
@@ -653,7 +649,11 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
     assert rows == stepped
     assert len(result.trace) == len(rows)
     folder = tmp_path_factory.mktemp("span")
-    cli.write_trace(folder / "span.jsonl", result.trace)
+    with mock.patch.object(cli, "_row_lines", wraps=cli._row_lines) as row_path:
+        cli.write_trace(folder / "span.jsonl", result.trace)
+    # The held record holds `micro`, `p`, `m` and `move`, not `macro`.
+    marked = held and any(cli._MARK in name for name in (micro, p, m, move))
+    assert row_path.called == (subclassed or marked)
     cli.write_trace(folder / "rows.jsonl", rows)
     assert (folder / "span.jsonl").read_text() == (folder / "rows.jsonl").read_text() == (
         dumped_trace(rows))
@@ -767,16 +767,20 @@ def test_step_records_are_written_as_their_rows(tmp_path_factory, first, steps):
     assert path.read_text() == dumped_trace(rows)
 
 
-def test_a_long_frozen_run_keeps_one_span(tmp_path):
-    """5,000 corridor ticks with control off: the stepped rows, then one
-    frozen tail to the end, written as its rows are."""
-    spec = parse_scenario(ROOT / "scenarios" / "corridor.json")
+@pytest.mark.parametrize("fixture, control", [("corridor", "false"), ("walled_trap", "true")])
+def test_a_long_frozen_run_keeps_one_span(tmp_path, fixture, control):
+    """5,000 ticks: the stepped rows, then one frozen tail to the end,
+    written as its rows are.  The corridor's tail (control off) holds
+    influences only; walled_trap's (control on) holds inhibitions too."""
+    spec = parse_scenario(ROOT / "scenarios" / f"{fixture}.json")
+    spec = parse_scenario_dict(apply_overrides(spec.data, {"control": control}))
     model, state = build(spec)
     result = run(model, state, ticks=5000, seed=0, observers=(SafetyChecker(spec.grid),),
                  metrics=fms_metrics, collect_trace=True)
     trace = result.trace
     assert (trace.held.first, trace.end) == (result.frozen_from, 5000)
     assert len(trace) == len(trace.rows) + (5000 - trace.held.first) * trace.held.row_count
+    assert trace.held.constraints == (4 if fixture == "walled_trap" else 0)
     cli.write_trace(tmp_path / "span.jsonl", result.trace)
     cli.write_trace(tmp_path / "rows.jsonl", list(result.trace))
     assert (tmp_path / "span.jsonl").read_bytes() == (tmp_path / "rows.jsonl").read_bytes()

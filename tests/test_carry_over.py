@@ -87,7 +87,8 @@ def acting(model, state):
     """The agents whose behavior a stepped tick on `state` calls."""
     memberships = state.memberships()
     return sum(1 for agent_id, record in state.agents.items()
-               if memberships.get(agent_id) and model.behavior_for(record) is not None)
+               if memberships.get(agent_id) and (model.behaviors.get(agent_id)
+                                                  or model.dynamic_behaviors.get(record.kind)))
 
 
 def assert_every_producer_called(model, producers, agent_ticks, ticks):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mlsim.engine import StepContext, produce_influences, react, run, step
 from mlsim.errors import EmitterOnBlockedCell, SafetyViolation
 from mlsim.fms import model as fms_model
-from mlsim.fms.grid import GridMap, bfs_distances, bfs_path, compute_fields
+from mlsim.fms.grid import GridMap, bfs_distances, bfs_path
 from mlsim.fms.model import (
     CONTROL,
     FLOOR,
@@ -54,7 +54,7 @@ from mlsim.state import (
     body_key,
 )
 
-from support import influence
+from support import field_ties, influence, sensed_ties
 
 
 def ctx(producer="test", tick=0):
@@ -121,38 +121,49 @@ def brute_force_field(grid, attractors, repulsors):
     return out
 
 
+def sensed_as_brute_force(grid, shops, attract, repulsors=(), repulse=0):
+    """The brute-force field of the shops and repulsors, after checking
+    that `FloorView.sense` reads its ties at every free cell."""
+    field = brute_force_field(grid, [(c, attract) for c in shops],
+                              [(c, repulse) for c in repulsors])
+    assert sensed_ties(grid, shops, attract, repulsors, repulse) == field_ties(grid, field)
+    return field
+
+
 def test_no_emitters_all_zero():
     grid = GridMap(4, 4)
-    field = compute_fields(grid, [], [])
-    assert set(field.values()) == {0.0}
+    field = sensed_as_brute_force(grid, [], 16)
+    assert set(field.values()) == {0}
+    assert {ties for _, ties in sensed_ties(grid, [], 16).values()} == {()}
 
 
 def test_single_shop_linear_decay():
-    grid = GridMap(5, 5)
-    field = compute_fields(grid, [((2, 2), 5)], [])
+    field = sensed_as_brute_force(GridMap(5, 5), [(2, 2)], 5)
     assert field[(2, 2)] == 5
     assert field[(4, 2)] == 3  # BFS distance 2
     assert field[(2, 0)] == 3
 
 
 def test_superposition_of_attract_and_repulse():
-    grid = GridMap(5, 5)
-    field = compute_fields(grid, [((2, 2), 5)], [((2, 2), 3)])
+    field = sensed_as_brute_force(GridMap(5, 5), [(2, 2)], 5, [(2, 2)], 3)
     assert field[(3, 2)] == (5 - 1) - (3 - 1)  # == 2
 
 
 def test_emitter_on_blocked_cell_rejected():
     grid = GridMap(3, 3, frozenset({(1, 1)}))
     with pytest.raises(EmitterOnBlockedCell):
-        compute_fields(grid, [((1, 1), 5)], [])
+        sensed_ties(grid, [(1, 1)], 5)
+    with pytest.raises(EmitterOnBlockedCell):
+        sensed_ties(grid, [], 5, [(1, 1)], 3)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_fields_match_brute_force(data):
-    w = data.draw(st.integers(min_value=1, max_value=6))
-    h = data.draw(st.integers(min_value=1, max_value=6))
-    blocked = data.draw(
+@st.composite
+def emitter_floors(draw, amplitude):
+    """A walled grid of at least one free cell, shop cells and repulsor
+    cells on it, and an attraction and a repulsion amplitude."""
+    w = draw(st.integers(min_value=1, max_value=6))
+    h = draw(st.integers(min_value=1, max_value=6))
+    blocked = draw(
         st.sets(
             st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
             max_size=(w * h) // 2,
@@ -160,22 +171,22 @@ def test_fields_match_brute_force(data):
     )
     grid = GridMap(w, h, frozenset(blocked))
     free = grid.free_cells()
-    if not free:
-        return
-    emitters = data.draw(
-        st.lists(
-            st.tuples(st.sampled_from(free), st.integers(1, 8)), max_size=4
-        )
-    )
-    split = data.draw(st.integers(0, len(emitters)))
-    attract, repulse = emitters[:split], emitters[split:]
-    expected = brute_force_field(grid, attract, repulse)
-    assert compute_fields(grid, attract, repulse) == expected
+    assume(free)
+    emitters = draw(st.lists(st.sampled_from(free), max_size=4))
+    split = draw(st.integers(0, len(emitters)))
+    return grid, emitters[:split], draw(amplitude), emitters[split:], draw(amplitude)
+
+
+@settings(max_examples=100, deadline=None)
+@given(emitter_floors(st.integers(1, 8)))
+def test_fields_match_brute_force(floor):
+    grid, shops, attract, repulsors, repulse = floor
+    expected = sensed_as_brute_force(grid, shops, attract, repulsors, repulse)
     # Balls and full rows give the same field.
-    filled = GridMap(w, h, frozenset(blocked))
-    for cell in free:
+    filled = GridMap(grid.width, grid.height, grid.blocked)
+    for cell in filled.free_cells():
         filled.distances(cell)
-    assert compute_fields(filled, attract, repulse) == expected
+    assert sensed_as_brute_force(filled, shops, attract, repulsors, repulse) == expected
     assert all(limit == math.inf for limit, _ in filled._rows.values())
 
 
@@ -187,25 +198,20 @@ def amplitudes(top):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_fields_are_exact_at_any_amplitude(data):
-    w = data.draw(st.integers(1, 6))
-    h = data.draw(st.integers(1, 6))
-    grid = GridMap(w, h)
-    emitters = data.draw(st.lists(
-        st.tuples(st.sampled_from(grid.free_cells()), amplitudes(8)), min_size=1, max_size=4))
-    split = data.draw(st.integers(0, len(emitters)))
-    attract, repulse = emitters[:split], emitters[split:]
-    field = compute_fields(grid, attract, repulse)
-    assert field == brute_force_field(grid, attract, repulse)
+@given(emitter_floors(amplitudes(8)))
+def test_fields_are_exact_at_any_amplitude(floor):
+    field = sensed_as_brute_force(*floor)
     assert all(type(value) is int for value in field.values())
 
 
 def test_the_field_keeps_unit_steps_above_2_to_the_53():
-    # As a float, 2**53 + 1 rounds to 2**53, the value one step away.
+    # As a float, 2**53 + 1 rounds to 2**53, the value one step away: the
+    # AGV next to the shop would read a flat field and stay.
     grid = GridMap(3, 1)
-    field = compute_fields(grid, [((0, 0), 2**53 + 1)], [((2, 0), 2)])
+    field = sensed_as_brute_force(grid, [(0, 0)], 2**53 + 1, [(2, 0)], 2)
     assert field == {(0, 0): 2**53 + 1, (1, 0): 2**53 - 1, (2, 0): 2**53 - 3}
+    assert sensed_as_brute_force(grid, [(0, 0)], 2**53 + 1)[(1, 0)] == 2**53
+    assert sensed_ties(grid, [(0, 0)], 2**53 + 1)[(1, 0)] == ((1, 0), [(0, 0)])
 
 
 # --- gradient movement -------------------------------------------------------
@@ -331,11 +337,10 @@ def per_agv_desired_move(grid, params, agent_id, body, agv_bodies, emitting_cell
         if other != agent_id and b.get("repulsion_on")
     )
     candidates = grid.adjacency[cell]
-    values = compute_fields(
+    values = brute_force_field(
         grid,
         [(c, params.attract) for c in attract],
         [(c, params.repulse) for c in repulse],
-        cells=candidates + (cell,),
     )
     here = values[cell]
     best = max((values[c] for c in candidates), default=here)

@@ -34,7 +34,6 @@ from mlsim.state import (
     LevelState,
     SystemState,
     body_key,
-    member_levels,
 )
 
 from support import identity_reaction, influence
@@ -276,11 +275,11 @@ def test_spawn_and_dissolve_macro_agent():
 
     state, info = step(model, state)
     assert ("macro", "spawn", {"agent": "solver0", "kind": "solver"}) in info.events
-    assert member_levels(state, "solver0") == {"macro"}
+    assert state.memberships().get("solver0", frozenset()) == {"macro"}
     assert state.per_level["macro"].bodies()["solver0"].get("trapped") == ("a1", "a2")
 
     state, _ = step(model, state)
-    assert member_levels(state, "solver0") == {"macro"}
+    assert state.memberships().get("solver0", frozenset()) == {"macro"}
 
     state, info = step(model, state)
     assert ("macro", "dissolve", {"agent": "solver0"}) in info.events

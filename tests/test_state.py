@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from mlsim.engine import Model, ReactionResult, step
-from mlsim.errors import IllegalPerception, UnknownAgent
+from mlsim.errors import IllegalPerception
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     AgentRecord,
@@ -17,7 +17,6 @@ from mlsim.state import (
     bodies_of,
     body_key,
     group_by_level,
-    member_levels,
 )
 
 from support import identity_reaction, influence
@@ -50,26 +49,21 @@ def without_body(aid):
     return reaction
 
 
-# --- member_levels -----------------------------------------------------------
+# --- memberships -------------------------------------------------------------
 
 def test_single_body_membership():
     state = make_state([("a1", "micro")])
-    assert member_levels(state, "a1") == {"micro"}
+    assert state.memberships().get("a1", frozenset()) == {"micro"}
 
 
 def test_two_level_membership():
     state = make_state([("solver", "micro"), ("solver", "macro")], levels=("micro", "macro"))
-    assert member_levels(state, "solver") == {"micro", "macro"}
+    assert state.memberships().get("solver", frozenset()) == {"micro", "macro"}
 
 
 def test_empty_membership():
     state = SystemState(per_level={"micro": LevelState("micro")}, agents={"ghost": AgentRecord("ghost")})
-    assert member_levels(state, "ghost") == frozenset()
-
-
-def test_member_levels_unknown_agent():
-    with pytest.raises(UnknownAgent):
-        member_levels(make_state(), "nobody")
+    assert state.memberships().get("ghost", frozenset()) == frozenset()
 
 
 def test_membership_requires_sigma_registration():
@@ -79,8 +73,8 @@ def test_membership_requires_sigma_registration():
     props = dict(state.per_level["micro"].properties)
     del props[body_key("a1")]
     state = SystemState(state.time, {"micro": LevelState("micro", props)}, state.agents)
-    assert member_levels(state, "a1") == frozenset()
-    assert member_levels(state, "a2") == {"micro"}
+    assert state.memberships().get("a1", frozenset()) == frozenset()
+    assert state.memberships().get("a2", frozenset()) == {"micro"}
 
 
 # --- merge -------------------------------------------------------------------
@@ -110,13 +104,13 @@ def test_merge_cardinality_is_sum_minus_duplicates():
 
 def test_register_then_member():
     state = make_state([("a1", "micro")])
-    assert "micro" in member_levels(state, "a1")
+    assert "micro" in state.memberships().get("a1", frozenset())
     assert state.per_level["micro"].bodies()["a1"].level == "micro"
 
 
 def test_register_at_two_levels():
     state = make_state([("a1", "micro"), ("a1", "macro")], levels=("micro", "macro"))
-    assert member_levels(state, "a1") == {"micro", "macro"}
+    assert state.memberships().get("a1", frozenset()) == {"micro", "macro"}
     for level in ("micro", "macro"):
         assert state.per_level[level].bodies() == {"a1": Body(level)}
 
@@ -195,7 +189,7 @@ def test_a_copied_snapshot_rebuilds_its_caches_and_agrees(clone):
 def test_remove_last_body_empties_membership():
     state = step_with(make_state([("a1", "micro")]), without_body("a1"))
     assert "a1" in state.agents
-    assert member_levels(state, "a1") == frozenset()
+    assert state.memberships().get("a1", frozenset()) == frozenset()
 
 
 def test_remove_agent_clears_bodies():
@@ -221,7 +215,6 @@ def test_operations_do_not_mutate_input():
 def test_percept_blocks_out_of_scope_levels():
     percept = Percept({"micro": LevelState("micro")}, requester="a1")
     assert "micro" in percept
-    assert percept.levels() == {"micro"}
     with pytest.raises(IllegalPerception):
         percept["macro"]
 
