@@ -9,9 +9,10 @@ Walls never move, so each `GridMap` owns its static geometry: a sorted
 adjacency table and one per-source table of wall-only BFS distances, each
 exact below a limit.  Readers that need every distance (the task assignment,
 keyed by shop cells) ask for the limit `math.inf`, the full row.  Readers
-that need only the distances below some limit (field emitters, deadlock
-grouping, the clearance check) ask for that limit, so an AGV cell costs a
-ball of its reach, not a row of the whole floor.  A ball asked for a larger
+that need only the distances below some limit (field emitters, and through
+`GridMap.near` the deadlock grouping and the clearance check) ask for that
+limit, so an AGV cell costs a ball of its reach, not a row of the whole
+floor.  A ball asked for a larger
 limit grows: the search resumes from its last level into a copy, so a row
 handed out never changes.  Both tables are filled on first use and live on
 the instance, so they die with the grid.
@@ -52,13 +53,9 @@ class GridMap:
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.blocked
 
-    def cells(self):
-        for y in range(self.height):
-            for x in range(self.width):
-                yield (x, y)
-
     def free_cells(self):
-        return [c for c in self.cells() if c not in self.blocked]
+        return [(x, y) for y in range(self.height) for x in range(self.width)
+                if (x, y) not in self.blocked]
 
     @cached_property
     def adjacency(self) -> dict[Cell, tuple[Cell, ...]]:
@@ -97,6 +94,11 @@ class GridMap:
             limit = math.inf
         self._rows[source] = (limit, row)
         return row
+
+    def near(self, a: Cell, b: Cell, limit: float) -> bool:
+        """Whether `b` is at wall-only BFS distance `< limit` from `a`, read
+        off `a`'s ball below the limit."""
+        return self.distances_below(a, limit).get(b, limit) < limit
 
 
 def bfs_distances(grid: GridMap, start: Cell, limit: float = math.inf,

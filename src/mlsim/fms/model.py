@@ -111,6 +111,17 @@ FMS_DECLARATIONS = Declarations(
         ConstraintKindDecl(K_INH_REP, FLOOR, inhibits=K_REPULSE),
     ),
 )
+HOLD_MOVE, HOLD_REPULSION = FMS_DECLARATIONS.constraints
+
+
+def hold(ctx, decl: ConstraintKindDecl, agent: str):
+    """A hold: the constraint influence of `decl` into its micro level that
+    stops `agent`'s influences of the kind `decl` inhibits.  The solvers hold
+    their members' moves and repulsion; the tasks reaction holds the moves of
+    the candidates it passed over."""
+    return ctx.make(decl.kind, decl.micro_level, klass=CONSTRAINT,
+                    selector=InfluenceSelector(decl.inhibits, agent), agent=agent)
+
 
 TASK_STATES = ("pending", "assigned", "picked", "delivered")
 
@@ -286,11 +297,8 @@ class AgvBehavior(BehaviorRule):
 
     def memorize(self, perception, internal_state, ctx):
         me, view = perception
-        body = view.agvs.get(me)
-        if body is None:
-            to = None
-        else:
-            to = desired_move(view, me, ctx.rng if self.sensor.params.jitter else None)
+        body = view.agvs[me]
+        to = desired_move(view, me, ctx.rng if self.sensor.params.jitter else None)
         # Nothing changed: the held state itself, so the tick can freeze.
         if internal_state is not None and internal_state["body"] is body \
                 and internal_state["to"] == to:
@@ -299,8 +307,6 @@ class AgvBehavior(BehaviorRule):
 
     def decide(self, internal_state, ctx):
         body = internal_state["body"]
-        if body is None:
-            return []
         me = internal_state["me"]
         out = []
         if body.get("assigned") is None:
@@ -435,13 +441,8 @@ class SolverBehavior(BehaviorRule):
                 state["phase"] = "clearing"
         if state.get("phase") == "clearing":
             cells = [agvs[m].get("cell") for m in members if m in agvs]
-            dispersed = True
-            for i, a in enumerate(cells):
-                dist = self.grid.distances_below(a, self.params.clearance)
-                for b in cells[i + 1:]:
-                    if dist.get(b, self.params.clearance) < self.params.clearance:
-                        dispersed = False
-            if dispersed:
+            if not any(self.grid.near(a, b, self.params.clearance)
+                       for i, a in enumerate(cells) for b in cells[i + 1:]):
                 state["phase"] = "resolved"
         return internal_state if kept and state == internal_state else state
 
@@ -458,26 +459,8 @@ class SolverBehavior(BehaviorRule):
             frozen = [state["parker"]] if state.get("parker") in members else []
         else:
             frozen = members
-        for m in frozen:
-            out.append(
-                ctx.make(
-                    K_INH_MOVE,
-                    FLOOR,
-                    klass=CONSTRAINT,
-                    selector=InfluenceSelector(match_kind=K_MOVE, match_producer=m),
-                    agent=m,
-                )
-            )
-        for m in members:
-            out.append(
-                ctx.make(
-                    K_INH_REP,
-                    FLOOR,
-                    klass=CONSTRAINT,
-                    selector=InfluenceSelector(match_kind=K_REPULSE, match_producer=m),
-                    agent=m,
-                )
-            )
+        out += [hold(ctx, HOLD_MOVE, m) for m in frozen]
+        out += [hold(ctx, HOLD_REPULSION, m) for m in members]
 
         if phase == "parking":
             parker = state["parker"]
@@ -525,6 +508,12 @@ def wait_cycles(waits: dict) -> set:
     return in_cycle
 
 
+def governed_agvs(solvers) -> set:
+    """The AGVs some solver traps, from solver bodies by id (as
+    `bodies_of(..., "solver")` selects them)."""
+    return {aid for body in solvers.values() for aid in body.get("trapped", ())}
+
+
 def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
     """Wait-for-cycle and no-progress detector over the floor snapshot.
 
@@ -548,11 +537,7 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
     def trapped_groups(view, control):
         """The flagged AGVs' groups, each a sorted tuple of agent ids."""
         agvs = view.agvs
-        governed: set[str] = set()
-        for b in control.bodies().values():
-            if b.get("type") == "solver":
-                governed.update(b.get("trapped", ()))
-
+        governed = governed_agvs(bodies_of(control.properties, "solver"))
         occupant = {b.get("cell"): aid for aid, b in agvs.items()}
         candidates = {}
         for aid in sorted(agvs):
@@ -584,12 +569,11 @@ def make_deadlock_detector(sensor: FieldSensor) -> DetectorRule:
         # Group flagged AGVs within field range.  An AGV waits only on the
         # occupant of a free neighbor, at distance 1, so waiting pairs are
         # near too.
-        radius = max(2, params.repulse)
+        reach = max(2, params.repulse) + 1
         links = [{a} for a in flagged]
         for i, a in enumerate(flagged):
-            dist = grid.distances_below(agvs[a].get("cell"), radius + 1)
             for b in flagged[i + 1:]:
-                if dist.get(agvs[b].get("cell"), radius + 1) <= radius:
+                if grid.near(agvs[a].get("cell"), agvs[b].get("cell"), reach):
                     links.append({a, b})
 
         return [tuple(sorted(group)) for group in merge_trapped_groups(links)]
@@ -792,16 +776,7 @@ def make_tasks_reaction(grid: GridMap):
         if assigned_any:
             # Passed-over candidates hold position this step instead of
             # chasing a task that was just given to someone else.
-            for agent in sorted(available):
-                persisted.append(
-                    ctx.make(
-                        K_INH_MOVE,
-                        FLOOR,
-                        klass=CONSTRAINT,
-                        selector=InfluenceSelector(match_kind=K_MOVE, match_producer=agent),
-                        agent=agent,
-                    )
-                )
+            persisted += [hold(ctx, HOLD_MOVE, agent) for agent in sorted(available)]
 
         # Only the source and dest shops of a changed task can start or stop
         # emitting; every other shop body is carried over as it is.
@@ -856,10 +831,8 @@ def make_control_reaction(grid: GridMap, params: FmsParams, control_enabled: boo
                     )
                 )
 
-        governed = set()
-        for sid, body in solver_bodies.items():
-            if sid not in removed:
-                governed.update(body.get("trapped", ()))
+        governed = governed_agvs(
+            {sid: b for sid, b in solver_bodies.items() if sid not in removed})
 
         groups = [frozenset(inf.payload["trapped"]) for inf in kinds.get(K_DEADLOCK, ())]
         groups = [g for g in groups if g and not (g & governed)]

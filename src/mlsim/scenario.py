@@ -136,13 +136,6 @@ def _graph_spec(data: dict) -> LevelGraphSpec:
     return LevelGraphSpec.make(data["levels"], data["influence_edges"], data["perception_edges"])
 
 
-def _grid(data: dict) -> GridMap:
-    """The scenario's grid; blocked entries that are no cell are value issues."""
-    g = data["grid"]
-    blocked = frozenset(tuple(c) for c in g["blocked"] if _is_cell(c))
-    return GridMap(g["width"], g["height"], blocked)
-
-
 def _parts(graph: LevelGraphSpec, decls: Declarations) -> dict:
     """A hierarchy's levels, edges, (level, kind) pairs and declarations, one
     set per part."""
@@ -189,25 +182,41 @@ TOP_LEVEL_KEYS = frozenset(default_scenario_dict()) | {"environments"}
 SECTION_KEYS = {key: frozenset(default_scenario_dict()[key]) for key in ("grid", "params", "run")}
 
 
-def _structure_issues(data: dict) -> list[Issue]:
-    """Shape checks every other check relies on: each section of the right
-    JSON type, each list item an object, each compared name and the
+def _shape_issues(data: dict) -> tuple[list[Issue], list[Issue]]:
+    """(shape issues, unknown-key issues), from one walk over the scenario's
+    sections and list items.
+
+    The shape is what every other check relies on: each section of the
+    right JSON type, each list item an object, each compared name and the
     scenario's own name a string, each level edge between two levels, and
     no level, kind, edge or declaration listed twice (the model would hold
-    it once)."""
-    issues = []
+    it once).  An unknown key is a key of the scenario, an object section, a
+    `kinds` level or a list item that the format does not define: a misspelt
+    key would otherwise be ignored without a word."""
+    shape, unknown = [], []
 
     def expect(path, what, value):
-        issues.append(Issue("value", f"{path} must be {what}, got {value!r}"))
+        shape.append(Issue("value", f"{path} must be {what}, got {value!r}"))
+
+    def known_keys(path, obj, known):
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in known:
+                unknown.append(Issue("value", f"unknown key {path + key!r}; expected one of "
+                                              f"{sorted(known)}"))
 
     if not isinstance(data.get("name"), str):
         expect("name", "a string", data.get("name"))
+    known_keys("", data, TOP_LEVEL_KEYS)
     for key in OBJECT_SECTIONS:
-        if not isinstance(data.get(key), dict):
-            expect(key, "an object", data.get(key))
+        section = data.get(key)
+        if not isinstance(section, dict):
+            expect(key, "an object", section)
+        elif key in SECTION_KEYS:  # a `kinds` key names a level
+            known_keys(f"{key}.", section, SECTION_KEYS[key])
     if isinstance(data.get("grid"), dict) and not isinstance(data["grid"].get("blocked"), list):
         expect("grid.blocked", "a list", data["grid"].get("blocked"))
     for lvl, spec in data["kinds"].items() if isinstance(data.get("kinds"), dict) else ():
+        known_keys(f"kinds.{lvl}.", spec, KIND_CLASSES)
         lists = spec.values() if isinstance(spec, dict) else [None]
         if not all(map(_is_str_list, lists)):
             expect(f"kinds.{lvl}", "an object of kind-name lists", spec)
@@ -237,40 +246,16 @@ def _structure_issues(data: dict) -> list[Issue]:
             if not isinstance(item, dict):
                 expect(f"{key}[{i}]", "an object", item)
                 continue
+            known_keys(f"{key}[{i}].", item, names)
             for name in names:
                 if name == "cell":
-                    continue  # a value, checked with the other cells
+                    continue  # a value, checked where it is placed
                 value = item.get(name)
                 if not isinstance(value, str) and (value is not None or name == "id"):
                     expect(f"{key}[{i}].{name}", "a string", value)
         if key in DECLARATION_LISTS and any(item in items[:i] for i, item in enumerate(items)):
             expect(key, "a list of distinct declarations", items)
-    return issues
-
-
-def _unknown_key_issues(data: dict) -> list[Issue]:
-    """Every key of the scenario, an object section, a `kinds` level or a list
-    item that the format does not define: a misspelt key would otherwise be
-    ignored without a word."""
-    issues = []
-
-    def check(path, obj, known):
-        for key in obj if isinstance(obj, dict) else ():
-            if key not in known:
-                issues.append(Issue("value", f"unknown key {path + key!r}; expected one of "
-                                             f"{sorted(known)}"))
-
-    check("", data, TOP_LEVEL_KEYS)
-    for section, known in SECTION_KEYS.items():
-        check(f"{section}.", data.get(section), known)
-    kinds = data.get("kinds")
-    for level, spec in kinds.items() if isinstance(kinds, dict) else ():
-        check(f"kinds.{level}.", spec, KIND_CLASSES)
-    for section, known in OBJECT_LISTS.items():
-        items = data.get(section)
-        for i, item in enumerate(items if isinstance(items, list) else ()):
-            check(f"{section}[{i}].", item, known)
-    return issues
+    return shape, unknown
 
 
 # Field parameters: the least value each integer parameter may take.
@@ -278,9 +263,11 @@ INT_PARAM_MINIMUM = {"attract": 0, "repulse": 0, "window": 1, "clearance": 1}
 
 
 def _value_issues(data: dict) -> list[Issue]:
-    """Type and range checks on the numbers the model computes with."""
+    """Type and range checks on the field parameters, the flags, the grid's
+    size and the run's seed, tick budget and termination predicate, over a
+    scenario of sound shape.  Cells are checked where they are placed."""
     issues = []
-    params, grid, run = data.get("params", {}), data.get("grid", {}), data.get("run", {})
+    params, grid, run = data["params"], data["grid"], data["run"]
     for name, least in INT_PARAM_MINIMUM.items():
         value = params.get(name)
         if not _is_int(value) or value < least:
@@ -295,12 +282,12 @@ def _value_issues(data: dict) -> list[Issue]:
     ):
         if not _is_int(value):
             issues.append(Issue("value", f"{path} must be an integer, got {value!r}"))
-    cells = [("blocked cell", cell) for cell in grid.get("blocked", [])]
-    cells += [(f"shop {s.get('id')!r}", s.get("cell")) for s in data.get("shops", [])]
-    cells += [(f"AGV {a.get('id')!r}", a.get("cell")) for a in data.get("agvs", [])]
-    for owner, cell in cells:
-        if not _is_cell(cell):
-            issues.append(Issue("value", f"{owner}: a cell must be a pair of integers, got {cell!r}"))
+    if not _is_int(run.get("ticks")) or run["ticks"] < 1:
+        issues.append(Issue("value", f"run.ticks must be a positive integer, got {run.get('ticks')!r}"))
+    if run.get("termination") not in TERMINATION_PREDICATES:
+        issues.append(
+            Issue("reference", f"unknown termination predicate {run.get('termination')!r}")
+        )
     return issues
 
 
@@ -314,11 +301,10 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
     """(issues, parts): the issues of `validate_scenario`, and the validated
     level graph, grid and declarations the checks made, by `ScenarioSpec`
     field name (a part the checks could not make is absent)."""
-    issues = _structure_issues(data)
-    unknown = _unknown_key_issues(data)
-    if issues:
-        return issues + unknown, {}  # the checks below read the sections this shape promises
-    issues += unknown + _value_issues(data)
+    shape, unknown = _shape_issues(data)
+    if shape:
+        return shape + unknown, {}  # the checks below read the sections this shape promises
+    issues = unknown + _value_issues(data)
     parts = {}
     levels = data["levels"]
     graph = _graph_spec(data)
@@ -345,8 +331,16 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
             issues.append(Issue("kind-discipline",
                                 f"kind {kind!r} must be declared {klass}-class at {level!r}"))
 
-    # Grid-world checks.
-    grid_data = data.get("grid", {})
+    # Grid-world checks.  Each cell is checked once, where it is placed.
+    def cell_of(owner, value):
+        """`value` as a cell, or None after a value issue."""
+        if _is_cell(value):
+            return tuple(value)
+        issues.append(Issue("value", f"{owner}: a cell must be a pair of integers, got {value!r}"))
+        return None
+
+    grid_data = data["grid"]
+    blocked = frozenset({cell_of("blocked cell", c) for c in grid_data["blocked"]} - {None})
     width, height = grid_data.get("width", 0), grid_data.get("height", 0)
     grid = None
     if not (_is_int(width) and _is_int(height)):
@@ -354,7 +348,7 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
     elif width < 1 or height < 1:
         issues.append(Issue("placement", f"grid must be at least 1x1, got {width}x{height}"))
     else:
-        grid = parts["grid"] = _grid(data)
+        grid = parts["grid"] = GridMap(width, height, blocked)
         for cell in sorted(grid.blocked):
             if not grid.in_bounds(cell):
                 issues.append(Issue("placement", f"blocked cell {cell} out of bounds"))
@@ -370,28 +364,28 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
         ids_seen.add(agent_id)
 
     shop_ids = set()
-    for shop in data.get("shops", []):
-        sid, cell = shop.get("id"), shop.get("cell")
+    for shop in data["shops"]:
+        sid = shop.get("id")
         check_id(sid)
         shop_ids.add(sid)
-        if grid is not None and _is_cell(cell) and not grid.is_free(tuple(cell)):
-            issues.append(
-                Issue("placement", f"shop {sid!r} on blocked or out-of-bounds cell {tuple(cell)}")
-            )
+        cell = cell_of(f"shop {sid!r}", shop.get("cell"))
+        if grid is not None and cell is not None and not grid.is_free(cell):
+            issues.append(Issue("placement",
+                                f"shop {sid!r} on blocked or out-of-bounds cell {cell}"))
     agv_cells = set()
-    for agv in data.get("agvs", []):
-        aid, cell = agv.get("id"), agv.get("cell")
+    for agv in data["agvs"]:
+        aid = agv.get("id")
         check_id(aid)
-        if not _is_cell(cell):
+        cell = cell_of(f"AGV {aid!r}", agv.get("cell"))
+        if cell is None:
             continue
-        cell = tuple(cell)
         if grid is not None and not grid.is_free(cell):
             issues.append(Issue("placement", f"AGV {aid!r} on blocked or out-of-bounds cell {cell}"))
         if cell in agv_cells:
             issues.append(Issue("placement", f"two AGVs start on cell {cell}"))
         agv_cells.add(cell)
     task_ids = set()
-    for task in data.get("tasks", []):
+    for task in data["tasks"]:
         tid = task.get("id")
         if tid in task_ids:
             issues.append(Issue("reference", f"duplicate task id {tid!r}"))
@@ -403,14 +397,6 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
                 )
         if task.get("source") == task.get("dest"):
             issues.append(Issue("reference", f"task {tid!r} has identical source and destination"))
-
-    run = data.get("run", {})
-    if not _is_int(run.get("ticks")) or run["ticks"] < 1:
-        issues.append(Issue("value", f"run.ticks must be a positive integer, got {run.get('ticks')!r}"))
-    if run.get("termination") not in TERMINATION_PREDICATES:
-        issues.append(
-            Issue("reference", f"unknown termination predicate {run.get('termination')!r}")
-        )
 
     declared = _parts(graph, decls)
     for part, used in FMS_USES.items():
@@ -436,6 +422,8 @@ def parse_scenario(path) -> ScenarioSpec:
         raise ScenarioError(
             [Issue("parse", f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")]
         ) from None
+    except RecursionError:
+        raise ScenarioError([Issue("parse", f"{path}: nested too deeply to parse")]) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([Issue("parse", f"{path}: {exc}")]) from None
     return parse_scenario_dict(raw)
@@ -455,12 +443,13 @@ def parse_scenario_dict(raw: dict) -> ScenarioSpec:
 
 def apply_overrides(data: dict, overrides: dict) -> dict:
     """Dotted-key overrides (``run.ticks=200``, ``params.jitter=true``);
-    values are parsed as JSON when possible, kept as strings otherwise."""
+    values are parsed as JSON when possible, kept as strings otherwise (a
+    value nested too deeply to parse among them)."""
     data = json.loads(json.dumps(data))
     for dotted, raw_value in overrides.items():
         try:
             value = json.loads(raw_value)
-        except (json.JSONDecodeError, TypeError):
+        except (json.JSONDecodeError, TypeError, RecursionError):
             value = raw_value
         node = data
         *parents, leaf = dotted.split(".")

@@ -333,6 +333,19 @@ def test_run_exit_three_on_one_element_cell(tmp_path, capsys):
     assert "[value]" in capsys.readouterr().err
 
 
+def test_a_malformed_cell_is_one_value_issue_of_its_owner():
+    data = default_scenario_dict()
+    data["grid"]["blocked"] = [[1]]
+    data["shops"] = [{"id": "s", "cell": [0, "0"]}]
+    data["agvs"] = [{"id": "a", "cell": [True, 0]}]
+    messages = [i.message for i in validate_scenario(data) if "a cell must be" in i.message]
+    assert sorted(messages) == [
+        "AGV 'a': a cell must be a pair of integers, got [True, 0]",
+        "blocked cell: a cell must be a pair of integers, got [1]",
+        "shop 's': a cell must be a pair of integers, got [0, '0']",
+    ]
+
+
 @pytest.mark.parametrize("renamed", ["agv-1", "shop-east"])
 def test_run_exit_three_on_an_id_of_the_solver_form(renamed, tmp_path, capsys):
     path = tmp_path / "solver_id.json"
@@ -385,6 +398,23 @@ def test_unreadable_or_non_object_file_is_an_issue(command, tmp_path, capsys):
         assert main([command, "--scenario", str(path)]) == EXIT_INVALID
         out = capsys.readouterr()
         assert code in out.out + out.err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"name": ' + "[" * 3000 + "]" * 3000 + "}"],
+                         ids=["list-100000-deep", "name-3000-deep"])
+def test_a_file_nested_too_deeply_is_a_parse_issue(command, text, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([command, "--scenario", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr()
+    assert f"[parse] {path}: nested too deeply to parse" in out.out + out.err
+
+
+def test_an_override_nested_too_deeply_is_kept_as_a_string():
+    deep = "[" * 100_000 + "]" * 100_000
+    assert apply_overrides(default_scenario_dict(), {"name": deep})["name"] == deep
 
 
 def test_zero_repulsion_stays_valid():
@@ -873,3 +903,15 @@ def test_parse_then_build_makes_each_part_once(monkeypatch):
     assert model.graph is spec.graph
     assert model.behaviors["agv-1"].sensor.grid is spec.grid
     assert model.decls is spec.decls
+
+
+def test_parsing_checks_each_cell_once(monkeypatch):
+    import mlsim.scenario as scenario
+
+    checked = []
+    is_cell = scenario._is_cell
+    monkeypatch.setattr(scenario, "_is_cell", lambda value: checked.append(value) or is_cell(value))
+    raw = json.loads((SCENARIOS / "walled_trap.json").read_text())
+    parse_scenario_dict(raw)
+    cells = raw["grid"]["blocked"] + [s["cell"] for s in raw["shops"] + raw["agvs"]]
+    assert checked == cells

@@ -1,9 +1,11 @@
 """Static-wall geometry tables, the nearest-first parking planner and the
 wait-for cycle/grouping code, each checked against the straightforward
-algorithm it replaced (kept here as a test-only oracle)."""
+algorithm it replaced (kept here as a test-only oracle), and the model's
+holds, checked against the constraint declarations they come from."""
 
 import gc
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -22,6 +24,7 @@ from mlsim.engine import run
 from mlsim.fms.grid import GridMap, bfs_distances, bfs_path
 from mlsim.fms.model import (
     FLOOR,
+    FMS_DECLARATIONS,
     FmsParams,
     SafetyChecker,
     SolverBehavior,
@@ -30,9 +33,9 @@ from mlsim.fms.model import (
     ideal_cells,
     wait_cycles,
 )
-from mlsim.hierarchy import merge_trapped_groups
+from mlsim.hierarchy import InfluenceSelector, merge_trapped_groups
 from mlsim.scenario import build, parse_scenario, parse_scenario_dict
-from mlsim.state import Body
+from mlsim.state import CONSTRAINT, Body
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -210,6 +213,23 @@ def test_distances_below_agree_with_the_oracle_in_any_request_order(data):
         assert row.items() <= oracle_bfs_distances(grid, source).items()
         if limit == math.inf:
             assert row == oracle_bfs_distances(grid, source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_near_pairs_agree_with_brute_force_distances(data):
+    grid = data.draw(small_floors())
+    free = grid.free_cells()
+    if not free:
+        return
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(free), st.sampled_from(free),
+                  st.integers(-1, 9) | st.floats(0.5, 9.5)),
+        min_size=1, max_size=12,
+    ))
+    for a, b, limit in pairs:
+        d = bfs_distances(grid, a).get(b)
+        assert grid.near(a, b, limit) == (d is not None and d < limit)
 
 
 def test_a_ball_grows_on_demand_and_a_finished_search_is_a_full_row():
@@ -554,6 +574,62 @@ def generated_floors(draw):
 def test_generated_floors_keep_the_safety_invariants(raw):
     _, _, result = run_floor(raw)  # SafetyChecker raises on any violation
     assert 1 <= len(result.records) <= raw["run"]["ticks"]
+
+
+# --- holds --------------------------------------------------------------------
+
+class HoldCheck:
+    """Observer: every constraint influence a step produced goes to its
+    declaration's micro level and selects, from the agent its payload names,
+    the kind its declaration inhibits.  Counts the holds by kind."""
+
+    DECLS = {d.kind: d for d in FMS_DECLARATIONS.constraints}
+
+    def __init__(self):
+        self.seen = dict.fromkeys(self.DECLS, 0)
+
+    def __call__(self, tick, state, info):
+        for level, influences in info.produced.items():
+            for inf in influences:
+                if inf.klass != CONSTRAINT:
+                    continue
+                decl = self.DECLS[inf.kind]
+                assert level == inf.target_level == decl.micro_level
+                assert inf.payload["selector"] == InfluenceSelector(decl.inhibits,
+                                                                    inf.payload["agent"])
+                self.seen[inf.kind] += 1
+
+
+def run_with_hold_check(raw):
+    spec = parse_scenario_dict(raw)
+    model, state = build(spec)
+    check = HoldCheck()
+    run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
+        observers=(check,), termination=all_tasks_delivered)
+    return check.seen
+
+
+def test_fixture_holds_select_what_their_declaration_inhibits():
+    seen = []
+    for name in FIXTURES:
+        for control in (False, True):
+            raw = json.loads((SCENARIOS / name).read_text())
+            raw["control"] = control
+            seen.append(run_with_hold_check(raw))
+    # The solvers hold their members' moves and repulsion.
+    assert all(sum(counts[kind] for counts in seen) for kind in HoldCheck.DECLS)
+    # With control off no solver holds anything: these holds are the tasks
+    # reaction's, of the candidates it passed over (5 idle AGVs, 2 tasks).
+    raw = generate_floor("open", 8, 6, agvs=5, tasks=2, shops=3, seed=0, ticks=40)
+    raw["control"] = False
+    seen = run_with_hold_check(raw)
+    assert seen["inhibit-move"] and not seen["inhibit-repulsion"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_floors())
+def test_generated_floor_holds_select_what_their_declaration_inhibits(raw):
+    run_with_hold_check(raw)
 
 
 # --- determinism across processes --------------------------------------------
