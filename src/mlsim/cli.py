@@ -13,7 +13,7 @@ from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from .engine import Trace, record_rows, run as engine_run
+from .engine import run as engine_run
 from .errors import Issue, MlsimError, ScenarioError
 from .fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from .scenario import (
@@ -115,6 +115,9 @@ class _EncodedScalars(dict):
         text = self[key] = self.encode(key[1])
         return text
 
+    def text(self, value) -> str:
+        return self[type(value), value]
+
 
 def _shaped(constraint_id, inhibited, encode) -> str:
     """The JSON text of the inhibition payload of `constraint_id` and its
@@ -126,64 +129,61 @@ def _shaped(constraint_id, inhibited, encode) -> str:
     return encode({"constraint": constraint_id, "inhibited": list(inhibited)})
 
 
-def _row_lines(rows, encode) -> list:
-    """The lines of `rows`, each row encoded whole, sorted by (tick, level,
-    influence id, event, payload)."""
-    rows = sorted(rows, key=lambda row: (
-        row["tick"], row["level"], str(row["payload"].get("id", "")), row["event"],
-        encode(row["payload"])))
-    return [f"{encode(row)}\n" for row in rows]
-
-
 _level = itemgetter(0)  # of a record's influence
+_level_id = itemgetter(0, 1)
 
 
-def _step_lines(record, templates, encode, scalar) -> list | None:
-    """The lines of one tick, from its record (`engine.StepInfo.record`,
-    whose influence ids are unique); None when an influence id is not an
-    exact `str`, or an event payload is not a `dict` or has an `id` key
-    (such a row sorts among the influences).
+def _step_lines(record, templates, encode, scalar) -> list:
+    """The lines of one tick, in row order, from its record (`engine.
+    StepInfo.record`: influence ids are unique `str`s, listed in level and
+    id order, and event payloads are dicts).
 
     An influence line is its id joined into the line template of its
-    (level, kind, class, producer), made once per file in `templates`, and
-    None when one of those four is not an exact `str` (a `str` subclass
-    equal to a template's key takes that template: both encode alike).  A
-    record lists its influences in level and id order, which is the order
-    of their lines.  Inhibition payloads are encoded by `_shaped`, event
-    payloads by the encoder.  Their rows have no id, so they sort by
-    (level, event, payload) ahead of their level's influences, where they
-    are merged in; an influence whose id is empty too ties with them, and
-    gives None."""
+    (level, kind, class, producer), kept in `templates` for the file when
+    all four are exact `str`s (a `str` subclass equal to a kept key takes
+    its template: both encode alike), and built through `scalar` for the
+    one line otherwise.
+
+    Inhibition payloads are encoded by `_shaped`, event payloads by the
+    encoder, and each such line is placed among its level's influences by
+    its row key (level, the payload's `id` or "", event, payload text): by
+    level alone without an id, by (level, id) with one.  Only an influence
+    whose id is that `id` ties with it; the rest of the row key settles the
+    tie, and a full tie keeps row order (the influence first)."""
     tick, influences, inhibitions, events = record
     stamp = f"{scalar[type(tick), tick]}}}\n"
     lines = []
     for level, inf_id, kind, klass, producer in influences:
         template = templates.get((level, kind, klass, producer))
         if template is None:
-            if not str is type(level) is type(kind) is type(klass) is type(producer):
-                return None
-            template = templates[level, kind, klass, producer] = (
-                f'{{"event": {scalar[str, "influence"]}, "level": {scalar[str, level]}, '
-                f'"payload": {{"class": {_quote(klass)}, "id": ',
-                f', "kind": {_quote(kind)}, "producer": {_quote(producer)}}}, "tick": ')
-        if type(inf_id) is not str:
-            return None
+            exact = str is type(level) is type(kind) is type(klass) is type(producer)
+            quote = _quote if exact else scalar.text
+            template = (
+                f'{{"event": {scalar[str, "influence"]}, "level": {quote(level)}, '
+                f'"payload": {{"class": {quote(klass)}, "id": ',
+                f', "kind": {quote(kind)}, "producer": {quote(producer)}}}, "tick": ')
+            if exact:
+                templates[level, kind, klass, producer] = template
         lines.append(f"{template[0]}{_quote(inf_id)}{template[1]}{stamp}")
     if not (inhibitions or events):
         return lines
-    extras = [(level, "inhibition", _shaped(constraint_id, inhibited, encode))
+    extras = [(level, "", "inhibition", _shaped(constraint_id, inhibited, encode))
               for level, constraint_id, inhibited in inhibitions]
-    for level, event, payload in events:
-        if type(payload) is not dict or "id" in payload:
-            return None
-        extras.append((level, event, encode(payload)))
+    extras += [(level, str(payload["id"]) if "id" in payload else "", event, encode(payload))
+               for level, event, payload in events]
     extras.sort()
     merged = []
     start = 0
-    for level, event, text in extras:
-        at = bisect_left(influences, level, start, key=_level)
-        if at < len(influences) and influences[at][0] == level and not influences[at][1]:
-            return None
+    for level, key, event, text in extras:
+        if key:
+            at = bisect_left(influences, (level, key), start, key=_level_id)
+        else:
+            at = bisect_left(influences, level, start, key=_level)
+        if at < len(influences) and influences[at][1] == key and influences[at][0] == level:
+            _, inf_id, kind, klass, producer = influences[at]
+            payload = {"class": klass, "id": inf_id, "kind": kind, "producer": producer}
+            if (event, text) >= ("influence", encode(payload)):
+                at += 1
         merged += lines[start:at]
         merged.append(f'{{"event": {scalar[type(event), event]}, '
                       f'"level": {scalar[type(level), level]}, "payload": {text}, "tick": {stamp}')
@@ -200,18 +200,16 @@ _MARK = "~"
 
 def _span_lines(held, end, encode) -> list | None:
     """The lines of a run's frozen tail, ticks `held.first` to `end - 1`,
-    one text per tick; None when `_step_lines` declines its record or a
-    held value holds `_MARK`.  The held step's record (`engine.HeldStep.
-    record`) is written once by `_step_lines`, with `_MARK` for the tick,
-    and the text split at the mark: a tick's text is its number joining the
-    pieces.  The ids of one tick sort alike on every tick (`ReplayMemory.
-    hold`), so lines sorted at the mark are sorted at every tick."""
+    one text per tick; None when a held value holds `_MARK`.  The held
+    step's record (`engine.HeldStep.record`) is written once by
+    `_step_lines`, with `_MARK` for the tick, and the text split at the
+    mark: a tick's text is its number joining the pieces.  The ids of one
+    tick sort alike on every tick (`ReplayMemory.hold`), so lines sorted at
+    the mark are sorted at every tick."""
     scalar = _EncodedScalars(encode)
     scalar[str, _MARK] = _MARK  # the tick field, bare as a tick's number
     record = held.record(_MARK)
     lines = _step_lines(record, {}, encode, scalar)
-    if lines is None:
-        return None
     pieces = "".join(lines).split(_MARK)
     slots = len(lines) + len(record[1]) + sum([1 + len(hits) for _, _, hits in record[2]])
     if len(pieces) != slots + 1:
@@ -220,30 +218,30 @@ def _span_lines(held, end, encode) -> list | None:
 
 
 def write_trace(path, trace):
-    """One JSON line per trace row, with sorted keys, ordered by (tick, level,
-    influence id, event, payload), written in one call.
+    """The trace file of a run's `trace` (an `engine.Trace`), written in
+    one call: one line per trace row, `json.dumps(row, sort_keys=True,
+    default=str)`, ordered by (tick, level, influence id, event, payload).
 
-    A run's `Trace` is written from its records, none of which builds a
-    row: each stepped tick's (`_step_lines`, whose influence line templates
-    are made once per file), then the frozen tail's, whose ticks follow
-    them, encoded once for every tick (`_span_lines`).  The records come in
+    No row is built.  Each stepped tick's record is written by
+    `_step_lines`, whose influence line templates are made once per file;
+    then the frozen tail, whose ticks follow them, encoded once for every
+    tick (`_span_lines`) or, when a held value holds the tick mark, tick by
+    tick from `held.record(tick)` by `_step_lines`.  The records come in
     tick order, so writing each in turn orders the lines as one sort of all
-    the rows would.  Any other iterable of rows, and a record that either
-    declines, is written row by row (`_row_lines`)."""
+    the rows would."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
-    if not isinstance(trace, Trace):
-        lines = _row_lines(trace, encode)
-    else:
-        scalar = _EncodedScalars(encode)
-        lines = []
-        templates: dict = {}
-        for record in trace.steps:
-            step = _step_lines(record, templates, encode, scalar)
-            lines += step if step is not None else _row_lines(record_rows(record), encode)
-        held = trace.held
-        if held is not None:
-            tail = _span_lines(held, trace.end, encode)
-            lines += tail if tail is not None else _row_lines(trace.tail(), encode)
+    scalar = _EncodedScalars(encode)
+    templates: dict = {}
+    lines = []
+    for record in trace.steps:
+        lines += _step_lines(record, templates, encode, scalar)
+    held = trace.held
+    if held is not None:
+        tail = _span_lines(held, trace.end, encode)
+        if tail is None:
+            tail = [line for tick in range(held.first, trace.end)
+                    for line in _step_lines(held.record(tick), templates, encode, scalar)]
+        lines += tail
     with open(path, "w") as fh:
         fh.write("".join(lines))
 

@@ -19,7 +19,7 @@ streams are keyed by (seed, producer, tick), and one is seeded only when its
 producer first reads `ctx.rng`.  Bookkeeping scales with the influences
 produced: the graph's route table gives each producer level set its percept
 and targets, the snapshot's membership index gives each agent its levels,
-and a step's trace rows are built only when `StepInfo.trace` is read.
+and a step's trace record is built only when `StepInfo.record` is called.
 
 A level whose tick changed nothing is carried over: when its reaction leaves
 every property bound to the very object it held, in the same order, and the
@@ -59,14 +59,19 @@ order on a later tick is not held (`ReplayMemory.hold`).
 So once a run replays a tick, it replays every later one: a run has at most
 one frozen tail, from the first tick on the held step's successor
 (`HeldStep.first`, `RunResult.frozen_from`) to its end.
-`run(collect_trace=True)` returns the trace as a `Trace` of the rows every
-tick's `StepInfo.trace` gives, without reading it: one compact record per
-stepped tick (`StepInfo.record`, tuples of the rows' values, no row dict),
-then the tail as its held step and end.  A tail tick's record is its held
-step's (`HeldStep.record`), in the same layout, and rows are built from a
-record (`record_rows`) only when read.  Outside this module only
-`cli.write_trace` reads records, writing every one from line templates,
-the tail's once for all its ticks.
+`run(collect_trace=True)` returns the trace as a `Trace`: one compact record
+per stepped tick (`StepInfo.record`: a step's influences, inhibitions and
+reaction events as tuples of values), then the tail as its held step and
+end.  A tail tick's record is its held step's (`HeldStep.record`), in the
+same layout.  No trace row is ever built: outside this module only
+`cli.write_trace` reads records, and writes each one's lines through one
+encoder.
+
+Whatever enters a run is checked where it enters, so that every record is
+one that encoder writes: an influence's id is a `str` and its class one of
+ordinary, emergence and constraint (a producer's output and a reaction's
+persisted influences, `_check_influence`; the first snapshot's carried
+influences, their ids), and a reaction event is a `(str, dict)` pair.
 """
 
 from __future__ import annotations
@@ -257,10 +262,18 @@ class ProducedStep:
     quiet: bool = False  # every producer call was quiet
 
 
+def _check_id(inf: Influence, where):
+    """Raise unless `inf`'s id is a `str`: the trace orders influences by id."""
+    if not isinstance(inf.id, str):
+        raise IllegalInfluenceTarget(
+            f"{where}: influence {inf.kind!r} has id {inf.id!r}, which is not a str")
+
+
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
                      producer_levels, detector=None):
     """Raise unless `inf` is legal from its producer; `detector` is the
     producer's name when it is a registered detector."""
+    _check_id(inf, producer_desc)
     if inf.target_level not in allowed_targets:
         raise IllegalInfluenceTarget(
             f"{producer_desc} produced {inf.kind!r} into {inf.target_level!r}, "
@@ -278,7 +291,7 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
                 f"{producer_desc} produced emergence {inf.kind!r}; only detector "
                 f"{allowed!r} may produce it"
             )
-    if inf.klass == CONSTRAINT:
+    elif inf.klass == CONSTRAINT:
         decl = model.constraint_decl(inf.kind)
         if decl is None:
             raise IllegalInfluenceTarget(
@@ -293,6 +306,11 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
             raise IllegalInfluenceTarget(
                 f"constraint {inf.id} from {producer_desc} carries no selector"
             )
+    elif inf.klass != ORDINARY:
+        raise IllegalInfluenceTarget(
+            f"{producer_desc} produced {inf.kind!r} of class {inf.klass!r}; the classes "
+            f"are {ORDINARY!r}, {EMERGENCE!r} and {CONSTRAINT!r}"
+        )
 
 
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
@@ -301,8 +319,8 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     Producers that belong to the same level set share one read-only view
     of the level states they perceive and one set of influence targets,
     made on the first such producer of the tick.  An ordinary influence
-    of a producible kind into an allowed target is legal as it is; only
-    another one goes through `_check_influence`."""
+    of a producible kind into an allowed target, with an exact `str` id, is
+    legal as it is; only another one goes through `_check_influence`."""
     tick = state.time
     graph = model.graph
     per_level = state.per_level
@@ -352,7 +370,7 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
         for inf in out:
             target = inf.target_level
             if (inf.klass != ORDINARY or target not in targets
-                    or inf.kind not in producible.get(target, ())):
+                    or inf.kind not in producible.get(target, ()) or type(inf.id) is not str):
                 if record is None:
                     _check_influence(model, inf, targets, f"detector {name!r}", levels,
                                      detector=name)
@@ -372,37 +390,6 @@ _by_id = attrgetter("id")
 _NO_INFLUENCES: frozenset = frozenset()
 
 
-def record_rows(record: tuple) -> tuple:
-    """One step's trace rows, from its record `(tick, influences,
-    inhibitions, events)` (`StepInfo.record`): an influence row per (level,
-    id, kind, class, producer), an inhibition row per (level, constraint id,
-    inhibited ids), then a row per reaction event, in the order given."""
-    tick, influences, inhibitions, events = record
-    rows = [
-        {
-            "tick": tick,
-            "level": level,
-            "event": "influence",
-            "payload": {"id": inf_id, "kind": kind, "class": klass, "producer": producer},
-        }
-        for level, inf_id, kind, klass, producer in influences
-    ]
-    rows += [
-        {
-            "tick": tick,
-            "level": level,
-            "event": "inhibition",
-            "payload": {"constraint": constraint_id, "inhibited": list(inhibited)},
-        }
-        for level, constraint_id, inhibited in inhibitions
-    ]
-    rows += [
-        {"tick": tick, "level": level, "event": name, "payload": payload}
-        for level, name, payload in events
-    ]
-    return tuple(rows)
-
-
 class HeldStep:
     """The step of a frozen tick, held once for every tick that repeats it
     (see the module doc).  Its layout, which only this module and
@@ -419,7 +406,7 @@ class HeldStep:
     - `first`: the first tick that repeats it, the time of the snapshot
       it is held for;
     - `constraints`: the number of records in `log`, and `row_count` the
-      number of trace rows of one tick (a frozen tick emits no event).
+      number of trace lines of one tick (a frozen tick emits no event).
 
     `record` (in `StepInfo.record`'s layout), `produced` and `inhibitions`
     build what a tick `t` repeating it reports, its ids made with `str(t)`;
@@ -473,8 +460,8 @@ class StepInfo:
 
     A step replayed whole (`replayed`) carries the `HeldStep` it repeats as
     `held`, and `produced` and `inhibitions` are made from it on their first
-    read only; `constraints` is read off the held log, and `record` and
-    `trace` from the held record."""
+    read only; `constraints` is read off the held log, and `record` is the
+    held record."""
 
     __slots__ = ("_produced", "_inhibitions", "held", "events", "tick", "replayed")
 
@@ -511,8 +498,7 @@ class StepInfo:
         events)`: a `(level, id, kind, class, producer)` per produced
         influence in level then id order, a `(level, constraint id, inhibited
         ids)` per inhibition record in level then log order, and the events.
-        It holds no row: `record_rows` builds them.  A replayed step's is its
-        held step's (`HeldStep.record`)."""
+        A replayed step's is its held step's (`HeldStep.record`)."""
         if self.held is not None:
             return self.held.record(self.tick)
         produced, inhibitions = self.produced, self.inhibitions
@@ -524,13 +510,6 @@ class StepInfo:
              for level in sorted(inhibitions) for record in inhibitions[level]],
             self.events,
         )
-
-    @property
-    def trace(self) -> tuple:
-        """The step's trace rows, built on each read: every produced
-        influence by level and id, then every inhibition by level, then
-        the reaction events in order."""
-        return record_rows(self.record())
 
 
 def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelState:
@@ -680,8 +659,12 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             del agents[agent_id]
             sigmas[level].pop(key, None)
             events.append((level, "dissolve", {"agent": agent_id}))
-        for name, payload in result.events:
-            events.append((level, name, payload))
+        for event in result.events:
+            if not (isinstance(event, tuple) and len(event) == 2 and isinstance(event[0], str)
+                    and isinstance(event[1], dict)):
+                raise ReactionFault(
+                    f"reaction of level {level!r} emitted {event!r}, not a (str, dict) pair")
+            events.append((level, *event))
 
     per_level = {
         level: carried_level(level_state, sigmas[level], routed.get(level, _NO_INFLUENCES))
@@ -712,12 +695,11 @@ def step(model: Model, state: SystemState, seed: int = 0, memory: ReplayMemory |
 
 
 class Trace:
-    """A run's trace rows, in the order each tick's `StepInfo.trace` gives
-    them: `steps`, one `StepInfo.record` per stepped tick in tick order, then,
-    when `held` is a `HeldStep`, the run's frozen tail: ticks `held.first` to
-    `end - 1`, each a replay of `held`.  Rows are built only when read
-    (`rows`, iteration, `tail`), from each tick's record by `record_rows`;
-    `len` counts them without building any.  There is no random access."""
+    """A run's trace, as the records `cli.write_trace` writes: `steps`, one
+    `StepInfo.record` per stepped tick in tick order, then, when `held` is a
+    `HeldStep`, the run's frozen tail: ticks `held.first` to `end - 1`, each
+    a replay of `held` (`held.record(tick)`).  `len` is the number of lines
+    the trace file has, one per influence, inhibition record and event."""
 
     __slots__ = ("steps", "held", "end")
 
@@ -726,28 +708,11 @@ class Trace:
         self.held = held
         self.end = end
 
-    @property
-    def rows(self) -> list:
-        """The stepped ticks' rows, in one list built on each read."""
-        return [row for record in self.steps for row in record_rows(record)]
-
     def __len__(self) -> int:
         held = self.held
         tail = 0 if held is None else (self.end - held.first) * held.row_count
         return sum([len(influences) + len(inhibitions) + len(events)
                     for _, influences, inhibitions, events in self.steps]) + tail
-
-    def __iter__(self):
-        for record in self.steps:
-            yield from record_rows(record)
-        yield from self.tail()
-
-    def tail(self):
-        """The frozen tail's rows, tick by tick, from `HeldStep.record`."""
-        held = self.held
-        if held is not None:
-            for tick in range(held.first, self.end):
-                yield from record_rows(held.record(tick))
 
 
 @dataclass
@@ -756,7 +721,7 @@ class RunResult:
     records: list  # one metrics dict per executed tick
     stop_reason: str
     diagnostics: tuple = ()  # (tick, name, payload) triples
-    trace: Iterable = ()  # a `Trace` from `run`; empty unless it collected one
+    trace: Trace | tuple = ()  # a `Trace` from `run`; empty unless it collected one
     frozen_from: int | None = None  # the first tick of the frozen tail, its `held.first`
 
 
@@ -784,6 +749,9 @@ def run(
     issues = validate_model(model)
     if issues:
         raise ModelValidationError(issues)
+    for level, level_state in state.per_level.items():
+        for inf in level_state.influences:
+            _check_id(inf, f"level {level!r} of the first snapshot")
 
     records = []
     diagnostics = []

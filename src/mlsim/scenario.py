@@ -36,6 +36,10 @@ from .levels import LevelGraphSpec, ValidatedLevelGraph, validate as validate_gr
 
 KIND_CLASSES = ("ordinary", "constraint", "emergence")
 TERMINATION_PREDICATES = ("all-delivered", "none")
+# The most cells a grid may have: building a floor's tables is linear in its
+# cells, so a larger grid is a `placement` issue, not a run that exhausts
+# memory.
+MAX_GRID_CELLS = 10**6
 
 # The lists of hierarchy declarations, by JSON key (each a `Declarations`
 # field); an item's keys are the field names of its class.
@@ -347,6 +351,9 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
         pass  # a value issue, reported above
     elif width < 1 or height < 1:
         issues.append(Issue("placement", f"grid must be at least 1x1, got {width}x{height}"))
+    elif width * height > MAX_GRID_CELLS:
+        issues.append(Issue("placement", f"grid must have at most {MAX_GRID_CELLS} cells, "
+                                         f"got {width}x{height}"))
     else:
         grid = parts["grid"] = GridMap(width, height, blocked)
         for cell in sorted(grid.blocked):
@@ -390,12 +397,11 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
         if tid in task_ids:
             issues.append(Issue("reference", f"duplicate task id {tid!r}"))
         task_ids.add(tid)
-        for endpoint in ("source", "dest"):
-            if task.get(endpoint) not in shop_ids:
-                issues.append(
-                    Issue("reference", f"task {tid!r} references unknown shop {task.get(endpoint)!r}")
-                )
-        if task.get("source") == task.get("dest"):
+        source, dest = task.get("source"), task.get("dest")
+        for shop in (source,) if source == dest else (source, dest):
+            if shop not in shop_ids:
+                issues.append(Issue("reference", f"task {tid!r} references unknown shop {shop!r}"))
+        if source == dest:
             issues.append(Issue("reference", f"task {tid!r} has identical source and destination"))
 
     declared = _parts(graph, decls)

@@ -1,5 +1,7 @@
 """Helpers several test modules share; the program itself has no use for them."""
 
+import json
+
 from mlsim.engine import ReactionResult
 from mlsim.fms.model import FLOOR, TASKS, FloorView, FmsParams
 from mlsim.state import ORDINARY, Body, Influence, LevelState, body_key
@@ -53,3 +55,40 @@ def field_ties(grid, field) -> dict:
         out[cell] = (cell, [c for c in candidates if field[c] == best]
                      if best > field[cell] else ())
     return out
+
+
+def record_rows(record) -> list:
+    """One step's trace rows, from its record `(tick, influences,
+    inhibitions, events)` (`StepInfo.record`): an influence row per (level,
+    id, kind, class, producer), an inhibition row per (level, constraint id,
+    inhibited ids), then a row per reaction event, in the order given."""
+    tick, influences, inhibitions, events = record
+    rows = [{"tick": tick, "level": level, "event": "influence",
+             "payload": {"id": inf_id, "kind": kind, "class": klass, "producer": producer}}
+            for level, inf_id, kind, klass, producer in influences]
+    rows += [{"tick": tick, "level": level, "event": "inhibition",
+              "payload": {"constraint": constraint_id, "inhibited": list(inhibited)}}
+             for level, constraint_id, inhibited in inhibitions]
+    rows += [{"tick": tick, "level": level, "event": name, "payload": payload}
+             for level, name, payload in events]
+    return rows
+
+
+def tail_records(trace) -> list:
+    """The records of a run trace's frozen tail, one per tick."""
+    held = trace.held
+    return [] if held is None else [held.record(tick) for tick in range(held.first, trace.end)]
+
+
+def trace_rows(trace) -> list:
+    """Every row of a run's `Trace`: its stepped ticks', then its tail's."""
+    return [row for record in trace.steps + tail_records(trace) for row in record_rows(record)]
+
+
+def dumped_trace(rows) -> str:
+    """The trace file of `rows` as `json.dumps` writes each sorted row."""
+    rows = sorted(rows, key=lambda r: (
+        r["tick"], r["level"], str(r["payload"].get("id", "")), r["event"],
+        json.dumps(r["payload"], sort_keys=True, default=str),
+    ))
+    return "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows)

@@ -1,6 +1,6 @@
 """Engine bookkeeping done once per snapshot, checked against the plain
 definitions it replaces: the membership index against a scan of the level
-maps, id hashing against structural equality, the lazily built trace against
+maps, id hashing against structural equality, the step's trace record against
 an eager row builder, the constraint fast path against the full filter, the
 one-pass grouping against merge-then-partition, the route table against the
 neighborhood unions, the trace writer against per-row `json.dumps`, the
@@ -13,7 +13,6 @@ import dataclasses
 import json
 import pickle
 from operator import itemgetter
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +25,6 @@ from mlsim.engine import (
     StepContext,
     StepInfo,
     Trace,
-    record_rows,
     run,
     step,
 )
@@ -75,7 +73,7 @@ from mlsim.state import (
     group_by_level,
 )
 
-from support import identity_reaction, influence
+from support import dumped_trace, identity_reaction, influence, record_rows, trace_rows
 from test_golden_digests import ROOT
 from test_replay import Steady
 
@@ -401,10 +399,10 @@ def test_constraint_fast_path_equals_the_full_filter(influences):
         assert kept is gamma and log == ()
 
 
-# --- trace rows built on read ------------------------------------------------
+# --- trace records built on demand --------------------------------------------
 
 def eager_trace(tick, produced, inhibitions, events):
-    """The trace rows as the engine built them on every step."""
+    """The trace rows as the engine once built them on every step."""
     trace = []
     for level in sorted(produced):
         for inf in sorted(produced[level], key=lambda i: i.id):
@@ -418,7 +416,7 @@ def eager_trace(tick, produced, inhibitions, events):
                                       "inhibited": list(record.inhibited_ids)}})
     for level, name, payload in events:
         trace.append({"tick": tick, "level": level, "event": name, "payload": payload})
-    return tuple(trace)
+    return trace
 
 
 level_names = st.sampled_from(LEVELS)
@@ -438,7 +436,7 @@ step_events = st.tuples(level_names, st.sampled_from(["spawn", "assigned"]),
 )
 def test_step_trace_equals_the_eager_rows(tick, produced, inhibitions, events):
     info = StepInfo(produced=produced, inhibitions=inhibitions, events=events, tick=tick)
-    assert info.trace == eager_trace(tick, produced, inhibitions, events)
+    assert record_rows(info.record()) == eager_trace(tick, produced, inhibitions, events)
 
 
 def test_fixture_step_traces_equal_the_eager_rows():
@@ -448,23 +446,24 @@ def test_fixture_step_traces_equal_the_eager_rows():
         tick = state.time
         state, info = step(model, state)
         assert info.tick == tick
-        assert info.trace == eager_trace(tick, info.produced, info.inhibitions, info.events)
+        assert record_rows(info.record()) == eager_trace(tick, info.produced, info.inhibitions,
+                                                         info.events)
 
 
 @pytest.mark.parametrize("collect", [False, True])
 def test_trace_rows_are_built_only_when_collected(collect, monkeypatch):
-    """`run` reads no tick's `StepInfo.trace`, collecting or not: with
-    collection on it keeps one record per stepped tick, and a replayed
-    tick's rows stay in the held step the run's trace keeps for its tail.
-    The trace is non-empty only when collected."""
+    """`run` makes a tick's trace record only when it collects the trace,
+    and then only for a stepped tick: a replayed tick's stays in the held
+    step the run's trace keeps for its tail.  The trace is non-empty only
+    when collected."""
     reads = []
-    eager = StepInfo.trace
+    record = StepInfo.record
 
     def counted(info):
         reads.append(info.tick)
-        return eager.fget(info)
+        return record(info)
 
-    monkeypatch.setattr(StepInfo, "trace", property(counted))
+    monkeypatch.setattr(StepInfo, "record", counted)
     spec = parse_scenario(ROOT / "scenarios" / "corridor.json")
     model, state = build(spec)
     stepped = []
@@ -477,7 +476,7 @@ def test_trace_rows_are_built_only_when_collected(collect, monkeypatch):
                  observers=(SafetyChecker(spec.grid), stepped_ticks), metrics=fms_metrics,
                  termination=all_tasks_delivered, collect_trace=collect)
     assert 0 < len(stepped) < len(result.records) == 60  # the corridor freezes
-    assert reads == []
+    assert reads == (stepped if collect else [])
     assert bool(result.trace) == collect
     if collect:
         assert [record[0] for record in result.trace.steps] == stepped
@@ -524,15 +523,6 @@ def test_every_reader_of_a_floor_snapshot_gets_one_agv_map():
 
 # --- trace writer ------------------------------------------------------------
 
-def dumped_trace(trace):
-    """The trace file as `json.dumps` writes each sorted row."""
-    rows = sorted(trace, key=lambda r: (
-        r["tick"], r["level"], str(r["payload"].get("id", "")), r["event"],
-        json.dumps(r["payload"], sort_keys=True, default=str),
-    ))
-    return "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows)
-
-
 class Text(str):
     """A str subclass, which the encoder writes as a string: the trace
     writer's exact-`str` checks must not trip over it."""
@@ -544,58 +534,12 @@ payload_values = st.one_of(
     st.lists(st.integers(0, 2), max_size=2), st.tuples(st.integers(0, 2)),
     st.builds(InfluenceSelector, st.just("move")),
 )
-# The engine's two payload shapes, keyed in its order.
-influence_payloads = st.fixed_dictionaries(
-    {"id": texts, "kind": texts, "class": texts, "producer": texts})
-inhibition_payloads = st.fixed_dictionaries(
-    {"constraint": texts, "inhibited": st.lists(texts, max_size=3)})
-misfits = st.one_of(st.none(), st.integers(0, 2), texts.map(Text), st.tuples(texts))
-
-
-@st.composite
-def near_misses(draw):
-    """A payload one change away from one of the engine's shapes: a value
-    that is not an exact `str`, a key dropped or added, or `inhibited` as a
-    tuple or holding an int."""
-    payload = dict(draw(st.one_of(influence_payloads, inhibition_payloads)))
-    change = draw(st.sampled_from(["value", "drop", "add", "tuple", "int-item"]))
-    if change in ("tuple", "int-item") and "inhibited" in payload:
-        inhibited = payload["inhibited"]
-        payload["inhibited"] = tuple(inhibited) if change == "tuple" else [*inhibited, 1]
-    elif change == "drop":
-        del payload[draw(st.sampled_from(sorted(payload)))]
-    elif change == "add":
-        payload["agent"] = draw(texts)
-    else:
-        payload[draw(st.sampled_from(sorted(payload)))] = draw(misfits)
-    return payload
-
-
-trace_rows = st.fixed_dictionaries({
-    # True and 1.0 equal 1 but encode apart, so the writer must not share
-    # one encoding between them.
-    "tick": st.one_of(st.integers(0, 3), st.sampled_from([True, 1.0])),
-    "level": st.sampled_from(["floor", "tasks", "contröl"]),
-    "event": st.sampled_from(["influence", "inhibition", "spawn", "assigned"]),
-    "payload": st.one_of(
-        st.dictionaries(st.sampled_from(["id", "agent", "task", "z"]), payload_values,
-                        max_size=3),
-        influence_payloads, inhibition_payloads, near_misses(),
-    ),
-})
-
-
-@settings(deadline=None)
-@given(st.lists(trace_rows, max_size=8))
-def test_write_trace_equals_json_dumps_per_row(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
-    cli.write_trace(path, rows)
-    assert path.read_text() == dumped_trace(rows)
 
 
 # Names that trouble a tick stamp: digits and the tick's own digits, the id
 # separators `@` and `#`, what JSON escapes, non-ASCII, and the trace
-# writer's tick mark, which sends a frozen tail that holds it to the row path.
+# writer's tick mark, which leaves a frozen tail that holds it to be
+# written tick by tick.
 hostile_names = st.one_of(
     st.text("09@#\"\\é\N{SECTION SIGN}" + cli._MARK, min_size=1, max_size=4),
     st.sampled_from(["96", "99", "100", "101", "@100#", "#0", f"9{cli._MARK}"]),
@@ -612,10 +556,11 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
     """A toy model frozen from its second tick, started at tick 95 so that
     the tick gains a digit in mid-span, with hostile level, kind and producer
     names: `p` makes `made` moves and `m` holds them.  The run's trace is
-    its ticks' stepped rows, and the file written from it equals the file
-    written row by row and per-row `json.dumps`.  A kind that is not an
-    exact `str` leaves every tick to the row path, and a held name that
-    holds the tick mark leaves the tail to it."""
+    its ticks' stepped rows, and the file written from it equals per-row
+    `json.dumps`.  A kind that is a `str` subclass is written through
+    templates kept for no other line, and a held name that holds the tick
+    mark leaves the tail to be written tick by tick (`_span_lines`
+    declines it)."""
     micro, macro, p, m, move = names
     hold = move + "!"
     if subclassed:
@@ -644,19 +589,18 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
     stepped = []
     for _ in range(8):
         state, info = step(model, state)
-        stepped += info.trace
-    rows = list(result.trace)
+        stepped += record_rows(info.record())
+    rows = trace_rows(result.trace)
     assert rows == stepped
     assert len(result.trace) == len(rows)
-    folder = tmp_path_factory.mktemp("span")
-    with mock.patch.object(cli, "_row_lines", wraps=cli._row_lines) as row_path:
-        cli.write_trace(folder / "span.jsonl", result.trace)
-    # The held record holds `micro`, `p`, `m` and `move`, not `macro`.
-    marked = held and any(cli._MARK in name for name in (micro, p, m, move))
-    assert row_path.called == (subclassed or marked)
-    cli.write_trace(folder / "rows.jsonl", rows)
-    assert (folder / "span.jsonl").read_text() == (folder / "rows.jsonl").read_text() == (
-        dumped_trace(rows))
+    path = tmp_path_factory.mktemp("span") / "span.jsonl"
+    cli.write_trace(path, result.trace)
+    assert path.read_text() == dumped_trace(rows)
+    if held:
+        # The held record holds `micro`, `p`, `m` and `move`, not `macro`.
+        marked = any(cli._MARK in name for name in (micro, p, m, move))
+        encode = json.JSONEncoder(sort_keys=True, default=str).encode
+        assert (cli._span_lines(result.trace.held, result.trace.end, encode) is None) == marked
 
 
 event_names = st.sampled_from(["influence", "inhibition", "spawn"]) | hostile_names
@@ -665,19 +609,18 @@ event_payloads = st.dictionaries(st.sampled_from(["id", "agent", "z"]), payload_
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(hostile_names, min_size=5, max_size=5, unique=True), st.integers(0, 3),
-       st.one_of(st.integers(-3, 300), texts.map(Text), texts, hostile_names),
+       st.one_of(texts.map(Text), texts, hostile_names),
        st.lists(st.tuples(event_names, event_payloads), max_size=3))
 def test_stepped_ticks_are_written_as_their_rows(tmp_path_factory, names, made, odd_id, events):
     """A toy model that never freezes, started at tick 95, with hostile
     names: `p` makes `made` moves into `micro`, which `m`'s constraint
     inhibits, and one influence into `macro` built by hand with `odd_id` as
-    its id (an int, a `str` subclass, or a string that may be empty).  Both
+    its id (a `str` subclass, or a string that may be empty).  Both
     reactions read the clock and emit `events`; on odd ticks without their
-    `id` keys, so those ticks are written from templates, and on even ticks
-    with them plus one event whose `id` sorts among `p`'s influences, so
-    those ticks take the row path.  The run's trace is its stepped rows, and
-    the file written from it equals the file written row by row and
-    per-row `json.dumps`."""
+    `id` keys, and on even ticks with them plus one event whose `id` is that
+    of `p`'s second influence, so that its line ties with that influence's.
+    The run's trace is its stepped rows, and the file written from it
+    equals per-row `json.dumps`."""
     micro, macro, p, m, move = names
     hold, other = move + "!", move + "?"
     graph = validate(LevelGraphSpec.make([micro, macro], [(micro, macro), (macro, micro)],
@@ -715,17 +658,14 @@ def test_stepped_ticks_are_written_as_their_rows(tmp_path_factory, names, made, 
     stepped = []
     for _ in range(6):
         state, info = step(model, state)
-        assert info.trace == record_rows(info.record())
-        stepped += info.trace
+        stepped += record_rows(info.record())
     assert any(event == "inhibition" for event in map(itemgetter("event"), stepped))
-    rows = list(result.trace)
-    assert rows == stepped == result.trace.rows
+    rows = trace_rows(result.trace)
+    assert rows == stepped
     assert len(result.trace) == len(rows)
-    folder = tmp_path_factory.mktemp("stepped")
-    cli.write_trace(folder / "trace.jsonl", result.trace)
-    cli.write_trace(folder / "rows.jsonl", rows)
-    assert (folder / "trace.jsonl").read_text() == (folder / "rows.jsonl").read_text() == (
-        dumped_trace(rows))
+    path = tmp_path_factory.mktemp("stepped") / "trace.jsonl"
+    cli.write_trace(path, result.trace)
+    assert path.read_text() == dumped_trace(rows)
 
 
 influence_records = st.tuples(
@@ -735,8 +675,9 @@ influence_records = st.tuples(
 inhibition_records_ = st.tuples(
     st.sampled_from(["floor", "tasks", ""]), st.one_of(texts, texts.map(Text)),
     st.lists(st.one_of(texts, st.integers(0, 2)), max_size=2).map(tuple))
-record_events = st.tuples(st.sampled_from(["floor", "tasks", ""]), event_names,
-                          st.one_of(event_payloads, st.none()))
+record_events = st.tuples(st.sampled_from(["floor", "tasks", ""]), event_names, event_payloads)
+MOVE_X = ("floor", "x", "move", "ordinary", "agv-1")
+X_PAYLOAD = {"class": "ordinary", "id": "x", "kind": "move", "producer": "agv-1"}
 
 
 @settings(deadline=None)
@@ -744,27 +685,32 @@ record_events = st.tuples(st.sampled_from(["floor", "tasks", ""]), event_names,
     st.lists(influence_records, max_size=5, unique_by=itemgetter(1)),
     st.lists(inhibition_records_, max_size=3), st.lists(record_events, max_size=3)),
     min_size=1, max_size=3))
+# An empty influence id ties with every line without an id at its level:
+# the inhibition after it, the `assigned` event before it.  Influence `x`
+# ties with each event whose `id` is "x": `spawn` after it, `assigned`
+# before it, and `influence` before it too, as its payload text sorts first.
+@example(first=0, steps=[(
+    [("floor", "", "move", "ordinary", "agv-1"), MOVE_X],
+    [("floor", "c", ("x",))],
+    [("floor", "assigned", {}), ("floor", "spawn", {"id": "x"}),
+     ("floor", "assigned", {"id": "x"}), ("floor", "influence", {"a": 0, "id": "x"})])])
+# A full row-key tie (level `True` equals level 1) keeps row order: the
+# influence line, then the event's, which encodes its level apart.
+@example(first=0, steps=[([(1, *MOVE_X[1:])], [], [(True, "influence", X_PAYLOAD)])])
 def test_step_records_are_written_as_their_rows(tmp_path_factory, first, steps):
     """Records as `StepInfo.record` makes them (influence ids unique, in
     level and id order) of consecutive ticks, with empty ids and `str`
     subclasses among the influences, inhibitions with odd ids and events
-    of any name, with or without an `id` key or a dict payload: the trace
-    file equals per-row `json.dumps` of their rows."""
+    of any name, with or without an `id` key: the trace file equals
+    per-row `json.dumps` of their rows."""
     records = [
         (first + k, sorted(influences, key=itemgetter(0, 1)),
          sorted(inhibitions, key=itemgetter(0)), tuple(events))
         for k, (influences, inhibitions, events) in enumerate(steps)
     ]
-    rows = [row for record in records for row in record_rows(record)]
-    trace = Trace(records, None, first + len(records))
     path = tmp_path_factory.mktemp("records") / "trace.jsonl"
-    if any(not isinstance(row["payload"], dict) for row in rows):
-        for written in (rows, trace):  # `_row_lines` reads `payload.get`
-            with pytest.raises(AttributeError):
-                cli.write_trace(path, written)
-        return
-    cli.write_trace(path, trace)
-    assert path.read_text() == dumped_trace(rows)
+    cli.write_trace(path, Trace(records, None, first + len(records)))
+    assert path.read_text() == dumped_trace([row for r in records for row in record_rows(r)])
 
 
 @pytest.mark.parametrize("fixture, control", [("corridor", "false"), ("walled_trap", "true")])
@@ -779,11 +725,11 @@ def test_a_long_frozen_run_keeps_one_span(tmp_path, fixture, control):
                  metrics=fms_metrics, collect_trace=True)
     trace = result.trace
     assert (trace.held.first, trace.end) == (result.frozen_from, 5000)
-    assert len(trace) == len(trace.rows) + (5000 - trace.held.first) * trace.held.row_count
+    stepped = sum(len(record_rows(record)) for record in trace.steps)
+    assert len(trace) == stepped + (5000 - trace.held.first) * trace.held.row_count
     assert trace.held.constraints == (4 if fixture == "walled_trap" else 0)
-    cli.write_trace(tmp_path / "span.jsonl", result.trace)
-    cli.write_trace(tmp_path / "rows.jsonl", list(result.trace))
-    assert (tmp_path / "span.jsonl").read_bytes() == (tmp_path / "rows.jsonl").read_bytes()
+    cli.write_trace(tmp_path / "span.jsonl", trace)
+    assert (tmp_path / "span.jsonl").read_text() == dumped_trace(trace_rows(trace))
 
 
 metric_values = st.sampled_from([

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsim import cli, engine
-from mlsim.engine import BehaviorRule, ReplayMemory, RunResult, run, step
+from mlsim.engine import BehaviorRule, ReplayMemory, RunResult, Trace, run, step
 from mlsim.errors import SafetyViolation
 from mlsim.fms import model as fms_model
 from mlsim.fms.grid import GridMap
@@ -54,7 +54,7 @@ from mlsim.hierarchy import InhibitionRecord
 from mlsim.scenario import apply_overrides, build, parse_scenario, parse_scenario_dict
 from mlsim.state import CONSTRAINT, Body, Influence, LevelState, SystemState, body_key
 
-from support import influence
+from support import influence, record_rows, tail_records
 from test_bookkeeping import scanned_memberships
 from test_golden_digests import ROOT, episode, state_sha256
 from test_replay import Steady, initial_state, producer_model
@@ -109,19 +109,20 @@ def oracle_case(raw, fresh):
     reactions, producers = counted_reactions(model), counted_producers(model)
     options = run_options(spec)
     agent_ticks = 0
-    records, trace, diagnostics = [], [], []
+    records, steps, diagnostics = [], [], []
     for _ in range(spec.run_params["ticks"]):
         agent_ticks += acting(model, state)
         result = run(model, fresh(state), ticks=1, **options)
         records += result.records
-        trace += result.trace
+        steps += result.trace.steps
         diagnostics += result.diagnostics
         state = result.final_state
         if result.stop_reason != "tick-budget":
             break
     assert reactions == dict.fromkeys(model.reactions, state.time)
     assert_every_producer_called(model, producers, agent_ticks, state.time)
-    return RunResult(state, records, result.stop_reason, tuple(diagnostics), tuple(trace))
+    return RunResult(state, records, result.stop_reason, tuple(diagnostics),
+                     Trace(steps, None, state.time))
 
 
 def unheld_case(raw):
@@ -136,7 +137,7 @@ def unheld_case(raw):
     options = run_options(spec)
     memory = ReplayMemory()
     agent_ticks = 0
-    records, trace, diagnostics, stop = [], [], [], "tick-budget"
+    records, steps, diagnostics, stop = [], [], [], "tick-budget"
     for _ in range(spec.run_params["ticks"]):
         tick = state.time
         agent_ticks += acting(model, state)
@@ -145,7 +146,7 @@ def unheld_case(raw):
         assert not info.replayed
         diagnostics += [(tick, name, payload) for _, name, payload in info.events
                         if name in engine.DIAGNOSTIC_EVENTS]
-        trace += info.trace
+        steps.append(info.record())
         for observer in options["observers"]:
             observer(tick, state, info)
         records.append(options["metrics"](tick, state, info))
@@ -153,7 +154,7 @@ def unheld_case(raw):
             stop = f"termination:{options['termination'].__name__}"
             break
     assert_every_producer_called(model, producers, agent_ticks, state.time)
-    return RunResult(state, records, stop, tuple(diagnostics), tuple(trace))
+    return RunResult(state, records, stop, tuple(diagnostics), Trace(steps, None, state.time))
 
 
 def outputs(result, tmp_path, tag):
@@ -402,7 +403,7 @@ def test_a_stalled_tick_calls_no_reaction(name):
         nxt, info = step(model, state, seed, memory)
         assert info.replayed
         assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
-        assert info.produced and info.trace  # the tick still produced and traced
+        assert info.produced and record_rows(info.record())  # the tick still produced and traced
         state = nxt
     assert calls == {}
 
@@ -459,7 +460,7 @@ def test_every_replayed_tick_equals_the_tick_stepped_without_a_memory(name):
             oracle_next, oracle = step(model, state, seed)
             assert not oracle.replayed
             # The trace first: its rows come from the held templates, not `produced`.
-            assert info.trace == oracle.trace
+            assert info.record() == oracle.record()
             assert info.inhibitions == oracle.inhibitions
             assert info.produced == oracle.produced
             assert info.events == oracle.events == ()
@@ -487,7 +488,7 @@ def test_a_replayed_tick_makes_no_influence_until_produced_is_read(monkeypatch):
     for _ in range(spec.run_params["ticks"]):
         before = len(made)
         state, info = step(model, state, spec.run_params["seed"], memory)
-        assert info.trace
+        assert record_rows(info.record())
         checker(info.tick, state, info)
         active = fms_metrics(info.tick, state, info)["active_constraints"]
         if info.replayed:
@@ -555,8 +556,8 @@ def test_a_step_whose_id_order_moves_with_the_tick_is_not_held():
         stepped = step(model, state)[1]
         state, info = step(model, state, memory=memory)
         assert not info.replayed
-        assert info.trace == stepped.trace
-    assert [row["payload"]["id"] for row in info.trace] == ["p@1@3#0", "p@3#0"]
+        assert info.record() == stepped.record()
+    assert [inf_id for _, inf_id, *_ in info.record()[1]] == ["p@1@3#0", "p@3#0"]
     assert run(model, initial_state(), ticks=4).frozen_from == 1  # `p` alone is held
 
 
@@ -649,7 +650,7 @@ def test_a_weak_repulsion_freezes_the_corridor_and_livelocks_it_under_control(
 def replayed_ticks(raw):
     """The case run as `run_case` runs it, with a probe observer: (result,
     the ticks the observer saw, the replayed ones among them, the rows of
-    the stepped ticks and of the replayed ticks, each as `StepInfo.trace`
+    the stepped ticks and of the replayed ticks, each as `StepInfo.record`
     gives them)."""
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
@@ -659,9 +660,9 @@ def replayed_ticks(raw):
         seen.append(tick)
         if info.replayed:
             replayed.append(tick)
-            replayed_rows.extend(info.trace)
+            replayed_rows.extend(record_rows(info.record()))
         else:
-            stepped_rows.extend(info.trace)
+            stepped_rows.extend(record_rows(info.record()))
 
     options = run_options(spec)
     options["observers"] += (probe,)
@@ -677,8 +678,8 @@ def assert_the_replayed_ticks_are_the_tail(raw):
     trace = result.trace
     assert replayed == seen[len(seen) - len(replayed):]
     assert result.frozen_from == (replayed[0] if replayed else None)
-    assert trace.rows == stepped_rows
-    assert list(trace.tail()) == replayed_rows
+    assert [row for record in trace.steps for row in record_rows(record)] == stepped_rows
+    assert [row for record in tail_records(trace) for row in record_rows(record)] == replayed_rows
     if replayed:
         assert (trace.held.first, trace.end) == (replayed[0], seen[-1] + 1)
     else:

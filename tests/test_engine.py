@@ -264,6 +264,65 @@ def test_persisted_outside_neighborhood_rejected():
         step(model, make_state(("a", "b")))
 
 
+# --- influence ids, classes and events are checked where they enter ----------
+
+class Scripted(BehaviorRule):
+    """Emits what `script(ctx)` returns."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def decide(self, internal_state, ctx):
+        return self.script(ctx)
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+def test_an_influence_id_that_is_not_a_str_is_rejected(collect_trace):
+    """An int id next to a str id once ran untraced and raised a bare
+    `TypeError` when the trace sorted them."""
+    model = make_model(behaviors={"a1": Scripted(
+        lambda ctx: [ctx.make("inc", "l"), influence("inc", "l", "a1", uid=7)])})
+    state = make_state(agents=[("a1", "l")])
+    with pytest.raises(IllegalInfluenceTarget, match="agent 'a1': influence 'inc' has id 7"):
+        run(model, state, ticks=3, collect_trace=collect_trace)
+
+
+def test_a_persisted_influence_id_that_is_not_a_str_is_rejected():
+    def persist(level, sigma, influences, ctx):
+        return ReactionResult(sigma, persisted=(influence("inc", "l", "reaction:l", uid=b"k"),))
+
+    with pytest.raises(IllegalInfluenceTarget, match="reaction of level 'l': influence 'inc' "
+                                                     "has id b'k'"):
+        step(make_model(reactions={"l": persist}), make_state())
+
+
+def test_a_carried_influence_id_that_is_not_a_str_is_rejected():
+    carried = influence("inc", "l", "old", uid=1.5)
+    state = SystemState(per_level={"l": LevelState("l", {}, frozenset({carried}))})
+    with pytest.raises(IllegalInfluenceTarget, match="level 'l' of the first snapshot"):
+        run(make_model(), state, ticks=1)
+
+
+def test_an_influence_class_outside_the_three_is_rejected():
+    model = make_model(behaviors={"a1": Scripted(
+        lambda ctx: [ctx.make("inc", "l", klass="bogus")])})
+    with pytest.raises(IllegalInfluenceTarget, match="of class 'bogus'"):
+        run(model, make_state(agents=[("a1", "l")]), ticks=1, collect_trace=True)
+
+
+@pytest.mark.parametrize("event", [
+    ("note",), ("note", {}, 1), ["note", {}], "note", (7, {}), ("note", None), ("note", ("id", 1)),
+], ids=["one", "three", "list", "str", "int-name", "none", "tuple-payload"])
+def test_a_reaction_event_that_is_not_a_str_dict_pair_is_rejected(event):
+    """A non-dict payload once reached the trace writer and raised a bare
+    `AttributeError` there."""
+    def noisy(level, sigma, influences, ctx):
+        return ReactionResult(sigma, events=(event,))
+
+    with pytest.raises(ReactionFault, match="not a \\(str, dict\\) pair"):
+        run(make_model(reactions={"l": noisy}), make_state(), ticks=1, collect_trace=True)
+
+
 def test_level_locality_of_reaction():
     graph = make_graph(("a", "b"))
     model = make_model(

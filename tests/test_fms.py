@@ -54,7 +54,7 @@ from mlsim.state import (
     body_key,
 )
 
-from support import field_ties, influence, sensed_ties
+from support import field_ties, influence, sensed_ties, tail_records
 
 
 def ctx(producer="test", tick=0):
@@ -1140,5 +1140,6 @@ def test_only_agvs_and_solvers_produce_and_no_shop_does(fixture):
     assert set(model.dynamic_behaviors) == {"solver"}
     result = run(model, state, ticks=spec.run_params["ticks"], seed=spec.run_params["seed"],
                  termination=all_tasks_delivered, collect_trace=True)
-    producers = {row["payload"]["producer"] for row in result.trace if row["event"] == "influence"}
+    producers = {producer for record in result.trace.steps + tail_records(result.trace)
+                 for _, _, _, _, producer in record[1]}
     assert producers and not producers & shops

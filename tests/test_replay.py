@@ -45,7 +45,7 @@ from mlsim.state import (
     body_key,
 )
 
-from support import identity_reaction, influence
+from support import identity_reaction, influence, record_rows
 
 TICKS = 5
 
@@ -138,7 +138,8 @@ def test_a_replayed_tick_keeps_the_level_state_and_its_trace():
     first, _ = step(model, state, memory=memory)
     second, info = step(model, first, memory=memory)
     assert second.per_level["micro"] is first.per_level["micro"] is state.per_level["micro"]
-    assert [(row["level"], row["event"]) for row in info.trace] == [("macro", "influence")]
+    assert [(row["level"], row["event"]) for row in record_rows(info.record())] == [
+        ("macro", "influence")]
 
 
 # --- a call that is not quiet is called again ---------------------------------------
@@ -626,7 +627,7 @@ def test_a_replayed_tick_keeps_each_k_and_remaps_the_inhibition_log(holder):
             "micro": (InhibitionRecord(f"{holder}@{tick}#0", (f"p@{tick}#0", f"p@{tick}#2")),),
         }
         assert info.produced == stepped_info.produced
-        assert info.trace == stepped_info.trace
+        assert info.record() == stepped_info.record()
 
 
 def test_the_run_records_the_tick_it_froze_from():

@@ -27,6 +27,7 @@ from mlsim.hierarchy import Declarations, HierarchicalCoupling
 from mlsim.scenario import (
     DECLARATION_LISTS,
     KIND_CLASSES,
+    MAX_GRID_CELLS,
     apply_overrides,
     build,
     default_scenario_dict,
@@ -93,11 +94,42 @@ def test_negative_fixtures_rejected_with_expected_code(fixture, code):
 
 
 def test_validation_reports_all_problems_not_just_first():
+    """Every problem, each once: a task whose source and destination are
+    one unknown shop references it once."""
     data = default_scenario_dict()
     data["shops"] = [{"id": "s1", "cell": [99, 99]}, {"id": "s1", "cell": [0, 0]}]
-    data["tasks"] = [{"id": "t1", "source": "s1", "dest": "nowhere"}]
-    issues = validate_scenario(data)
-    assert len(issues) >= 3
+    data["tasks"] = [{"id": "t1", "source": "s1", "dest": "nowhere"},
+                     {"id": "t2", "source": "S1", "dest": "S1"}]
+    assert list(map(str, validate_scenario(data))) == [
+        "[placement] shop 's1' on blocked or out-of-bounds cell (99, 99)",
+        "[reference] duplicate id 's1'",
+        "[reference] task 't1' references unknown shop 'nowhere'",
+        "[reference] task 't2' references unknown shop 'S1'",
+        "[reference] task 't2' has identical source and destination",
+    ]
+
+
+def test_a_grid_at_the_cell_budget_is_valid_and_one_over_it_is_not():
+    data = default_scenario_dict()
+    data["grid"].update(width=1000, height=MAX_GRID_CELLS // 1000)
+    assert validate_scenario(data) == []
+    data["grid"]["height"] += 1
+    assert list(map(str, validate_scenario(data))) == [
+        f"[placement] grid must have at most {MAX_GRID_CELLS} cells, got 1000x1001"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_grid_over_the_cell_budget_is_a_placement_issue(command, tmp_path, capsys):
+    """A corridor 2**70 cells wide was valid, and `mlsim run` on it ran out
+    of memory building its free cells."""
+    data = json.loads((SCENARIOS / "corridor.json").read_text())
+    data["grid"]["width"] = 2**70
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr()
+    assert f"[placement] grid must have at most {MAX_GRID_CELLS} cells, got {2**70}x2" in (
+        out.out + out.err)
 
 
 def test_overrides_dotted_paths_and_json_values():

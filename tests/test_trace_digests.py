@@ -6,8 +6,8 @@ aisle-standoffs floors; each is run at seed 0 through parse -> build -> run
 with `collect_trace=True`, written with `cli.write_trace`, and its sha256
 compared with the pin below.  A change to how trace rows are built, ordered
 or encoded shows up here.  The file written from the run's trace, whose
-frozen spans are written from their held step, must equal the file written
-from its rows one by one.
+frozen spans are written from their held step, must equal per-row
+`json.dumps` of its rows.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ from mlsim.engine import run
 from mlsim.fms.model import SafetyChecker, all_tasks_delivered, fms_metrics
 from mlsim.scenario import build, parse_scenario_dict
 
+from support import dumped_trace, trace_rows
 from test_golden_digests import ROOT, episode
 
 TRACE_PINS = {
@@ -53,8 +54,8 @@ EPISODES = traced_episodes()
 
 def trace_sha256(raw, tmp_path):
     """The sha256 of the episode's trace file.  The run's trace is written
-    by spans; it must give the bytes of its rows written one by one, and
-    count them without building them."""
+    by spans; it must give per-row `json.dumps` of its rows, and count them
+    without building them."""
     spec = parse_scenario_dict(raw)
     model, state = build(spec)
     result = run(
@@ -62,11 +63,10 @@ def trace_sha256(raw, tmp_path):
         observers=(SafetyChecker(spec.grid),), metrics=fms_metrics,
         termination=all_tasks_delivered, collect_trace=True,
     )
-    path, rows_path = tmp_path / "trace.jsonl", tmp_path / "rows.jsonl"
+    path = tmp_path / "trace.jsonl"
     cli.write_trace(path, result.trace)
-    rows = list(result.trace)
-    cli.write_trace(rows_path, rows)
-    assert path.read_bytes() == rows_path.read_bytes()
+    rows = trace_rows(result.trace)
+    assert path.read_text() == dumped_trace(rows)
     assert len(result.trace) == len(rows)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
