@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -129,27 +128,22 @@ def _shaped(constraint_id, inhibited, encode) -> str:
     return encode({"constraint": constraint_id, "inhibited": list(inhibited)})
 
 
-_level = itemgetter(0)  # of a record's influence
-_level_id = itemgetter(0, 1)
+_level = itemgetter(0)  # of a record's line
 
 
 def _step_lines(record, templates, encode, scalar) -> list:
-    """The lines of one tick, in row order, from its record (`engine.
-    StepInfo.record`: influence ids are unique `str`s, listed in level and
-    id order, and event payloads are dicts).
+    """The lines of one tick from its record (`engine.StepInfo.record`:
+    influence ids are unique `str`s, and each of its three lists is in
+    level order), in the record's order: by level, and within a level its
+    influences in id order, then its inhibitions in log order, then its
+    events in the order the reaction emitted them.
 
     An influence line is its id joined into the line template of its
     (level, kind, class, producer), kept in `templates` for the file when
     all four are exact `str`s (a `str` subclass equal to a kept key takes
     its template: both encode alike), and built through `scalar` for the
-    one line otherwise.
-
-    Inhibition payloads are encoded by `_shaped`, event payloads by the
-    encoder, and each such line is placed among its level's influences by
-    its row key (level, the payload's `id` or "", event, payload text): by
-    level alone without an id, by (level, id) with one.  Only an influence
-    whose id is that `id` ties with it; the rest of the row key settles the
-    tie, and a full tie keeps row order (the influence first)."""
+    one line otherwise.  Inhibition payloads are encoded by `_shaped`,
+    event payloads by the encoder."""
     tick, influences, inhibitions, events = record
     stamp = f"{scalar[type(tick), tick]}}}\n"
     lines = []
@@ -167,29 +161,17 @@ def _step_lines(record, templates, encode, scalar) -> list:
         lines.append(f"{template[0]}{_quote(inf_id)}{template[1]}{stamp}")
     if not (inhibitions or events):
         return lines
-    extras = [(level, "", "inhibition", _shaped(constraint_id, inhibited, encode))
-              for level, constraint_id, inhibited in inhibitions]
-    extras += [(level, str(payload["id"]) if "id" in payload else "", event, encode(payload))
-               for level, event, payload in events]
-    extras.sort()
-    merged = []
-    start = 0
-    for level, key, event, text in extras:
-        if key:
-            at = bisect_left(influences, (level, key), start, key=_level_id)
-        else:
-            at = bisect_left(influences, level, start, key=_level)
-        if at < len(influences) and influences[at][1] == key and influences[at][0] == level:
-            _, inf_id, kind, klass, producer = influences[at]
-            payload = {"class": klass, "id": inf_id, "kind": kind, "producer": producer}
-            if (event, text) >= ("influence", encode(payload)):
-                at += 1
-        merged += lines[start:at]
-        merged.append(f'{{"event": {scalar[type(event), event]}, '
-                      f'"level": {scalar[type(level), level]}, "payload": {text}, "tick": {stamp}')
-        start = at
-    merged += lines[start:]
-    return merged
+    leveled = [*zip(map(_level, influences), lines)]
+    leveled += [(level, f'{{"event": {scalar[str, "inhibition"]}, '
+                        f'"level": {scalar[type(level), level]}, '
+                        f'"payload": {_shaped(constraint_id, inhibited, encode)}, "tick": {stamp}')
+                for level, constraint_id, inhibited in inhibitions]
+    leveled += [(level, f'{{"event": {scalar[type(event), event]}, '
+                        f'"level": {scalar[type(level), level]}, '
+                        f'"payload": {encode(payload)}, "tick": {stamp}')
+                for level, event, payload in events]
+    leveled.sort(key=_level)  # stable: each level's lines keep the record's order
+    return [line for _, line in leveled]
 
 
 # Marks each tick slot of a frozen tail's text.  The encoder writes it as
@@ -203,9 +185,10 @@ def _span_lines(held, end, encode) -> list | None:
     one text per tick; None when a held value holds `_MARK`.  The held
     step's record (`engine.HeldStep.record`) is written once by
     `_step_lines`, with `_MARK` for the tick, and the text split at the
-    mark: a tick's text is its number joining the pieces.  The ids of one
-    tick sort alike on every tick (`ReplayMemory.hold`), so lines sorted at
-    the mark are sorted at every tick."""
+    mark: a tick's text is its number joining the pieces.  Only influence
+    ids order lines within a level, and the ids of one tick sort alike on
+    every tick (`ReplayMemory.hold`), so the order at the mark is the order
+    at every tick."""
     scalar = _EncodedScalars(encode)
     scalar[str, _MARK] = _MARK  # the tick field, bare as a tick's number
     record = held.record(_MARK)
@@ -220,15 +203,15 @@ def _span_lines(held, end, encode) -> list | None:
 def write_trace(path, trace):
     """The trace file of a run's `trace` (an `engine.Trace`), written in
     one call: one line per trace row, `json.dumps(row, sort_keys=True,
-    default=str)`, ordered by (tick, level, influence id, event, payload).
+    default=str)`, in record order: by tick, then by level, and within a
+    level its influences in id order, its inhibitions in log order, then
+    its events in emission order.
 
     No row is built.  Each stepped tick's record is written by
     `_step_lines`, whose influence line templates are made once per file;
     then the frozen tail, whose ticks follow them, encoded once for every
     tick (`_span_lines`) or, when a held value holds the tick mark, tick by
-    tick from `held.record(tick)` by `_step_lines`.  The records come in
-    tick order, so writing each in turn orders the lines as one sort of all
-    the rows would."""
+    tick from `held.record(tick)` by `_step_lines`."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
     scalar = _EncodedScalars(encode)
     templates: dict = {}

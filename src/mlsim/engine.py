@@ -68,10 +68,13 @@ same layout.  No trace row is ever built: outside this module only
 encoder.
 
 Whatever enters a run is checked where it enters, so that every record is
-one that encoder writes: an influence's id is a `str` and its class one of
-ordinary, emergence and constraint (a producer's output and a reaction's
+one that encoder writes: an influence's id, kind, target level and producer
+are `str`s and its class one of ordinary, emergence and constraint (a
+producer's output, which must also be of that producer, and a reaction's
 persisted influences, `_check_influence`; the first snapshot's carried
-influences, their ids), and a reaction event is a `(str, dict)` pair.
+influences, their ids), one id names one influence (`group_by_level`), no
+agent has a detector's name (`run`), and a reaction event is a `(str, dict)`
+pair.
 """
 
 from __future__ import annotations
@@ -270,16 +273,22 @@ def _check_id(inf: Influence, where):
 
 
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
-                     producer_levels, detector=None):
-    """Raise unless `inf` is legal from its producer; `detector` is the
-    producer's name when it is a registered detector."""
+                     producer_levels, producer=None, detector=None):
+    """Raise unless `inf` is legal from its producer.  `producer` is the name
+    of the agent or detector that returned it, which must be its producer
+    (None for a reaction's persisted influences, which may be any
+    producer's); `detector` is that name when it is a registered detector."""
     _check_id(inf, producer_desc)
-    if inf.target_level not in allowed_targets:
+    if not isinstance(inf.producer, str) or (producer is not None and inf.producer != producer):
+        raise IllegalInfluenceTarget(
+            f"{producer_desc} returned {inf.kind!r} of producer {inf.producer!r}")
+    if not isinstance(inf.target_level, str) or inf.target_level not in allowed_targets:
         raise IllegalInfluenceTarget(
             f"{producer_desc} produced {inf.kind!r} into {inf.target_level!r}, "
             f"allowed targets are {sorted(allowed_targets)}"
         )
-    if inf.kind not in model.decls.producible_kinds.get(inf.target_level, ()):
+    if not isinstance(inf.kind, str) or (
+            inf.kind not in model.decls.producible_kinds.get(inf.target_level, ())):
         raise KindNotProducible(
             f"{producer_desc}: kind {inf.kind!r} is not producible at {inf.target_level!r}"
         )
@@ -319,8 +328,9 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
     Producers that belong to the same level set share one read-only view
     of the level states they perceive and one set of influence targets,
     made on the first such producer of the tick.  An ordinary influence
-    of a producible kind into an allowed target, with an exact `str` id, is
-    legal as it is; only another one goes through `_check_influence`."""
+    of its producer, of a producible kind into an allowed target, with an
+    exact `str` id, target and kind, is legal as it is; only another one
+    goes through `_check_influence`."""
     tick = state.time
     graph = model.graph
     per_level = state.per_level
@@ -369,13 +379,15 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
             out = list(rule.decide(internal, ctx))
         for inf in out:
             target = inf.target_level
-            if (inf.klass != ORDINARY or target not in targets
-                    or inf.kind not in producible.get(target, ()) or type(inf.id) is not str):
+            if (inf.klass != ORDINARY or type(target) is not str or target not in targets
+                    or type(inf.kind) is not str or inf.kind not in producible.get(target, ())
+                    or type(inf.id) is not str or inf.producer != name):
                 if record is None:
                     _check_influence(model, inf, targets, f"detector {name!r}", levels,
-                                     detector=name)
+                                     producer=name, detector=name)
                 else:
-                    _check_influence(model, inf, targets, f"agent {name!r}", levels)
+                    _check_influence(model, inf, targets, f"agent {name!r}", levels,
+                                     producer=name)
         produced_sets.append(out)
         if quiet:
             quiet = ctx.made_quietly(out) and (
@@ -747,6 +759,10 @@ def run(
     if ticks < 1:
         raise ValueError("ticks must be >= 1")
     issues = validate_model(model)
+    # A detector produces under its name, so an agent of that name would
+    # share its influence ids.
+    issues += [Issue("reference", f"agent {name!r} has the name of a detector")
+               for name in sorted(model.detectors) if name in state.agents]
     if issues:
         raise ModelValidationError(issues)
     for level, level_state in state.per_level.items():

@@ -368,6 +368,9 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
         if is_solver_id(agent_id):
             issues.append(Issue("reference", f"id {agent_id!r} has the form of a solver id, "
                                              f"which the control level gives its solvers"))
+        if agent_id in DETECTORS:
+            issues.append(Issue("reference", f"id {agent_id!r} is the name of a detector, "
+                                             f"which produces under it"))
         ids_seen.add(agent_id)
 
     shop_ids = set()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import IllegalPerception
+from .errors import IllegalInfluenceTarget, IllegalPerception
 from .levels import LevelId
 
 ORDINARY = "ordinary"
@@ -228,15 +228,19 @@ class Percept:
 
 def group_by_level(levels: Iterable[LevelId], sets: Iterable[Iterable[Influence]]) -> dict:
     """The union of `sets`, partitioned by target level: level -> frozenset
-    of the influences aimed at it, the first influence of each id kept.
-    Every level in `levels` gets an entry, empty or not."""
+    of the influences aimed at it, an influence repeated under its id kept
+    once.  Every level in `levels` gets an entry, empty or not.  Two
+    different influences of one id raise `IllegalInfluenceTarget`."""
     by_level: dict[LevelId, list] = {level: [] for level in levels}
-    seen: set[str] = set()
+    seen: dict[str, Influence] = {}
     for group in sets:
         for inf in group:
-            if inf.id in seen:
+            first = seen.setdefault(inf.id, inf)
+            if first is not inf:
+                if first != inf:
+                    raise IllegalInfluenceTarget(
+                        f"two different influences have the id {inf.id!r}")
                 continue
-            seen.add(inf.id)
             bucket = by_level.get(inf.target_level)
             if bucket is None:
                 bucket = by_level[inf.target_level] = []

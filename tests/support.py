@@ -86,9 +86,8 @@ def trace_rows(trace) -> list:
 
 
 def dumped_trace(rows) -> str:
-    """The trace file of `rows` as `json.dumps` writes each sorted row."""
-    rows = sorted(rows, key=lambda r: (
-        r["tick"], r["level"], str(r["payload"].get("id", "")), r["event"],
-        json.dumps(r["payload"], sort_keys=True, default=str),
-    ))
+    """The trace file of `rows` as `json.dumps` writes each row, the rows
+    in (tick, level) order, stably: a level's influence, inhibition and
+    event rows keep the order they are given in."""
+    rows = sorted(rows, key=lambda r: (r["tick"], r["level"]))
     return "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows)

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import pickle
+import re
 from operator import itemgetter
 
 import pytest
@@ -28,6 +29,7 @@ from mlsim.engine import (
     run,
     step,
 )
+from mlsim.errors import IllegalInfluenceTarget
 from mlsim.fms.grid import GridMap
 from mlsim.fms.model import (
     FLOOR,
@@ -320,25 +322,41 @@ def test_a_slotted_context_seeds_its_stream_on_the_first_rng_read(monkeypatch):
 
 
 def merge_influences(sets):
-    """Set union with id-based deduplication: the first influence of each id."""
+    """Set union with id-based deduplication: the first influence of each
+    id, and the first id whose influences differ (None if none does)."""
     merged = {}
+    clash = None
     for group in sets:
         for inf in group:
-            merged.setdefault(inf.id, inf)
-    return frozenset(merged.values())
+            if merged.setdefault(inf.id, inf) != inf and clash is None:
+                clash = inf.id
+    return frozenset(merged.values()), clash
 
 
 def partitioned_merge(levels, groups):
     """`merge_influences`, then partitioned by target level."""
+    merged, clash = merge_influences(groups)
     out = {level: set() for level in levels}
-    for inf in merge_influences(groups):
+    for inf in merged:
         out.setdefault(inf.target_level, set()).add(inf)
-    return {level: frozenset(infs) for level, infs in out.items()}
+    return {level: frozenset(infs) for level, infs in out.items()}, clash
+
+
+SAME = influence("move", "micro", "p", uid="x#0", amount=0)
 
 
 @given(st.lists(st.lists(small_influences, max_size=4), max_size=4))
+@example([[SAME], [influence("move", "micro", "p", uid="x#0", amount=0), SAME]])
+@example([[SAME], [influence("move", "micro", "p", uid="x#0", amount=1)]])
 def test_group_by_level_equals_merge_then_partition(groups):
-    assert group_by_level(["micro"], groups) == partitioned_merge(["micro"], groups)
+    """Equal influences of one id merge into one; two different influences
+    of one id are an error that names it."""
+    expected, clash = partitioned_merge(["micro"], groups)
+    if clash is None:
+        assert group_by_level(["micro"], groups) == expected
+    else:
+        with pytest.raises(IllegalInfluenceTarget, match=re.escape(f"id {clash!r}")):
+            group_by_level(["micro"], groups)
 
 
 # --- constraint fast path and index ------------------------------------------
@@ -618,9 +636,9 @@ def test_stepped_ticks_are_written_as_their_rows(tmp_path_factory, names, made, 
     its id (a `str` subclass, or a string that may be empty).  Both
     reactions read the clock and emit `events`; on odd ticks without their
     `id` keys, and on even ticks with them plus one event whose `id` is that
-    of `p`'s second influence, so that its line ties with that influence's.
-    The run's trace is its stepped rows, and the file written from it
-    equals per-row `json.dumps`."""
+    of `p`'s second influence, which moves no line: a level's events follow
+    its influences and inhibitions.  The run's trace is its stepped rows,
+    and the file written from it equals per-row `json.dumps`."""
     micro, macro, p, m, move = names
     hold, other = move + "!", move + "?"
     graph = validate(LevelGraphSpec.make([micro, macro], [(micro, macro), (macro, micro)],
@@ -685,27 +703,27 @@ X_PAYLOAD = {"class": "ordinary", "id": "x", "kind": "move", "producer": "agv-1"
     st.lists(influence_records, max_size=5, unique_by=itemgetter(1)),
     st.lists(inhibition_records_, max_size=3), st.lists(record_events, max_size=3)),
     min_size=1, max_size=3))
-# An empty influence id ties with every line without an id at its level:
-# the inhibition after it, the `assigned` event before it.  Influence `x`
-# ties with each event whose `id` is "x": `spawn` after it, `assigned`
-# before it, and `influence` before it too, as its payload text sorts first.
+# No payload moves a line: after the influences (one with an empty id), the
+# inhibition, then the events in the order given, whatever their `id` or
+# name, `influence` too.
 @example(first=0, steps=[(
     [("floor", "", "move", "ordinary", "agv-1"), MOVE_X],
     [("floor", "c", ("x",))],
     [("floor", "assigned", {}), ("floor", "spawn", {"id": "x"}),
      ("floor", "assigned", {"id": "x"}), ("floor", "influence", {"a": 0, "id": "x"})])])
-# A full row-key tie (level `True` equals level 1) keeps row order: the
-# influence line, then the event's, which encodes its level apart.
+# Level `True` equals level 1: the event's line follows the influence's,
+# and encodes its level apart.
 @example(first=0, steps=[([(1, *MOVE_X[1:])], [], [(True, "influence", X_PAYLOAD)])])
 def test_step_records_are_written_as_their_rows(tmp_path_factory, first, steps):
     """Records as `StepInfo.record` makes them (influence ids unique, in
-    level and id order) of consecutive ticks, with empty ids and `str`
-    subclasses among the influences, inhibitions with odd ids and events
-    of any name, with or without an `id` key: the trace file equals
-    per-row `json.dumps` of their rows."""
+    level and id order; inhibitions and events in level order) of
+    consecutive ticks, with empty ids and `str` subclasses among the
+    influences, inhibitions with odd ids and events of any name, with or
+    without an `id` key: the trace file equals per-row `json.dumps` of
+    their rows."""
     records = [
         (first + k, sorted(influences, key=itemgetter(0, 1)),
-         sorted(inhibitions, key=itemgetter(0)), tuple(events))
+         sorted(inhibitions, key=itemgetter(0)), tuple(sorted(events, key=itemgetter(0))))
         for k, (influences, inhibitions, events) in enumerate(steps)
     ]
     path = tmp_path_factory.mktemp("records") / "trace.jsonl"

@@ -6,6 +6,7 @@ import pytest
 
 from mlsim.engine import (
     BehaviorRule,
+    DetectorRule,
     Model,
     ReactionResult,
     StepContext,
@@ -308,6 +309,64 @@ def test_an_influence_class_outside_the_three_is_rejected():
         lambda ctx: [ctx.make("inc", "l", klass="bogus")])})
     with pytest.raises(IllegalInfluenceTarget, match="of class 'bogus'"):
         run(model, make_state(agents=[("a1", "l")]), ticks=1, collect_trace=True)
+
+
+@pytest.mark.parametrize("kind, target, error", [
+    (["inc"], "l", KindNotProducible), ("inc", ["l"], IllegalInfluenceTarget),
+], ids=["list-kind", "list-target"])
+def test_a_kind_or_target_that_is_not_a_str_is_rejected(kind, target, error):
+    """An unhashable kind or target once raised a bare `TypeError` in the
+    producible-kind and target lookups."""
+    model = make_model(behaviors={"a1": Scripted(lambda ctx: [ctx.make(kind, target)])})
+    with pytest.raises(error):
+        run(model, make_state(agents=[("a1", "l")]), ticks=1)
+
+
+@pytest.mark.parametrize("producer", ["x", ["a1"]], ids=["other-name", "list"])
+def test_an_influence_of_another_producer_is_rejected(producer):
+    model = make_model(behaviors={"a1": Scripted(
+        lambda ctx: [influence("inc", "l", producer, uid=f"a1@{ctx._tick}#0", amount=1)])})
+    with pytest.raises(IllegalInfluenceTarget, match="agent 'a1' returned 'inc' of producer"):
+        run(model, make_state(agents=[("a1", "l")]), ticks=1)
+
+
+def test_a_detector_may_return_only_its_own_influences():
+    model = make_model()
+    model.detectors["watch"] = DetectorRule(
+        "watch", "l", lambda percept, ctx: [influence("inc", "l", "a1", uid="a1@0#0")])
+    with pytest.raises(IllegalInfluenceTarget, match="detector 'watch' returned 'inc'"):
+        run(model, make_state(), ticks=1)
+
+
+def test_a_persisted_influence_producer_that_is_not_a_str_is_rejected():
+    """A reaction may persist any producer's influence, but a list producer
+    once reached the trace writer and raised a bare `TypeError` there."""
+    def persist(level, sigma, influences, ctx):
+        return ReactionResult(sigma, persisted=(influence("inc", "l", ["a1"], uid="k"),))
+
+    with pytest.raises(IllegalInfluenceTarget, match="of producer \\['a1'\\]"):
+        step(make_model(reactions={"l": persist}), make_state())
+
+
+def test_two_different_influences_of_one_id_are_rejected():
+    """Two agents each returning a hand-built influence `same` once had the
+    second dropped without a word: 3 ticks summed 3, not 33."""
+    def same(amount):
+        return Scripted(lambda ctx: [influence("inc", "l", ctx.producer, uid="same",
+                                               amount=amount)])
+
+    model = make_model(behaviors={"a1": same(1), "a2": same(10)})
+    with pytest.raises(IllegalInfluenceTarget, match="id 'same'"):
+        run(model, make_state(agents=[("a1", "l"), ("a2", "l")]), ticks=3)
+
+
+def test_an_agent_with_the_name_of_a_detector_is_rejected():
+    """Its influence ids would be the detector's, and one of each pair was
+    dropped without a word."""
+    model = make_model(behaviors={"watch": IncBehavior(1)})
+    model.detectors["watch"] = DetectorRule("watch", "l", lambda percept, ctx: [])
+    with pytest.raises(ModelValidationError, match="agent 'watch' has the name of a detector"):
+        run(model, make_state(agents=[("watch", "l")]), ticks=1)
 
 
 @pytest.mark.parametrize("event", [

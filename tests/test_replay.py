@@ -367,7 +367,9 @@ def seeds_the_rng(ctx):
 
 
 def built_by_hand(ctx):
-    return [influence("move", "micro", "p", uid=f"p@hand#{ctx._tick}", to=1)]
+    """An influence of the calling producer that its context did not make."""
+    name = ctx.producer
+    return [influence("move", "micro", name, uid=f"{name}@hand#{ctx._tick}", to=1)]
 
 
 class KeepsItsFirstInfluence:

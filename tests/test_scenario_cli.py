@@ -387,6 +387,21 @@ def test_run_exit_three_on_an_id_of_the_solver_form(renamed, tmp_path, capsys):
     assert "[reference] id 'solver0' has the form of a solver id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("renamed", ["agv-2", "shop-east"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_id_that_names_a_detector_is_a_reference_issue(command, renamed, tmp_path, capsys):
+    """An agent named like the deadlock detector shared its influence ids:
+    the corridor ran 500 ticks with no detection and no delivery."""
+    path = tmp_path / "detector_id.json"
+    path.write_text((SCENARIOS / "corridor.json").read_text()
+                    .replace(f'"{renamed}"', '"deadlock-detector"'))
+    assert main([command, "--scenario", str(path), *(["--control", "on"] if command == "run"
+                                                      else [])]) == EXIT_INVALID
+    out = capsys.readouterr()
+    assert ("[reference] id 'deadlock-detector' is the name of a detector"
+            in out.out + out.err)
+
+
 @pytest.mark.parametrize(
     "override,path",
     [
@@ -488,20 +503,19 @@ def test_same_seed_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_trace_rows_totally_ordered(tmp_path, capsys):
-    trace = tmp_path / "t.jsonl"
-    main(
-        [
-            "run",
-            "--scenario",
-            str(SCENARIOS / "open_floor.json"),
-            "--trace-out",
-            str(trace),
-        ]
-    )
-    capsys.readouterr()
-    rows = [json.loads(line) for line in trace.read_text().splitlines()]
-    keys = [(r["tick"], r["level"], str(r["payload"].get("id", ""))) for r in rows]
-    assert keys == sorted(keys)
+    """Rows come by tick, then level; within a level, influences in id
+    order, then inhibitions, then events."""
+    rank = {"influence": 0, "inhibition": 1}
+    for fixture in ("open_floor", "corridor", "walled_trap"):
+        trace = tmp_path / f"{fixture}.jsonl"
+        main(["run", "--scenario", str(SCENARIOS / f"{fixture}.json"), "--control", "on",
+              "--trace-out", str(trace)])
+        capsys.readouterr()
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        keys = [(r["tick"], r["level"], rank.get(r["event"], 2),
+                 r["payload"]["id"] if r["event"] == "influence" else "") for r in rows]
+        assert keys == sorted(keys)
+        assert any(r["event"] == "inhibition" for r in rows) == (fixture != "open_floor")
 
 
 def test_compare_corridor_verdict(capsys):

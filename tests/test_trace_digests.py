@@ -23,20 +23,20 @@ from support import dumped_trace, trace_rows
 from test_golden_digests import ROOT, episode
 
 TRACE_PINS = {
-    "aisles-22x12-a4-s0-f0": "ec2568d3e7fd33deb817342977cac9c6538341c75fa0f34c58dd2a2e2f657ab8",
-    "aisles-22x12-a4-s0-f1": "d07628159c26f3d3c9ebe2e2694445f306fe411d15befe5c301f13a026b7fbc9",
-    "aisles-22x12-a4-s0-f2": "6a4e14bc21c256ec4e3673b731d4d9486f82659504f519f27e7a6280f0dbc742",
-    "aisles-22x12-a4-s0-f3": "d85ae06778379cc0e1f3254ad5279acdd99b0dc148b4027b147b59a4a2f2c8c4",
-    "aisles-22x12-a4-s0-f4": "7fef1cba16a87651ab8ae9a61530344ba75616a09ca58b7652b85bd41ce0559d",
-    "aisles-22x12-a4-s0-f5": "a6f0bbfbbcdf7ac71563ff9c84a1d00d7b3f124c5d8d6d8f91fa452916e49868",
-    "aisles-22x12-a4-s0-f6": "3dacb39ac7bbd8b63a2331441008f33afdb4dccde8de4957dff4080d0db24bbf",
-    "aisles-22x12-a4-s0-f7": "042722f8804cd416c6e24da80624d53833af75143323498f2b33b8c8b24631d6",
-    "corridor/off": "85fa8e6d6060df433156355c46a5611b51de751e7097e3010a3d7d0720b82f93",
-    "corridor/on": "a6c99714ae9400b70970073bca85e1f3bd81e650065b4c9b7ae1a0f634960321",
-    "open_floor/off": "74ab58b663252c3f092c7c663fa717d25081c45938a45ab68c7704f6df2d65ec",
-    "open_floor/on": "74ab58b663252c3f092c7c663fa717d25081c45938a45ab68c7704f6df2d65ec",
-    "walled_trap/off": "7ea59a5210f5137a94eb15e3d3c6ed3be0dca478ae6336910d1dc3dc2cecc6a8",
-    "walled_trap/on": "2ab6c7458b5ffdd46c2c13e9e48145c3a179a25fe9eeda09c6d6aff1172a1741",
+    "aisles-22x12-a4-s0-f0": "739d145916634b1413881f598d0402cce31aa7b2ac121525e9bfa7ae24490ae1",
+    "aisles-22x12-a4-s0-f1": "0ec494ce0e3b79d90f854ec2e7611d1d3590e3202434ea0f5c1057b76cdc2d4c",
+    "aisles-22x12-a4-s0-f2": "d0ad0969d7f01ce002d7db5d4b8c86c96d3aefdb9951bc9a592d48e81c99fbc4",
+    "aisles-22x12-a4-s0-f3": "234301476fa3808f2d6e24b19a6321070af25c5123784e490ddee569a52d3be6",
+    "aisles-22x12-a4-s0-f4": "7e7a8a89d21cac75d7fa2c574747a6c6807e5f81600bc6801da7b9209ae75dbd",
+    "aisles-22x12-a4-s0-f5": "8af78056ecb446e7f6677273a11fc86c578a7041610d66b1d3279c17f66c9ddf",
+    "aisles-22x12-a4-s0-f6": "f273da441d6b041ecaf48d978b4d999150b61fcdf8aac45d2dad4157b3163aed",
+    "aisles-22x12-a4-s0-f7": "c579bc0c38b2482f70cf40e4c46cd1e4c57dbeab0059df4fdfe33cfd34aba332",
+    "corridor/off": "bcd9e0cdf2e550536efcc171b4559725e5216a4db885ee7f56113ca71947054d",
+    "corridor/on": "c84846c20e5c71db50aaec441792c151c52df503b05c3a919b283f176502d33e",
+    "open_floor/off": "581befb2312a96b5dee16636169fe7d58bf8049401b71b385c6cfbdf1844a120",
+    "open_floor/on": "581befb2312a96b5dee16636169fe7d58bf8049401b71b385c6cfbdf1844a120",
+    "walled_trap/off": "7e4a1f85bbe215e235902a7df01526b6020d4debeb66ad4fc145bb90e33d6bb3",
+    "walled_trap/on": "fb2b7d11461aa191fdbda106d54c93c4f5a2f336429190719666fe22e9c6345c",
 }
 
 AISLE_FLOORS = 8
