@@ -69,18 +69,18 @@ encoder.
 
 Whatever enters a run is checked where it enters, so that every record is
 one that encoder writes: an influence's id, kind, target level and producer
-are `str`s and its class one of ordinary, emergence and constraint (a
-producer's output, which must also be of that producer, and a reaction's
-persisted influences, `_check_influence`; the first snapshot's carried
-influences, their ids), one id names one influence (`group_by_level`), no
-agent has a detector's name (`run`), and a reaction event is a `(str, dict)`
-pair.
+are `str`s and its class one of ordinary, emergence and constraint
+(`_check_shape`: the first snapshot's carried influences, and through
+`_check_influence` a producer's output, which must also be of that
+producer, and a reaction's persisted influences), one id names one
+influence (`group_by_level`), no agent has a detector's name (`run`, and a
+reaction's spawns), and a reaction event is a `(str, dict)` pair.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from operator import attrgetter, is_
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
@@ -92,11 +92,14 @@ from .errors import (
     MlsimError,
     ModelValidationError,
     ReactionFault,
+    Record,
+    Value,
 )
 from .hierarchy import (
     ConstraintKindDecl,
     Declarations,
     EmergenceKindDecl,
+    InfluenceSelector,
     InhibitionRecord,
     apply_constraints,
     hierarchy_issues,
@@ -201,8 +204,8 @@ class BehaviorRule:
         return ()
 
 
-@dataclass(frozen=True)
-class DetectorRule:
+@dataclass(init=False, repr=False, eq=False)
+class DetectorRule(Value):
     """A distinguished micro-level natural rule permitted to emit emergence
     influences toward a macro level.  Like a behavior, `rule` keeps the
     contracts of the module doc."""
@@ -211,14 +214,27 @@ class DetectorRule:
     level: LevelId
     rule: Callable  # (percept, ctx) -> iterable[Influence]
 
+    def __init__(self, name, level, rule):
+        self.__dict__.update(name=name, level=level, rule=rule)
 
-@dataclass
-class ReactionResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class ReactionResult(Record):
+    """What a level's reaction returns: its new property map `sigma`, and
+    what it persists, spawns, removes and reports."""
+
     sigma: dict
     persisted: tuple = ()
     spawn: tuple = ()  # new AgentRecords; the reaction writes their bodies into sigma
     remove: tuple = ()  # agent ids whose bodies live only at the reacting level
     events: tuple = ()  # (name, payload-dict) pairs for observers/trace
+
+    def __init__(self, sigma, persisted=(), spawn=(), remove=(), events=()):
+        self.sigma = sigma
+        self.persisted = persisted
+        self.spawn = spawn
+        self.remove = remove
+        self.events = events
 
 
 # Reaction rule signature: (level, sigma: dict, influences: frozenset, ctx) -> ReactionResult,
@@ -226,8 +242,11 @@ class ReactionResult:
 ReactionRule = Callable[[LevelId, dict, frozenset, StepContext], ReactionResult]
 
 
-@dataclass
-class Model:
+@dataclass(init=False, repr=False, eq=False)
+class Model(Record):
+    """A runnable model: the level graph, the behaviors, detectors and
+    reactions, and the hierarchy declarations."""
+
     graph: ValidatedLevelGraph
     behaviors: dict = field(default_factory=dict)  # AgentId -> BehaviorRule
     dynamic_behaviors: dict = field(default_factory=dict)  # agent kind -> BehaviorRule
@@ -236,6 +255,15 @@ class Model:
     # The hierarchy declarations, read-only by contract: swap them with
     # `_replace`, never write into them.
     decls: Declarations = field(default_factory=lambda: Declarations({}))
+
+    def __init__(self, graph, behaviors=MISSING, dynamic_behaviors=MISSING, detectors=MISSING,
+                 reactions=MISSING, decls=MISSING):
+        self.graph = graph
+        self.behaviors = {} if behaviors is MISSING else behaviors
+        self.dynamic_behaviors = {} if dynamic_behaviors is MISSING else dynamic_behaviors
+        self.detectors = {} if detectors is MISSING else detectors
+        self.reactions = {} if reactions is MISSING else reactions
+        self.decls = Declarations({}) if decls is MISSING else decls
 
     def constraint_decl(self, kind: str) -> ConstraintKindDecl | None:
         return next((d for d in self.decls.constraints if d.kind == kind), None)
@@ -258,18 +286,50 @@ def validate_model(model: Model) -> list[Issue]:
                                      detectors)
 
 
-@dataclass
-class ProducedStep:
+@dataclass(init=False, repr=False, eq=False)
+class ProducedStep(Record):
+    """Phase 1's output: the produced influences by level and each agent's
+    next internal state."""
+
     per_level: dict  # LevelId -> frozenset[Influence]
     new_internal: dict  # AgentId -> internal state at t+dt
     quiet: bool = False  # every producer call was quiet
 
+    def __init__(self, per_level, new_internal, quiet=False):
+        self.per_level = per_level
+        self.new_internal = new_internal
+        self.quiet = quiet
 
-def _check_id(inf: Influence, where):
-    """Raise unless `inf`'s id is a `str`: the trace orders influences by id."""
-    if not isinstance(inf.id, str):
+
+_CLASSES = (ORDINARY, EMERGENCE, CONSTRAINT)
+
+
+def _check_shape(inf: Influence, where):
+    """Raise unless `inf` has the shape the engine and the trace rely on: its
+    id, producer, target level and kind are `str`s (its trace line is
+    written from them, and the trace orders influences by id), its class is
+    one of the three, and a constraint's payload is a dict whose selector,
+    if it has one, is an `InfluenceSelector` of a `str` kind and a `str` or
+    None producer (`apply_constraints` looks its hits up by them)."""
+    for name in ("id", "producer", "target_level", "kind"):
+        value = getattr(inf, name)
+        if not isinstance(value, str):
+            error = KindNotProducible if name == "kind" else IllegalInfluenceTarget
+            raise error(f"{where}: influence {inf.kind!r} has {name.replace('_', ' ')} "
+                        f"{value!r}, which is not a str")
+    if inf.klass not in _CLASSES:
         raise IllegalInfluenceTarget(
-            f"{where}: influence {inf.kind!r} has id {inf.id!r}, which is not a str")
+            f"{where}: influence {inf.kind!r} is of class {inf.klass!r}; the classes "
+            f"are {ORDINARY!r}, {EMERGENCE!r} and {CONSTRAINT!r}")
+    if inf.klass == CONSTRAINT:
+        # A payload that is not a dict has no selector to look up.
+        selector = inf.payload.get("selector") if isinstance(inf.payload, dict) else False
+        if not (selector is None or isinstance(selector, InfluenceSelector)
+                and isinstance(selector.match_kind, str)
+                and (selector.match_producer is None or isinstance(selector.match_producer, str))):
+            raise IllegalInfluenceTarget(
+                f"{where}: constraint {inf.id!r} has the payload {inf.payload!r}, not a dict "
+                f"whose selector is an InfluenceSelector of a str kind")
 
 
 def _check_influence(model: Model, inf: Influence, allowed_targets, producer_desc,
@@ -278,17 +338,16 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
     of the agent or detector that returned it, which must be its producer
     (None for a reaction's persisted influences, which may be any
     producer's); `detector` is that name when it is a registered detector."""
-    _check_id(inf, producer_desc)
     if not isinstance(inf.producer, str) or (producer is not None and inf.producer != producer):
         raise IllegalInfluenceTarget(
             f"{producer_desc} returned {inf.kind!r} of producer {inf.producer!r}")
-    if not isinstance(inf.target_level, str) or inf.target_level not in allowed_targets:
+    _check_shape(inf, producer_desc)
+    if inf.target_level not in allowed_targets:
         raise IllegalInfluenceTarget(
             f"{producer_desc} produced {inf.kind!r} into {inf.target_level!r}, "
             f"allowed targets are {sorted(allowed_targets)}"
         )
-    if not isinstance(inf.kind, str) or (
-            inf.kind not in model.decls.producible_kinds.get(inf.target_level, ())):
+    if inf.kind not in model.decls.producible_kinds.get(inf.target_level, ()):
         raise KindNotProducible(
             f"{producer_desc}: kind {inf.kind!r} is not producible at {inf.target_level!r}"
         )
@@ -315,11 +374,6 @@ def _check_influence(model: Model, inf: Influence, allowed_targets, producer_des
             raise IllegalInfluenceTarget(
                 f"constraint {inf.id} from {producer_desc} carries no selector"
             )
-    elif inf.klass != ORDINARY:
-        raise IllegalInfluenceTarget(
-            f"{producer_desc} produced {inf.kind!r} of class {inf.klass!r}; the classes "
-            f"are {ORDINARY!r}, {EMERGENCE!r} and {CONSTRAINT!r}"
-        )
 
 
 def produce_influences(model: Model, state: SystemState, seed: int = 0) -> ProducedStep:
@@ -654,6 +708,11 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                 raise ReactionFault(
                     f"reaction of level {level!r} spawned duplicate agent {record.id!r}"
                 )
+            if record.id in model.detectors:
+                raise ReactionFault(
+                    f"reaction of level {level!r} spawned agent {record.id!r}, "
+                    f"which has the name of a detector"
+                )
             agents[record.id] = record
             events.append((level, "spawn", {"agent": record.id, "kind": record.kind}))
         for agent_id in result.remove:
@@ -727,14 +786,26 @@ class Trace:
                     for _, influences, inhibitions, events in self.steps]) + tail
 
 
-@dataclass
-class RunResult:
+@dataclass(init=False, repr=False, eq=False)
+class RunResult(Record):
+    """What `run` returns: the final snapshot, the metrics rows, why the run
+    stopped, its diagnostics and, when collected, its trace."""
+
     final_state: SystemState
     records: list  # one metrics dict per executed tick
     stop_reason: str
     diagnostics: tuple = ()  # (tick, name, payload) triples
     trace: Trace | tuple = ()  # a `Trace` from `run`; empty unless it collected one
     frozen_from: int | None = None  # the first tick of the frozen tail, its `held.first`
+
+    def __init__(self, final_state, records, stop_reason, diagnostics=(), trace=(),
+                 frozen_from=None):
+        self.final_state = final_state
+        self.records = records
+        self.stop_reason = stop_reason
+        self.diagnostics = diagnostics
+        self.trace = trace
+        self.frozen_from = frozen_from
 
 
 DIAGNOSTIC_EVENTS = {"no-escape-path"}
@@ -767,7 +838,7 @@ def run(
         raise ModelValidationError(issues)
     for level, level_state in state.per_level.items():
         for inf in level_state.influences:
-            _check_id(inf, f"level {level!r} of the first snapshot")
+            _check_shape(inf, f"level {level!r} of the first snapshot")
 
     records = []
     diagnostics = []

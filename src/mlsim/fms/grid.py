@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import EmitterOnBlockedCell
+from ..errors import EmitterOnBlockedCell, Value
 
 Cell = tuple[int, int]
 
@@ -40,11 +40,17 @@ def around(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
     return ((x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y))
 
 
-@dataclass(frozen=True)
-class GridMap:
+@dataclass(init=False, repr=False, eq=False)
+class GridMap(Value):
+    """A `width` x `height` floor whose `blocked` cells are walls, with its
+    static geometry (see the module doc)."""
+
     width: int
     height: int
     blocked: frozenset = frozenset()
+
+    def __init__(self, width, height, blocked=frozenset()):
+        self.__dict__.update(width=width, height=height, blocked=blocked)
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell

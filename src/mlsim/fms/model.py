@@ -35,7 +35,7 @@ from ..engine import (
     Model,
     ReactionResult,
 )
-from ..errors import SafetyViolation
+from ..errors import SafetyViolation, Value
 from ..hierarchy import (
     ConstraintKindDecl,
     Declarations,
@@ -126,13 +126,20 @@ def hold(ctx, decl: ConstraintKindDecl, agent: str):
 TASK_STATES = ("pending", "assigned", "picked", "delivered")
 
 
-@dataclass(frozen=True)
-class FmsParams:
+@dataclass(init=False, repr=False, eq=False)
+class FmsParams(Value):
+    """The reference model's field and control parameters; the defaults are
+    the scenario's."""
+
     attract: int = 16  # shop attraction amplitude
     repulse: int = 4  # AGV repulsion amplitude
     window: int = 6  # no-progress detection window (ticks)
     clearance: int = 3  # pairwise distance at which a solved group disperses
     jitter: bool = False  # seeded random choice among equal-potential moves
+
+    def __init__(self, attract=16, repulse=4, window=6, clearance=3, jitter=False):
+        self.__dict__.update(attract=attract, repulse=repulse, window=window,
+                             clearance=clearance, jitter=jitter)
 
 
 # --- field sensing -----------------------------------------------------------

@@ -16,19 +16,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import Issue
+from .errors import Issue, Value
 from .levels import LevelId
 from .state import CONSTRAINT, ORDINARY
 
 
-@dataclass(frozen=True)
-class HierarchicalCoupling:
+@dataclass(init=False, repr=False, eq=False)
+class HierarchicalCoupling(Value):
+    """A micro level coupled to a macro level: emergences rise from the
+    micro level to the macro level, and constraints come down."""
+
     micro: LevelId
     macro: LevelId
 
+    def __init__(self, micro, macro):
+        self.__dict__.update(micro=micro, macro=macro)
 
-@dataclass(frozen=True)
-class InfluenceSelector:
+
+@dataclass(init=False, repr=False, eq=False)
+class InfluenceSelector(Value):
     """Pure, declarative predicate over an influence's kind and producer: it
     matches an influence of kind `match_kind` from `match_producer`, or from
     any producer when that is None."""
@@ -36,19 +42,34 @@ class InfluenceSelector:
     match_kind: str
     match_producer: str | None = None
 
+    def __init__(self, match_kind, match_producer=None):
+        self.__dict__.update(match_kind=match_kind, match_producer=match_producer)
 
-@dataclass(frozen=True)
-class EmergenceKindDecl:
+
+@dataclass(init=False, repr=False, eq=False)
+class EmergenceKindDecl(Value):
+    """An emergence kind: producible at `macro_level`, and only by the
+    registered detector `detector`."""
+
     kind: str
     macro_level: LevelId
     detector: str  # name of the registered detector rule allowed to produce it
 
+    def __init__(self, kind, macro_level, detector):
+        self.__dict__.update(kind=kind, macro_level=macro_level, detector=detector)
 
-@dataclass(frozen=True)
-class ConstraintKindDecl:
+
+@dataclass(init=False, repr=False, eq=False)
+class ConstraintKindDecl(Value):
+    """A constraint kind into `micro_level`, whose influences inhibit
+    influences of the kind `inhibits` there."""
+
     kind: str
     micro_level: LevelId
     inhibits: str  # the ordinary kind tag this constraint kind targets
+
+    def __init__(self, kind, micro_level, inhibits):
+        self.__dict__.update(kind=kind, micro_level=micro_level, inhibits=inhibits)
 
 
 class Declarations(NamedTuple):
@@ -143,10 +164,16 @@ def hierarchy_issues(levels, influence_edges, decls: Declarations,
     return issues
 
 
-@dataclass(frozen=True)
-class InhibitionRecord:
+@dataclass(init=False, repr=False, eq=False)
+class InhibitionRecord(Value):
+    """One applied constraint: its id and the ids of the influences it
+    removed."""
+
     constraint_id: str
     inhibited_ids: tuple  # empty tuple = the constraint was a no-op
+
+    def __init__(self, constraint_id, inhibited_ids):
+        self.__dict__.update(constraint_id=constraint_id, inhibited_ids=inhibited_ids)
 
 
 def apply_constraints(influences) -> tuple[frozenset, tuple]:

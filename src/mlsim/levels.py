@@ -8,21 +8,25 @@ functions are reflexive by definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
-from .errors import EmptyLevelSet, SelfLoopEdge, UnknownLevel, UnknownLevelEndpoint
+from .errors import EmptyLevelSet, SelfLoopEdge, UnknownLevel, UnknownLevelEndpoint, Value
 
 LevelId = str
 Edge = tuple[LevelId, LevelId]
 
 
-@dataclass(frozen=True)
-class LevelGraphSpec:
+@dataclass(init=False, repr=False, eq=False)
+class LevelGraphSpec(Value):
     """Raw, possibly unnormalized declaration of a level graph."""
 
     levels: frozenset[LevelId]
     influence_edges: frozenset[Edge]
     perception_edges: frozenset[Edge]
+
+    def __init__(self, levels, influence_edges, perception_edges):
+        self.__dict__.update(levels=levels, influence_edges=influence_edges,
+                             perception_edges=perception_edges)
 
     @classmethod
     def make(cls, levels, influence_edges=(), perception_edges=()) -> "LevelGraphSpec":
@@ -46,8 +50,8 @@ def _neighborhoods(levels, edges):
     )
 
 
-@dataclass(frozen=True)
-class ValidatedLevelGraph:
+@dataclass(init=False, repr=False, eq=False)
+class ValidatedLevelGraph(Value):
     """Validated level graph with precomputed neighborhood tables.
 
     Immutable after construction.  `routes` memoizes a pure function of the
@@ -60,6 +64,14 @@ class ValidatedLevelGraph:
     _in_perception: dict = field(repr=False, compare=False, default=None)
     _out_perception: dict = field(repr=False, compare=False, default=None)
     _routes: dict = field(repr=False, compare=False, default_factory=dict)
+
+    def __init__(self, spec, _in_influence=None, _out_influence=None, _in_perception=None,
+                 _out_perception=None, _routes=MISSING):
+        self.__dict__.update(
+            spec=spec, _in_influence=_in_influence, _out_influence=_out_influence,
+            _in_perception=_in_perception, _out_perception=_out_perception,
+            _routes={} if _routes is MISSING else _routes,
+        )
 
     @property
     def levels(self) -> frozenset[LevelId]:

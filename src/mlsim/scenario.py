@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .errors import EmptyLevelSet, Issue, ScenarioError, UnknownLevelEndpoint
+from .errors import EmptyLevelSet, Issue, ScenarioError, UnknownLevelEndpoint, Value
 from .fms.grid import GridMap
 from .fms.model import (
     DETECTORS,
@@ -76,8 +76,8 @@ def default_scenario_dict() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+@dataclass(init=False, repr=False, eq=False)
+class ScenarioSpec(Value):
     """A validated scenario, as `parse_scenario_dict` makes it: its data, and
     the level graph, grid and hierarchy declarations its validation made,
     which `build` hands to the model.  One grid per spec, so its distance
@@ -87,6 +87,9 @@ class ScenarioSpec:
     graph: ValidatedLevelGraph = field(compare=False, repr=False)
     grid: GridMap = field(compare=False, repr=False)
     decls: Declarations = field(compare=False, repr=False)
+
+    def __init__(self, data, graph, grid, decls):
+        self.__dict__.update(data=data, graph=graph, grid=grid, decls=decls)
 
     @property
     def name(self):

@@ -14,11 +14,11 @@ plain values: what a run skips by is kept in the run (`engine.ReplayMemory`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import IllegalInfluenceTarget, IllegalPerception
+from .errors import IllegalInfluenceTarget, IllegalPerception, Value
 from .levels import LevelId
 
 ORDINARY = "ordinary"
@@ -55,8 +55,8 @@ def bodies_of(properties: Mapping[str, Any], body_type=None) -> dict[AgentId, Bo
     }
 
 
-@dataclass(frozen=True, init=False)
-class Influence:
+@dataclass(init=False, repr=False, eq=False)
+class Influence(Value):
     """A typed, level-targeted desire for change.
 
     `payload` is the dict of the producer's keyword arguments; like
@@ -77,8 +77,8 @@ class Influence:
     klass: str = ORDINARY
 
     def __init__(self, id, kind, target_level, producer, payload, klass=ORDINARY):
-        # One dict update instead of the frozen dataclass's one
-        # object.__setattr__ per field; assignment still raises.
+        # Every field in one dict update, as for every `Value`, whose
+        # `__setattr__` raises.
         self.__dict__.update(
             id=id, kind=kind, target_level=target_level, producer=producer,
             payload=payload, klass=klass,
@@ -88,8 +88,8 @@ class Influence:
         return hash(self.id)
 
 
-@dataclass(frozen=True, init=False)
-class Body:
+@dataclass(init=False, repr=False, eq=False)
+class Body(Value):
     """An agent's physical manifestation in one level's state.
 
     `get(name, default=None)` reads an attribute: it is the attribute dict's
@@ -100,10 +100,10 @@ class Body:
     level: LevelId
     attributes: dict = field(default_factory=dict)
 
-    def __init__(self, level, attributes=None):
-        if attributes is None:
+    def __init__(self, level, attributes=MISSING):
+        if attributes is MISSING:
             attributes = {}
-        # One dict update, as for `Influence`; assignment still raises.
+        # One dict update, as for `Influence`.
         self.__dict__.update(level=level, attributes=attributes, get=attributes.get)
 
     def __getstate__(self):
@@ -118,18 +118,18 @@ class Body:
         return Body(self.level, attrs)
 
 
-@dataclass(frozen=True, init=False)
-class LevelState:
+@dataclass(init=False, repr=False, eq=False)
+class LevelState(Value):
     """Per-level dynamic state: property map plus influence set."""
 
     level: LevelId
     properties: dict = field(default_factory=dict)
     influences: frozenset = frozenset()
 
-    def __init__(self, level, properties=None, influences=frozenset()):
-        if properties is None:
+    def __init__(self, level, properties=MISSING, influences=frozenset()):
+        if properties is MISSING:
             properties = {}
-        # One dict update, as for `Influence`; assignment still raises.
+        # One dict update, as for `Influence`.
         self.__dict__.update(level=level, properties=properties, influences=influences)
 
     def bodies(self) -> Mapping[AgentId, Body]:
@@ -162,8 +162,11 @@ class LevelState:
         return state
 
 
-@dataclass(frozen=True, init=False)
-class AgentRecord:
+@dataclass(init=False, repr=False, eq=False)
+class AgentRecord(Value):
+    """An agent: its id, its kind (which picks a dynamic behavior) and the
+    internal state its behavior's `memorize` keeps between ticks."""
+
     id: AgentId
     kind: str = ""
     internal_state: Any = None
@@ -172,18 +175,21 @@ class AgentRecord:
         self.__dict__.update(id=id, kind=kind, internal_state=internal_state)
 
 
-@dataclass(frozen=True, init=False)
-class SystemState:
+@dataclass(init=False, repr=False, eq=False)
+class SystemState(Value):
+    """One snapshot of the whole system: its time, the state of every level
+    and the record of every agent."""
+
     time: int = 0
     per_level: dict = field(default_factory=dict)  # LevelId -> LevelState
     agents: dict = field(default_factory=dict)  # AgentId -> AgentRecord
 
-    def __init__(self, time=0, per_level=None, agents=None):
-        if per_level is None:
+    def __init__(self, time=0, per_level=MISSING, agents=MISSING):
+        if per_level is MISSING:
             per_level = {}
-        if agents is None:
+        if agents is MISSING:
             agents = {}
-        # One dict update, as for `Influence`; assignment still raises.
+        # One dict update, as for `Influence`.
         self.__dict__.update(time=time, per_level=per_level, agents=agents)
 
     def memberships(self) -> Mapping[AgentId, frozenset]:

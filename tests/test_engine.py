@@ -1,9 +1,13 @@
 """Two-phase step driver: production, reaction, routing, and run control."""
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mlsim.cli import write_trace
 from mlsim.engine import (
     BehaviorRule,
     DetectorRule,
@@ -21,14 +25,21 @@ from mlsim.errors import (
     IllegalInfluenceTarget,
     IllegalPerception,
     KindNotProducible,
+    MlsimError,
     ModelValidationError,
     ReactionFault,
 )
-from mlsim.hierarchy import Declarations
+from mlsim.hierarchy import (
+    ConstraintKindDecl,
+    Declarations,
+    HierarchicalCoupling,
+    InfluenceSelector,
+)
 from mlsim.levels import LevelGraphSpec, validate
 from mlsim.state import (
     AgentRecord,
     Body,
+    Influence,
     LevelState,
     SystemState,
     body_key,
@@ -302,6 +313,124 @@ def test_a_carried_influence_id_that_is_not_a_str_is_rejected():
     state = SystemState(per_level={"l": LevelState("l", {}, frozenset({carried}))})
     with pytest.raises(IllegalInfluenceTarget, match="level 'l' of the first snapshot"):
         run(make_model(), state, ticks=1)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("producer", ["x"], IllegalInfluenceTarget),
+    ("target_level", ("l",), IllegalInfluenceTarget),
+    ("kind", None, KindNotProducible),
+    ("klass", "bogus", IllegalInfluenceTarget),
+], ids=["list-producer", "tuple-target", "none-kind", "bogus-class"])
+def test_a_carried_influence_gets_the_checks_of_a_produced_one(field, value, error):
+    """A carried influence of producer `["x"]` once ran 2 ticks and then
+    raised a bare `TypeError` in the trace writer."""
+    fields = {"kind": "inc", "target_level": "l", "producer": "old", "klass": "ordinary"}
+    fields[field] = value
+    carried = influence(fields["kind"], fields["target_level"], fields["producer"],
+                        uid="old#1", klass=fields["klass"])
+    state = make_state()
+    state = SystemState(0, {"l": LevelState("l", {}, frozenset({carried}))}, state.agents)
+    with pytest.raises(error, match="level 'l' of the first snapshot"):
+        run(make_model(), state, ticks=2, collect_trace=True)
+
+
+def test_a_reaction_may_not_spawn_an_agent_named_like_a_detector():
+    """Such an agent's influence ids would be the detector's; it once ran to
+    the tick budget alive."""
+    def spawner(level, sigma, influences, ctx):
+        spawn = (AgentRecord("watch"),) if ctx.tick == 0 else ()
+        return ReactionResult(sigma, spawn=spawn)
+
+    model = make_model(reactions={"l": spawner})
+    model.detectors["watch"] = DetectorRule("watch", "l", lambda percept, ctx: [])
+    with pytest.raises(ReactionFault, match="spawned agent 'watch', which has the name of a"):
+        run(model, make_state(), ticks=3)
+
+
+class Name(str):
+    """A `str` subclass: whatever takes a `str` takes it."""
+
+
+NAN = float("nan")
+HOSTILE = [7, None, ["x"], ("x",), {"x": 1}, NAN]
+
+
+@st.composite
+def entering_influences(draw, producer):
+    """Influences as a producer, a reaction or a first snapshot may hand the
+    engine: each legal, with its names `str`s or `Name`s, but for at most
+    one field, which holds a hostile value."""
+    made = []
+    for k in range(draw(st.integers(0, 2))):
+        name = Name if draw(st.booleans()) else str
+        fields = {
+            "id": name(f"{producer}#{k}"),
+            "kind": name(draw(st.sampled_from(["inc", "inc", "hold"]))),
+            "target_level": name(draw(st.sampled_from(["macro", "macro", "micro"]))),
+            "producer": name(producer),
+            "payload": draw(st.sampled_from(
+                [{"amount": 1}, {"selector": InfluenceSelector("inc")}, {"selector": "inc"}])),
+            "klass": name(draw(st.sampled_from(
+                ["ordinary", "ordinary", "ordinary", "constraint", "emergence"]))),
+        }
+        for field in draw(st.sets(st.sampled_from(sorted(fields)), max_size=1)):
+            fields[field] = draw(st.sampled_from(HOSTILE))
+        made.append(Influence(**fields))
+    return made
+
+
+ENTRY_EVENTS = st.one_of(
+    st.tuples(st.sampled_from(["note", Name("note"), *HOSTILE]),
+              st.sampled_from([{"k": 1}, {"k": NAN}, {"k": ["x"]}, *HOSTILE])),
+    st.sampled_from([("note",), ("note", {}, 1), ["note", {}], "note", *HOSTILE]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_levels=st.booleans(), returned=entering_influences("a1"),
+       persisted=entering_influences("reaction:macro"), events=st.lists(ENTRY_EVENTS, max_size=2),
+       carried=entering_influences("old"))
+@example(two_levels=False, returned=[], persisted=[], events=[],
+         carried=[influence("inc", "macro", ["x"], uid="old#1")])
+def test_whatever_enters_a_run_is_traced_or_rejected(tmp_path_factory, two_levels, returned,
+                                                     persisted, events, carried):
+    """Behaviors, reactions and a first snapshot hand the engine hostile
+    values in every influence field and event: each run either writes a
+    trace whose every line parses, or raises an `MlsimError`."""
+    if two_levels:
+        levels = ("micro", "macro")
+        graph = make_graph(levels, [("micro", "macro"), ("macro", "micro")])
+        decls = Declarations(
+            {"micro": frozenset({"inc", "hold"}), "macro": frozenset({"inc"})},
+            couplings=(HierarchicalCoupling("micro", "macro"),),
+            constraints=(ConstraintKindDecl("hold", "micro", "inc"),),
+        )
+    else:
+        levels = ("macro",)
+        graph, decls = make_graph(levels), Declarations({"macro": frozenset({"inc", "hold"})})
+    home = "macro"
+
+    def reaction(level, sigma, influences, ctx):
+        if level != home:
+            return ReactionResult(sigma)
+        return ReactionResult(sigma, persisted=tuple(persisted), events=tuple(events))
+
+    model = Model(graph, behaviors={"a1": Scripted(lambda ctx: returned)},
+                  reactions={level: reaction for level in levels}, decls=decls)
+    state = make_state(levels, [("a1", home)])
+    # A snapshot's influence set cannot hold an influence of unhashable id.
+    held = frozenset(inf for inf in carried if not isinstance(inf.id, (list, dict)))
+    state = SystemState(0, {**state.per_level,
+                            home: LevelState(home, {**state.per_level[home].properties}, held)},
+                        state.agents)
+    try:
+        result = run(model, state, ticks=3, collect_trace=True)
+    except MlsimError:
+        return
+    path = tmp_path_factory.mktemp("entry") / "trace.jsonl"
+    write_trace(path, result.trace)
+    for line in path.read_text().splitlines():
+        json.loads(line)
 
 
 def test_an_influence_class_outside_the_three_is_rejected():
