@@ -134,7 +134,9 @@ _level = itemgetter(0)  # of a record's line
 def _step_lines(record, templates, encode, scalar) -> list:
     """The lines of one tick from its record (`engine.StepInfo.record`:
     influence ids are unique `str`s, and each of its three lists is in
-    level order), in the record's order: by level, and within a level its
+    level order), each up to its tick field's value: `stamp.join(lines) +
+    stamp` is the tick's text, `stamp` that value, `}` and a newline.  The
+    lines come in the record's order: by level, and within a level its
     influences in id order, then its inhibitions in log order, then its
     events in the order the reaction emitted them.
 
@@ -144,8 +146,7 @@ def _step_lines(record, templates, encode, scalar) -> list:
     its template: both encode alike), and built through `scalar` for the
     one line otherwise.  Inhibition payloads are encoded by `_shaped`,
     event payloads by the encoder."""
-    tick, influences, inhibitions, events = record
-    stamp = f"{scalar[type(tick), tick]}}}\n"
+    _, influences, inhibitions, events = record
     lines = []
     for level, inf_id, kind, klass, producer in influences:
         template = templates.get((level, kind, klass, producer))
@@ -158,46 +159,34 @@ def _step_lines(record, templates, encode, scalar) -> list:
                 f', "kind": {quote(kind)}, "producer": {quote(producer)}}}, "tick": ')
             if exact:
                 templates[level, kind, klass, producer] = template
-        lines.append(f"{template[0]}{_quote(inf_id)}{template[1]}{stamp}")
+        lines.append(f"{template[0]}{_quote(inf_id)}{template[1]}")
     if not (inhibitions or events):
         return lines
     leveled = [*zip(map(_level, influences), lines)]
     leveled += [(level, f'{{"event": {scalar[str, "inhibition"]}, '
                         f'"level": {scalar[type(level), level]}, '
-                        f'"payload": {_shaped(constraint_id, inhibited, encode)}, "tick": {stamp}')
+                        f'"payload": {_shaped(constraint_id, inhibited, encode)}, "tick": ')
                 for level, constraint_id, inhibited in inhibitions]
     leveled += [(level, f'{{"event": {scalar[type(event), event]}, '
                         f'"level": {scalar[type(level), level]}, '
-                        f'"payload": {encode(payload)}, "tick": {stamp}')
+                        f'"payload": {encode(payload)}, "tick": ')
                 for level, event, payload in events]
     leveled.sort(key=_level)  # stable: each level's lines keep the record's order
     return [line for _, line in leveled]
 
 
-# Marks each tick slot of a frozen tail's text.  The encoder writes it as
-# itself and makes it of no other character, so the text holds it only in
-# the slots, unless a held value holds it.
-_MARK = "~"
-
-
-def _span_lines(held, end, encode) -> list | None:
-    """The lines of a run's frozen tail, ticks `held.first` to `end - 1`,
-    one text per tick; None when a held value holds `_MARK`.  The held
-    step's record (`engine.HeldStep.record`) is written once by
-    `_step_lines`, with `_MARK` for the tick, and the text split at the
-    mark: a tick's text is its number joining the pieces.  Only influence
-    ids order lines within a level, and the ids of one tick sort alike on
-    every tick (`ReplayMemory.hold`), so the order at the mark is the order
-    at every tick."""
-    scalar = _EncodedScalars(encode)
-    scalar[str, _MARK] = _MARK  # the tick field, bare as a tick's number
-    record = held.record(_MARK)
-    lines = _step_lines(record, {}, encode, scalar)
-    pieces = "".join(lines).split(_MARK)
-    slots = len(lines) + len(record[1]) + sum([1 + len(hits) for _, _, hits in record[2]])
-    if len(pieces) != slots + 1:
-        return None
-    return [str(tick).join(pieces) for tick in range(held.first, end)]
+def _span_lines(held, end, encode) -> list:
+    """The texts of a run's frozen tail, ticks `held.first` to `end - 1`,
+    one per tick.  Every tick repeats the held step's record
+    (`engine.HeldStep.record`) but for its tick field, so its lines are
+    written once by `_step_lines`; a tick's text is its number joining the
+    first line, each later one after a `}` and a newline, and a last `}`
+    and newline."""
+    lines = _step_lines(held.record(held.first), {}, encode, _EncodedScalars(encode))
+    if not lines:
+        return []
+    pieces = [lines[0], *["}\n" + line for line in lines[1:]], "}\n"]
+    return [tick.join(pieces) for tick in map(str, range(held.first, end))]
 
 
 def write_trace(path, trace):
@@ -209,24 +198,22 @@ def write_trace(path, trace):
 
     No row is built.  Each stepped tick's record is written by
     `_step_lines`, whose influence line templates are made once per file;
-    then the frozen tail, whose ticks follow them, encoded once for every
-    tick (`_span_lines`) or, when a held value holds the tick mark, tick by
-    tick from `held.record(tick)` by `_step_lines`."""
+    then the frozen tail, whose ticks follow them, its lines encoded once
+    for every tick (`_span_lines`)."""
     encode = json.JSONEncoder(sort_keys=True, default=str).encode
     scalar = _EncodedScalars(encode)
     templates: dict = {}
-    lines = []
+    texts = []
     for record in trace.steps:
-        lines += _step_lines(record, templates, encode, scalar)
-    held = trace.held
-    if held is not None:
-        tail = _span_lines(held, trace.end, encode)
-        if tail is None:
-            tail = [line for tick in range(held.first, trace.end)
-                    for line in _step_lines(held.record(tick), templates, encode, scalar)]
-        lines += tail
+        lines = _step_lines(record, templates, encode, scalar)
+        if lines:
+            tick = record[0]
+            stamp = f"{scalar[type(tick), tick]}}}\n"
+            texts.append(stamp.join(lines) + stamp)
+    if trace.held is not None:
+        texts += _span_lines(trace.held, trace.end, encode)
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write("".join(texts))
 
 
 def cmd_validate(args) -> int:

@@ -44,17 +44,14 @@ property map without a call.
 
 A frozen tick is replayed whole.  A tick is frozen when every producer call
 was quiet, every reaction was replayed or quiet, and it kept every level
-state (and so every agent record): every later tick repeats it.  The memory
-holds its step for its successor once, as a `HeldStep`: per level, each
-produced influence as a template in id order, with the text of its id before
-and after the tick (`producer@`, `#k`), and the inhibition log with its ids
-split the same way (a kept level carries no influences of its own, as
-nothing was persisted).  A tick on that successor calls no producer and no
-reaction: it keeps the level states and the agent map, and holds the step
-for its own successor.  Its `StepInfo` carries the held step, and makes the
-influences (`producer@tick#k`) and the inhibition records from it only when
-`produced` or `inhibitions` is read.  A step whose ids could sort in another
-order on a later tick is not held (`ReplayMemory.hold`).
+state (and so every agent record): every later tick repeats it, down to its
+influences and inhibition records, whose ids hold no tick.  The memory holds
+its step for its successor once, as a `HeldStep`: the frozen step's own
+`produced` and `inhibitions` and, once a trace reads it, its record (a kept
+level carries no influences of its own, as nothing was persisted).  A tick on that successor
+calls no producer and no reaction: it keeps the level states and the agent
+map, holds the step for its own successor, and its `StepInfo` reports the
+held step's objects.
 
 So once a run replays a tick, it replays every later one: a run has at most
 one frozen tail, from the first tick on the held step's successor
@@ -67,14 +64,23 @@ same layout.  No trace row is ever built: outside this module only
 `cli.write_trace` reads records, and writes each one's lines through one
 encoder.
 
+An influence's id is `producer@k`, where `k` counts the makes of the
+`StepContext` that made it (`StepContext.make`); every trace line carries the
+tick.  Ids are unique within a tick: producers have distinct names, no agent
+or detector is named like a reaction (`REACTION_PRODUCER_PREFIX`), and a
+reaction that persists an influence its own context did not make persists a
+copy with a fresh id of that context (`StepContext.copy`).
+
 Whatever enters a run is checked where it enters, so that every record is
 one that encoder writes: an influence's id, kind, target level and producer
 are `str`s and its class one of ordinary, emergence and constraint
 (`_check_shape`: the first snapshot's carried influences, and through
 `_check_influence` a producer's output, which must also be of that
 producer, and a reaction's persisted influences), one id names one
-influence (`group_by_level`), no agent has a detector's name (`run`, and a
-reaction's spawns), and a reaction event is a `(str, dict)` pair.
+influence (`group_by_level`), no agent has a detector's name or a
+reaction's (`run`, and a reaction's spawns), and a reaction event is a
+`(str, dict)` pair whose payload holds no dict key that is not a `str`, at
+any depth (`_check_event`).
 """
 
 from __future__ import annotations
@@ -100,7 +106,6 @@ from .hierarchy import (
     Declarations,
     EmergenceKindDecl,
     InfluenceSelector,
-    InhibitionRecord,
     apply_constraints,
     hierarchy_issues,
 )
@@ -167,12 +172,22 @@ class StepContext:
         return not self._made and self._rng is None and not self._tick_read
 
     def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
+        """A new influence of this context's producer, with the id
+        `producer@k`, `k` the number of influences this context made before."""
         made = self._made
         producer = self.producer
-        inf = Influence(f"{producer}@{self._tick}#{len(made)}", kind, target_level, producer,
-                        payload, klass)
+        inf = Influence(f"{producer}@{len(made)}", kind, target_level, producer, payload, klass)
         made.append(inf)
         return inf
+
+    def copy(self, inf: Influence) -> Influence:
+        """`inf` with the id this context's next `make` would give: its
+        producer, kind, class, target and payload kept."""
+        made = self._made
+        copy = Influence(f"{self.producer}@{len(made)}", inf.kind, inf.target_level,
+                         inf.producer, inf.payload, inf.klass)
+        made.append(copy)
+        return copy
 
     def made_quietly(self, out: list) -> bool:
         """Whether this context made every influence of `out` and seeded no
@@ -458,63 +473,30 @@ _NO_INFLUENCES: frozenset = frozenset()
 
 class HeldStep:
     """The step of a frozen tick, held once for every tick that repeats it
-    (see the module doc).  Its layout, which only this module and
-    `cli.write_trace` (through a `Trace`) read:
+    (see the module doc): its `produced` and `inhibitions`, `first`, the
+    first tick that repeats it (the time of the snapshot it is held for),
+    `constraints`, the number of its inhibition records, and `row_count`,
+    the number of trace lines of one tick (a frozen tick emits no event).
+    A tick `t` that repeats it reports these same objects, and its record
+    is `record(t)`: the frozen tick's (`StepInfo.record`), made on the first
+    call, with `t` for its tick."""
 
-    - `influences`: `(level, templates)` by level in level order, with one
-      template per produced influence in id order: `(head, tail, kind,
-      klass, producer, payload)`, where the influence's id on tick `t` is
-      `head + str(t) + tail` (`producer@` and `#k`);
-    - `log`: `(level, records)` by level in level order, every level of the
-      snapshot, with one record per constraint applied, in the log's order:
-      `((head, tail), hits)`, the constraint's id and the ids it inhibited,
-      each split around the tick the same way;
-    - `first`: the first tick that repeats it, the time of the snapshot
-      it is held for;
-    - `constraints`: the number of records in `log`, and `row_count` the
-      number of trace lines of one tick (a frozen tick emits no event).
+    __slots__ = ("produced", "inhibitions", "first", "constraints", "row_count", "_frozen",
+                 "_lists")
 
-    `record` (in `StepInfo.record`'s layout), `produced` and `inhibitions`
-    build what a tick `t` repeating it reports, its ids made with `str(t)`;
-    they equal what stepping its snapshot would report."""
-
-    __slots__ = ("influences", "log", "first", "constraints", "row_count")
-
-    def __init__(self, influences: tuple, log: tuple, first: int):
-        self.influences = influences
-        self.log = log
+    def __init__(self, info: StepInfo, first: int):
+        self.produced = info.produced
+        self.inhibitions = info.inhibitions
         self.first = first
-        self.constraints = sum(len(records) for _, records in log)
-        self.row_count = sum(len(templates) for _, templates in influences) + self.constraints
+        self.constraints = info.constraints
+        self.row_count = sum(map(len, self.produced.values())) + self.constraints
+        self._frozen = info
+        self._lists = None  # the record's influences and inhibitions
 
     def record(self, tick) -> tuple:
-        stamp = str(tick)
-        return (
-            tick,
-            [(level, head + stamp + tail, kind, klass, producer)
-             for level, templates in self.influences
-             for head, tail, kind, klass, producer, _ in templates],
-            [(level, head + stamp + tail, tuple([h + stamp + t for h, t in hits]))
-             for level, records in self.log for (head, tail), hits in records],
-            (),
-        )
-
-    def produced(self, tick) -> dict:
-        stamp = str(tick)
-        return {
-            level: frozenset([Influence(head + stamp + tail, kind, level, producer, payload, klass)
-                              for head, tail, kind, klass, producer, payload in templates])
-            for level, templates in self.influences
-        }
-
-    def inhibitions(self, tick) -> dict:
-        stamp = str(tick)
-        return {
-            level: tuple([InhibitionRecord(head + stamp + tail,
-                                           tuple([h + stamp + t for h, t in hits]))
-                          for (head, tail), hits in records])
-            for level, records in self.log
-        }
+        if self._lists is None:
+            self._lists = self._frozen.record()[1:3]
+        return (tick, *self._lists, ())
 
 
 class StepInfo:
@@ -525,39 +507,24 @@ class StepInfo:
     triples) and `tick`, the time of the snapshot the step started from.
 
     A step replayed whole (`replayed`) carries the `HeldStep` it repeats as
-    `held`, and `produced` and `inhibitions` are made from it on their first
-    read only; `constraints` is read off the held log, and `record` is the
-    held record."""
+    `held`, and reports its `produced` and `inhibitions`; `constraints` is
+    the held count, and `record` the held record."""
 
-    __slots__ = ("_produced", "_inhibitions", "held", "events", "tick", "replayed")
+    __slots__ = ("produced", "inhibitions", "held", "events", "tick", "replayed")
 
     def __init__(self, produced, inhibitions, events, tick, held: HeldStep | None = None):
-        self._produced = produced
-        self._inhibitions = inhibitions
+        self.produced = produced
+        self.inhibitions = inhibitions
         self.held = held
         self.events = events
         self.tick = tick
         self.replayed = held is not None
 
     @property
-    def produced(self) -> dict:
-        produced = self._produced
-        if produced is None:
-            produced = self._produced = self.held.produced(self.tick)
-        return produced
-
-    @property
-    def inhibitions(self) -> dict:
-        inhibitions = self._inhibitions
-        if inhibitions is None:
-            inhibitions = self._inhibitions = self.held.inhibitions(self.tick)
-        return inhibitions
-
-    @property
     def constraints(self) -> int:
         if self.held is not None:
             return self.held.constraints
-        return sum(map(len, self._inhibitions.values()))
+        return sum(map(len, self.inhibitions.values()))
 
     def record(self) -> tuple:
         """The step's compact trace record, `(tick, influences, inhibitions,
@@ -595,11 +562,6 @@ def carried_level(old: LevelState, sigma: dict, influences: frozenset) -> LevelS
     return LevelState(old.level, sigma, influences)
 
 
-def _split(inf_id: str) -> tuple:
-    """(`producer@`, `#k`): the influence id `producer@tick#k` around its tick."""
-    return inf_id[:inf_id.rindex("@") + 1], inf_id[inf_id.rindex("#"):]
-
-
 class ReplayMemory:
     """What one run remembers to skip repeated calls (see the module doc): by
     level, the level state whose quiet reaction call saw no influences, and
@@ -610,26 +572,10 @@ class ReplayMemory:
         self.quiet: dict = {}  # LevelId -> LevelState
         self._held: tuple | None = None  # (snapshot, HeldStep)
 
-    def hold(self, successor: SystemState, produced: dict, inhibitions: dict) -> None:
-        """Hold the step of a frozen tick for the tick on its `successor`,
-        whose time is the held step's `first`.  The ids of one tick sort
-        alike on every tick unless a producer's name is another's followed
-        by `@`; such a step is not held, and its successor steps."""
-        producers = {inf.producer for made in produced.values() for inf in made}
-        if any(name.startswith(other + "@") for name in producers for other in producers):
-            self._held = None
-            return
-        influences = tuple(
-            (level, tuple([(*_split(inf.id), inf.kind, inf.klass, inf.producer, inf.payload)
-                           for inf in sorted(produced[level], key=_by_id)]))
-            for level in sorted(produced)
-        )
-        log = tuple(
-            (level, tuple([(_split(record.constraint_id), tuple(map(_split, record.inhibited_ids)))
-                           for record in records]))
-            for level, records in inhibitions.items()
-        )
-        self._held = successor, HeldStep(influences, log, successor.time)
+    def hold(self, successor: SystemState, info: StepInfo) -> None:
+        """Hold the step of a frozen tick, `info`, for the tick on its
+        `successor`, whose time is the held step's `first`."""
+        self._held = successor, HeldStep(info, successor.time)
 
     def replay(self, state: SystemState):
         """(next snapshot, StepInfo) of the tick on `state` when the held step
@@ -637,9 +583,54 @@ class ReplayMemory:
         held = self._held
         if held is None or held[0] is not state:
             return None
+        step = held[1]
         successor = SystemState(state.time + 1, state.per_level, state.agents)
-        self._held = successor, held[1]
-        return successor, StepInfo(None, None, (), state.time, held=held[1])
+        self._held = successor, step
+        return successor, StepInfo(step.produced, step.inhibitions, (), state.time, step)
+
+
+def _reaction_named(name) -> bool:
+    """Whether `name` begins as the reactions' producer names do: an
+    agent or detector so named could make a reaction's influence ids."""
+    return isinstance(name, str) and name.startswith(REACTION_PRODUCER_PREFIX)
+
+
+_CONTAINERS = (dict, list, tuple)  # what the trace's encoder walks into
+
+
+def _keys_are_str(value, path=()) -> bool:
+    """Whether every dict in `value`, a dict, list or tuple, has only `str`
+    keys, at any depth; `path` holds the ids of the containers `value` is
+    in, and a container that holds itself fails."""
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                return False
+        items = value.values()
+    else:
+        items = value
+    if id(value) in path:
+        return False
+    path += (id(value),)
+    for item in items:
+        if isinstance(item, _CONTAINERS) and not _keys_are_str(item, path):
+            return False
+    return True
+
+
+def _check_event(event, level) -> None:
+    """Raise `ReactionFault` unless `event` is a `(str, dict)` pair whose
+    payload the trace can encode with sorted keys: no dict in it, at any
+    depth, has a key that is not a `str`, and no container in it holds
+    itself."""
+    if not (isinstance(event, tuple) and len(event) == 2 and isinstance(event[0], str)
+            and isinstance(event[1], dict)):
+        raise ReactionFault(
+            f"reaction of level {level!r} emitted {event!r}, not a (str, dict) pair")
+    if not _keys_are_str(event[1]):
+        raise ReactionFault(
+            f"reaction of level {level!r} emitted {event!r}, whose payload holds a dict key "
+            f"that is not a str or a container that holds itself")
 
 
 def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 0,
@@ -651,6 +642,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
     (see the module doc); without one, every reaction is called."""
     recorded = memory.quiet if memory is not None else {}
     results = {}
+    contexts = {}
     sigmas = {}
     inhibitions = {}
     quiet = {}  # level -> whether its quiet call saw no influences
@@ -676,18 +668,31 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         if not isinstance(result, ReactionResult):
             raise ReactionFault(f"reaction of level {level!r} returned {type(result).__name__}")
         results[level] = result
+        contexts[level] = ctx
         sigmas[level] = result.sigma
         if ctx.untouched and not (
             result.persisted or result.spawn or result.remove or result.events
         ):
             quiet[level] = not filtered
 
-    # Validate and collect persisted influences.
+    # Validate and collect persisted influences.  One the reaction's context
+    # did not make may hold any id, its own on another tick too, so it is
+    # persisted as a copy under a fresh id of that context (once, however
+    # often it is persisted).
     persisted: list[Influence] = []
     for level, result in results.items():
+        if not result.persisted:
+            continue
         targets = model.graph.out_influence(level)
+        ctx = contexts[level]
+        made = set(map(id, ctx._made))
+        copies: dict = {}
         for inf in result.persisted:
             _check_influence(model, inf, targets, f"reaction of level {level!r}", {level})
+            if id(inf) not in made:
+                if inf not in copies:
+                    copies[inf] = ctx.copy(inf)
+                inf = copies[inf]
             persisted.append(inf)
     routed = group_by_level(state.per_level, [persisted]) if persisted else {}
 
@@ -713,6 +718,11 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
                     f"reaction of level {level!r} spawned agent {record.id!r}, "
                     f"which has the name of a detector"
                 )
+            if _reaction_named(record.id):
+                raise ReactionFault(
+                    f"reaction of level {level!r} spawned agent {record.id!r}, "
+                    f"which is named like a reaction"
+                )
             agents[record.id] = record
             events.append((level, "spawn", {"agent": record.id, "kind": record.kind}))
         for agent_id in result.remove:
@@ -731,10 +741,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
             sigmas[level].pop(key, None)
             events.append((level, "dissolve", {"agent": agent_id}))
         for event in result.events:
-            if not (isinstance(event, tuple) and len(event) == 2 and isinstance(event[0], str)
-                    and isinstance(event[1], dict)):
-                raise ReactionFault(
-                    f"reaction of level {level!r} emitted {event!r}, not a (str, dict) pair")
+            _check_event(event, level)
             events.append((level, *event))
 
     per_level = {
@@ -742,6 +749,7 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         for level, level_state in state.per_level.items()
     }
     next_state = SystemState(state.time + 1, per_level, agents)
+    info = StepInfo(produced.per_level, inhibitions, tuple(events), state.time)
     if memory is not None:
         for level, saw_nothing in quiet.items():
             if saw_nothing and per_level[level] is state.per_level[level]:
@@ -751,8 +759,8 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
         ):
             # A quiet tick kept every record and spawned and removed nothing:
             # it is frozen (see the module doc).
-            memory.hold(next_state, produced.per_level, inhibitions)
-    return next_state, StepInfo(produced.per_level, inhibitions, tuple(events), state.time)
+            memory.hold(next_state, info)
+    return next_state, info
 
 
 def step(model: Model, state: SystemState, seed: int = 0, memory: ReplayMemory | None = None):
@@ -830,10 +838,15 @@ def run(
     if ticks < 1:
         raise ValueError("ticks must be >= 1")
     issues = validate_model(model)
-    # A detector produces under its name, so an agent of that name would
-    # share its influence ids.
+    # A detector produces under its name, and a reaction under
+    # `REACTION_PRODUCER_PREFIX` and its level, so an agent of such a name
+    # would share their influence ids.
     issues += [Issue("reference", f"agent {name!r} has the name of a detector")
                for name in sorted(model.detectors) if name in state.agents]
+    issues += [Issue("reference", f"{what} {name!r} is named like a reaction "
+                                  f"({REACTION_PRODUCER_PREFIX!r})")
+               for what, names in (("agent", state.agents), ("detector", model.detectors))
+               for name in sorted(names) if _reaction_named(name)]
     if issues:
         raise ModelValidationError(issues)
     for level, level_state in state.per_level.items():

@@ -33,6 +33,7 @@ from .hierarchy import (
     hierarchy_issues,
 )
 from .levels import LevelGraphSpec, ValidatedLevelGraph, validate as validate_graph
+from .state import REACTION_PRODUCER_PREFIX
 
 KIND_CLASSES = ("ordinary", "constraint", "emergence")
 TERMINATION_PREDICATES = ("all-delivered", "none")
@@ -374,6 +375,10 @@ def _check(data: dict) -> tuple[list[Issue], dict]:
         if agent_id in DETECTORS:
             issues.append(Issue("reference", f"id {agent_id!r} is the name of a detector, "
                                              f"which produces under it"))
+        if agent_id.startswith(REACTION_PRODUCER_PREFIX):
+            issues.append(Issue("reference", f"id {agent_id!r} begins with "
+                                             f"{REACTION_PRODUCER_PREFIX!r}, as the names the "
+                                             f"reactions produce under do"))
         ids_seen.add(agent_id)
 
     shop_ids = set()

@@ -10,7 +10,6 @@ against a full rebuild."""
 import copy
 import csv
 import dataclasses
-import json
 import pickle
 import re
 from operator import itemgetter
@@ -176,13 +175,13 @@ def test_equal_influences_hash_equal(a, b):
 def test_an_influence_is_built_in_one_step_and_stays_frozen():
     inf = StepContext(3, "p").make("move", "micro", amount=1, agent="a")
     assert repr(inf) == (
-        "Influence(id='p@3#0', kind='move', target_level='micro', producer='p', "
+        "Influence(id='p@0', kind='move', target_level='micro', producer='p', "
         "payload={'amount': 1, 'agent': 'a'}, klass='ordinary')"
     )
-    reordered = Influence("p@3#0", "move", "micro", "p", {"agent": "a", "amount": 1})
-    assert inf == reordered and hash(inf) == hash(reordered) == hash("p@3#0")
+    reordered = Influence("p@0", "move", "micro", "p", {"agent": "a", "amount": 1})
+    assert inf == reordered and hash(inf) == hash(reordered) == hash("p@0")
     assert len({inf, reordered}) == 1
-    assert inf != Influence("p@3#0", "move", "micro", "p", {"agent": "a", "amount": 2})
+    assert inf != Influence("p@0", "move", "micro", "p", {"agent": "a", "amount": 2})
     assert inf != dataclasses.replace(inf, klass=EMERGENCE)
     assert [f.name for f in dataclasses.fields(inf)] == [
         "id", "kind", "target_level", "producer", "payload", "klass"
@@ -315,7 +314,7 @@ def test_a_slotted_context_seeds_its_stream_on_the_first_rng_read(monkeypatch):
     with pytest.raises(AttributeError):
         ctx.other = 1
     made = ctx.make("move", "micro", klass=EMERGENCE, to=1)
-    assert made == Influence("p@3#0", "move", "micro", "p", {"to": 1}, EMERGENCE)
+    assert made == Influence("p@0", "move", "micro", "p", {"to": 1}, EMERGENCE)
     assert seeded == [] and ctx.untouched is False
     assert ctx.rng is ctx.rng == (7, "p", 3)
     assert seeded == [(7, "p", 3)]
@@ -555,30 +554,27 @@ payload_values = st.one_of(
 
 
 # Names that trouble a tick stamp: digits and the tick's own digits, the id
-# separators `@` and `#`, what JSON escapes, non-ASCII, and the trace
-# writer's tick mark, which leaves a frozen tail that holds it to be
-# written tick by tick.
+# separator `@` and `#`, what JSON escapes, and non-ASCII.
 hostile_names = st.one_of(
-    st.text("09@#\"\\é\N{SECTION SIGN}" + cli._MARK, min_size=1, max_size=4),
-    st.sampled_from(["96", "99", "100", "101", "@100#", "#0", f"9{cli._MARK}"]),
+    st.text("09@#\"\\é\N{SECTION SIGN}", min_size=1, max_size=4),
+    st.sampled_from(["96", "99", "100", "101", "@100#", "#0", "9@1"]),
 )
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(hostile_names, min_size=5, max_size=5, unique=True), st.integers(1, 3),
        st.booleans(), st.booleans())
-@example(names=["micro", "macro", f"p{cli._MARK}", "m", "move"], made=2, by_producer=True,
+@example(names=["micro", "macro", "p", "p@1", "move"], made=2, by_producer=True,
          subclassed=False)
 def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_producer,
                                               subclassed):
     """A toy model frozen from its second tick, started at tick 95 so that
     the tick gains a digit in mid-span, with hostile level, kind and producer
-    names: `p` makes `made` moves and `m` holds them.  The run's trace is
-    its ticks' stepped rows, and the file written from it equals per-row
-    `json.dumps`.  A kind that is a `str` subclass is written through
-    templates kept for no other line, and a held name that holds the tick
-    mark leaves the tail to be written tick by tick (`_span_lines`
-    declines it)."""
+    names: `p` makes `made` moves and `m` holds them.  Whatever the names
+    (`p` and `p@1` too: `p@1@0` sorts between `p@0` and `p@2`), the run
+    freezes from tick 96, its trace is its ticks' stepped rows, and the file
+    written from it equals per-row `json.dumps`.  A kind that is a `str`
+    subclass is written through templates kept for no other line."""
     micro, macro, p, m, move = names
     hold = move + "!"
     if subclassed:
@@ -601,9 +597,7 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
         macro: LevelState(macro, {body_key(m): Body(macro)}),
     }, agents={p: AgentRecord(p), m: AgentRecord(m)})
     result = run(model, state, ticks=8, collect_trace=True)
-    # A name that is the other's followed by `@` sorts with the tick: not held.
-    held = not (m.startswith(p + "@") or p.startswith(m + "@"))
-    assert result.frozen_from == (96 if held else None)
+    assert result.frozen_from == 96
     stepped = []
     for _ in range(8):
         state, info = step(model, state)
@@ -614,11 +608,6 @@ def test_a_frozen_span_is_written_as_its_rows(tmp_path_factory, names, made, by_
     path = tmp_path_factory.mktemp("span") / "span.jsonl"
     cli.write_trace(path, result.trace)
     assert path.read_text() == dumped_trace(rows)
-    if held:
-        # The held record holds `micro`, `p`, `m` and `move`, not `macro`.
-        marked = any(cli._MARK in name for name in (micro, p, m, move))
-        encode = json.JSONEncoder(sort_keys=True, default=str).encode
-        assert (cli._span_lines(result.trace.held, result.trace.end, encode) is None) == marked
 
 
 event_names = st.sampled_from(["influence", "inhibition", "spawn"]) | hostile_names
@@ -654,7 +643,7 @@ def test_stepped_ticks_are_written_as_their_rows(tmp_path_factory, names, made, 
             made_events = [(name, {k: v for k, v in payload.items() if k != "id"})
                            for name, payload in events]
         else:
-            made_events = events + [("seen", {"id": f"{p}@{tick}#1", "at": level})]
+            made_events = events + [("seen", {"id": f"{p}@1", "at": level})]
         return ReactionResult(sigma, events=tuple(made_events))
 
     model = Model(

@@ -431,17 +431,14 @@ def test_a_stalled_tick_calls_no_behavior_and_no_detector(name):
         assert info.replayed
         assert all(nxt.per_level[level] is ls for level, ls in state.per_level.items())
         assert nxt.agents is state.agents
-        # The tick's influences are the stepped ones under the tick's ids.
-        ids = {level: {inf.id.replace(f"@{state.time}#", "@#") for inf in infs}
-               for level, infs in info.produced.items()}
-        assert ids == {level: {inf.id.replace(f"@{before.tick}#", "@#") for inf in infs}
-                       for level, infs in before.produced.items()}
+        # The tick's influences are the stepped ones, ids and all.
+        assert info.produced == before.produced
         assert deadlock_groups(info) == deadlock_groups(before)
         state = nxt
     assert calls == {}
 
 
-# --- a replayed tick re-stamps the held step -----------------------------------------
+# --- a replayed tick repeats the held step ------------------------------------------
 
 # Ticks replayed whole at seed 0; the other three cases never freeze.
 REPLAYED = {"corridor/off": 489, "walled_trap/off": 190, "walled_trap/on": 188}
@@ -459,7 +456,6 @@ def test_every_replayed_tick_equals_the_tick_stepped_without_a_memory(name):
             replayed += 1
             oracle_next, oracle = step(model, state, seed)
             assert not oracle.replayed
-            # The trace first: its rows come from the held templates, not `produced`.
             assert info.record() == oracle.record()
             assert info.inhibitions == oracle.inhibitions
             assert info.produced == oracle.produced
@@ -469,10 +465,10 @@ def test_every_replayed_tick_equals_the_tick_stepped_without_a_memory(name):
     assert replayed == REPLAYED[name]
 
 
-def test_a_replayed_tick_makes_no_influence_until_produced_is_read(monkeypatch):
+def test_a_replayed_tick_makes_no_influence_and_reports_the_held_ones(monkeypatch):
     """A replayed tick, with what `run` reads of it (its trace, the safety
-    checker, the metrics row), makes no `Influence`; `produced` makes each
-    one once."""
+    checker, the metrics row), makes no `Influence`: its `produced` is the
+    frozen tick's own dict."""
     made = []
     init = Influence.__init__
 
@@ -484,7 +480,7 @@ def test_a_replayed_tick_makes_no_influence_until_produced_is_read(monkeypatch):
     spec = parse_scenario_dict(FIXTURE_CASES["walled_trap/on"])
     model, state = build(spec)
     checker, memory = SafetyChecker(spec.grid), ReplayMemory()
-    replayed = 0
+    replayed, frozen = 0, None
     for _ in range(spec.run_params["ticks"]):
         before = len(made)
         state, info = step(model, state, spec.run_params["seed"], memory)
@@ -495,20 +491,18 @@ def test_a_replayed_tick_makes_no_influence_until_produced_is_read(monkeypatch):
             replayed += 1
             assert len(made) == before
             assert active == 4
+            assert info.produced is info.held.produced is frozen.produced
+        else:
+            frozen = info
     assert replayed == REPLAYED["walled_trap/on"]
-    made.clear()
-    produced = info.produced
-    assert len(made) == sum(map(len, produced.values())) > 0
-    assert info.produced is produced
-    assert len(made) == len(set(map(id, made)))
 
 
-def test_a_replayed_tick_makes_no_inhibition_record_until_inhibitions_is_read(
+def test_a_replayed_tick_makes_no_inhibition_record_and_reports_the_held_log(
         monkeypatch, tmp_path):
     """Under `run`, with the safety checker, the metrics row and the trace
     (collected and written), a replayed tick makes no `InhibitionRecord`:
-    `active_constraints` is the held log's count.  `inhibitions` makes each
-    record once."""
+    its `inhibitions` is the frozen tick's own dict, and `active_constraints`
+    its count."""
     made = []
     init = InhibitionRecord.__init__
 
@@ -532,33 +526,32 @@ def test_a_replayed_tick_makes_no_inhibition_record_until_inhibitions_is_read(
     assert len(replayed) == REPLAYED["walled_trap/on"]
     assert all(made_by_tick[tick] == made_by_tick[tick - 1] for tick in replayed)
     assert {result.records[tick]["active_constraints"] for tick in replayed} == {4}
+    frozen = infos[replayed[0] - 1].inhibitions
+    assert sum(map(len, frozen.values())) == 4
+    assert all(infos[tick].inhibitions is frozen for tick in replayed)
     before = len(made)
     cli.write_trace(tmp_path / "trace.jsonl", result.trace)
     assert len(made) == before
-    made.clear()
-    inhibitions = infos[-1].inhibitions
-    assert len(made) == sum(map(len, inhibitions.values())) == 4
-    assert infos[-1].inhibitions is inhibitions
-    assert len(made) == len(set(map(id, made)))
 
 
-def test_a_step_whose_id_order_moves_with_the_tick_is_not_held():
-    """`p@1@t#0` sorts after `p@t#0` on tick 0 and before it on tick 2: the
-    frozen step of `p` and `p@1` is stepped again on every tick."""
+def test_the_frozen_step_of_p_and_p_at_1_is_held():
+    """The ids of `p` and `p@1`, `p@0` and `p@1@0`, hold no tick, so they
+    sort alike on every tick: the run freezes from tick 1, and each replayed
+    record equals the one stepping its snapshot without a memory gives."""
     model = producer_model()
     model.behaviors["p@1"] = Steady()
     state = initial_state(agents=["p@1"])
     micro = state.per_level["micro"]
     state = SystemState(per_level={**state.per_level, "micro": LevelState(
         "micro", {**micro.properties, body_key("p@1"): Body("micro")})}, agents=state.agents)
+    assert run(model, state, ticks=4).frozen_from == 1
     memory = ReplayMemory()
     for tick in range(4):
         stepped = step(model, state)[1]
         state, info = step(model, state, memory=memory)
-        assert not info.replayed
+        assert info.replayed == (tick > 0)
         assert info.record() == stepped.record()
-    assert [inf_id for _, inf_id, *_ in info.record()[1]] == ["p@1@3#0", "p@3#0"]
-    assert run(model, initial_state(), ticks=4).frozen_from == 1  # `p` alone is held
+    assert [inf_id for _, inf_id, *_ in info.record()[1]] == ["p@0", "p@1@0"]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_CASES))

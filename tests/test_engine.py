@@ -379,9 +379,18 @@ def entering_influences(draw, producer):
     return made
 
 
+CYCLIC: list = []
+CYCLIC.append({"k": CYCLIC})
+KEYED_PAYLOADS = {
+    "int-key": {7: 1}, "mixed-keys": {7: 1, "a": 2}, "tuple-key": {(1, 2): 1},
+    "none-key": {None: 1}, "nested-dict": {"k": {"a": {7: 1}}},
+    "dict-in-list": {"k": [1, {7: 1, "a": 2}]}, "dict-in-tuple": {"k": ({(1,): 1},)},
+    "cyclic": {"k": CYCLIC},
+}
 ENTRY_EVENTS = st.one_of(
     st.tuples(st.sampled_from(["note", Name("note"), *HOSTILE]),
-              st.sampled_from([{"k": 1}, {"k": NAN}, {"k": ["x"]}, *HOSTILE])),
+              st.sampled_from([{"k": 1}, {"k": NAN}, {"k": ["x"]}, {Name("k"): {"a": [{}]}},
+                               *KEYED_PAYLOADS.values(), *HOSTILE])),
     st.sampled_from([("note",), ("note", {}, 1), ["note", {}], "note", *HOSTILE]),
 )
 
@@ -511,6 +520,88 @@ def test_a_reaction_event_that_is_not_a_str_dict_pair_is_rejected(event):
         run(make_model(reactions={"l": noisy}), make_state(), ticks=1, collect_trace=True)
 
 
+@pytest.mark.parametrize("payload", KEYED_PAYLOADS.values(), ids=KEYED_PAYLOADS.keys())
+def test_a_reaction_event_whose_payload_has_a_key_that_is_not_a_str_is_rejected(payload):
+    """Such a payload once passed the engine, and the trace writer then
+    raised a bare `TypeError` (mixed or tuple keys) or wrote the keys of
+    another type as strings; a payload that holds itself, a `ValueError`."""
+    def noisy(level, sigma, influences, ctx):
+        return ReactionResult(sigma, events=(("note", payload),))
+
+    with pytest.raises(ReactionFault, match="holds a dict key that is not a str"):
+        run(make_model(reactions={"l": noisy}), make_state(), ticks=1, collect_trace=True)
+
+
+def test_a_reaction_event_may_nest_str_keyed_dicts_and_share_a_list(tmp_path):
+    shared = [1, {"a": None}]
+    payload = {"k": shared, "j": (shared, {"b": {"c": [shared]}})}
+
+    def noisy(level, sigma, influences, ctx):
+        return ReactionResult(sigma, events=(("note", payload),))
+
+    result = run(make_model(reactions={"l": noisy}), make_state(), ticks=1, collect_trace=True)
+    write_trace(tmp_path / "trace.jsonl", result.trace)
+    (row,) = map(json.loads, (tmp_path / "trace.jsonl").read_text().splitlines())
+    assert row["payload"] == json.loads(json.dumps(payload))
+
+
+def test_a_reaction_persists_a_received_influence_as_a_copy_under_a_fresh_id():
+    """`l`'s reaction sums what it receives and re-persists `a1`'s
+    influence, which `a1` makes again on the next tick under the same id,
+    `a1@0`.  Persisted as it is, the carried one and the new one would be
+    one influence, and the sum would read 4 after 4 ticks, not 7."""
+    persisted = []
+
+    def repersist(level, sigma, influences, ctx):
+        sigma["total"] = sigma.get("total", 0) + sum(inf.payload["amount"] for inf in influences)
+        mine = ctx.make("inc", "l", amount=0)
+        kept = tuple(inf for inf in influences if inf.id.startswith("a1@"))
+        persisted.append(kept)
+        return ReactionResult(sigma, persisted=(mine,) + kept + kept)
+
+    model = make_model(behaviors={"a1": IncBehavior(1)}, reactions={"l": repersist})
+    result = run(model, make_state(agents=[("a1", "l")]), ticks=4)
+    assert result.final_state.per_level["l"].properties["total"] == 7
+    carried = sorted(result.final_state.per_level["l"].influences, key=lambda inf: inf.id)
+    assert [(inf.id, inf.producer, inf.payload) for inf in carried] == [
+        ("reaction:l@0", "reaction:l", {"amount": 0}), ("reaction:l@1", "a1", {"amount": 1})]
+    (original,) = persisted[-1]
+    assert original.id == "a1@0" and carried[1].payload is original.payload
+    assert (carried[1].kind, carried[1].target_level, carried[1].klass) == (
+        original.kind, original.target_level, original.klass)
+
+
+def test_a_reaction_persists_its_own_influences_as_they_are():
+    def persist(level, sigma, influences, ctx):
+        return ReactionResult(sigma, persisted=(ctx.make("inc", "l", amount=1),) * 2)
+
+    nxt, _ = step(make_model(reactions={"l": persist}), make_state())
+    (kept,) = nxt.per_level["l"].influences
+    assert kept.id == "reaction:l@0"
+
+
+@pytest.mark.parametrize("what", ["agent", "detector"])
+def test_an_agent_or_detector_named_like_a_reaction_is_rejected(what):
+    """Its influence ids, `reaction:l@k`, would be those of `l`'s reaction."""
+    model, agents = make_model(), []
+    if what == "agent":
+        model.behaviors["reaction:l"] = IncBehavior(1)
+        agents = [("reaction:l", "l")]
+    else:
+        model.detectors["reaction:l"] = DetectorRule("reaction:l", "l", lambda percept, ctx: [])
+    with pytest.raises(ModelValidationError,
+                       match=f"{what} 'reaction:l' is named like a reaction"):
+        run(model, make_state(agents=agents), ticks=1)
+
+
+def test_a_reaction_may_not_spawn_an_agent_named_like_a_reaction():
+    def spawner(level, sigma, influences, ctx):
+        return ReactionResult(sigma, spawn=(AgentRecord("reaction:l"),))
+
+    with pytest.raises(ReactionFault, match="spawned agent 'reaction:l', which is named like a"):
+        run(make_model(reactions={"l": spawner}), make_state(), ticks=1)
+
+
 def test_level_locality_of_reaction():
     graph = make_graph(("a", "b"))
     model = make_model(
@@ -593,9 +684,11 @@ def test_derived_rng_is_stable_and_keyed():
 
 
 def test_step_context_ids_are_unique_per_producer():
-    ctx = StepContext(7, "a1", random.Random(0))
-    ids = [ctx.make("inc", "l").id for _ in range(3)]
-    assert ids == ["a1@7#0", "a1@7#1", "a1@7#2"]
+    """An id is the producer and the count of the context's makes before
+    it; the tick is not in it."""
+    ids = [[ctx.make("inc", "l").id for _ in range(3)]
+           for ctx in (StepContext(7, "a1", random.Random(0)), StepContext(8, "a1"))]
+    assert ids == [["a1@0", "a1@1", "a1@2"]] * 2
 
 
 def test_step_context_seeds_its_rng_on_first_read(monkeypatch):

@@ -267,8 +267,7 @@ def test_a_level_whose_every_influence_is_inhibited_is_replayed():
     called, state = called_ticks(model)
     assert called == [0, 1]
     _, info = step(model, state)
-    tick = state.time
-    assert info.inhibitions["micro"] == (InhibitionRecord(f"m@{tick}#0", (f"p@{tick}#0",)),)
+    assert info.inhibitions["micro"] == (InhibitionRecord("m@0", ("p@0",)),)
 
 
 def test_a_persisted_influence_routed_into_a_quiet_level_defeats_the_replay():
@@ -338,9 +337,7 @@ def test_a_quiet_producer_is_called_once_and_then_replayed():
     p = Steady()
     _, produced = stepped(producer_model(p))
     assert p.calls == [0]
-    assert [sorted(inf.id for inf in infs) for infs in produced] == [
-        [f"p@{tick}#0"] for tick in range(TICKS)
-    ]
+    assert [sorted(inf.id for inf in infs) for infs in produced] == [["p@0"]] * TICKS
     first, last = (next(iter(infs)) for infs in (produced[0], produced[-1]))
     assert (last.kind, last.target_level, last.klass, last.producer) == (
         first.kind, first.target_level, first.klass, first.producer)
@@ -439,7 +436,7 @@ def test_a_changed_perceived_level_defeats_the_replay():
 
 def test_a_replay_keeps_the_ids_of_the_influences_it_returns():
     """A producer that makes three influences and returns the first and the
-    last: the replay numbers them #0 and #2, as a call would."""
+    last: the replay numbers them @0 and @2, as a call would."""
     def drops_its_second(ctx):
         made = [ctx.make("move", "micro", to=k) for k in range(3)]
         return [made[0], made[2]]
@@ -447,9 +444,8 @@ def test_a_replay_keeps_the_ids_of_the_influences_it_returns():
     p = Steady(drops_its_second)
     _, produced = stepped(producer_model(p))
     assert p.calls == [0]
-    for tick, infs in enumerate(produced):
-        assert sorted((inf.id, inf.payload["to"]) for inf in infs) == [
-            (f"p@{tick}#0", 0), (f"p@{tick}#2", 2)]
+    for infs in produced:
+        assert sorted((inf.id, inf.payload["to"]) for inf in infs) == [("p@0", 0), ("p@2", 2)]
 
 
 def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
@@ -470,10 +466,9 @@ def test_a_quiet_detector_is_replayed_and_a_clock_reading_one_is_not():
         model = producer_model()
         model.detectors = {name: detector(name, name == "clock") for name in names}
         state, memory = initial_state(), ReplayMemory()
-        for tick in range(TICKS):
+        for _ in range(TICKS):
             state, info = step(model, state, memory=memory)
-            assert {inf.id for inf in info.produced["macro"]} == {
-                f"{name}@{tick}#0" for name in names}
+            assert {inf.id for inf in info.produced["macro"]} == {f"{name}@0" for name in names}
     assert calls == {"quiet": [0] + list(range(TICKS)), "clock": list(range(TICKS))}
 
 
@@ -558,7 +553,7 @@ def with_reaction(make):
 
 
 def persists_a_kept_influence():
-    kept = influence("ping", "macro", "reaction:micro", uid="reaction:micro@0#0")
+    kept = influence("ping", "macro", "reaction:micro", uid="reaction:micro@0")
     return counting_reaction(lambda n: {"persisted": (kept,)})
 
 
@@ -600,9 +595,9 @@ def test_a_tick_with_a_call_that_is_not_quiet_is_never_replayed_whole(setup):
 
 @pytest.mark.parametrize("holder", ["m", "m@0#1"])
 def test_a_replayed_tick_keeps_each_k_and_remaps_the_inhibition_log(holder):
-    """`p` makes three moves and returns its #0 and #2, and the macro agent
-    `holder` (its id may hold `@` and `#`) holds `p`'s moves: a replayed tick
-    holds the same influences and the same log under its own ids, as
+    """`p` makes three moves and returns its @0 and @2, and the macro agent
+    `holder` (its id may hold `@` and `#`) holds `p`'s moves: a replayed
+    tick holds the same influences and the same log, under the same ids, as
     stepping the same snapshot without the memory does."""
     def drops_its_second(ctx):
         made = [ctx.make("move", "micro", to=k) for k in range(3)]
@@ -623,10 +618,10 @@ def test_a_replayed_tick_keeps_each_k_and_remaps_the_inhibition_log(holder):
         assert info.replayed == (tick > 0)
         assert not stepped_info.replayed
         assert sorted(inf.id for inf in info.produced["micro"]) == sorted([
-            f"{holder}@{tick}#0", f"p@{tick}#0", f"p@{tick}#2"])
+            f"{holder}@0", "p@0", "p@2"])
         assert info.inhibitions == stepped_info.inhibitions == {
             "macro": (),
-            "micro": (InhibitionRecord(f"{holder}@{tick}#0", (f"p@{tick}#0", f"p@{tick}#2")),),
+            "micro": (InhibitionRecord(f"{holder}@0", ("p@0", "p@2")),),
         }
         assert info.produced == stepped_info.produced
         assert info.record() == stepped_info.record()

@@ -402,6 +402,19 @@ def test_an_id_that_names_a_detector_is_a_reference_issue(command, renamed, tmp_
             in out.out + out.err)
 
 
+@pytest.mark.parametrize("renamed", ["agv-2", "shop-east"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_id_named_like_a_reaction_is_a_reference_issue(command, renamed, tmp_path, capsys):
+    """An agent named `reaction:tasks` would make the tasks reaction's
+    influence ids."""
+    path = tmp_path / "reaction_id.json"
+    path.write_text((SCENARIOS / "corridor.json").read_text()
+                    .replace(f'"{renamed}"', '"reaction:tasks"'))
+    assert main([command, "--scenario", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr()
+    assert "[reference] id 'reaction:tasks' begins with 'reaction:'" in out.out + out.err
+
+
 @pytest.mark.parametrize(
     "override,path",
     [

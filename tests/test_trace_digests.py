@@ -23,20 +23,20 @@ from support import dumped_trace, trace_rows
 from test_golden_digests import ROOT, episode
 
 TRACE_PINS = {
-    "aisles-22x12-a4-s0-f0": "739d145916634b1413881f598d0402cce31aa7b2ac121525e9bfa7ae24490ae1",
-    "aisles-22x12-a4-s0-f1": "0ec494ce0e3b79d90f854ec2e7611d1d3590e3202434ea0f5c1057b76cdc2d4c",
-    "aisles-22x12-a4-s0-f2": "d0ad0969d7f01ce002d7db5d4b8c86c96d3aefdb9951bc9a592d48e81c99fbc4",
-    "aisles-22x12-a4-s0-f3": "234301476fa3808f2d6e24b19a6321070af25c5123784e490ddee569a52d3be6",
-    "aisles-22x12-a4-s0-f4": "7e7a8a89d21cac75d7fa2c574747a6c6807e5f81600bc6801da7b9209ae75dbd",
-    "aisles-22x12-a4-s0-f5": "8af78056ecb446e7f6677273a11fc86c578a7041610d66b1d3279c17f66c9ddf",
-    "aisles-22x12-a4-s0-f6": "f273da441d6b041ecaf48d978b4d999150b61fcdf8aac45d2dad4157b3163aed",
-    "aisles-22x12-a4-s0-f7": "c579bc0c38b2482f70cf40e4c46cd1e4c57dbeab0059df4fdfe33cfd34aba332",
-    "corridor/off": "bcd9e0cdf2e550536efcc171b4559725e5216a4db885ee7f56113ca71947054d",
-    "corridor/on": "c84846c20e5c71db50aaec441792c151c52df503b05c3a919b283f176502d33e",
-    "open_floor/off": "581befb2312a96b5dee16636169fe7d58bf8049401b71b385c6cfbdf1844a120",
-    "open_floor/on": "581befb2312a96b5dee16636169fe7d58bf8049401b71b385c6cfbdf1844a120",
-    "walled_trap/off": "7e4a1f85bbe215e235902a7df01526b6020d4debeb66ad4fc145bb90e33d6bb3",
-    "walled_trap/on": "fb2b7d11461aa191fdbda106d54c93c4f5a2f336429190719666fe22e9c6345c",
+    "aisles-22x12-a4-s0-f0": "59a3e2fc9f6d154b45ca70760f0212068bd3234c99336db87b0d05b6caaa7aa2",
+    "aisles-22x12-a4-s0-f1": "fd7e99dfeb4ac5cab6aa5cee2d17955f2b5be44ee9f9b2bab12c00ff823ef96d",
+    "aisles-22x12-a4-s0-f2": "27975dc099fe2a2f054e42d4f96414a4f535fa55b4a3551b2a3708e661ed9ab4",
+    "aisles-22x12-a4-s0-f3": "d5752947da7c76acd2200a776e6a0b0235b6e0e1141ceed7f7800e7abfe2fffa",
+    "aisles-22x12-a4-s0-f4": "b86383855c8ca833e5ae8e104f6d5f1c2ccce830d94f802d9cf977e9d4cfd3c9",
+    "aisles-22x12-a4-s0-f5": "ee8b55ddf397d2dcb30f83b32e800397050868585b547cbcbae0a4ec5c00ae9a",
+    "aisles-22x12-a4-s0-f6": "919d711d76c4a2cb0cd3125b2d94d4b527dcd57cb374dced402258aab5e05dff",
+    "aisles-22x12-a4-s0-f7": "f0e9533891af8f655a2b5d3f0abe3bc23f7e8cdc64489bd1faae64a3a47bb3f6",
+    "corridor/off": "97b55ee9787b7160a14a9022534677e01e85f18fe07dad3a6cfdf4d8b78090d2",
+    "corridor/on": "b1ddd6ae75624fe91dc88248bac06784cd79ea16220ba62282ec7b83529ccfd2",
+    "open_floor/off": "51b12e64161d4c7f9f3fe5dfe6b26fc04e180520427343078dcb6549fa865cd5",
+    "open_floor/on": "51b12e64161d4c7f9f3fe5dfe6b26fc04e180520427343078dcb6549fa865cd5",
+    "walled_trap/off": "1c4e7c486e01b6761547f63fd9b9f85d9e714ff995b2a780dab9010493685be1",
+    "walled_trap/on": "298290cce8a0a28e2c2999a590c4fb4a32263a8095afaaa151f05082d11fc47f",
 }
 
 AISLE_FLOORS = 8
