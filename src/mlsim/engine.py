@@ -47,11 +47,10 @@ was quiet, every reaction was replayed or quiet, and it kept every level
 state (and so every agent record): every later tick repeats it, down to its
 influences and inhibition records, whose ids hold no tick.  The memory holds
 its step for its successor once, as a `HeldStep`: the frozen step's own
-`produced` and `inhibitions` and, once a trace reads it, its record (a kept
-level carries no influences of its own, as nothing was persisted).  A tick on that successor
-calls no producer and no reaction: it keeps the level states and the agent
-map, holds the step for its own successor, and its `StepInfo` reports the
-held step's objects.
+`produced` and `inhibitions` (a kept level carries no influences of its
+own, as nothing was persisted).  A tick on that successor calls no producer
+and no reaction: it keeps the level states and the agent map, holds the step
+for its own successor, and its `StepInfo` reports the held step's objects.
 
 So once a run replays a tick, it replays every later one: a run has at most
 one frozen tail, from the first tick on the held step's successor
@@ -66,10 +65,14 @@ encoder.
 
 An influence's id is `producer@k`, where `k` counts the makes of the
 `StepContext` that made it (`StepContext.make`); every trace line carries the
-tick.  Ids are unique within a tick: producers have distinct names, no agent
-or detector is named like a reaction (`REACTION_PRODUCER_PREFIX`), and a
-reaction that persists an influence its own context did not make persists a
-copy with a fresh id of that context (`StepContext.copy`).
+tick.  Ids that no producer built by hand are unique within a tick:
+producers have distinct names, no agent or detector is named like a reaction
+(`REACTION_PRODUCER_PREFIX`), and an influence a context did not make that
+could hold one of its ids is replaced by a copy under a fresh id of that
+context (`StepContext.owned`): any a reaction persists, and any of the
+`producer@<digits>` form a behavior or detector returns (one kept from an
+earlier call).  Two different influences under one hand-built id are
+rejected (`group_by_level`).
 
 Whatever enters a run is checked where it enters, so that every record is
 one that encoder writes: an influence's id, kind, target level and producer
@@ -140,8 +143,9 @@ class StepContext:
     stream `derived_rng(*rng_key)` is seeded the first time `rng` is read,
     so a producer that draws nothing costs no seeding.  Reads of `tick` and
     every influence `make` makes are recorded too: `untouched` (of a
-    reaction) and `made_quietly` (of a producer) say whether a call was
-    quiet (see the module doc).
+    reaction), and `read_nothing` with `made_all` (of a producer), say
+    whether a call was quiet (see the module doc).  `owned` gives what a call
+    returned under ids of this context where it could clash with them.
     """
 
     __slots__ = ("_tick", "_tick_read", "producer", "_rng", "_rng_key", "_made")
@@ -153,7 +157,7 @@ class StepContext:
         self.producer = producer
         self._rng = rng
         self._rng_key = rng_key
-        self._made: list[Influence] = []  # in the order `make` made them
+        self._made: list[Influence] = []  # in the order they were made
 
     @property
     def tick(self) -> int:
@@ -167,38 +171,62 @@ class StepContext:
         return self._rng
 
     @property
+    def read_nothing(self) -> bool:
+        """No stream seeded and no clock read so far."""
+        return self._rng is None and not self._tick_read
+
+    @property
     def untouched(self) -> bool:
         """No influence made, no stream seeded and no clock read so far."""
-        return not self._made and self._rng is None and not self._tick_read
+        return not self._made and self.read_nothing
 
-    def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
-        """A new influence of this context's producer, with the id
-        `producer@k`, `k` the number of influences this context made before."""
+    def _add(self, kind, target_level, producer, payload, klass) -> Influence:
+        """A new influence under this context's next id, `producer@k`, `k` the
+        number of influences this context made before it."""
         made = self._made
-        producer = self.producer
-        inf = Influence(f"{producer}@{len(made)}", kind, target_level, producer, payload, klass)
+        inf = Influence(f"{self.producer}@{len(made)}", kind, target_level, producer, payload,
+                        klass)
         made.append(inf)
         return inf
 
-    def copy(self, inf: Influence) -> Influence:
-        """`inf` with the id this context's next `make` would give: its
-        producer, kind, class, target and payload kept."""
-        made = self._made
-        copy = Influence(f"{self.producer}@{len(made)}", inf.kind, inf.target_level,
-                         inf.producer, inf.payload, inf.klass)
-        made.append(copy)
-        return copy
+    def make(self, kind, target_level, klass=ORDINARY, **payload) -> Influence:
+        """A new influence of this context's producer, with its next id."""
+        return self._add(kind, target_level, self.producer, payload, klass)
 
-    def made_quietly(self, out: list) -> bool:
-        """Whether this context made every influence of `out` and seeded no
-        stream and read no clock."""
-        if self._rng is not None or self._tick_read:
-            return False
+    def _made_ids(self) -> set:
+        """The `id()`s of the influences this context made."""
+        return set(map(id, self._made))
+
+    def made_all(self, out: list) -> bool:
+        """Whether this context made every influence of `out`."""
         made = self._made
         if len(out) == len(made) and all(map(is_, out, made)):
             return True
-        ids = set(map(id, made))
-        return all(id(inf) in ids for inf in out)
+        made = self._made_ids()
+        return all(id(inf) in made for inf in out)
+
+    def _gives(self, inf_id: str) -> bool:
+        """Whether `inf_id` has the form of this context's ids, `producer@k`."""
+        head, _, k = inf_id.rpartition("@")
+        return head == self.producer and k.isdigit() and k.isascii()
+
+    def owned(self, out, any_id: bool = True) -> list:
+        """`out` with each influence this context did not make replaced by a
+        copy under this context's next id, its producer, kind, class, target
+        and payload kept: one copy of equal influences, however often they
+        occur.  With `any_id` false, only one whose id has the form this
+        context's ids have is copied: a hand-built id such as `same` stays."""
+        made = self._made_ids()
+        copies: dict = {}
+        owned = []
+        for inf in out:
+            if id(inf) not in made and (any_id or self._gives(inf.id)):
+                if inf not in copies:
+                    copies[inf] = self._add(inf.kind, inf.target_level, inf.producer,
+                                            inf.payload, inf.klass)
+                inf = copies[inf]
+            owned.append(inf)
+        return owned
 
 
 class BehaviorRule:
@@ -457,10 +485,14 @@ def produce_influences(model: Model, state: SystemState, seed: int = 0) -> Produ
                 else:
                     _check_influence(model, inf, targets, f"agent {name!r}", levels,
                                      producer=name)
+        if not ctx.made_all(out):
+            # An influence of its own kept from an earlier call may hold an
+            # id its context gave again: it is produced as a copy.
+            out = ctx.owned(out, any_id=False)
+            quiet = False
+        elif quiet:
+            quiet = ctx.read_nothing and (record is None or internal is record.internal_state)
         produced_sets.append(out)
-        if quiet:
-            quiet = ctx.made_quietly(out) and (
-                record is None or internal is record.internal_state)
 
     return ProducedStep(group_by_level(per_level, produced_sets), new_internal, quiet)
 
@@ -478,11 +510,10 @@ class HeldStep:
     `constraints`, the number of its inhibition records, and `row_count`,
     the number of trace lines of one tick (a frozen tick emits no event).
     A tick `t` that repeats it reports these same objects, and its record
-    is `record(t)`: the frozen tick's (`StepInfo.record`), made on the first
-    call, with `t` for its tick."""
+    is `record(t)`: the frozen tick's (`StepInfo.record`) with `t` for its
+    tick."""
 
-    __slots__ = ("produced", "inhibitions", "first", "constraints", "row_count", "_frozen",
-                 "_lists")
+    __slots__ = ("produced", "inhibitions", "first", "constraints", "row_count", "_frozen")
 
     def __init__(self, info: StepInfo, first: int):
         self.produced = info.produced
@@ -491,12 +522,9 @@ class HeldStep:
         self.constraints = info.constraints
         self.row_count = sum(map(len, self.produced.values())) + self.constraints
         self._frozen = info
-        self._lists = None  # the record's influences and inhibitions
 
     def record(self, tick) -> tuple:
-        if self._lists is None:
-            self._lists = self._frozen.record()[1:3]
-        return (tick, *self._lists, ())
+        return (tick, *self._frozen.record()[1:3], ())
 
 
 class StepInfo:
@@ -677,23 +705,15 @@ def react(model: Model, state: SystemState, produced: ProducedStep, seed: int = 
 
     # Validate and collect persisted influences.  One the reaction's context
     # did not make may hold any id, its own on another tick too, so it is
-    # persisted as a copy under a fresh id of that context (once, however
-    # often it is persisted).
+    # persisted as a copy under a fresh id of that context.
     persisted: list[Influence] = []
     for level, result in results.items():
         if not result.persisted:
             continue
         targets = model.graph.out_influence(level)
-        ctx = contexts[level]
-        made = set(map(id, ctx._made))
-        copies: dict = {}
         for inf in result.persisted:
             _check_influence(model, inf, targets, f"reaction of level {level!r}", {level})
-            if id(inf) not in made:
-                if inf not in copies:
-                    copies[inf] = ctx.copy(inf)
-                inf = copies[inf]
-            persisted.append(inf)
+        persisted += contexts[level].owned(result.persisted)
     routed = group_by_level(state.per_level, [persisted]) if persisted else {}
 
     # Agent records: internal-state updates from memorization.  A record

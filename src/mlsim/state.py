@@ -63,10 +63,11 @@ class Influence(Value):
     `Body.attributes` it is read-only by contract: readers index it, nobody
     writes into it.  Identity is id-based: two influences with equal ids are
     the same influence for deduplication purposes, and ids are
-    producer-scoped so they never collide across producers or ticks.  The
-    hash reads the id only, so hashing never walks the payload; equality
-    stays structural (dict equality ignores key order), and equal
-    influences have equal ids, hence equal hashes.
+    producer-scoped so they never collide across producers within a tick
+    (see the `engine` module doc).  The hash reads the id only, so hashing
+    never walks the payload; equality stays structural (dict equality
+    ignores key order), and equal influences have equal ids, hence equal
+    hashes.
     """
 
     id: str

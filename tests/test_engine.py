@@ -580,6 +580,58 @@ def test_a_reaction_persists_its_own_influences_as_they_are():
     assert kept.id == "reaction:l@0"
 
 
+class KeepsItsFirst:
+    """Makes `inc` of `first` on its first call and keeps it; on every later
+    call returns the kept one next to a fresh `inc` of 1, both `a1@0`."""
+
+    def __init__(self, first):
+        self.first = first
+        self.kept = None
+
+    def __call__(self, ctx):
+        if self.kept is None:
+            self.kept = ctx.make("inc", "l", amount=self.first)
+            return [self.kept]
+        return [self.kept, ctx.make("inc", "l", amount=1)]
+
+
+@pytest.mark.parametrize("first,total", [(1, 7), (10, 43)], ids=["equal", "different"])
+@pytest.mark.parametrize("as_detector", [False, True], ids=["agent", "detector"])
+def test_a_producer_returns_an_influence_kept_from_an_earlier_call_as_a_copy(
+        first, total, as_detector):
+    """Returned as it is, the kept influence and the fresh one share the id
+    `a1@0`: an equal pair was merged into one, and the sum read 4 after 4
+    ticks, not 7; a different pair raised `IllegalInfluenceTarget`."""
+    keeps = KeepsItsFirst(first)
+    model, agents = make_model(), []
+    if as_detector:
+        model.detectors["a1"] = DetectorRule("a1", "l", lambda percept, ctx: keeps(ctx))
+    else:
+        model.behaviors["a1"] = Scripted(keeps)
+        agents = [("a1", "l")]
+    state = make_state(agents=agents)
+    for _ in range(4):
+        produced = produce_influences(model, state)
+        state, _ = react(model, state, produced)
+    assert state.per_level["l"].properties["total"] == total
+    assert not produced.quiet
+    fresh, copy = sorted(produced.per_level["l"], key=lambda inf: inf.id)
+    assert (fresh.id, fresh.payload, copy.id) == ("a1@0", {"amount": 1}, "a1@1")
+    assert copy is not keeps.kept and copy == Influence(
+        "a1@1", "inc", "l", "a1", keeps.kept.payload, keeps.kept.klass)
+    assert copy.payload is keeps.kept.payload
+
+
+def test_a_producer_returns_a_kept_influence_with_a_hand_built_id_as_it_is():
+    """Only an id of the `producer@<digits>` form can be one its context
+    gives; a kept `a1@hand`, `a1@1x` or `a1@²` keeps its id."""
+    kept = [influence("inc", "l", "a1", uid=uid, amount=1) for uid in ("a1@hand", "a1@1x", "a1@²")]
+    model = make_model(behaviors={"a1": Scripted(lambda ctx: [*kept, ctx.make("inc", "l")])})
+    produced = produce_influences(model, make_state(agents=[("a1", "l")]))
+    assert {inf.id for inf in produced.per_level["l"]} == {"a1@hand", "a1@1x", "a1@²", "a1@0"}
+    assert set(kept) <= produced.per_level["l"]
+
+
 @pytest.mark.parametrize("what", ["agent", "detector"])
 def test_an_agent_or_detector_named_like_a_reaction_is_rejected(what):
     """Its influence ids, `reaction:l@k`, would be those of `l`'s reaction."""
